@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
+from .closed_form import alpha_from_beta
 from .errors import DegenerateColumnError, DimensionError, SingularMatrixError
 from .linalg import require_rank, thin_svd
 from .rates import COND_LIMIT, waterfill
@@ -51,11 +52,6 @@ class SelectionPolicy:
     def __post_init__(self):
         if not 0.0 <= self.beta_percent < 100.0:
             raise ValueError("beta_percent must lie in [0, 100)")
-
-    @property
-    def alpha(self) -> float:
-        """Amplitude threshold whose Rayleigh CDF mass equals beta."""
-        return math.sqrt(-math.log(1.0 - self.beta_percent / 100.0))
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,7 @@ def select_phase_shifters(
     svd = thin_svd(chan.h, k)
     require_rank(svd.sigma, k)
     n_r, n_t = chan.h.shape
-    alpha = policy.alpha
+    alpha = alpha_from_beta(policy.beta_percent)
     keep_t = math.sqrt(n_t) * np.abs(svd.v) > alpha
     keep_r = math.sqrt(n_r) * np.abs(svd.u) > alpha
     if not (keep_t.any(axis=0).all() and keep_r.any(axis=0).all()):

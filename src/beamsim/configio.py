@@ -178,10 +178,9 @@ def serialize_config(config: ExperimentConfig) -> str:
     out.write(f"spacing_over_wavelength = {config.channel.spacing_over_wavelength!r}\n")
     out.write("\n[scheme]\n")
     out.write(f"kind = {config.scheme.kind}\n")
-    if config.scheme.bits is not None:
-        out.write(f"bits = {config.scheme.bits}\n")
-    if config.scheme.beta_percent is not None:
-        out.write(f"beta_percent = {config.scheme.beta_percent!r}\n")
+    param = config.scheme.spec.param
+    if param is not None:
+        out.write(f"{param} = {getattr(config.scheme, param)!r}\n")
     if config.sweep is not None:
         out.write("\n[sweep]\n")
         out.write(f"param = {config.sweep.param}\n")

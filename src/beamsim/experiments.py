@@ -3,15 +3,16 @@
 A trial draws one channel on its own random stream (master_seed,
 trial_index), builds the configured beamformer and measures capacity and
 achieved rate.  Trials that cannot be completed (stream count above the
-channel rank, selection killing an RF column, a singular inversion) are
-recorded as degenerate and excluded from the means but kept in the
-accounting, never silently dropped.  Summaries depend only on the config,
-not on worker count or scheduling.
+channel rank, selection killing an RF column, a singular inversion, an
+SVD that does not converge) are recorded as degenerate and excluded from
+the means but kept in the accounting, never silently dropped.  Summaries
+depend only on the config, not on worker count or scheduling.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import closed_form
 from .beamformers import (
+    DIGITAL,
     PhaseResolution,
     SelectionPolicy,
     digital_svd_beamformer,
@@ -34,6 +36,7 @@ from .beamformers import (
 from .channel import GEOMETRIC, RAYLEIGH, ChannelModel, draw_channel
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DegenerateColumnError,
     RankError,
     SingularMatrixError,
@@ -44,21 +47,82 @@ from .rates import achievable_rate, capacity_p2p, sum_rate_mu
 DEFAULT_SEED = 123456789
 DEFAULT_TRIALS = 500
 
-SCHEME_KINDS = (
-    "digital",
-    "svd_phase",
-    "double_rf",
-    "mixed",
-    "quantized",
-    "selection",
-    "mu_zf_hybrid",
-    "mu_zf_digital",
-)
-MU_SCHEMES = ("mu_zf_hybrid", "mu_zf_digital")
-
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig10")
 
 SWEEP_PARAMS = ("n", "n_t", "n_r", "rho_db", "k", "m", "bits", "beta_percent", "l_paths", "trials")
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """What the runner knows about one beamforming scheme.
+
+    ``build(chan, config, rho)`` makes the design and ``gap(config, rich)``
+    predicts its capacity gap on a Rayleigh (rich) or geometric channel, or
+    None.  Multiuser designs are measured with sum_rate_mu against the
+    digital ZF design (whose ``build`` is None), the rest with
+    achievable_rate against capacity_p2p.  Builders are called by module
+    global name, so patching one reaches every scheme.  ``param`` names the
+    Scheme field the scheme takes, ``check`` raises ValueError outside its
+    domain, ``label`` formats the Scheme's fields into the CSV label, and m
+    ranges over ``m_per_k`` times k.
+    """
+
+    build: Callable | None
+    gap: Callable = lambda config, rich: 0.0
+    param: str | None = None
+    check: Callable | None = None
+    label: str = "{kind}"
+    m_per_k: tuple[int, int] = (1, 1)
+    multiuser: bool = False
+    reports_inactive: bool = False
+
+
+def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
+    bound = closed_form.quant_gap_bound(config.k, config.scheme.bits)
+    return None if math.isinf(bound) else base + bound
+
+
+# kind -> spec: the one place that tells the schemes apart.
+SCHEMES = {
+    "digital": SchemeSpec(lambda chan, c, rho: digital_svd_beamformer(chan, c.k, rho)),
+    "svd_phase": SchemeSpec(
+        lambda chan, c, rho: svd_phase_beamformer(chan, c.k, rho),
+        gap=lambda c, rich: closed_form.svd_phase_gap(c.k) if rich else 0.0,
+    ),
+    "double_rf": SchemeSpec(
+        lambda chan, c, rho: double_rf_beamformer(chan, c.k, rho), m_per_k=(2, 2)
+    ),
+    "mixed": SchemeSpec(
+        lambda chan, c, rho: mixed_beamformer(chan, c.k, c.m, rho),
+        gap=lambda c, rich: closed_form.mixed_gap(c.k, c.m) if rich else 0.0,
+        m_per_k=(1, 2),
+    ),
+    "quantized": SchemeSpec(
+        lambda chan, c, rho: quantize_rf(
+            chan, svd_phase_beamformer(chan, c.k, rho), PhaseResolution(DIGITAL, c.scheme.bits), rho
+        ),
+        gap=lambda c, rich: _quant_gap(c, closed_form.svd_phase_gap(c.k) if rich else 0.0),
+        param="bits",
+        check=lambda bits: PhaseResolution(DIGITAL, bits),
+        label="quantized(b={bits})",
+    ),
+    "selection": SchemeSpec(
+        lambda chan, c, rho: select_phase_shifters(
+            chan, c.k, rho, SelectionPolicy(c.scheme.beta_percent)
+        ),
+        gap=lambda c, rich: closed_form.selection_gap(c.k, c.scheme.beta_percent) if rich else None,
+        param="beta_percent",
+        check=SelectionPolicy,
+        label="selection(beta={beta_percent:g})",
+        reports_inactive=True,
+    ),
+    "mu_zf_hybrid": SchemeSpec(
+        lambda chan, c, rho: mu_zf_hybrid(chan, c.k, rho),
+        gap=lambda c, rich: closed_form.mu_zf_gap(c.k),
+        multiuser=True,
+    ),
+    "mu_zf_digital": SchemeSpec(None, multiuser=True),
+}
 
 
 @dataclass(frozen=True)
@@ -70,40 +134,30 @@ class Scheme:
     beta_percent: float | None = None
 
     def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
+        if self.kind not in SCHEMES:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "quantized":
-            if self.bits is None or not 1 <= self.bits <= 16:
-                raise ValueError("quantized scheme needs 1 <= bits <= 16")
-        elif self.bits is not None:
-            raise ValueError("bits only applies to the quantized scheme")
-        if self.kind == "selection":
-            if self.beta_percent is None or not 0.0 <= self.beta_percent < 100.0:
-                raise ValueError("selection scheme needs beta_percent in [0, 100)")
-        elif self.beta_percent is not None:
-            raise ValueError("beta_percent only applies to the selection scheme")
+        spec = self.spec
+        for name in ("bits", "beta_percent"):
+            value = getattr(self, name)
+            if name == spec.param:
+                if value is None:
+                    raise ValueError(f"the {self.kind} scheme needs {name}")
+                spec.check(value)
+            elif value is not None:
+                raise ValueError(f"{name} does not apply to the {self.kind} scheme")
+
+    @property
+    def spec(self) -> SchemeSpec:
+        return SCHEMES[self.kind]
 
     def label(self) -> str:
-        if self.kind == "quantized":
-            return f"quantized(b={self.bits})"
-        if self.kind == "selection":
-            return f"selection(beta={self.beta_percent:g})"
-        return self.kind
+        return self.spec.label.format(**vars(self))
 
 
 @dataclass(frozen=True)
 class SweepAxis:
     param: str
     values: tuple[float, ...]
-
-
-def _expected_m(scheme: Scheme, k: int) -> tuple[int, int]:
-    """Valid (min, max) RF chain count for a scheme with k streams."""
-    if scheme.kind == "double_rf":
-        return 2 * k, 2 * k
-    if scheme.kind == "mixed":
-        return k, 2 * k
-    return k, k
 
 
 @dataclass(frozen=True)
@@ -135,12 +189,12 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not math.isfinite(self.rho_db):
             raise ConfigError("rho_db must be finite")
-        lo, hi = _expected_m(self.scheme, self.k)
+        lo, hi = (f * self.k for f in self.scheme.spec.m_per_k)
         if not lo <= self.m <= hi:
             raise ConfigError(
                 f"scheme {self.scheme.kind!r} with k={self.k} needs m in [{lo}, {hi}], got {self.m}"
             )
-        if self.scheme.kind in MU_SCHEMES:
+        if self.scheme.spec.multiuser:
             if self.channel.n_r != self.k:
                 raise ConfigError(
                     "multiuser schemes need n_r = k single-antenna users "
@@ -195,26 +249,6 @@ class ExperimentResult:
     records: tuple[TrialRecord, ...]
 
 
-def _build_p2p(chan, config: ExperimentConfig, rho: float):
-    kind = config.scheme.kind
-    if kind == "digital":
-        return digital_svd_beamformer(chan, config.k, rho)
-    if kind == "svd_phase":
-        return svd_phase_beamformer(chan, config.k, rho)
-    if kind == "double_rf":
-        return double_rf_beamformer(chan, config.k, rho)
-    if kind == "mixed":
-        return mixed_beamformer(chan, config.k, config.m, rho)
-    if kind == "quantized":
-        base = svd_phase_beamformer(chan, config.k, rho)
-        return quantize_rf(chan, base, PhaseResolution("digital", config.scheme.bits), rho)
-    if kind == "selection":
-        return select_phase_shifters(
-            chan, config.k, rho, SelectionPolicy(config.scheme.beta_percent)
-        )
-    raise ConfigError(f"scheme {kind!r} is not a point-to-point scheme")
-
-
 def _inactive_fraction(bf) -> float:
     on = int(np.count_nonzero(bf.f_rf)) + int(np.count_nonzero(bf.w_rf))
     total = bf.f_rf.size + bf.w_rf.size
@@ -223,27 +257,22 @@ def _inactive_fraction(bf) -> float:
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Execute one Monte-Carlo trial on its own random stream."""
+    spec = config.scheme.spec
     rng = SeededRng(config.master_seed, trial_index)
     chan = draw_channel(config.channel, rng)
     rho = 10.0 ** (config.rho_db / 10.0)
     try:
-        if config.scheme.kind in MU_SCHEMES:
+        if spec.multiuser:
             baseline = mu_zf_digital(chan, config.k, rho)
             capacity = sum_rate_mu(chan, baseline, rho).rate_bits
-            if config.scheme.kind == "mu_zf_digital":
-                bf = baseline
-            else:
-                bf = mu_zf_hybrid(chan, config.k, rho)
+            bf = baseline if spec.build is None else spec.build(chan, config, rho)
             rate = sum_rate_mu(chan, bf, rho).rate_bits
-            inactive = math.nan
         else:
             capacity = capacity_p2p(chan, config.k, rho).rate_bits
-            bf = _build_p2p(chan, config, rho)
+            bf = spec.build(chan, config, rho)
             rate = achievable_rate(chan, bf, rho).rate_bits
-            inactive = (
-                _inactive_fraction(bf) if config.scheme.kind == "selection" else math.nan
-            )
-    except (RankError, DegenerateColumnError, SingularMatrixError):
+        inactive = _inactive_fraction(bf) if spec.reports_inactive else math.nan
+    except (RankError, DegenerateColumnError, SingularMatrixError, ConvergenceError):
         return TrialRecord(trial_index, math.nan, math.nan, math.nan, math.nan, True)
     return TrialRecord(trial_index, capacity, rate, capacity - rate, inactive, False)
 
@@ -259,23 +288,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 def analytic_gap(config: ExperimentConfig) -> float | None:
     """Closed-form capacity-to-rate gap predicted for this config, if any."""
-    kind = config.scheme.kind
-    rich = config.channel.kind == RAYLEIGH
-    if kind in ("digital", "double_rf", "mu_zf_digital"):
-        return 0.0
-    if kind == "svd_phase":
-        return closed_form.svd_phase_gap(config.k) if rich else 0.0
-    if kind == "mixed":
-        return closed_form.mixed_gap(config.k, config.m) if rich else 0.0
-    if kind == "quantized":
-        base = closed_form.svd_phase_gap(config.k) if rich else 0.0
-        bound = closed_form.quant_gap_bound(config.k, config.scheme.bits)
-        return None if math.isinf(bound) else base + bound
-    if kind == "selection":
-        return closed_form.selection_gap(config.k, config.scheme.beta_percent) if rich else None
-    if kind == "mu_zf_hybrid":
-        return closed_form.mu_zf_gap(config.k)
-    return None
+    return config.scheme.spec.gap(config, config.channel.kind == RAYLEIGH)
 
 
 def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> SummaryStats:
@@ -286,7 +299,7 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> SummarySt
     mean_cap, se_cap = _mean_se(cap)
     mean_rate, se_rate = _mean_se(rate)
     mean_gap, se_gap = _mean_se(gap)
-    if config.scheme.kind == "selection" and included:
+    if config.scheme.spec.reports_inactive and included:
         mean_inact, se_inact = _mean_se(np.array([r.inactive_fraction for r in included]))
     else:
         mean_inact, se_inact = math.nan, math.nan
@@ -351,10 +364,10 @@ def _apply_sweep_value(config: ExperimentConfig, param: str, value: float) -> Ex
         return replace(config, rho_db=float(value), **point)
     if param == "k":
         k = as_count(value)
-        if scheme.kind == "mixed":
-            raise ConfigError("sweeping k is ambiguous for the mixed scheme; sweep m instead")
-        m = 2 * k if scheme.kind == "double_rf" else k
-        return replace(config, k=k, m=m, **point)
+        lo, hi = scheme.spec.m_per_k
+        if lo != hi:
+            raise ConfigError(f"sweeping k is ambiguous for {scheme.kind}; sweep m instead")
+        return replace(config, k=k, m=lo * k, **point)
     if param == "m":
         return replace(config, m=as_count(value), **point)
     if param == "bits":
@@ -374,7 +387,10 @@ def expand_sweep(config: ExperimentConfig) -> list[ExperimentConfig]:
         return [config]
     out = []
     for value in config.sweep.values:
-        point = _apply_sweep_value(config, config.sweep.param, value)
+        try:
+            point = _apply_sweep_value(config, config.sweep.param, value)
+        except ValueError as exc:
+            raise ConfigError(f"cannot sweep {config.sweep.param} = {value:g}: {exc}") from exc
         out.append(replace(point, name=f"{config.name}_{config.sweep.param}{value:g}"))
     return out
 
@@ -406,21 +422,9 @@ def figure_preset(
     common = dict(k=4, m=4, rho_db=_RHO_DB_DEFAULT, trials=trials, master_seed=master_seed)
     phase = Scheme("svd_phase")
     out: list[ExperimentConfig] = []
-    if fig_id == "fig2":
-        for n in (16, 64):
-            out.append(
-                ExperimentConfig(
-                    name=f"fig2_svd_phase_n{n}",
-                    channel=_rayleigh(n),
-                    scheme=phase,
-                    sweep_param="n",
-                    sweep_value=float(n),
-                    **common,
-                )
-            )
-    elif fig_id in ("fig3", "fig4"):
-        for n in _N_SWEEP:
-            chan = _rayleigh(n) if fig_id == "fig3" else _geometric(n)
+    if fig_id in ("fig2", "fig3", "fig4"):
+        for n in (16, 64) if fig_id == "fig2" else _N_SWEEP:
+            chan = _geometric(n) if fig_id == "fig4" else _rayleigh(n)
             out.append(
                 ExperimentConfig(
                     name=f"{fig_id}_svd_phase_n{n}",

@@ -575,21 +575,18 @@ def check_gap_convergence(seed: int = DEFAULT_SEED, trials: int = 200) -> CheckR
     """Mean capacity gap of the phase-only design approaches its closed form
     as the array grows (nonincreasing within combined standard errors)."""
     target = closed_form.svd_phase_gap(4)
-    rho = 10.0 ** 3.4
     devs = []
     ses = []
+    excluded = 0
     for n in (32, 64, 128, 256, 512):
-        gaps = []
-        model = _rayleigh_chan(n)
-        for t in range(trials):
-            chan = draw_channel(model, SeededRng(seed + 16, t))
-            cap = capacity_p2p(chan, 4, rho).rate_bits
-            rate = achievable_rate(chan, svd_phase_beamformer(chan, 4, rho), rho).rate_bits
-            gaps.append(cap - rate)
-        gaps = np.array(gaps)
-        devs.append(abs(float(gaps.mean()) - target))
-        ses.append(float(gaps.std(ddof=1) / math.sqrt(trials)))
-    ok = all(
+        config = replace(
+            _tiny_config(seed + 16), name="convergence_probe", channel=_rayleigh_chan(n), trials=trials
+        )
+        summary = run_experiment(config).summary
+        devs.append(abs(summary.mean_gap - target))
+        ses.append(summary.se_gap)
+        excluded += summary.excluded_count
+    ok = excluded == 0 and all(
         devs[i + 1] <= devs[i] + math.hypot(ses[i], ses[i + 1]) for i in range(len(devs) - 1)
     )
     return CheckResult(

@@ -2,14 +2,18 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 the error function comes from its Maclaurin series in 50-digit arithmetic,
-the thresholded-Rayleigh mean from adaptive quadrature, and multiuser
-SINRs from a scalar-by-scalar loop.
+the thresholded-Rayleigh mean from adaptive quadrature, multiuser SINRs
+from a scalar-by-scalar loop, and singular values from cyclic Jacobi
+eigenvalues of the Gram matrix (that solver never calls LAPACK, and
+test_validation pins it against numpy.linalg.eigvalsh).
 """
 
 import math
 
 import mpmath
 import numpy as np
+
+from beamsim.validation import cyclic_jacobi_eigvalsh
 
 
 def erf_series(x: float) -> float:
@@ -58,51 +62,9 @@ def sum_rate_scalar_loop(h: np.ndarray, f: np.ndarray, rho: float) -> float:
     return total
 
 
-def jacobi_hermitian_eigvals(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, descending.
-
-    Characteristic-polynomial free and independent of LAPACK; used to
-    cross-check singular values as sqrt(eig(a^H a)).
-    """
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                # relative skip also avoids overflow on subnormal entries
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                phase = apq / abs(apq)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # rows p,q of U^H A, then columns p,q of (.)U with
-                # U = [[c, s*phase], [-s*conj(phase), c]]
-                rp = c * a[p, :] - s * phase * a[q, :]
-                rq = s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rp, rq
-                cp = c * a[:, p] - s * np.conj(phase) * a[:, q]
-                cq = s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = cp, cq
-    else:
-        raise RuntimeError("Jacobi sweep limit reached without converging")
-    return np.sort(np.diag(a).real)[::-1]
-
-
 def singular_values_via_gram(a: np.ndarray) -> np.ndarray:
     """Singular values of a as square roots of Jacobi eigenvalues of a^H a."""
     a = np.asarray(a, dtype=complex)
     gram = a.conj().T @ a
-    lam = jacobi_hermitian_eigvals(gram)
+    lam = cyclic_jacobi_eigvalsh(gram)
     return np.sqrt(np.maximum(lam, 0.0))

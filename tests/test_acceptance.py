@@ -13,13 +13,13 @@ import pytest
 
 from beamsim import (
     ChannelModel,
+    ExperimentConfig,
     GEOMETRIC,
     PhaseResolution,
     PowerModelParams,
     RAYLEIGH,
     SeededRng,
     achievable_rate,
-    capacity_p2p,
     digital_svd_beamformer,
     double_rf_beamformer,
     draw_channel,
@@ -30,17 +30,18 @@ from beamsim import (
     quantize_rf,
     rayleigh_cdf,
     rf_power_consumption,
+    run_experiment,
+    Scheme,
     selection_gap,
-    select_phase_shifters,
     sum_rate_mu,
     svd_phase_beamformer,
     thin_svd,
 )
-from beamsim.beamformers import SelectionPolicy
 from beamsim.cli import main as cli_main
 from beamsim.experiments import DEFAULT_SEED
 
-RHO = 10.0**3.4
+RHO_DB = 34.0
+RHO = 10.0**3.4  # == 10.0 ** (RHO_DB / 10.0), the linear SNR run_experiment uses
 TRIALS = 500
 
 
@@ -49,15 +50,24 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
-def phase_only_gaps(n: int, trials: int, seed: int, k: int = 4) -> np.ndarray:
-    model = ChannelModel(RAYLEIGH, n, n)
-    gaps = []
-    for t in range(trials):
-        chan = draw_channel(model, SeededRng(seed, t))
-        cap = capacity_p2p(chan, k, RHO).rate_bits
-        rate = achievable_rate(chan, svd_phase_beamformer(chan, k, RHO), RHO).rate_bits
-        gaps.append(cap - rate)
-    return np.array(gaps)
+def run_summary(channel, scheme, seed_offset: int, k: int = 4, m: int = 4):
+    """Summary of TRIALS trials at RHO on stream DEFAULT_SEED + seed_offset.
+
+    Every trial must complete: the criteria are stated over all draws.
+    """
+    config = ExperimentConfig(
+        name="acceptance",
+        channel=channel,
+        k=k,
+        m=m,
+        rho_db=RHO_DB,
+        scheme=scheme,
+        trials=TRIALS,
+        master_seed=DEFAULT_SEED + seed_offset,
+    )
+    summary = run_experiment(config).summary
+    assert summary.excluded_count == 0
+    return summary
 
 
 def mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -66,8 +76,10 @@ def mean_se(values: np.ndarray) -> tuple[float, float]:
 
 def test_criterion_1_phase_only_gap_vs_array_size():
     start = time.monotonic()
-    g64, se64 = mean_se(phase_only_gaps(64, TRIALS, DEFAULT_SEED))
-    g512, se512 = mean_se(phase_only_gaps(512, TRIALS, DEFAULT_SEED))
+    s64 = run_summary(ChannelModel(RAYLEIGH, 64, 64), Scheme("svd_phase"), 0)
+    s512 = run_summary(ChannelModel(RAYLEIGH, 512, 512), Scheme("svd_phase"), 0)
+    g64, se64 = s64.mean_gap, s64.se_gap
+    g512, se512 = s512.mean_gap, s512.se_gap
     elapsed = time.monotonic() - start
     ok = abs(g64 - 2.79) <= 0.3 and abs(g512 - 2.79) <= 0.15 and elapsed <= 300.0
     report(
@@ -102,16 +114,8 @@ def test_criterion_2_exact_factorization():
 
 
 def test_criterion_3_intermediate_chain_count():
-    from beamsim import mixed_beamformer
-
-    model = ChannelModel(RAYLEIGH, 64, 64)
-    gaps = []
-    for t in range(TRIALS):
-        chan = draw_channel(model, SeededRng(DEFAULT_SEED + 2, t))
-        cap = capacity_p2p(chan, 3, RHO).rate_bits
-        rate = achievable_rate(chan, mixed_beamformer(chan, 3, 5, RHO), RHO).rate_bits
-        gaps.append(cap - rate)
-    mean, se = mean_se(np.array(gaps))
+    summary = run_summary(ChannelModel(RAYLEIGH, 64, 64), Scheme("mixed"), 2, k=3, m=5)
+    mean, se = summary.mean_gap, summary.se_gap
     ok = abs(mean - 0.70) <= 0.3
     report(
         "criterion-3 k=3 m=5 gap",
@@ -166,19 +170,10 @@ def test_criterion_5_multiuser_zero_forcing():
 
 
 def test_criterion_6_selection_gaps():
-    model = ChannelModel(RAYLEIGH, 64, 64)
     stats = {}
     for beta in (0.0, 10.0, 25.0, 50.0):
-        gaps = []
-        rates = []
-        for t in range(TRIALS):
-            chan = draw_channel(model, SeededRng(DEFAULT_SEED + 5, t))
-            cap = capacity_p2p(chan, 4, RHO).rate_bits
-            bf = select_phase_shifters(chan, 4, RHO, SelectionPolicy(beta))
-            rate = achievable_rate(chan, bf, RHO).rate_bits
-            gaps.append(cap - rate)
-            rates.append(rate)
-        stats[beta] = (*mean_se(np.array(gaps)), *mean_se(np.array(rates)))
+        s = run_summary(ChannelModel(RAYLEIGH, 64, 64), Scheme("selection", beta_percent=beta), 5)
+        stats[beta] = (s.mean_gap, s.se_gap, s.mean_rate, s.se_rate)
     tracking = all(abs(stats[b][0] - selection_gap(4, b)) <= 0.5 for b in (0.0, 10.0, 25.0, 50.0))
     r0, se0 = stats[0.0][2], stats[0.0][3]
     r25, se25 = stats[25.0][2], stats[25.0][3]
@@ -217,16 +212,9 @@ def test_criterion_8_geometric_convergence():
     means = []
     ses = []
     for n in sizes:
-        model = ChannelModel(GEOMETRIC, n, n, l_paths=5)
-        gaps = []
-        for t in range(TRIALS):
-            chan = draw_channel(model, SeededRng(DEFAULT_SEED + 7, t))
-            cap = capacity_p2p(chan, 4, RHO).rate_bits
-            rate = achievable_rate(chan, svd_phase_beamformer(chan, 4, RHO), RHO).rate_bits
-            gaps.append(cap - rate)
-        m, s = mean_se(np.array(gaps))
-        means.append(m)
-        ses.append(s)
+        s = run_summary(ChannelModel(GEOMETRIC, n, n, l_paths=5), Scheme("svd_phase"), 7)
+        means.append(s.mean_gap)
+        ses.append(s.se_gap)
     nonincreasing = all(
         means[i + 1] <= means[i] + math.hypot(ses[i], ses[i + 1]) for i in range(len(sizes) - 1)
     )

@@ -261,9 +261,6 @@ class TestSelection:
         frac = off / (off + on)
         assert abs(frac - 0.5) <= 0.03
 
-    def test_alpha_value(self):
-        assert SelectionPolicy(50.0).alpha == pytest.approx(0.8325546111576977, abs=1e-12)
-
     def test_mask_matches_zeros(self):
         chan = rayleigh(32, 7, 1)
         bf = select_phase_shifters(chan, 4, RHO, SelectionPolicy(30.0))

@@ -88,6 +88,27 @@ class TestSweep:
         assert main(["sweep", str(config_file), "--param", "nope", "--values", "1"]) == 2
 
 
+class TestSweepDomainErrors:
+    @pytest.mark.parametrize(
+        "text, param, values, bad",
+        [
+            (GOOD.replace("kind = rayleigh", "kind = geometric\nl_paths = 2"), "l_paths", "2,20", "20"),
+            (GOOD.replace("kind = svd_phase", "kind = quantized\nbits = 2"), "bits", "2,40", "40"),
+            (GOOD.replace("kind = svd_phase", "kind = quantized\nbits = 2"), "beta_percent", "10", "10"),
+        ],
+        ids=["l_paths_above_n", "bits_above_16", "beta_on_quantized"],
+    )
+    def test_out_of_domain_value_exits_2(self, tmp_path, capsys, text, param, values, bad):
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        assert main(["sweep", str(path), "--param", param, "--values", values]) == 2
+        assert f"{param} = {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, config_file, workers):
+        assert main(["run", str(config_file), "--workers", workers]) == 2
+
+
 class TestFigure:
     def test_fig2_writes_csv(self, tmp_path, capsys):
         assert main(["figure", "fig2", "--trials", "2", "--out", str(tmp_path)]) == 0

@@ -19,7 +19,8 @@ from beamsim import (
     run_experiment,
     run_trial,
 )
-from beamsim.experiments import analytic_gap, result_row
+from beamsim.configio import parse_config_text, serialize_config
+from beamsim.experiments import SCHEMES, analytic_gap, result_row
 from beamsim import mixed_gap, mu_zf_gap, quant_gap_bound, selection_gap, svd_phase_gap
 
 
@@ -150,9 +151,47 @@ class TestDegenerateAccounting:
         included = [r for r in res.records if not r.degenerate]
         assert all(math.isfinite(r.rate_bits) for r in included)
 
+    def test_svd_failure_excludes_trial(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        res = run_experiment(config(trials=5))
+        assert res.summary.excluded_count == 5
+        assert res.summary.trial_count == 0
+
     def test_selection_records_inactive_fraction(self):
         res = run_experiment(config(scheme=Scheme("selection", beta_percent=25.0), n=64, trials=20))
         assert 0.15 <= res.summary.mean_inactive <= 0.35
+
+
+# kind -> (scheme, CSV label, valid m range at k = 4)
+SPEC_CASES = {
+    "digital": (Scheme("digital"), "digital", (4, 4)),
+    "svd_phase": (Scheme("svd_phase"), "svd_phase", (4, 4)),
+    "double_rf": (Scheme("double_rf"), "double_rf", (8, 8)),
+    "mixed": (Scheme("mixed"), "mixed", (4, 8)),
+    "quantized": (Scheme("quantized", bits=2), "quantized(b=2)", (4, 4)),
+    "selection": (Scheme("selection", beta_percent=25.0), "selection(beta=25)", (4, 4)),
+    "mu_zf_hybrid": (Scheme("mu_zf_hybrid"), "mu_zf_hybrid", (4, 4)),
+    "mu_zf_digital": (Scheme("mu_zf_digital"), "mu_zf_digital", (4, 4)),
+}
+
+
+class TestSchemeTable:
+    @pytest.mark.parametrize("kind", list(SCHEMES))
+    def test_label_m_range_and_ini_round_trip(self, kind):
+        scheme, label, (lo, hi) = SPEC_CASES[kind]
+        for m in (lo - 1, hi + 1):
+            with pytest.raises(ConfigError):
+                config(scheme=scheme, m=m)
+        for m in (lo, hi):
+            cfg = config(scheme=scheme, m=m, trials=1)
+            assert result_row(cfg, run_experiment(cfg).summary)["scheme"] == label
+            assert parse_config_text(serialize_config(cfg)) == cfg
+
+    def test_every_scheme_has_a_case(self):
+        assert set(SPEC_CASES) == set(SCHEMES)
 
 
 class TestSweeps:
