@@ -19,7 +19,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .closed_form import alpha_from_beta
 from .errors import DegenerateColumnError, DimensionError, SingularMatrixError
-from .linalg import require_rank, thin_svd
+from .linalg import SvdResult, require_rank, thin_svd
 from .rates import COND_LIMIT, waterfill
 
 ANALOG = "analog"
@@ -60,21 +60,17 @@ class HybridBeamformer:
 
     ``f_rf`` (n_t x m) and ``f_b`` (m x k) factor the precoder, with the
     receive side optional for multiuser downlink use.  ``power`` holds the
-    per-stream fractions of the unit budget, ``gamma_t``/``gamma_r`` the
-    stored normalization factors trace(F^H F)/K and trace(W^H W)/K, and
-    ``active_mask`` marks which transmit phase shifters are switched on.
-    ``digital`` flags unconstrained designs whose ``f_rf`` entries are not
-    unit modulus.  Values are immutable; build a new one to change fields.
+    per-stream fractions of the unit budget.  ``digital`` flags
+    unconstrained designs whose ``f_rf`` entries are not unit modulus.
+    The normalization factors ``gamma_t``/``gamma_r`` are derived from the
+    matrices, so they stay right under ``dataclasses.replace``.
     """
 
     f_rf: np.ndarray
     f_b: np.ndarray
     power: np.ndarray
-    gamma_t: float
-    gamma_r: float = 1.0
     w_rf: np.ndarray | None = None
     w_b: np.ndarray | None = None
-    active_mask: np.ndarray | None = None
     digital: bool = False
 
     def precoder(self) -> np.ndarray:
@@ -85,26 +81,35 @@ class HybridBeamformer:
             return None
         return self.w_rf @ self.w_b
 
+    @property
+    def gamma_t(self) -> float:
+        """trace(F^H F) / K."""
+        return _gamma(self.precoder())
+
+    @property
+    def gamma_r(self) -> float:
+        """trace(W^H W) / K, or 1.0 without a receive side."""
+        w = self.combiner()
+        return 1.0 if w is None else _gamma(w)
+
 
 def _check_rho(rho: float) -> None:
     if not rho > 0.0:
         raise ValueError("rho must be a positive linear SNR")
 
 
-def _gamma(mat: np.ndarray, k: int) -> float:
-    return float(np.trace(mat.conj().T @ mat).real) / k
+def _gamma(mat: np.ndarray) -> float:
+    return float(np.trace(mat.conj().T @ mat).real) / mat.shape[1]
 
 
-def _effective_waterfill(h, f_rf, f_b, w_rf, w_b, rho):
-    """Waterfill over |diag of the normalized effective channel|^2."""
+def _p2p_design(h, f_rf, f_b, w_rf, w_b, rho, digital=False) -> HybridBeamformer:
+    """Point-to-point design with power waterfilled over |diag of the
+    normalized effective channel|^2."""
     f = f_rf @ f_b
     w = w_rf @ w_b
-    k = f.shape[1]
-    gamma_t = _gamma(f, k)
-    gamma_r = _gamma(w, k)
-    e = (w.conj().T @ h @ f) / math.sqrt(gamma_t * gamma_r)
-    gains = np.abs(np.diag(e)) ** 2
-    return waterfill(gains, rho), gamma_t, gamma_r
+    e = (w.conj().T @ h @ f) / math.sqrt(_gamma(f) * _gamma(w))
+    power = waterfill(np.abs(np.diag(e)) ** 2, rho)
+    return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=power, w_rf=w_rf, w_b=w_b, digital=digital)
 
 
 def digital_svd_beamformer(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
@@ -113,18 +118,7 @@ def digital_svd_beamformer(chan: ChannelRealization, k: int, rho: float) -> Hybr
     svd = thin_svd(chan.h, k)
     require_rank(svd.sigma, k)
     eye = np.eye(k, dtype=complex)
-    power, gamma_t, gamma_r = _effective_waterfill(chan.h, svd.v, eye, svd.u, eye, rho)
-    return HybridBeamformer(
-        f_rf=svd.v,
-        f_b=eye,
-        power=power,
-        gamma_t=gamma_t,
-        gamma_r=gamma_r,
-        w_rf=svd.u,
-        w_b=eye,
-        active_mask=np.ones(svd.v.shape, dtype=bool),
-        digital=True,
-    )
+    return _p2p_design(chan.h, svd.v, eye, svd.u, eye, rho, digital=True)
 
 
 def _paired_phase_columns(x: np.ndarray) -> np.ndarray:
@@ -179,20 +173,15 @@ def mixed_beamformer(chan: ChannelRealization, k: int, m: int, rho: float) -> Hy
         raise DimensionError(f"need k <= m <= 2k, got k={k}, m={m}")
     svd = thin_svd(chan.h, k)
     require_rank(svd.sigma, k)
-    n_pairs = m - k
+    return mixed_from_svd(chan.h, svd, m - k, rho)
+
+
+def mixed_from_svd(h: np.ndarray, svd: SvdResult, n_pairs: int, rho: float) -> HybridBeamformer:
+    """The mixed design built from given SVD factors of ``h``, with the
+    strongest ``n_pairs`` streams on shifter pairs."""
     f_rf, f_b = _mixed_rf(svd.v, n_pairs)
     w_rf, w_b = _mixed_rf(svd.u, n_pairs)
-    power, gamma_t, gamma_r = _effective_waterfill(chan.h, f_rf, f_b, w_rf, w_b, rho)
-    return HybridBeamformer(
-        f_rf=f_rf,
-        f_b=f_b,
-        power=power,
-        gamma_t=gamma_t,
-        gamma_r=gamma_r,
-        w_rf=w_rf,
-        w_b=w_b,
-        active_mask=np.ones(f_rf.shape, dtype=bool),
-    )
+    return _p2p_design(h, f_rf, f_b, w_rf, w_b, rho)
 
 
 def svd_phase_beamformer(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
@@ -237,18 +226,7 @@ def quantize_rf(
         raise DimensionError("quantize_rf supports point-to-point beamformers")
     f_rf = _snap_phases(bf.f_rf, res.bits)
     w_rf = _snap_phases(bf.w_rf, res.bits)
-    power, gamma_t, gamma_r = _effective_waterfill(chan.h, f_rf, bf.f_b, w_rf, bf.w_b, rho)
-    return HybridBeamformer(
-        f_rf=f_rf,
-        f_b=bf.f_b,
-        power=power,
-        gamma_t=gamma_t,
-        gamma_r=gamma_r,
-        w_rf=w_rf,
-        w_b=bf.w_b,
-        active_mask=bf.active_mask,
-        digital=False,
-    )
+    return _p2p_design(chan.h, f_rf, bf.f_b, w_rf, bf.w_b, rho)
 
 
 def select_phase_shifters(
@@ -275,17 +253,7 @@ def select_phase_shifters(
     f_rf = np.where(keep_t, np.exp(1j * np.angle(svd.v)), 0.0)
     w_rf = np.where(keep_r, np.exp(1j * np.angle(svd.u)), 0.0)
     eye = np.eye(k, dtype=complex)
-    power, gamma_t, gamma_r = _effective_waterfill(chan.h, f_rf, eye, w_rf, eye, rho)
-    return HybridBeamformer(
-        f_rf=f_rf,
-        f_b=eye,
-        power=power,
-        gamma_t=gamma_t,
-        gamma_r=gamma_r,
-        w_rf=w_rf,
-        w_b=eye,
-        active_mask=keep_t,
-    )
+    return _p2p_design(chan.h, f_rf, eye, w_rf, eye, rho)
 
 
 def _require_mu_shape(chan: ChannelRealization, k: int) -> None:
@@ -294,6 +262,13 @@ def _require_mu_shape(chan: ChannelRealization, k: int) -> None:
             f"multiuser downlink needs n_r = k single-antenna users, "
             f"got n_r={chan.h.shape[0]}, k={k}"
         )
+
+
+def _checked_inv(a: np.ndarray, name: str) -> np.ndarray:
+    cond = float(np.linalg.cond(a))
+    if not math.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularMatrixError(f"{name} condition number {cond:.3e}")
+    return np.linalg.inv(a)
 
 
 def mu_zf_hybrid(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
@@ -307,36 +282,15 @@ def mu_zf_hybrid(chan: ChannelRealization, k: int, rho: float) -> HybridBeamform
     svd = thin_svd(chan.h, k)
     require_rank(svd.sigma, k)
     f_rf = np.exp(1j * np.angle(svd.v))
-    he = chan.h @ f_rf
-    cond = float(np.linalg.cond(he))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(f"H F_RF condition number {cond:.3e}")
-    f_b = np.linalg.inv(he)
-    gamma_t = _gamma(f_rf @ f_b, k)
-    return HybridBeamformer(
-        f_rf=f_rf,
-        f_b=f_b,
-        power=np.full(k, 1.0 / k),
-        gamma_t=gamma_t,
-        active_mask=np.ones(f_rf.shape, dtype=bool),
-    )
+    f_b = _checked_inv(chan.h @ f_rf, "H F_RF")
+    return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=np.full(k, 1.0 / k))
 
 
 def mu_zf_digital(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
     """Unconstrained zero-forcing: F = H^H (H H^H)^-1, the digital baseline."""
     _check_rho(rho)
     _require_mu_shape(chan, k)
-    gram = chan.h @ chan.h.conj().T
-    cond = float(np.linalg.cond(gram))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(f"H H^H condition number {cond:.3e}")
-    f = chan.h.conj().T @ np.linalg.inv(gram)
-    gamma_t = _gamma(f, k)
+    f = chan.h.conj().T @ _checked_inv(chan.h @ chan.h.conj().T, "H H^H")
     return HybridBeamformer(
-        f_rf=f,
-        f_b=np.eye(k, dtype=complex),
-        power=np.full(k, 1.0 / k),
-        gamma_t=gamma_t,
-        active_mask=np.ones(f.shape, dtype=bool),
-        digital=True,
+        f_rf=f, f_b=np.eye(k, dtype=complex), power=np.full(k, 1.0 / k), digital=True
     )

@@ -46,6 +46,13 @@ def _env_seed() -> int | None:
         raise ConfigError(f"BEAMSIM_SEED must be an integer, got {raw!r}") from exc
 
 
+def _load_config(path):
+    """Parse a config file and apply the BEAMSIM_SEED override."""
+    config = parse_config(path)
+    seed = _env_seed()
+    return config if seed is None else replace(config, master_seed=seed)
+
+
 def _run_points(configs, workers: int, out_path: str | None) -> None:
     rows = []
     for config in configs:
@@ -59,19 +66,12 @@ def _run_points(configs, workers: int, out_path: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = parse_config(args.config)
-    seed = _env_seed()
-    if seed is not None:
-        config = replace(config, master_seed=seed)
-    _run_points(expand_sweep(config), args.workers, args.out)
+    _run_points(expand_sweep(_load_config(args.config)), args.workers, args.out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    config = parse_config(args.config)
-    seed = _env_seed()
-    if seed is not None:
-        config = replace(config, master_seed=seed)
+    config = _load_config(args.config)
     try:
         values = tuple(float(v) for v in args.values.split(",") if v.strip())
     except ValueError as exc:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .channel import ChannelModel
 from .errors import ConfigError
-from .experiments import ExperimentConfig, Scheme, SweepAxis
+from .experiments import DEFAULT_SEED, DEFAULT_TRIALS, ExperimentConfig, Scheme, SweepAxis
 
 CSV_COLUMNS = (
     "experiment",
@@ -149,8 +149,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         m=exp.integer("m"),
         rho_db=exp.number("rho_db"),
         scheme=scheme,
-        trials=exp.integer("trials", required=False, default=500),
-        master_seed=exp.integer("master_seed", required=False, default=123456789),
+        trials=exp.integer("trials", required=False, default=DEFAULT_TRIALS),
+        master_seed=exp.integer("master_seed", required=False, default=DEFAULT_SEED),
         sweep=sweep,
     )
 
@@ -186,10 +186,6 @@ def serialize_config(config: ExperimentConfig) -> str:
         out.write(f"param = {config.sweep.param}\n")
         out.write(f"values = {', '.join(repr(v) for v in config.sweep.values)}\n")
     return out.getvalue()
-
-
-def write_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(serialize_config(config))
 
 
 def write_csv(rows, target) -> None:

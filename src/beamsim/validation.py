@@ -17,11 +17,13 @@ from . import closed_form
 from .beamformers import (
     PhaseResolution,
     double_rf_beamformer,
+    mixed_beamformer,
+    mixed_from_svd,
     quantize_rf,
     svd_phase_beamformer,
 )
 from .channel import GEOMETRIC, RAYLEIGH, ChannelModel, draw_channel, steering_vector
-from .configio import serialize_config
+from .configio import parse_config_text, serialize_config
 from .errors import BeamsimError
 from .experiments import (
     DEFAULT_SEED,
@@ -367,30 +369,14 @@ def check_gauge_invariance(seed: int = DEFAULT_SEED) -> CheckResult:
     rho = 10.0 ** 3.4
     for _ in range(5):
         chan = draw_channel(_rayleigh_chan(24), SeededRng(seed + 10, int(gen.integers(1 << 30))))
-        for builder in (svd_phase_beamformer, double_rf_beamformer):
-            bf = builder(chan, 3, rho)
-            base = achievable_rate(chan, bf, rho).rate_bits
+        for n_pairs in (0, 3):
+            base = achievable_rate(chan, mixed_beamformer(chan, 3, 3 + n_pairs, rho), rho).rate_bits
             svd = thin_svd(chan.h, 3)
             phases = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, 3))
             rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
-            bf_rot = _rebuild_from_svd(chan, rot, builder is double_rf_beamformer, rho)
+            bf_rot = mixed_from_svd(chan.h, rot, n_pairs, rho)
             worst = max(worst, abs(achievable_rate(chan, bf_rot, rho).rate_bits - base))
     return CheckResult("gauge_invariance", worst <= 1e-9, {"max_rate_delta": worst, "tol": 1e-9})
-
-
-def _rebuild_from_svd(chan, svd, paired: bool, rho):
-    """Reconstruct the phase-only or paired design from given SVD factors."""
-    from .beamformers import HybridBeamformer, _effective_waterfill, _mixed_rf
-
-    k = svd.v.shape[1]
-    n_pairs = k if paired else 0
-    f_rf, f_b = _mixed_rf(svd.v, n_pairs)
-    w_rf, w_b = _mixed_rf(svd.u, n_pairs)
-    power, gamma_t, gamma_r = _effective_waterfill(chan.h, f_rf, f_b, w_rf, w_b, rho)
-    return HybridBeamformer(
-        f_rf=f_rf, f_b=f_b, power=power, gamma_t=gamma_t, gamma_r=gamma_r,
-        w_rf=w_rf, w_b=w_b, active_mask=np.ones(f_rf.shape, dtype=bool),
-    )
 
 
 def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -543,7 +529,8 @@ def _tiny_config(seed: int) -> ExperimentConfig:
 
 
 def check_harness_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Summaries and CSV rows are byte-identical across runs and workers."""
+    """Summaries and CSV rows are byte-identical across runs and workers,
+    and the config survives an INI round trip."""
     config = _tiny_config(seed)
     r1 = run_experiment(config)
     r2 = run_experiment(config)
@@ -551,12 +538,16 @@ def check_harness_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
     row1 = result_row(config, r1.summary)
     same_serial = r1.summary == r2.summary and row1 == result_row(config, r2.summary)
     same_workers = r1.summary == r3.summary and row1 == result_row(config, r3.summary)
-    roundtrip = serialize_config(config) == serialize_config(config)
+    roundtrip = parse_config_text(serialize_config(config)) == config
     passed = same_serial and same_workers and roundtrip
     return CheckResult(
         "harness_determinism",
         passed,
-        {"repeat_identical": same_serial, "workers_identical": same_workers},
+        {
+            "repeat_identical": same_serial,
+            "workers_identical": same_workers,
+            "roundtrip": roundtrip,
+        },
     )
 
 

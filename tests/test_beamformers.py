@@ -1,6 +1,7 @@
 """Beamformer constructions: phase-only, paired, mixed, quantized, selection, ZF."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,11 +112,10 @@ class TestSvdPhase:
         svd = thin_svd(chan.h, 3)
         gen = np.random.default_rng(1)
         phases = np.exp(1j * gen.uniform(0, 2 * math.pi, 3))
-        from beamsim.validation import _rebuild_from_svd
-        from dataclasses import replace as dreplace
+        from beamsim.beamformers import mixed_from_svd
 
-        rot = dreplace(svd, u=svd.u * phases, v=svd.v * phases)
-        bf = _rebuild_from_svd(chan, rot, False, RHO)
+        rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
+        bf = mixed_from_svd(chan.h, rot, 0, RHO)
         assert achievable_rate(chan, bf, RHO).rate_bits == pytest.approx(base, abs=1e-9)
 
 
@@ -220,7 +220,6 @@ class TestQuantize:
         sel = select_phase_shifters(chan, 4, RHO, SelectionPolicy(25.0))
         q = quantize_rf(chan, sel, PhaseResolution("digital", 2), RHO)
         assert np.array_equal(q.f_rf == 0, sel.f_rf == 0)
-        assert np.array_equal(q.active_mask, sel.active_mask)
 
     def test_rejects_digital_beamformer(self):
         chan = rayleigh(8, 6, 3)
@@ -261,13 +260,14 @@ class TestSelection:
         frac = off / (off + on)
         assert abs(frac - 0.5) <= 0.03
 
-    def test_mask_matches_zeros(self):
+    def test_gamma_tracks_live_shifters(self):
         chan = rayleigh(32, 7, 1)
         bf = select_phase_shifters(chan, 4, RHO, SelectionPolicy(30.0))
-        assert np.array_equal(bf.active_mask, bf.f_rf != 0)
         assert_invariants(bf)
-        # normalization reflects the actual number of live shifters
+        # normalization reflects the actual number of live shifters and is
+        # derived again when a matrix is replaced
         assert bf.gamma_t == pytest.approx(np.count_nonzero(bf.f_rf) / 4, rel=1e-12)
+        assert replace(bf, f_rf=2 * bf.f_rf).gamma_t == pytest.approx(4 * bf.gamma_t)
 
     def test_degenerate_column_error(self):
         chan = ChannelRealization(
@@ -289,6 +289,11 @@ class TestMultiuserZf:
         assert np.max(np.abs(off)) <= 1e-10
         np.testing.assert_allclose(bf.power, np.full(4, 0.25), atol=0)
         assert bf.w_rf is None and bf.w_b is None
+
+    def test_gamma_follows_replaced_precoder(self):
+        bf = mu_zf_hybrid(self.make_chan(8, 3), 4, RHO)
+        assert bf.gamma_r == 1.0
+        assert replace(bf, f_rf=2 * bf.f_rf).gamma_t == pytest.approx(4 * bf.gamma_t)
 
     def test_hybrid_rf_is_unit_modulus(self):
         bf = mu_zf_hybrid(self.make_chan(8, 1), 4, RHO)

@@ -81,6 +81,15 @@ class TestSweep:
         assert [r["rho_db"] for r in rows] == ["0", "10", "20"]
         assert [r["sweep_value"] for r in rows] == ["0", "10", "20"]
 
+    def test_env_seed_override(self, config_file, capsys, monkeypatch):
+        argv = ["sweep", str(config_file), "--param", "rho_db", "--values", "20"]
+        main(argv)
+        base = read_rows(capsys.readouterr().out)[0]["mean_rate"]
+        monkeypatch.setenv("BEAMSIM_SEED", "31337")
+        main(argv)
+        overridden = read_rows(capsys.readouterr().out)[0]["mean_rate"]
+        assert overridden != base
+
     def test_bad_values_exit_2(self, config_file):
         assert main(["sweep", str(config_file), "--param", "rho_db", "--values", "a,b"]) == 2
 

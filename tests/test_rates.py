@@ -194,7 +194,6 @@ class TestSumRateMu:
             f_rf=f,
             f_b=np.eye(2, dtype=complex),
             power=np.full(2, 0.5),
-            gamma_t=float(np.trace(f.conj().T @ f).real) / 2,
             digital=True,
         )
         rep = sum_rate_mu(chan, bf, 10.0)
@@ -210,7 +209,6 @@ class TestSumRateMu:
             f_rf=f,
             f_b=np.eye(4, dtype=complex),
             power=np.full(4, 0.25),
-            gamma_t=float(np.trace(f.conj().T @ f).real) / 4,
             digital=True,
         )
         rep = sum_rate_mu(chan, bf, 31.7)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from beamsim.beamformers import HybridBeamformer, _effective_waterfill
+from beamsim.beamformers import _p2p_design
 from beamsim.experiments import DEFAULT_SEED
 from beamsim import validation
 
@@ -31,11 +31,7 @@ def faulty_quantize(chan, bf, res, rho):
 
     f_rf = snap(bf.f_rf, res.bits)
     w_rf = snap(bf.w_rf, res.bits)
-    power, gamma_t, gamma_r = _effective_waterfill(chan.h, f_rf, bf.f_b, w_rf, bf.w_b, rho)
-    return HybridBeamformer(
-        f_rf=f_rf, f_b=bf.f_b, power=power, gamma_t=gamma_t, gamma_r=gamma_r,
-        w_rf=w_rf, w_b=bf.w_b, active_mask=bf.active_mask,
-    )
+    return _p2p_design(chan.h, f_rf, bf.f_b, w_rf, bf.w_b, rho)
 
 
 def test_quantization_bound_check_catches_injected_fault():
@@ -43,6 +39,20 @@ def test_quantization_bound_check_catches_injected_fault():
     bad = validation.check_quantization_bound(DEFAULT_SEED, quantize_fn=faulty_quantize, trials=40)
     assert good.passed
     assert not bad.passed
+
+
+def test_harness_determinism_catches_lossy_serializer(monkeypatch):
+    real = validation.serialize_config
+
+    def drop_trials(config):
+        return "".join(
+            line for line in real(config).splitlines(keepends=True) if not line.startswith("trials")
+        )
+
+    monkeypatch.setattr(validation, "serialize_config", drop_trials)
+    res = validation.check_harness_determinism(DEFAULT_SEED)
+    assert not res.passed
+    assert res.measured["roundtrip"] is False
 
 
 @pytest.mark.parametrize(
