@@ -18,6 +18,7 @@ from .channel import (
     RAYLEIGH,
     ChannelModel,
     ChannelRealization,
+    channel_svd,
     draw_channel,
     steering_vector,
 )

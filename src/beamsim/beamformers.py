@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, channel_svd
 from .closed_form import alpha_from_beta
 from .errors import DegenerateColumnError, DimensionError, SingularMatrixError
-from .linalg import SvdResult, require_rank, thin_svd
-from .rates import COND_LIMIT, waterfill
+from .linalg import SvdResult, require_rank
+from .rates import COND_LIMIT, _gamma, waterfill
 
 ANALOG = "analog"
 DIGITAL = "digital"
@@ -98,10 +98,6 @@ def _check_rho(rho: float) -> None:
         raise ValueError("rho must be a positive linear SNR")
 
 
-def _gamma(mat: np.ndarray) -> float:
-    return float(np.trace(mat.conj().T @ mat).real) / mat.shape[1]
-
-
 def _p2p_design(h, f_rf, f_b, w_rf, w_b, rho, digital=False) -> HybridBeamformer:
     """Point-to-point design with power waterfilled over |diag of the
     normalized effective channel|^2."""
@@ -115,7 +111,7 @@ def _p2p_design(h, f_rf, f_b, w_rf, w_b, rho, digital=False) -> HybridBeamformer
 def digital_svd_beamformer(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
     """Unconstrained SVD design: F = V_{1:k}, W = U_{1:k}, capacity-achieving."""
     _check_rho(rho)
-    svd = thin_svd(chan.h, k)
+    svd = channel_svd(chan, k)
     require_rank(svd.sigma, k)
     eye = np.eye(k, dtype=complex)
     return _p2p_design(chan.h, svd.v, eye, svd.u, eye, rho, digital=True)
@@ -171,7 +167,7 @@ def mixed_beamformer(chan: ChannelRealization, k: int, m: int, rho: float) -> Hy
     _check_rho(rho)
     if not k <= m <= 2 * k:
         raise DimensionError(f"need k <= m <= 2k, got k={k}, m={m}")
-    svd = thin_svd(chan.h, k)
+    svd = channel_svd(chan, k)
     require_rank(svd.sigma, k)
     return mixed_from_svd(chan.h, svd, m - k, rho)
 
@@ -240,7 +236,7 @@ def select_phase_shifters(
     DegenerateColumnError if any RF column loses all its shifters.
     """
     _check_rho(rho)
-    svd = thin_svd(chan.h, k)
+    svd = channel_svd(chan, k)
     require_rank(svd.sigma, k)
     n_r, n_t = chan.h.shape
     alpha = alpha_from_beta(policy.beta_percent)
@@ -279,7 +275,7 @@ def mu_zf_hybrid(chan: ChannelRealization, k: int, rho: float) -> HybridBeamform
     """
     _check_rho(rho)
     _require_mu_shape(chan, k)
-    svd = thin_svd(chan.h, k)
+    svd = channel_svd(chan, k)
     require_rank(svd.sigma, k)
     f_rf = np.exp(1j * np.angle(svd.v))
     f_b = _checked_inv(chan.h @ f_rf, "H F_RF")

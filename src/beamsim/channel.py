@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SeededRng, _complex_gaussian
+from .linalg import SeededRng, SvdResult, _complex_gaussian, factored_svd, thin_svd
 
 RAYLEIGH = "rayleigh"
 GEOMETRIC = "geometric"
@@ -53,11 +53,17 @@ class PathComponent:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One channel draw; ``paths`` (geometric only) sorted by descending |beta|."""
+    """One channel draw; ``paths`` (geometric only) sorted by descending |beta|.
+
+    ``factors`` (geometric only) holds the path structure the draw was
+    built from, ``(a_r, g, a_t)`` with ``h = a_r diag(g) a_t^H``: the
+    steering vectors as columns and ``g = sqrt(n_t n_r / L) beta``.
+    """
 
     h: np.ndarray
     model: ChannelModel
     paths: tuple[PathComponent, ...] | None = None
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def steering_vector(phi: float, n: int, spacing_over_wavelength: float = 0.5) -> np.ndarray:
@@ -98,9 +104,23 @@ def draw_channel(model: ChannelModel, rng: SeededRng) -> ChannelRealization:
     a_r = np.column_stack(
         [steering_vector(p, model.n_r, model.spacing_over_wavelength) for p in phi_r]
     )
-    h = math.sqrt(model.n_t * model.n_r / l) * ((a_r * beta) @ a_t.conj().T)
+    scale = math.sqrt(model.n_t * model.n_r / l)
+    h = scale * ((a_r * beta) @ a_t.conj().T)
     paths = tuple(
         PathComponent(complex(b), float(pt), float(pr))
         for b, pt, pr in zip(beta, phi_t, phi_r)
     )
-    return ChannelRealization(h=h, model=model, paths=paths)
+    return ChannelRealization(h=h, model=model, paths=paths, factors=(a_r, scale * beta, a_t))
+
+
+def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
+    """Rank-``m`` thin SVD of ``chan.h``, the one place a factorization is picked.
+
+    A geometric draw with ``m`` at most its path count is factored from its
+    paths in O(n L^2) (``factored_svd``); anything else, including a
+    rank-starved ``m > L`` that must fail the same way, takes the dense
+    ``thin_svd(chan.h, m)``.
+    """
+    if chan.factors is not None and 1 <= m <= chan.factors[1].size:
+        return factored_svd(*chan.factors, m)
+    return thin_svd(chan.h, m)

@@ -9,9 +9,11 @@ diagnostic names the offending field.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import io
 import math
+import os
 from pathlib import Path
 
 from .channel import ChannelModel
@@ -189,7 +191,11 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def write_csv(rows, target) -> None:
-    """Write result rows (dicts keyed by CSV_COLUMNS) to a path or text file."""
+    """Write result rows (dicts keyed by CSV_COLUMNS) to a path or text file.
+
+    A path is replaced atomically: the rows go to a temporary file in the
+    same directory, which is then renamed over ``target``.
+    """
     rows = list(rows)
     for row in rows:
         extra = set(row) - set(CSV_COLUMNS)
@@ -204,6 +210,15 @@ def write_csv(rows, target) -> None:
 
     if hasattr(target, "write"):
         emit(target)
-    else:
-        with open(target, "w", newline="") as handle:
+        return
+    # write beside the target, then rename over it: a failure part-way
+    # leaves any earlier file whole and no partial file behind
+    tmp = f"{os.fspath(target)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as handle:
             emit(handle)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -19,6 +19,10 @@ _MASK64 = (1 << 64) - 1
 # sigma_k at or below this fraction of sigma_1 counts as rank-deficient
 RANK_TOL = 1e-9
 
+# entries within this relative distance of a column's largest magnitude tie
+# for the gauge anchor, so equal-magnitude columns anchor on their first entry
+GAUGE_TIE = 1e-9
+
 
 @dataclass(frozen=True)
 class SeededRng:
@@ -50,10 +54,13 @@ class SvdResult:
     """Truncated SVD factors with singular values in descending order.
 
     ``u`` (rows x m) and ``v`` (cols x m) have orthonormal columns.  The
-    per-column phase gauge is fixed so the largest-magnitude entry of each
-    column of ``v`` is real and nonnegative, with ``u`` rotated to match;
-    this keeps the factorization exact while making repeated runs
-    byte-for-byte reproducible.
+    per-column phase gauge is fixed so one anchor entry of each column of
+    ``v`` is real and nonnegative, with ``u`` rotated to match; this keeps
+    the factorization exact while making repeated runs byte-for-byte
+    reproducible.  The anchor is the first entry whose magnitude lies
+    within a relative ``GAUGE_TIE`` of the column's largest, so a column
+    of equal magnitudes (a steering vector) anchors on entry 0 whatever
+    rounding the factorization left behind.
     """
 
     u: np.ndarray
@@ -93,15 +100,40 @@ def thin_svd(a, m: int) -> SvdResult:
     u = u[:, :m].copy()
     s = s[:m].copy()
     v = vh[:m].conj().T.copy()
-    for k in range(m):
-        i = int(np.argmax(np.abs(v[:, k])))
+    _fix_gauge(u, v)
+    return SvdResult(u=u, sigma=s, v=v)
+
+
+def factored_svd(a_r, g, a_t, m: int) -> SvdResult:
+    """Rank-``m`` thin SVD of ``a_r diag(g) a_t^H`` from its factors.
+
+    With ``a_r`` (rows x L) and ``a_t`` (cols x L), a QR of each block
+    reduces the problem to the thin SVD of the L x L core
+    ``R_r diag(g) R_t^H``, whose factors ``Q_r``/``Q_t`` rotate back to
+    full size: O((rows + cols) L^2) work instead of a dense SVD.  The
+    result is exact (not an approximation) for any ``1 <= m <= L``.
+    """
+    q_r, r_r = np.linalg.qr(a_r)
+    q_t, r_t = np.linalg.qr(a_t)
+    core = thin_svd((r_r * g) @ r_t.conj().T, m)
+    u = q_r @ core.u
+    v = q_t @ core.v
+    _fix_gauge(u, v)
+    return SvdResult(u=u, sigma=core.sigma, v=v)
+
+
+def _fix_gauge(u: np.ndarray, v: np.ndarray) -> None:
+    """Rotate matching columns of ``u`` and ``v`` in place so each column's
+    anchor entry of ``v`` is real and nonnegative (see ``SvdResult``)."""
+    mags = np.abs(v)
+    anchors = np.argmax(mags >= (1.0 - GAUGE_TIE) * mags.max(axis=0), axis=0)
+    for k, i in enumerate(anchors):
         p = v[i, k]
         mag = abs(p)
         if mag > 0.0:
             rot = (p / mag).conjugate()
             v[:, k] *= rot
             u[:, k] *= rot
-    return SvdResult(u=u, sigma=s, v=v)
 
 
 def require_rank(sigma: np.ndarray, k: int) -> None:

@@ -1,7 +1,7 @@
 """Spectral-efficiency evaluation: waterfilling, capacity, and log-det rates.
 
-The evaluators read the normalization factors that a beamformer derives
-from its own matrices, so it cannot smuggle in extra transmit power; the
+The evaluators derive the normalization factors from the beamformer's
+own matrices, so it cannot smuggle in extra transmit power; the
 log-det argument is whitened against the combiner's noise covariance and
 symmetrized before eigendecomposition so every log term is real.
 """
@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, channel_svd
 from .errors import DimensionError, SingularMatrixError
-from .linalg import require_rank, thin_svd
+from .linalg import require_rank
 
 if TYPE_CHECKING:
     from .beamformers import HybridBeamformer
@@ -73,13 +73,18 @@ def waterfill(gains, rho: float, budget: float = 1.0) -> np.ndarray:
     return p
 
 
+def _gamma(mat: np.ndarray) -> float:
+    """Normalization factor trace(M^H M) / K of a K-column precoder or combiner."""
+    return float(np.trace(mat.conj().T @ mat).real) / mat.shape[1]
+
+
 def _to_db(rho: float) -> float:
     return 10.0 * math.log10(rho)
 
 
 def capacity_p2p(chan: ChannelRealization, k: int, rho: float) -> RateReport:
     """Point-to-point capacity with k streams: waterfilling over sigma_k^2."""
-    svd = thin_svd(chan.h, k)
+    svd = channel_svd(chan, k)
     require_rank(svd.sigma, k)
     gains = svd.sigma**2
     p = waterfill(gains, rho)
@@ -112,7 +117,7 @@ def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float
     if w.shape[1] != k or bf.power.shape != (k,):
         raise DimensionError("stream counts of F, W and power allocation disagree")
 
-    gamma_t, gamma_r = bf.gamma_t, bf.gamma_r
+    gamma_t, gamma_r = _gamma(f), _gamma(w)
     rn = (w.conj().T @ w) / gamma_r
     cond = float(np.linalg.cond(rn))
     if not math.isfinite(cond) or cond > COND_LIMIT:
@@ -152,7 +157,7 @@ def sum_rate_mu(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) ->
     if h.shape[1] != f.shape[0]:
         raise DimensionError(f"channel {h.shape} inconsistent with precoder {f.shape}")
 
-    e2 = np.abs(h @ f) ** 2 / bf.gamma_t
+    e2 = np.abs(h @ f) ** 2 / _gamma(f)
     sig = np.diag(e2)
     interf = e2.sum(axis=1) - sig
     scale = rho / k

@@ -22,7 +22,14 @@ from .beamformers import (
     quantize_rf,
     svd_phase_beamformer,
 )
-from .channel import GEOMETRIC, RAYLEIGH, ChannelModel, draw_channel, steering_vector
+from .channel import (
+    GEOMETRIC,
+    RAYLEIGH,
+    ChannelModel,
+    channel_svd,
+    draw_channel,
+    steering_vector,
+)
 from .configio import parse_config_text, serialize_config
 from .errors import BeamsimError
 from .experiments import (
@@ -283,7 +290,7 @@ def _pooled_v_amplitudes(n: int, k: int, trials: int, seed: int) -> np.ndarray:
     out = []
     for t in range(trials):
         chan = draw_channel(model, SeededRng(seed, t))
-        out.append(math.sqrt(n) * np.abs(thin_svd(chan.h, k).v).ravel())
+        out.append(math.sqrt(n) * np.abs(channel_svd(chan, k).v).ravel())
     return np.concatenate(out)
 
 
@@ -322,7 +329,7 @@ def check_steering_alignment(seed: int = DEFAULT_SEED) -> CheckResult:
         if np.any(betas[:-1] / betas[1:] < 1.3):
             continue
         draws += 1
-        svd = thin_svd(chan.h, l)
+        svd = channel_svd(chan, l)
         for idx, p in enumerate(chan.paths):
             a_t = steering_vector(p.phi_t, n)
             worst = min(worst, abs(np.vdot(svd.v[:, idx], a_t)))
@@ -331,6 +338,38 @@ def check_steering_alignment(seed: int = DEFAULT_SEED) -> CheckResult:
         "steering_alignment",
         passed,
         {"min_alignment": worst, "accepted_draws": draws},
+    )
+
+
+def check_geometric_factorization(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Geometric draws factored from their paths match the dense SVD.
+
+    Singular values agree to 1e-12 of sigma_1 (the accuracy either
+    factorization guarantees) and every singular-vector pair aligns to
+    within 1e-12 of unit inner product.
+    """
+    worst_sigma = 0.0
+    worst_misalign = 0.0
+    draws = 0
+    for n in (16, 64, 256):
+        for l in (1, 2, 5):
+            model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
+            for _ in range(4):
+                chan = draw_channel(model, SeededRng(seed + 17, draws))
+                draws += 1
+                dense = thin_svd(chan.h, l)
+                fast = channel_svd(chan, l)
+                worst_sigma = max(
+                    worst_sigma, float(np.max(np.abs(fast.sigma - dense.sigma))) / dense.sigma[0]
+                )
+                for a, b in ((dense.u, fast.u), (dense.v, fast.v)):
+                    align = float(np.min(np.abs(np.sum(a.conj() * b, axis=0))))
+                    worst_misalign = max(worst_misalign, 1.0 - align)
+    passed = worst_sigma <= 1e-12 and worst_misalign <= 1e-12
+    return CheckResult(
+        "geometric_factorization",
+        passed,
+        {"max_sigma_err": worst_sigma, "max_misalignment": worst_misalign, "draws": draws},
     )
 
 
@@ -345,7 +384,7 @@ def check_phase_matching(seed: int = DEFAULT_SEED) -> CheckResult:
     margin = math.inf
     for _ in range(5):
         chan = draw_channel(_rayleigh_chan(32), SeededRng(seed + 8, int(gen.integers(1 << 30))))
-        svd = thin_svd(chan.h, 4)
+        svd = channel_svd(chan, 4)
         f_rf = np.exp(1j * np.angle(svd.v))
         n = chan.h.shape[1]
         for k in range(4):
@@ -371,7 +410,7 @@ def check_gauge_invariance(seed: int = DEFAULT_SEED) -> CheckResult:
         chan = draw_channel(_rayleigh_chan(24), SeededRng(seed + 10, int(gen.integers(1 << 30))))
         for n_pairs in (0, 3):
             base = achievable_rate(chan, mixed_beamformer(chan, 3, 3 + n_pairs, rho), rho).rate_bits
-            svd = thin_svd(chan.h, 3)
+            svd = channel_svd(chan, 3)
             phases = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, 3))
             rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
             bf_rot = mixed_from_svd(chan.h, rot, n_pairs, rho)
@@ -389,7 +428,7 @@ def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
         trials = 20 if n == 256 else 60
         for t in range(trials):
             chan = draw_channel(_rayleigh_chan(n), SeededRng(seed + 11 + n, t))
-            svd = thin_svd(chan.h, 4)
+            svd = channel_svd(chan, 4)
             f_rf = np.exp(1j * np.angle(svd.v))
             g = svd.v.conj().T @ f_rf / math.sqrt(n)
             off = np.abs(g[~np.eye(4, dtype=bool)])
@@ -596,6 +635,7 @@ DEFAULT_CHECKS = (
     check_channel_generation,
     check_singular_vector_amplitude_law,
     check_steering_alignment,
+    check_geometric_factorization,
     check_phase_matching,
     check_gauge_invariance,
     check_effective_diagonality,

@@ -11,10 +11,16 @@ from beamsim import (
     GEOMETRIC,
     RAYLEIGH,
     ChannelModel,
+    ChannelRealization,
+    RankError,
     SeededRng,
+    capacity_p2p,
+    channel_svd,
     draw_channel,
     steering_vector,
+    thin_svd,
 )
+from beamsim.linalg import require_rank
 
 
 class TestSteeringVector:
@@ -117,3 +123,78 @@ class TestGeometricDraws:
         b = draw_channel(model, SeededRng(6, 9))
         assert np.array_equal(a.h, b.h)
         assert a.paths == b.paths
+
+
+def paths_channel(n, phi_t, phi_r, beta):
+    """Geometric realization with chosen path angles and gains."""
+    model = ChannelModel(GEOMETRIC, n, n, l_paths=len(beta))
+    a_t = np.column_stack([steering_vector(p, n) for p in phi_t])
+    a_r = np.column_stack([steering_vector(p, n) for p in phi_r])
+    g = math.sqrt(n * n / len(beta)) * np.asarray(beta, dtype=complex)
+    return ChannelRealization(h=(a_r * g) @ a_t.conj().T, model=model, factors=(a_r, g, a_t))
+
+
+def assert_same_svd(chan, m):
+    """The path-structured factors equal the dense ones: sigma to 1e-12 of
+    sigma_1 (the accuracy a backward-stable SVD guarantees for every
+    singular value), each singular vector aligned to 1 - 1e-12, and, with
+    the gauge fixed, the factors entrywise."""
+    dense = thin_svd(chan.h, m)
+    fast = channel_svd(chan, m)
+    assert fast.u.shape == dense.u.shape and fast.v.shape == dense.v.shape
+    assert np.all(np.abs(fast.sigma - dense.sigma) <= 1e-12 * dense.sigma[0])
+    for a, b in ((dense.u, fast.u), (dense.v, fast.v)):
+        assert np.all(np.abs(np.sum(a.conj() * b, axis=0)) >= 1.0 - 1e-12)
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
+    return fast
+
+
+class TestChannelSvd:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    def test_matches_dense_svd(self, n, l):
+        model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
+        for t in range(3):
+            chan = draw_channel(model, SeededRng(8, 100 * n + 10 * l + t))
+            for m in range(1, l + 1):
+                assert_same_svd(chan, m)
+
+    def test_carries_path_factors(self):
+        model = ChannelModel(GEOMETRIC, 8, 12, l_paths=3)
+        chan = draw_channel(model, SeededRng(6, 4))
+        a_r, g, a_t = chan.factors
+        assert a_r.shape == (12, 3) and g.shape == (3,) and a_t.shape == (8, 3)
+        np.testing.assert_allclose(g, math.sqrt(8 * 12 / 3) * np.array([p.beta for p in chan.paths]))
+        np.testing.assert_allclose(chan.h, (a_r * g) @ a_t.conj().T, atol=1e-12)
+        assert draw_channel(ChannelModel(RAYLEIGH, 8, 8), SeededRng(6, 4)).factors is None
+
+    def test_single_path_anchors_entry_zero(self):
+        chan = draw_channel(ChannelModel(GEOMETRIC, 64, 64, l_paths=1), SeededRng(8, 1))
+        for res in (assert_same_svd(chan, 1), thin_svd(chan.h, 1)):
+            assert res.v[0, 0].imag == 0.0 and res.v[0, 0].real > 0.0
+
+    def test_shared_angle_drops_rank_and_still_agrees(self):
+        # paths 0 and 1 share both angles, so three paths give rank 2
+        chan = paths_channel(32, [0.7, 0.7, 2.1], [1.2, 1.2, 0.4], [1.0, 0.5j, 0.3])
+        s = np.linalg.svd(chan.h, compute_uv=False)
+        assert s[2] <= 1e-12 * s[0] < s[1]
+        for m in (1, 2):
+            assert_same_svd(chan, m)
+        with pytest.raises(RankError):
+            require_rank(channel_svd(chan, 3).sigma, 3)
+        with pytest.raises(RankError):
+            require_rank(thin_svd(chan.h, 3).sigma, 3)
+
+    def test_more_streams_than_paths_take_dense_path(self):
+        chan = draw_channel(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), SeededRng(8, 2))
+        dense, fallback = thin_svd(chan.h, 3), channel_svd(chan, 3)
+        for name in ("u", "sigma", "v"):
+            assert np.array_equal(getattr(fallback, name), getattr(dense, name))
+        with pytest.raises(RankError):
+            capacity_p2p(chan, 3, 100.0)
+
+    def test_rayleigh_is_bitwise_dense(self):
+        chan = draw_channel(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))
+        dense, res = thin_svd(chan.h, 4), channel_svd(chan, 4)
+        for name in ("u", "sigma", "v"):
+            assert np.array_equal(getattr(res, name), getattr(dense, name))

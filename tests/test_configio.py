@@ -180,3 +180,16 @@ class TestCsv:
         path = tmp_path / "out.csv"
         write_csv([], path)
         assert path.read_text().strip() == ",".join(CSV_COLUMNS)
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot format")
+
+        path = tmp_path / "out.csv"
+        path.write_text("earlier results\n")
+        rows = [{"experiment": "first"}, {"experiment": Unprintable()}]
+        with pytest.raises(RuntimeError):
+            write_csv(rows, path)
+        assert path.read_text() == "earlier results\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -7,7 +7,8 @@ import pytest
 
 from beamsim.beamformers import _p2p_design
 from beamsim.experiments import DEFAULT_SEED
-from beamsim import validation
+from beamsim.linalg import SvdResult, thin_svd
+from beamsim import channel, validation
 
 
 @pytest.mark.parametrize("check", validation.DEFAULT_CHECKS, ids=lambda c: c.__name__)
@@ -39,6 +40,21 @@ def test_quantization_bound_check_catches_injected_fault():
     bad = validation.check_quantization_bound(DEFAULT_SEED, quantize_fn=faulty_quantize, trials=40)
     assert good.passed
     assert not bad.passed
+
+
+def factored_svd_without_q(a_r, g, a_t, m):
+    """Treats the steering blocks as orthonormal: no QR, so the factors are
+    never rotated by Q and the overlap between paths is ignored."""
+    core = thin_svd(np.diag(g), m)
+    return SvdResult(u=a_r @ core.u, sigma=core.sigma, v=a_t @ core.v)
+
+
+def test_geometric_factorization_check_catches_skipped_rotation(monkeypatch):
+    assert validation.check_geometric_factorization(DEFAULT_SEED).passed
+    monkeypatch.setattr(channel, "factored_svd", factored_svd_without_q)
+    bad = validation.check_geometric_factorization(DEFAULT_SEED)
+    assert not bad.passed
+    assert bad.measured["max_sigma_err"] > 1e-6
 
 
 def test_harness_determinism_catches_lossy_serializer(monkeypatch):
