@@ -6,7 +6,9 @@
     beamsim validate [--strict]
 
 BEAMSIM_SEED in the environment overrides the config seed (an explicit
---seed flag still wins).  Exit codes: 0 success, 1 validation failure,
+--seed flag still wins).  Progress goes to stderr: a line as each point
+starts, and one with its elapsed time, trials/s and excluded count as it
+finishes.  Exit codes: 0 success, 1 validation failure,
 2 config error, 3 I/O error.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from dataclasses import replace
 
 from .configio import parse_config, write_csv
@@ -54,15 +57,26 @@ def _load_config(path):
 
 
 def _run_points(configs, workers: int, out_path: str | None) -> None:
+    """Run each point, reporting its time on stderr.  A file target is
+    rewritten after every point, so an interrupted run keeps the rows it
+    finished; stdout gets the whole CSV once, at the end."""
+    to_file = out_path is not None and out_path != "-"
     rows = []
     for config in configs:
         print(f"running {config.name} ({config.trials} trials)", file=sys.stderr)
+        start = time.perf_counter()
         result = run_experiment(config, workers=workers)
+        elapsed = time.perf_counter() - start
+        print(
+            f"finished {config.name} in {elapsed:.2f} s ({config.trials / elapsed:.1f} trials/s,"
+            f" {result.summary.excluded_count} excluded)",
+            file=sys.stderr,
+        )
         rows.append(result_row(config, result.summary))
-    if out_path is None or out_path == "-":
+        if to_file:
+            write_csv(rows, out_path)
+    if not to_file:
         write_csv(rows, sys.stdout)
-    else:
-        write_csv(rows, out_path)
 
 
 def _cmd_run(args) -> int:

@@ -41,7 +41,7 @@ from .errors import (
     RankError,
     SingularMatrixError,
 )
-from .linalg import SeededRng
+from .linalg import SeededRng, blas_thread_control
 from .rates import achievable_rate, capacity_p2p, sum_rate_mu
 
 DEFAULT_SEED = 123456789
@@ -322,12 +322,22 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> SummarySt
     )
 
 
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: run this worker's BLAS on one thread."""
+    control = blas_thread_control()
+    if control is not None:
+        control[0](1)
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all trials of a single-point config; deterministic for fixed config.
 
     Trials fan out over ``workers`` processes when workers > 1; aggregation
-    is ordered by trial_index either way, so the summary is byte-identical
-    across worker counts.
+    is ordered by trial_index either way.  Each worker runs its BLAS on one
+    thread, so ``workers`` processes keep to ``workers`` cores; a serial run
+    keeps the library's default.  A trial's bits depend on its
+    (master_seed, trial_index) and on the BLAS thread count, so at large n
+    a pool and a serial run can differ in the last bit (see README).
     """
     if config.sweep is not None:
         raise ConfigError("config still carries a sweep axis; expand_sweep() it first")
@@ -336,7 +346,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         records = [run_trial(config, i) for i in indices]
     else:
         chunk = max(1, config.trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        blas_thread_control()  # resolve once here; forked workers inherit it
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             records = list(pool.map(partial(run_trial, config), indices, chunksize=chunk))
     records.sort(key=lambda r: r.trial_index)
     return ExperimentResult(config, summarize(config, records), tuple(records))

@@ -2,12 +2,16 @@
 
 Everything downstream (channel draws, beamformer construction, rate
 evaluation) is built on the primitives here: a gauge-fixed thin SVD,
-counter-based random streams, and a couple of scalar helpers.
+counter-based random streams, a handle on the BLAS thread count, and a
+couple of scalar helpers.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +19,13 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError, RankError
 
 _MASK64 = (1 << 64) - 1
+
+# (set, get) thread-count entry points: the scipy-openblas library numpy's
+# wheels bundle, then a plain OpenBLAS build
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 # sigma_k at or below this fraction of sigma_1 counts as rank-deficient
 RANK_TOL = 1e-9
@@ -72,7 +83,7 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -127,13 +138,43 @@ def _fix_gauge(u: np.ndarray, v: np.ndarray) -> None:
     anchor entry of ``v`` is real and nonnegative (see ``SvdResult``)."""
     mags = np.abs(v)
     anchors = np.argmax(mags >= (1.0 - GAUGE_TIE) * mags.max(axis=0), axis=0)
-    for k, i in enumerate(anchors):
-        p = v[i, k]
-        mag = abs(p)
-        if mag > 0.0:
-            rot = (p / mag).conjugate()
-            v[:, k] *= rot
-            u[:, k] *= rot
+    p = v[anchors, np.arange(v.shape[1])]
+    # hypot, not np.abs: it rounds each magnitude exactly as scalar abs() does
+    mag = np.hypot(p.real, p.imag)
+    rot = np.divide(p, mag, out=np.ones_like(p), where=mag > 0.0).conjugate()
+    v *= rot
+    u *= rot
+
+
+@functools.cache
+def blas_thread_control():
+    """``(set_threads, get_threads)`` of the OpenBLAS numpy has loaded, or None.
+
+    The library is found among the shared objects mapped into this process
+    (``/proc/self/maps``) and opened with ``RTLD_NOLOAD``, so the handle is
+    the copy numpy calls and nothing new is loaded.  None when there is no
+    ``/proc`` or no known entry point (MKL, Accelerate, another layout).
+    Resolved on the first call and cached, so processes forked afterwards
+    inherit the handle.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = (line.split(maxsplit=5) for line in maps if "blas" in line)
+            paths = sorted({f[5].strip() for f in fields if len(f) == 6})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
 
 
 def require_rank(sigma: np.ndarray, k: int) -> None:

@@ -2,9 +2,11 @@
 
 import csv
 import io
+import re
 
 import pytest
 
+from beamsim import cli
 from beamsim.cli import main
 from beamsim.configio import CSV_COLUMNS
 
@@ -95,6 +97,35 @@ class TestSweep:
 
     def test_bad_param_exit_2(self, config_file):
         assert main(["sweep", str(config_file), "--param", "nope", "--values", "1"]) == 2
+
+
+class TestProgress:
+    def test_finished_line_reports_time(self, config_file, capsys):
+        assert main(["run", str(config_file)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "running cli_demo (4 trials)"
+        assert re.fullmatch(
+            r"finished cli_demo in \d+\.\d\d s \(\d+\.\d trials/s, 0 excluded\)", err[1]
+        )
+
+    def test_interrupted_sweep_keeps_finished_rows(self, config_file, tmp_path, monkeypatch):
+        run = cli.run_experiment
+        calls = []
+
+        def interrupt_third(config, workers):
+            calls.append(config.name)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return run(config, workers=workers)
+
+        monkeypatch.setattr(cli, "run_experiment", interrupt_third)
+        out = tmp_path / "res.csv"
+        argv = ["sweep", str(config_file), "--param", "n", "--values", "8,16,32,64"]
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "--out", str(out)])
+        rows = list(csv.DictReader(out.open()))
+        assert [r["n_t"] for r in rows] == ["8", "16"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "res.csv"]
 
 
 class TestSweepDomainErrors:

@@ -19,8 +19,10 @@ from beamsim import (
     run_experiment,
     run_trial,
 )
+from beamsim import experiments
 from beamsim.configio import parse_config_text, serialize_config
-from beamsim.experiments import SCHEMES, analytic_gap, result_row
+from beamsim.experiments import SCHEMES, TrialRecord, analytic_gap, result_row
+from beamsim.linalg import blas_thread_control
 from beamsim import mixed_gap, mu_zf_gap, quant_gap_bound, selection_gap, svd_phase_gap
 
 
@@ -113,6 +115,36 @@ class TestTrialsAndDeterminism:
         cfg = config(sweep=SweepAxis("rho_db", (0.0, 10.0)))
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+
+def _blas_threads_trial(config, trial_index):
+    """Stand-in for run_trial that records the BLAS thread count it ran on."""
+    threads = blas_thread_control()[1]()
+    return TrialRecord(trial_index, float(threads), 0.0, 0.0, math.nan)
+
+
+class TestPool:
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        control = blas_thread_control()
+        if control is None:
+            pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count entry point")
+        before = control[1]()
+        monkeypatch.setattr(experiments, "run_trial", _blas_threads_trial)
+        res = run_experiment(config(trials=8), workers=2)
+        assert [r.capacity_bits for r in res.records] == [1.0] * 8
+        assert control[1]() == before
+
+    # n = 64 is where OpenBLAS starts threads of its own in a serial run
+    @pytest.mark.parametrize(
+        "scheme",
+        [Scheme("svd_phase"), Scheme("selection", beta_percent=25.0), Scheme("mu_zf_hybrid")],
+        ids=["svd_phase", "selection", "mu_zf_hybrid"],
+    )
+    def test_pool_records_equal_serial_at_n64(self, scheme):
+        cfg = config(scheme=scheme, n=64, trials=12)
+        serial = run_experiment(cfg, workers=1)
+        parallel = run_experiment(cfg, workers=2)
+        assert [repr(r) for r in serial.records] == [repr(r) for r in parallel.records]
 
 
 class TestDegenerateAccounting:
