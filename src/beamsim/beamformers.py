@@ -98,12 +98,14 @@ def _check_rho(rho: float) -> None:
         raise ValueError("rho must be a positive linear SNR")
 
 
-def _p2p_design(h, f_rf, f_b, w_rf, w_b, rho, digital=False) -> HybridBeamformer:
+def _p2p_design(
+    chan: ChannelRealization, f_rf, f_b, w_rf, w_b, rho, digital=False
+) -> HybridBeamformer:
     """Point-to-point design with power waterfilled over |diag of the
     normalized effective channel|^2."""
     f = f_rf @ f_b
     w = w_rf @ w_b
-    e = (w.conj().T @ h @ f) / math.sqrt(_gamma(f) * _gamma(w))
+    e = chan.project(w, f) / math.sqrt(_gamma(f) * _gamma(w))
     power = waterfill(np.abs(np.diag(e)) ** 2, rho)
     return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=power, w_rf=w_rf, w_b=w_b, digital=digital)
 
@@ -114,7 +116,7 @@ def digital_svd_beamformer(chan: ChannelRealization, k: int, rho: float) -> Hybr
     svd = channel_svd(chan, k)
     require_rank(svd.sigma, k)
     eye = np.eye(k, dtype=complex)
-    return _p2p_design(chan.h, svd.v, eye, svd.u, eye, rho, digital=True)
+    return _p2p_design(chan, svd.v, eye, svd.u, eye, rho, digital=True)
 
 
 def _paired_phase_columns(x: np.ndarray) -> np.ndarray:
@@ -169,15 +171,17 @@ def mixed_beamformer(chan: ChannelRealization, k: int, m: int, rho: float) -> Hy
         raise DimensionError(f"need k <= m <= 2k, got k={k}, m={m}")
     svd = channel_svd(chan, k)
     require_rank(svd.sigma, k)
-    return mixed_from_svd(chan.h, svd, m - k, rho)
+    return mixed_from_svd(chan, svd, m - k, rho)
 
 
-def mixed_from_svd(h: np.ndarray, svd: SvdResult, n_pairs: int, rho: float) -> HybridBeamformer:
-    """The mixed design built from given SVD factors of ``h``, with the
+def mixed_from_svd(
+    chan: ChannelRealization, svd: SvdResult, n_pairs: int, rho: float
+) -> HybridBeamformer:
+    """The mixed design built from given SVD factors of ``chan``, with the
     strongest ``n_pairs`` streams on shifter pairs."""
     f_rf, f_b = _mixed_rf(svd.v, n_pairs)
     w_rf, w_b = _mixed_rf(svd.u, n_pairs)
-    return _p2p_design(h, f_rf, f_b, w_rf, w_b, rho)
+    return _p2p_design(chan, f_rf, f_b, w_rf, w_b, rho)
 
 
 def svd_phase_beamformer(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
@@ -222,7 +226,7 @@ def quantize_rf(
         raise DimensionError("quantize_rf supports point-to-point beamformers")
     f_rf = _snap_phases(bf.f_rf, res.bits)
     w_rf = _snap_phases(bf.w_rf, res.bits)
-    return _p2p_design(chan.h, f_rf, bf.f_b, w_rf, bf.w_b, rho)
+    return _p2p_design(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
 
 
 def select_phase_shifters(
@@ -238,7 +242,7 @@ def select_phase_shifters(
     _check_rho(rho)
     svd = channel_svd(chan, k)
     require_rank(svd.sigma, k)
-    n_r, n_t = chan.h.shape
+    n_r, n_t = chan.shape
     alpha = alpha_from_beta(policy.beta_percent)
     keep_t = math.sqrt(n_t) * np.abs(svd.v) > alpha
     keep_r = math.sqrt(n_r) * np.abs(svd.u) > alpha
@@ -249,14 +253,14 @@ def select_phase_shifters(
     f_rf = np.where(keep_t, np.exp(1j * np.angle(svd.v)), 0.0)
     w_rf = np.where(keep_r, np.exp(1j * np.angle(svd.u)), 0.0)
     eye = np.eye(k, dtype=complex)
-    return _p2p_design(chan.h, f_rf, eye, w_rf, eye, rho)
+    return _p2p_design(chan, f_rf, eye, w_rf, eye, rho)
 
 
 def _require_mu_shape(chan: ChannelRealization, k: int) -> None:
-    if chan.h.shape[0] != k:
+    if chan.shape[0] != k:
         raise DimensionError(
             f"multiuser downlink needs n_r = k single-antenna users, "
-            f"got n_r={chan.h.shape[0]}, k={k}"
+            f"got n_r={chan.shape[0]}, k={k}"
         )
 
 

@@ -6,10 +6,12 @@ Both models are normalized so E[||H||^2] = n_r * n_t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .errors import DimensionError
 from .linalg import SeededRng, SvdResult, _complex_gaussian, factored_svd, thin_svd
 
 RAYLEIGH = "rayleigh"
@@ -57,13 +59,63 @@ class ChannelRealization:
 
     ``factors`` (geometric only) holds the path structure the draw was
     built from, ``(a_r, g, a_t)`` with ``h = a_r diag(g) a_t^H``: the
-    steering vectors as columns and ``g = sqrt(n_t n_r / L) beta``.
+    steering vectors as columns and ``g = sqrt(n_t n_r / L) beta``.  A
+    Rayleigh draw is given its dense ``h``; a geometric draw forms ``h``
+    from its paths only when something reads it, and otherwise works
+    through ``project`` and ``path_qr`` in O(n L) per column.
     """
 
-    h: np.ndarray
     model: ChannelModel
     paths: tuple[PathComponent, ...] | None = None
     factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    h: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, h):
+        if h is None:
+            if self.paths is None or self.factors is None:
+                raise ValueError("a channel realization needs h or its paths and factors")
+            return
+        if np.shape(h) != self.shape:
+            raise DimensionError(f"h has shape {np.shape(h)}, the model {self.shape}")
+        self.__dict__["h"] = h  # found there before the cached ``h`` forms one
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(n_r, n_t)``, the shape of ``h``."""
+        return (self.model.n_r, self.model.n_t)
+
+    def _formed_h(self) -> np.ndarray:
+        # the same operands and order draw_channel used before h was lazy,
+        # so the bits match; (a_r * g) @ a_t^H would round differently
+        a_r, _, a_t = self.factors
+        beta = np.array([p.beta for p in self.paths])
+        scale = math.sqrt(self.model.n_t * self.model.n_r / len(self.paths))
+        return scale * ((a_r * beta) @ a_t.conj().T)
+
+    @cached_property
+    def path_qr(self):
+        """QR factors of the receive and transmit steering blocks, computed
+        once per draw for every ``channel_svd`` call."""
+        a_r, _, a_t = self.factors
+        return np.linalg.qr(a_r), np.linalg.qr(a_t)
+
+    def project(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The effective channel ``W^H H F``.
+
+        From the path factors as ``((W^H a_r) diag(g)) (a_t^H F)`` in
+        O(n L k), without forming ``h``; a dense draw multiplies through
+        ``h`` left to right.
+        """
+        if self.factors is None:
+            return w.conj().T @ self.h @ f
+        a_r, g, a_t = self.factors
+        return ((w.conj().T @ a_r) * g) @ (a_t.conj().T @ f)
+
+
+# Attached after the dataclass is built, so that ``h`` stays an optional
+# init argument (an InitVar) and a given matrix is the cached value.
+ChannelRealization.h = cached_property(ChannelRealization._formed_h)
+ChannelRealization.h.__set_name__(ChannelRealization, "h")
 
 
 def steering_vector(phi: float, n: int, spacing_over_wavelength: float = 0.5) -> np.ndarray:
@@ -85,7 +137,8 @@ def draw_channel(model: ChannelModel, rng: SeededRng) -> ChannelRealization:
     Rayleigh: every entry i.i.d. CN(0,1).  Geometric: l_paths outer
     products of receive/transmit steering vectors with CN(0,1) gains and
     departure/arrival angles uniform on [0, pi], scaled by
-    sqrt(n_t n_r / l_paths).
+    sqrt(n_t n_r / l_paths), kept as path factors; the dense ``h`` is
+    formed only when read.
     """
     gen = rng.generator()
     if model.kind == RAYLEIGH:
@@ -105,22 +158,23 @@ def draw_channel(model: ChannelModel, rng: SeededRng) -> ChannelRealization:
         [steering_vector(p, model.n_r, model.spacing_over_wavelength) for p in phi_r]
     )
     scale = math.sqrt(model.n_t * model.n_r / l)
-    h = scale * ((a_r * beta) @ a_t.conj().T)
     paths = tuple(
         PathComponent(complex(b), float(pt), float(pr))
         for b, pt, pr in zip(beta, phi_t, phi_r)
     )
-    return ChannelRealization(h=h, model=model, paths=paths, factors=(a_r, scale * beta, a_t))
+    return ChannelRealization(model=model, paths=paths, factors=(a_r, scale * beta, a_t))
 
 
 def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
     """Rank-``m`` thin SVD of ``chan.h``, the one place a factorization is picked.
 
     A geometric draw with ``m`` at most its path count is factored from its
-    paths in O(n L^2) (``factored_svd``); anything else, including a
-    rank-starved ``m > L`` that must fail the same way, takes the dense
-    ``thin_svd(chan.h, m)``.
+    paths in O(n L^2) (``factored_svd`` on the draw's cached ``path_qr``,
+    so repeated calls share one QR per steering block); anything else,
+    including a rank-starved ``m > L`` that must fail the same way, takes
+    the dense ``thin_svd(chan.h, m)``.
     """
     if chan.factors is not None and 1 <= m <= chan.factors[1].size:
-        return factored_svd(*chan.factors, m)
+        qr_r, qr_t = chan.path_qr
+        return factored_svd(qr_r, chan.factors[1], qr_t, m)
     return thin_svd(chan.h, m)

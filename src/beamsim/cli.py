@@ -9,7 +9,8 @@ BEAMSIM_SEED in the environment overrides the config seed (an explicit
 --seed flag still wins).  Progress goes to stderr: a line as each point
 starts, and one with its elapsed time, trials/s and excluded count as it
 finishes.  Exit codes: 0 success, 1 validation failure,
-2 config error, 3 I/O error.
+2 config error, 3 I/O error, 130 interrupted (SIGINT); a file given
+with --out keeps the rows of the points that finished.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for an interrupted command
 
 
 def _env_seed() -> int | None:
@@ -67,14 +69,15 @@ def _run_points(configs, workers: int, out_path: str | None) -> None:
         start = time.perf_counter()
         result = run_experiment(config, workers=workers)
         elapsed = time.perf_counter() - start
+        rows.append(result_row(config, result.summary))
+        if to_file:
+            write_csv(rows, out_path)
+        # after the write, so a point reported finished is on disk
         print(
             f"finished {config.name} in {elapsed:.2f} s ({config.trials / elapsed:.1f} trials/s,"
             f" {result.summary.excluded_count} excluded)",
             file=sys.stderr,
         )
-        rows.append(result_row(config, result.summary))
-        if to_file:
-            write_csv(rows, out_path)
     if not to_file:
         write_csv(rows, sys.stdout)
 
@@ -165,6 +168,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -12,8 +12,11 @@ depend only on the config, not on worker count or scheduling.
 from __future__ import annotations
 
 import math
+import signal
+import threading
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -322,8 +325,34 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> SummarySt
     )
 
 
-def _one_blas_thread() -> None:
-    """Pool-worker initializer: run this worker's BLAS on one thread."""
+@contextmanager
+def _sigint_held():
+    """Hold SIGINT back for the duration, then deliver it.
+
+    A KeyboardInterrupt raised while a pool forks its workers, starts its
+    threads or shuts down can be lost in an at-fork hook or leave the pool
+    half built; held, the signal is delivered on exit, with the pool whole.
+    Processes forked meanwhile inherit the holding handler until their
+    initializer ignores SIGINT.  Off the main thread, which never runs
+    Python signal handlers, nothing is held.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    held = []
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    if held:
+        signal.raise_signal(signal.SIGINT)
+
+
+def _init_worker() -> None:
+    """Pool-worker initializer: run this worker's BLAS on one thread, and
+    leave SIGINT to the parent, which cancels the pool and exits."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     control = blas_thread_control()
     if control is not None:
         control[0](1)
@@ -335,7 +364,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     Trials fan out over ``workers`` processes when workers > 1; aggregation
     is ordered by trial_index either way.  Each worker runs its BLAS on one
     thread, so ``workers`` processes keep to ``workers`` cores; a serial run
-    keeps the library's default.  A trial's bits depend on its
+    keeps the library's default.  Workers ignore SIGINT: on an interrupt the
+    parent cancels the chunks not yet started, waits for the running ones
+    and re-raises ``KeyboardInterrupt``.  A trial's bits depend on its
     (master_seed, trial_index) and on the BLAS thread count, so at large n
     a pool and a serial run can differ in the last bit (see README).
     """
@@ -347,8 +378,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     else:
         chunk = max(1, config.trials // (4 * workers))
         blas_thread_control()  # resolve once here; forked workers inherit it
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            records = list(pool.map(partial(run_trial, config), indices, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
+            try:
+                with _sigint_held():  # the first submit forks the workers
+                    results = pool.map(partial(run_trial, config), indices, chunksize=chunk)
+                records = list(results)
+            except KeyboardInterrupt:
+                with _sigint_held():
+                    pool.shutdown(cancel_futures=True)
+                raise
     records.sort(key=lambda r: r.trial_index)
     return ExperimentResult(config, summarize(config, records), tuple(records))
 

@@ -115,17 +115,18 @@ def thin_svd(a, m: int) -> SvdResult:
     return SvdResult(u=u, sigma=s, v=v)
 
 
-def factored_svd(a_r, g, a_t, m: int) -> SvdResult:
+def factored_svd(qr_r, g, qr_t, m: int) -> SvdResult:
     """Rank-``m`` thin SVD of ``a_r diag(g) a_t^H`` from its factors.
 
-    With ``a_r`` (rows x L) and ``a_t`` (cols x L), a QR of each block
-    reduces the problem to the thin SVD of the L x L core
-    ``R_r diag(g) R_t^H``, whose factors ``Q_r``/``Q_t`` rotate back to
-    full size: O((rows + cols) L^2) work instead of a dense SVD.  The
-    result is exact (not an approximation) for any ``1 <= m <= L``.
+    ``qr_r`` and ``qr_t`` are the QR factors ``(Q, R)`` of the steering
+    blocks ``a_r`` (rows x L) and ``a_t`` (cols x L).  They reduce the
+    problem to the thin SVD of the L x L core ``R_r diag(g) R_t^H``, whose
+    factors ``Q_r``/``Q_t`` rotate back to full size: O((rows + cols) L^2)
+    work instead of a dense SVD.  The result is exact (not an
+    approximation) for any ``1 <= m <= L``.
     """
-    q_r, r_r = np.linalg.qr(a_r)
-    q_t, r_t = np.linalg.qr(a_t)
+    q_r, r_r = qr_r
+    q_t, r_t = qr_t
     core = thin_svd((r_r * g) @ r_t.conj().T, m)
     u = q_r @ core.u
     v = q_t @ core.v

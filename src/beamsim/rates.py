@@ -102,16 +102,16 @@ def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float
 
     Evaluates log2 det(I + rho/(Gt Gr) Rn^-1 W^H H F P F^H H^H W) with
     Rn = W^H W / Gr and both normalization factors derived from the
-    supplied matrices.
+    supplied matrices.  ``W^H H F`` comes from ``chan.project``, so a
+    geometric draw is evaluated from its path factors without forming H.
     """
     if bf.w_rf is None or bf.w_b is None:
         raise DimensionError("point-to-point rate needs receive-side matrices")
-    h = chan.h
     f = bf.f_rf @ bf.f_b
     w = bf.w_rf @ bf.w_b
-    if h.shape != (w.shape[0], f.shape[0]):
+    if chan.shape != (w.shape[0], f.shape[0]):
         raise DimensionError(
-            f"channel {h.shape} inconsistent with precoder {f.shape} / combiner {w.shape}"
+            f"channel {chan.shape} inconsistent with precoder {f.shape} / combiner {w.shape}"
         )
     k = f.shape[1]
     if w.shape[1] != k or bf.power.shape != (k,):
@@ -127,7 +127,7 @@ def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("noise covariance is not positive definite") from exc
 
-    m_eff = (w.conj().T @ h @ f) * np.sqrt(np.maximum(bf.power, 0.0))[None, :]
+    m_eff = chan.project(w, f) * np.sqrt(np.maximum(bf.power, 0.0))[None, :]
     t = np.linalg.solve(lchol, m_eff) * math.sqrt(rho / (gamma_t * gamma_r))
     lam = np.linalg.eigvalsh(t @ t.conj().T)[::-1]
     per = np.log2(1.0 + np.maximum(lam, 0.0))

@@ -26,6 +26,7 @@ from .channel import (
     GEOMETRIC,
     RAYLEIGH,
     ChannelModel,
+    ChannelRealization,
     channel_svd,
     draw_channel,
     steering_vector,
@@ -373,6 +374,64 @@ def check_geometric_factorization(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
+# every point-to-point scheme; mixed runs k + ceil(k / 2) chains
+_P2P_SCHEMES = (
+    Scheme("digital"),
+    Scheme("svd_phase"),
+    Scheme("double_rf"),
+    Scheme("mixed"),
+    Scheme("quantized", bits=2),
+    Scheme("selection", beta_percent=25.0),
+)
+
+
+def check_geometric_projection(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Rates evaluated through the path factors match the dense channel.
+
+    Every point-to-point scheme is built on seeded geometric draws (n in
+    {16, 64, 256}, L in {1, 2, 5}, k in {1, L}) and its achievable rate
+    is measured twice: through the draw's path factors and through a
+    dense copy of its formed ``h``.  The worst relative difference must
+    be at most 1e-12.  Designs a draw cannot support (a selection that
+    empties a column) are counted as skipped.
+    """
+    rho = 10.0 ** 3.4
+    worst = 0.0
+    rates = skipped = draws = 0
+    for n in (16, 64, 256):
+        for l in (1, 2, 5):
+            model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
+            for _ in range(2):
+                chan = draw_channel(model, SeededRng(seed + 19, draws))
+                draws += 1
+                dense = ChannelRealization(model=model, h=chan.h)
+                for k in sorted({1, l}):
+                    for scheme in _P2P_SCHEMES:
+                        lo, hi = scheme.spec.m_per_k
+                        config = ExperimentConfig(
+                            name="projection",
+                            channel=model,
+                            k=k,
+                            m=(lo * k + hi * k + 1) // 2,
+                            rho_db=34.0,
+                            scheme=scheme,
+                        )
+                        try:
+                            bf = scheme.spec.build(chan, config, rho)
+                        except BeamsimError:
+                            skipped += 1
+                            continue
+                        fast = achievable_rate(chan, bf, rho).rate_bits
+                        ref = achievable_rate(dense, bf, rho).rate_bits
+                        worst = max(worst, abs(fast - ref) / abs(ref))
+                        rates += 1
+    return CheckResult(
+        "geometric_projection",
+        worst <= 1e-12,
+        {"max_rel_rate_err": worst, "rates": rates, "skipped": skipped},
+    )
+
+
 def check_phase_matching(seed: int = DEFAULT_SEED) -> CheckResult:
     """Per-column optimality of phase copying among unit-modulus vectors.
 
@@ -413,7 +472,7 @@ def check_gauge_invariance(seed: int = DEFAULT_SEED) -> CheckResult:
             svd = channel_svd(chan, 3)
             phases = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, 3))
             rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
-            bf_rot = mixed_from_svd(chan.h, rot, n_pairs, rho)
+            bf_rot = mixed_from_svd(chan, rot, n_pairs, rho)
             worst = max(worst, abs(achievable_rate(chan, bf_rot, rho).rate_bits - base))
     return CheckResult("gauge_invariance", worst <= 1e-9, {"max_rate_delta": worst, "tol": 1e-9})
 
@@ -636,6 +695,7 @@ DEFAULT_CHECKS = (
     check_singular_vector_amplitude_law,
     check_steering_alignment,
     check_geometric_factorization,
+    check_geometric_projection,
     check_phase_matching,
     check_gauge_invariance,
     check_effective_diagonality,

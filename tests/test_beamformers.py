@@ -115,7 +115,7 @@ class TestSvdPhase:
         from beamsim.beamformers import mixed_from_svd
 
         rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
-        bf = mixed_from_svd(chan.h, rot, 0, RHO)
+        bf = mixed_from_svd(chan, rot, 0, RHO)
         assert achievable_rate(chan, bf, RHO).rate_bits == pytest.approx(base, abs=1e-9)
 
 

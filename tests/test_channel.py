@@ -20,6 +20,7 @@ from beamsim import (
     steering_vector,
     thin_svd,
 )
+from beamsim.errors import DimensionError
 from beamsim.linalg import require_rank
 
 
@@ -123,6 +124,73 @@ class TestGeometricDraws:
         b = draw_channel(model, SeededRng(6, 9))
         assert np.array_equal(a.h, b.h)
         assert a.paths == b.paths
+
+
+def eager_geometric_h(model, rng):
+    """The dense matrix as draw_channel formed it eagerly before ``h``
+    became lazy: same stream, same operands, same order."""
+    gen = rng.generator()
+    l = model.l_paths
+    z = gen.standard_normal(2 * l)
+    beta = (z[0::2] + 1j * z[1::2]) / math.sqrt(2.0)
+    phi_t = gen.uniform(0.0, math.pi, l)
+    phi_r = gen.uniform(0.0, math.pi, l)
+    order = np.argsort(-np.abs(beta), kind="stable")
+    beta, phi_t, phi_r = beta[order], phi_t[order], phi_r[order]
+    a_t = np.column_stack([steering_vector(p, model.n_t) for p in phi_t])
+    a_r = np.column_stack([steering_vector(p, model.n_r) for p in phi_r])
+    scale = math.sqrt(model.n_t * model.n_r / l)
+    return scale * ((a_r * beta) @ a_t.conj().T)
+
+
+class TestLazyDense:
+    @pytest.mark.parametrize("n_t, n_r, l", [(8, 12, 3), (64, 64, 5), (256, 128, 1)])
+    def test_formed_on_first_read_bitwise_as_eager(self, n_t, n_r, l):
+        model = ChannelModel(GEOMETRIC, n_t, n_r, l_paths=l)
+        for t in range(5):
+            chan = draw_channel(model, SeededRng(11, t))
+            assert "h" not in vars(chan)
+            h = chan.h
+            assert np.array_equal(h, eager_geometric_h(model, SeededRng(11, t)))
+            assert chan.h is h and chan.shape == h.shape == (n_r, n_t)
+
+    def test_rayleigh_draw_carries_its_h(self):
+        chan = draw_channel(ChannelModel(RAYLEIGH, 6, 3), SeededRng(5, 0))
+        assert vars(chan)["h"].shape == chan.shape == (3, 6)
+
+    def test_needs_h_or_paths_of_its_shape(self):
+        with pytest.raises(ValueError):
+            ChannelRealization(model=ChannelModel(RAYLEIGH, 4, 4))
+        with pytest.raises(DimensionError):
+            ChannelRealization(h=np.ones((4, 3)), model=ChannelModel(RAYLEIGH, 4, 4))
+
+    def test_rayleigh_project_is_the_dense_product_bitwise(self):
+        chan = draw_channel(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))
+        gen = np.random.default_rng(3)
+        w = gen.standard_normal((20, 4)) + 1j * gen.standard_normal((20, 4))
+        f = gen.standard_normal((24, 4)) + 1j * gen.standard_normal((24, 4))
+        assert np.array_equal(chan.project(w, f), w.conj().T @ chan.h @ f)
+
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    def test_geometric_project_matches_formed_h(self, l):
+        chan = draw_channel(ChannelModel(GEOMETRIC, 48, 32, l_paths=l), SeededRng(8, l))
+        gen = np.random.default_rng(l)
+        w = gen.standard_normal((32, 3)) + 1j * gen.standard_normal((32, 3))
+        f = gen.standard_normal((48, 3)) + 1j * gen.standard_normal((48, 3))
+        e = chan.project(w, f)
+        assert "h" not in vars(chan)
+        ref = w.conj().T @ chan.h @ f
+        assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_qr_per_steering_block_per_draw(self, monkeypatch):
+        chan = draw_channel(ChannelModel(GEOMETRIC, 32, 32, l_paths=4), SeededRng(8, 5))
+        real_qr, blocks = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda a: blocks.append(a) or real_qr(a))
+        first = channel_svd(chan, 2)
+        again = channel_svd(chan, 4)
+        assert len(blocks) == 2
+        assert blocks[0] is chan.factors[0] and blocks[1] is chan.factors[2]
+        assert np.array_equal(again.sigma[:2], first.sigma)
 
 
 def paths_channel(n, phi_t, phi_r, beta):

@@ -2,7 +2,14 @@
 
 import csv
 import io
+import os
 import re
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -121,11 +128,76 @@ class TestProgress:
         monkeypatch.setattr(cli, "run_experiment", interrupt_third)
         out = tmp_path / "res.csv"
         argv = ["sweep", str(config_file), "--param", "n", "--values", "8,16,32,64"]
-        with pytest.raises(KeyboardInterrupt):
-            main([*argv, "--out", str(out)])
+        assert main([*argv, "--out", str(out)]) == cli.EXIT_INTERRUPTED
         rows = list(csv.DictReader(out.open()))
         assert [r["n_t"] for r in rows] == ["8", "16"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "res.csv"]
+
+
+class TestPooledInterrupt:
+    """A pooled sweep interrupted mid-point exits with 130 within a bound
+    and keeps the rows of the points that finished."""
+
+    BOUND_S = 30.0
+
+    @pytest.fixture()
+    def sweep(self, tmp_path):
+        """A 1000-trial n = 8/64/64 sweep on 2 workers, in its own session
+        (so its process group is its own); killed at teardown if still up."""
+        path = tmp_path / "exp.ini"
+        path.write_text(GOOD.replace("trials = 4", "trials = 1000"))
+        out = tmp_path / "f.csv"
+        argv = ["sweep", str(path), "--param", "n", "--values", "8,64,64"]
+        argv += ["--workers", "2", "--out", str(out)]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "beamsim.cli", *argv],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        yield proc, out
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+
+    def wait_for_finished_line(self, proc) -> list[str]:
+        lines = []
+        deadline = time.monotonic() + self.BOUND_S
+        while not any(line.startswith("finished") for line in lines):
+            ready, _, _ = select.select([proc.stderr], [], [], deadline - time.monotonic())
+            line = proc.stderr.readline() if ready else ""
+            assert line, f"no finished line before exit or timeout: {lines}"
+            lines.append(line)
+        return lines
+
+    def finish(self, proc, out, lines):
+        try:
+            rest = proc.communicate(timeout=self.BOUND_S)[1]
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"still running {self.BOUND_S} s after SIGINT")
+        err = [*lines, *rest.splitlines(keepends=True)]
+        finished = [line for line in err if line.startswith("finished")]
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == len(finished) >= 1
+        assert err[-1].strip() == "interrupted"
+        return proc.returncode
+
+    def test_sigint_to_process_group_exits_130(self, sweep):
+        proc, out = sweep
+        lines = self.wait_for_finished_line(proc)
+        os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C sends
+        assert self.finish(proc, out, lines) == cli.EXIT_INTERRUPTED
+
+    def test_two_sigints_to_parent_exit_in_bound(self, sweep):
+        proc, out = sweep
+        lines = self.wait_for_finished_line(proc)
+        # as `timeout -s INT` delivers it: to the command, then again to its group
+        os.kill(proc.pid, signal.SIGINT)
+        os.kill(proc.pid, signal.SIGINT)
+        assert self.finish(proc, out, lines) == cli.EXIT_INTERRUPTED
 
 
 class TestSweepDomainErrors:

@@ -8,6 +8,7 @@ import pytest
 
 from beamsim import (
     ChannelModel,
+    ChannelRealization,
     ConfigError,
     ExperimentConfig,
     GEOMETRIC,
@@ -145,6 +146,72 @@ class TestPool:
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=2)
         assert [repr(r) for r in serial.records] == [repr(r) for r in parallel.records]
+
+
+P2P_SCHEMES = [
+    Scheme("digital"),
+    Scheme("svd_phase"),
+    Scheme("double_rf"),
+    Scheme("mixed"),
+    Scheme("quantized", bits=2),
+    Scheme("selection", beta_percent=25.0),
+]
+
+
+def geometric_config(scheme, n, l, k, trials=2):
+    lo, hi = scheme.spec.m_per_k
+    return ExperimentConfig(
+        name="geo",
+        channel=ChannelModel(GEOMETRIC, n, n, l_paths=l),
+        k=k,
+        m=(lo * k + hi * k + 1) // 2,  # mixed: k + ceil(k / 2) chains
+        rho_db=34.0,
+        scheme=scheme,
+        trials=trials,
+        master_seed=21,
+    )
+
+
+def dense_project(chan, w, f):
+    """W^H H F through the formed dense h, as trials computed it before
+    the path factors were used."""
+    return w.conj().T @ chan.h @ f
+
+
+class TestGeometricFromFactors:
+    @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
+    def test_trial_forms_no_h_and_one_qr_per_block(self, scheme, monkeypatch):
+        drawn, qrs = [], []
+        real_draw, real_qr = experiments.draw_channel, np.linalg.qr
+        monkeypatch.setattr(
+            experiments, "draw_channel", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
+        )
+        monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or real_qr(a))
+        rec = run_trial(geometric_config(scheme, 64, 5, 4), 0)
+        assert not rec.degenerate
+        assert "h" not in vars(drawn[0])
+        assert qrs == [(64, 5), (64, 5)]
+
+    def test_records_match_dense_oracle(self, monkeypatch):
+        configs = [
+            geometric_config(scheme, n, l, k)
+            for scheme in P2P_SCHEMES
+            for n in (16, 64, 256)
+            for l in (1, 2, 5)
+            for k in sorted({1, l})
+        ]
+        fast = [run_trial(c, t) for c in configs for t in range(c.trials)]
+        monkeypatch.setattr(ChannelRealization, "project", dense_project)
+        dense = [run_trial(c, t) for c in configs for t in range(c.trials)]
+        worst = 0.0
+        for a, b in zip(fast, dense):
+            assert a.degenerate == b.degenerate
+            assert repr(a.inactive_fraction) == repr(b.inactive_fraction)
+            if not a.degenerate:
+                assert a.capacity_bits == b.capacity_bits
+                worst = max(worst, abs(a.rate_bits - b.rate_bits) / b.rate_bits)
+        assert worst <= 1e-12
+        assert sum(not r.degenerate for r in fast) >= 0.9 * len(fast)
 
 
 class TestDegenerateAccounting:

@@ -32,7 +32,7 @@ def faulty_quantize(chan, bf, res, rho):
 
     f_rf = snap(bf.f_rf, res.bits)
     w_rf = snap(bf.w_rf, res.bits)
-    return _p2p_design(chan.h, f_rf, bf.f_b, w_rf, bf.w_b, rho)
+    return _p2p_design(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
 
 
 def test_quantization_bound_check_catches_injected_fault():
@@ -42,9 +42,10 @@ def test_quantization_bound_check_catches_injected_fault():
     assert not bad.passed
 
 
-def factored_svd_without_q(a_r, g, a_t, m):
-    """Treats the steering blocks as orthonormal: no QR, so the factors are
-    never rotated by Q and the overlap between paths is ignored."""
+def factored_svd_without_q(qr_r, g, qr_t, m):
+    """Treats the steering blocks as orthonormal: the QRs go unused, so the
+    factors are never rotated by Q and the overlap between paths is ignored."""
+    a_r, a_t = qr_r[0] @ qr_r[1], qr_t[0] @ qr_t[1]
     core = thin_svd(np.diag(g), m)
     return SvdResult(u=a_r @ core.u, sigma=core.sigma, v=a_t @ core.v)
 
@@ -55,6 +56,34 @@ def test_geometric_factorization_check_catches_skipped_rotation(monkeypatch):
     bad = validation.check_geometric_factorization(DEFAULT_SEED)
     assert not bad.passed
     assert bad.measured["max_sigma_err"] > 1e-6
+
+
+real_project = channel.ChannelRealization.project
+
+
+def project_without_gain(chan, w, f):
+    """W^H a_r a_t^H F: the path gains g are dropped."""
+    if chan.factors is None:
+        return real_project(chan, w, f)
+    a_r, _, a_t = chan.factors
+    return (w.conj().T @ a_r) @ (a_t.conj().T @ f)
+
+
+def project_with_conjugate_gain(chan, w, f):
+    """W^H a_r diag(conj g) a_t^H F."""
+    if chan.factors is None:
+        return real_project(chan, w, f)
+    a_r, g, a_t = chan.factors
+    return ((w.conj().T @ a_r) * g.conj()) @ (a_t.conj().T @ f)
+
+
+@pytest.mark.parametrize("fault", [project_without_gain, project_with_conjugate_gain])
+def test_geometric_projection_check_catches_dropped_gain(monkeypatch, fault):
+    assert validation.check_geometric_projection(DEFAULT_SEED).passed
+    monkeypatch.setattr(channel.ChannelRealization, "project", fault)
+    bad = validation.check_geometric_projection(DEFAULT_SEED)
+    assert not bad.passed
+    assert bad.measured["max_rel_rate_err"] > 1e-6
 
 
 def test_harness_determinism_catches_lossy_serializer(monkeypatch):
