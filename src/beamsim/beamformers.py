@@ -22,25 +22,15 @@ from .errors import DegenerateColumnError, DimensionError, SingularMatrixError
 from .linalg import SvdResult, require_rank
 from .rates import COND_LIMIT, _gamma, waterfill
 
-ANALOG = "analog"
-DIGITAL = "digital"
-
-
 @dataclass(frozen=True)
 class PhaseResolution:
-    """Analog shifters or a digital grid of 2**bits phases."""
+    """Digital phase shifters on a grid of 2**bits phases."""
 
-    kind: str
-    bits: int | None = None
+    bits: int
 
     def __post_init__(self):
-        if self.kind not in (ANALOG, DIGITAL):
-            raise ValueError(f"unknown phase resolution kind {self.kind!r}")
-        if self.kind == DIGITAL:
-            if self.bits is None or not 1 <= self.bits <= 16:
-                raise ValueError("digital resolution needs 1 <= bits <= 16")
-        elif self.bits is not None:
-            raise ValueError("bits only applies to digital resolution")
+        if not 1 <= self.bits <= 16:
+            raise ValueError("digital resolution needs 1 <= bits <= 16")
 
 
 @dataclass(frozen=True)
@@ -218,8 +208,6 @@ def quantize_rf(
     """Replace every active RF phase with its nearest digital grid point and
     re-waterfill over the resulting effective gains."""
     _check_rho(rho)
-    if res.kind != DIGITAL:
-        raise ValueError("quantization needs a digital phase resolution")
     if bf.digital:
         raise ValueError("cannot quantize an unconstrained (digital) beamformer")
     if bf.w_rf is None or bf.w_b is None:

@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .configio import parse_config, write_csv
+from .configio import number_list, parse_config, write_csv
 from .errors import ConfigError
 from .experiments import (
     DEFAULT_TRIALS,
@@ -90,11 +90,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     try:
-        values = tuple(float(v) for v in args.values.split(",") if v.strip())
+        values = number_list(args.values)
     except ValueError as exc:
-        raise ConfigError(f"bad --values list {args.values!r}") from exc
-    if not values:
-        raise ConfigError("--values must list at least one number")
+        raise ConfigError(f"bad --values list {args.values!r} ({exc})") from exc
     config = replace(config, sweep=SweepAxis(param=args.param, values=values))
     _run_points(expand_sweep(config), args.workers, args.out)
     return EXIT_OK

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import closed_form
 from .beamformers import (
-    DIGITAL,
     PhaseResolution,
     SelectionPolicy,
     digital_svd_beamformer,
@@ -49,10 +48,6 @@ from .rates import achievable_rate, capacity_p2p, sum_rate_mu
 
 DEFAULT_SEED = 123456789
 DEFAULT_TRIALS = 500
-
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig10")
-
-SWEEP_PARAMS = ("n", "n_t", "n_r", "rho_db", "k", "m", "bits", "beta_percent", "l_paths", "trials")
 
 
 @dataclass(frozen=True)
@@ -102,11 +97,11 @@ SCHEMES = {
     ),
     "quantized": SchemeSpec(
         lambda chan, c, rho: quantize_rf(
-            chan, svd_phase_beamformer(chan, c.k, rho), PhaseResolution(DIGITAL, c.scheme.bits), rho
+            chan, svd_phase_beamformer(chan, c.k, rho), PhaseResolution(c.scheme.bits), rho
         ),
         gap=lambda c, rich: _quant_gap(c, closed_form.svd_phase_gap(c.k) if rich else 0.0),
         param="bits",
-        check=lambda bits: PhaseResolution(DIGITAL, bits),
+        check=PhaseResolution,
         label="quantized(b={bits})",
     ),
     "selection": SchemeSpec(
@@ -208,9 +203,9 @@ class ExperimentConfig:
         elif self.k > min(self.channel.n_t, self.channel.n_r):
             raise ConfigError("k must not exceed min(n_t, n_r)")
         if self.sweep is not None:
-            if self.sweep.param not in SWEEP_PARAMS:
+            if self.sweep.param not in SWEEPS:
                 raise ConfigError(
-                    f"unknown sweep parameter {self.sweep.param!r}; choose from {SWEEP_PARAMS}"
+                    f"unknown sweep parameter {self.sweep.param!r}; choose from {tuple(SWEEPS)}"
                 )
             if len(self.sweep.values) == 0:
                 raise ConfigError("sweep values must be nonempty")
@@ -361,8 +356,9 @@ def _init_worker() -> None:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all trials of a single-point config; deterministic for fixed config.
 
-    Trials fan out over ``workers`` processes when workers > 1; aggregation
-    is ordered by trial_index either way.  Each worker runs its BLAS on one
+    Trials fan out over ``workers`` processes, but never more than
+    ``config.trials``, when workers > 1; aggregation is ordered by
+    trial_index either way.  Each worker runs its BLAS on one
     thread, so ``workers`` processes keep to ``workers`` cores; a serial run
     keeps the library's default.  Workers ignore SIGINT: on an interrupt the
     parent cancels the chunks not yet started, waits for the running ones
@@ -373,6 +369,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if config.sweep is not None:
         raise ConfigError("config still carries a sweep axis; expand_sweep() it first")
     indices = range(config.trials)
+    workers = min(workers, config.trials)  # a fork start launches every worker at once
     if workers <= 1:
         records = [run_trial(config, i) for i in indices]
     else:
@@ -391,43 +388,40 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     return ExperimentResult(config, summarize(config, records), tuple(records))
 
 
-def _apply_sweep_value(config: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
-    def as_count(v: float) -> int:
-        n = int(round(v))
-        if abs(v - n) > 1e-9 or n < 1:
-            raise ConfigError(f"sweep value {v!r} for {param!r} must be a positive integer")
-        return n
+def _count(param: str, value: float) -> int:
+    n = int(round(value))
+    if abs(value - n) > 1e-9 or n < 1:
+        raise ConfigError(f"sweep value {value!r} for {param!r} must be a positive integer")
+    return n
 
-    chan = config.channel
-    scheme = config.scheme
-    point = {"sweep": None, "sweep_param": param, "sweep_value": float(value)}
-    if param == "n":
-        n = as_count(value)
-        chan = replace(chan, n_t=n, n_r=n)
-        return replace(config, channel=chan, **point)
-    if param == "n_t":
-        return replace(config, channel=replace(chan, n_t=as_count(value)), **point)
-    if param == "n_r":
-        return replace(config, channel=replace(chan, n_r=as_count(value)), **point)
-    if param == "rho_db":
-        return replace(config, rho_db=float(value), **point)
-    if param == "k":
-        k = as_count(value)
-        lo, hi = scheme.spec.m_per_k
-        if lo != hi:
-            raise ConfigError(f"sweeping k is ambiguous for {scheme.kind}; sweep m instead")
-        return replace(config, k=k, m=lo * k, **point)
-    if param == "m":
-        return replace(config, m=as_count(value), **point)
-    if param == "bits":
-        return replace(config, scheme=replace(scheme, bits=as_count(value)), **point)
-    if param == "beta_percent":
-        return replace(config, scheme=replace(scheme, beta_percent=float(value)), **point)
-    if param == "l_paths":
-        return replace(config, channel=replace(chan, l_paths=as_count(value)), **point)
-    if param == "trials":
-        return replace(config, trials=as_count(value), **point)
-    raise ConfigError(f"unknown sweep parameter {param!r}")
+
+def _sweep_k(config: ExperimentConfig, value: float) -> dict:
+    k = _count("k", value)
+    lo, hi = config.scheme.spec.m_per_k
+    if lo != hi:
+        raise ConfigError(f"sweeping k is ambiguous for {config.scheme.kind}; sweep m instead")
+    return {"k": k, "m": lo * k}
+
+
+# sweep parameter -> the ExperimentConfig fields one value of it sets
+SWEEPS: dict[str, Callable[[ExperimentConfig, float], dict]] = {
+    "n": lambda c, v: {"channel": replace(c.channel, n_t=_count("n", v), n_r=_count("n", v))},
+    "n_t": lambda c, v: {"channel": replace(c.channel, n_t=_count("n_t", v))},
+    "n_r": lambda c, v: {"channel": replace(c.channel, n_r=_count("n_r", v))},
+    "rho_db": lambda c, v: {"rho_db": float(v)},
+    "k": _sweep_k,
+    "m": lambda c, v: {"m": _count("m", v)},
+    "bits": lambda c, v: {"scheme": replace(c.scheme, bits=_count("bits", v))},
+    "beta_percent": lambda c, v: {"scheme": replace(c.scheme, beta_percent=float(v))},
+    "l_paths": lambda c, v: {"channel": replace(c.channel, l_paths=_count("l_paths", v))},
+    "trials": lambda c, v: {"trials": _count("trials", v)},
+}
+
+
+def _sweep_point(config: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
+    """The point ``value`` of ``param`` makes of ``config``, annotated with both."""
+    fields = SWEEPS[param](config, value)
+    return replace(config, **fields, sweep=None, sweep_param=param, sweep_value=float(value))
 
 
 def expand_sweep(config: ExperimentConfig) -> list[ExperimentConfig]:
@@ -437,7 +431,7 @@ def expand_sweep(config: ExperimentConfig) -> list[ExperimentConfig]:
     out = []
     for value in config.sweep.values:
         try:
-            point = _apply_sweep_value(config, config.sweep.param, value)
+            point = _sweep_point(config, config.sweep.param, value)
         except ValueError as exc:
             raise ConfigError(f"cannot sweep {config.sweep.param} = {value:g}: {exc}") from exc
         out.append(replace(point, name=f"{config.name}_{config.sweep.param}{value:g}"))
@@ -453,7 +447,48 @@ def _geometric(n: int, l_paths: int = 5) -> ChannelModel:
 
 
 _N_SWEEP = (8, 16, 32, 64, 128, 256, 512)
-_RHO_DB_DEFAULT = 34.0
+_PHASE = Scheme("svd_phase")
+
+
+def _n_points(fig_id: str, channel: Callable, schemes: tuple, sizes=_N_SWEEP) -> tuple:
+    """Array-size points: at each n, one point per scheme."""
+    return tuple(
+        (f"{fig_id}_{s.kind}_n{n}", channel(n), s, "n", n) for n in sizes for s in schemes
+    )
+
+
+# figure id -> its points: (name, channel, scheme, sweep param, sweep value).
+# Each point is the sweep entry applied to a k = m = 4, rho_db = 34 config.
+FIGURES = {
+    "fig2": _n_points("fig2", _rayleigh, (_PHASE,), (16, 64)),
+    "fig3": _n_points("fig3", _rayleigh, (_PHASE,)),
+    "fig4": _n_points("fig4", _geometric, (_PHASE,)),
+    "fig7": (
+        ("fig7_svd_phase_n64", _rayleigh(64), _PHASE, None, None),
+        *(
+            (f"fig7_quantized_b{b}", _rayleigh(64), Scheme("quantized", bits=b), "bits", b)
+            for b in (1, 2, 3, 4)
+        ),
+    ),
+    "fig8": tuple(
+        (f"fig8_{kind}_rho{rho}", _rayleigh(64, 4), Scheme(kind), "rho_db", rho)
+        for kind in ("mu_zf_digital", "mu_zf_hybrid")
+        for rho in range(0, 41, 5)
+    ),
+    "fig9": tuple(
+        (
+            f"fig9_selection_n{n}_beta{beta:g}",
+            _rayleigh(n),
+            Scheme("selection", beta_percent=beta),
+            "beta_percent",
+            beta,
+        )
+        for n in (16, 64)
+        for beta in (0.0, 10.0, 25.0, 50.0, 75.0)
+    ),
+    "fig10": _n_points("fig10", _rayleigh, (_PHASE, Scheme("selection", beta_percent=25.0))),
+}
+FIGURE_IDS = tuple(FIGURES)
 
 
 def figure_preset(
@@ -468,82 +503,13 @@ def figure_preset(
     fig9: selection fraction sweep at n = 16 and 64.
     fig10: selection at beta = 25 vs the all-on design over array size.
     """
-    common = dict(k=4, m=4, rho_db=_RHO_DB_DEFAULT, trials=trials, master_seed=master_seed)
-    phase = Scheme("svd_phase")
-    out: list[ExperimentConfig] = []
-    if fig_id in ("fig2", "fig3", "fig4"):
-        for n in (16, 64) if fig_id == "fig2" else _N_SWEEP:
-            chan = _geometric(n) if fig_id == "fig4" else _rayleigh(n)
-            out.append(
-                ExperimentConfig(
-                    name=f"{fig_id}_svd_phase_n{n}",
-                    channel=chan,
-                    scheme=phase,
-                    sweep_param="n",
-                    sweep_value=float(n),
-                    **common,
-                )
-            )
-    elif fig_id == "fig7":
-        out.append(
-            ExperimentConfig(
-                name="fig7_svd_phase_n64", channel=_rayleigh(64), scheme=phase, **common
-            )
-        )
-        for bits in (1, 2, 3, 4):
-            out.append(
-                ExperimentConfig(
-                    name=f"fig7_quantized_b{bits}",
-                    channel=_rayleigh(64),
-                    scheme=Scheme("quantized", bits=bits),
-                    sweep_param="bits",
-                    sweep_value=float(bits),
-                    **common,
-                )
-            )
-    elif fig_id == "fig8":
-        mu_common = dict(k=4, m=4, trials=trials, master_seed=master_seed)
-        for kind in ("mu_zf_digital", "mu_zf_hybrid"):
-            for rho_db in range(0, 41, 5):
-                out.append(
-                    ExperimentConfig(
-                        name=f"fig8_{kind}_rho{rho_db}",
-                        channel=_rayleigh(64, 4),
-                        rho_db=float(rho_db),
-                        scheme=Scheme(kind),
-                        sweep_param="rho_db",
-                        sweep_value=float(rho_db),
-                        **mu_common,
-                    )
-                )
-    elif fig_id == "fig9":
-        for n in (16, 64):
-            for beta in (0.0, 10.0, 25.0, 50.0, 75.0):
-                out.append(
-                    ExperimentConfig(
-                        name=f"fig9_selection_n{n}_beta{beta:g}",
-                        channel=_rayleigh(n),
-                        scheme=Scheme("selection", beta_percent=beta),
-                        sweep_param="beta_percent",
-                        sweep_value=beta,
-                        **common,
-                    )
-                )
-    elif fig_id == "fig10":
-        for n in _N_SWEEP:
-            for scheme in (phase, Scheme("selection", beta_percent=25.0)):
-                out.append(
-                    ExperimentConfig(
-                        name=f"fig10_{scheme.kind}_n{n}",
-                        channel=_rayleigh(n),
-                        scheme=scheme,
-                        sweep_param="n",
-                        sweep_value=float(n),
-                        **common,
-                    )
-                )
-    else:
+    if fig_id not in FIGURES:
         raise ConfigError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
+    common = dict(k=4, m=4, rho_db=34.0, trials=trials, master_seed=master_seed)
+    out = []
+    for name, channel, scheme, param, value in FIGURES[fig_id]:
+        point = ExperimentConfig(name=name, channel=channel, scheme=scheme, **common)
+        out.append(point if param is None else _sweep_point(point, param, value))
     return out
 
 
@@ -557,23 +523,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# CSV column -> its text for one (config, summary) pair: the results contract
+_COLUMN_TEXT: dict[str, Callable[[ExperimentConfig, SummaryStats], str]] = {
+    "experiment": lambda c, s: c.name,
+    "sweep_param": lambda c, s: c.sweep_param or "",
+    "sweep_value": lambda c, s: _fmt(c.sweep_value),
+    "scheme": lambda c, s: c.scheme.label(),
+    "n_t": lambda c, s: str(c.channel.n_t),
+    "n_r": lambda c, s: str(c.channel.n_r),
+    "k": lambda c, s: str(c.k),
+    "m": lambda c, s: str(c.m),
+    "rho_db": lambda c, s: _fmt(c.rho_db),
+    "trials": lambda c, s: str(c.trials),
+    "mean_rate": lambda c, s: _fmt(s.mean_rate),
+    "std_err": lambda c, s: _fmt(s.se_rate),
+    "analytic_rate": lambda c, s: _fmt(s.analytic_rate),
+    "mean_gap": lambda c, s: _fmt(s.mean_gap),
+    "inactive_fraction": lambda c, s: _fmt(s.mean_inactive),
+    "excluded": lambda c, s: str(s.excluded_count),
+}
+CSV_COLUMNS = tuple(_COLUMN_TEXT)
+
+
 def result_row(config: ExperimentConfig, summary: SummaryStats) -> dict:
     """Flatten one (config, summary) pair into the CSV column contract."""
-    return {
-        "experiment": config.name,
-        "sweep_param": config.sweep_param or "",
-        "sweep_value": _fmt(config.sweep_value),
-        "scheme": config.scheme.label(),
-        "n_t": str(config.channel.n_t),
-        "n_r": str(config.channel.n_r),
-        "k": str(config.k),
-        "m": str(config.m),
-        "rho_db": _fmt(config.rho_db),
-        "trials": str(config.trials),
-        "mean_rate": _fmt(summary.mean_rate),
-        "std_err": _fmt(summary.se_rate),
-        "analytic_rate": _fmt(summary.analytic_rate),
-        "mean_gap": _fmt(summary.mean_gap),
-        "inactive_fraction": _fmt(summary.mean_inactive),
-        "excluded": str(summary.excluded_count),
-    }
+    return {column: text(config, summary) for column, text in _COLUMN_TEXT.items()}

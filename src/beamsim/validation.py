@@ -525,7 +525,7 @@ def check_quantization_bound(
         for t in range(trials):
             chan = draw_channel(model, SeededRng(seed + 12, t))
             analog = svd_phase_beamformer(chan, 4, rho)
-            digital = quantize_fn(chan, analog, PhaseResolution("digital", bits), rho)
+            digital = quantize_fn(chan, analog, PhaseResolution(bits), rho)
             r_analog = achievable_rate(chan, analog, rho).rate_bits
             r_digital = achievable_rate(chan, digital, rho).rate_bits
             diffs.append(r_analog - r_digital)

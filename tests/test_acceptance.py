@@ -15,7 +15,6 @@ from beamsim import (
     ChannelModel,
     ExperimentConfig,
     GEOMETRIC,
-    PhaseResolution,
     PowerModelParams,
     RAYLEIGH,
     SeededRng,
@@ -23,22 +22,19 @@ from beamsim import (
     digital_svd_beamformer,
     double_rf_beamformer,
     draw_channel,
-    ks_statistic,
     mu_zf_digital,
     mu_zf_hybrid,
     quant_gap_bound,
-    quantize_rf,
-    rayleigh_cdf,
     rf_power_consumption,
     run_experiment,
     Scheme,
     selection_gap,
     sum_rate_mu,
-    svd_phase_beamformer,
     thin_svd,
 )
 from beamsim.cli import main as cli_main
 from beamsim.experiments import DEFAULT_SEED
+from beamsim.validation import check_quantization_bound, check_singular_vector_amplitude_law
 
 RHO_DB = 34.0
 RHO = 10.0**3.4  # == 10.0 ** (RHO_DB / 10.0), the linear SNR run_experiment uses
@@ -125,19 +121,9 @@ def test_criterion_3_intermediate_chain_count():
 
 
 def test_criterion_4_quantization_losses():
-    model = ChannelModel(RAYLEIGH, 64, 64)
-    means = {}
-    for bits in (2, 3, 4):
-        diffs = []
-        for t in range(TRIALS):
-            chan = draw_channel(model, SeededRng(DEFAULT_SEED + 3, t))
-            analog = svd_phase_beamformer(chan, 4, RHO)
-            digital = quantize_rf(chan, analog, PhaseResolution("digital", bits), RHO)
-            diffs.append(
-                achievable_rate(chan, analog, RHO).rate_bits
-                - achievable_rate(chan, digital, RHO).rate_bits
-            )
-        means[bits] = float(np.mean(diffs))
+    # validate's check draws from stream seed + 12, so this is DEFAULT_SEED + 3
+    measured = check_quantization_bound(DEFAULT_SEED - 9, trials=TRIALS).measured
+    means = {bits: measured[f"mean_gap_b{bits}"] for bits in (2, 3, 4)}
     in_band = abs(means[2] - 3.5) <= 0.7 and abs(means[3] - 0.7) <= 0.3
     bounded = all(means[b] <= quant_gap_bound(4, b) + 0.5 for b in (2, 3, 4))
     report(
@@ -191,14 +177,12 @@ def test_criterion_6_selection_gaps():
 
 
 def test_criterion_7_amplitude_distribution():
-    measured = {}
-    for n, trials, tol in ((64, 300, 0.08), (256, 120, 0.05)):
-        model = ChannelModel(RAYLEIGH, n, n)
-        samples = []
-        for t in range(trials):
-            chan = draw_channel(model, SeededRng(DEFAULT_SEED + 6, t))
-            samples.append(math.sqrt(n) * np.abs(thin_svd(chan.h, 4).v).ravel())
-        measured[n] = ks_statistic(np.concatenate(samples), rayleigh_cdf)
+    # validate's check draws from stream seed + 4, so this is DEFAULT_SEED + 6
+    measured = {
+        n: check_singular_vector_amplitude_law(DEFAULT_SEED + 2, n=n, trials=trials, tol=tol)
+        .measured["ks"]
+        for n, trials, tol in ((64, 300, 0.08), (256, 120, 0.05))
+    }
     ok = measured[64] <= 0.08 and measured[256] <= 0.05
     report(
         "criterion-7 amplitude law",

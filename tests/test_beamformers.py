@@ -199,7 +199,7 @@ class TestQuantize:
 
     def test_grid_membership(self):
         chan = rayleigh(16, 6, 0)
-        bf = quantize_rf(chan, svd_phase_beamformer(chan, 4, RHO), PhaseResolution("digital", 3), RHO)
+        bf = quantize_rf(chan, svd_phase_beamformer(chan, 4, RHO), PhaseResolution(3), RHO)
         step = 2 * math.pi / 8
         ang = np.mod(np.angle(bf.f_rf), 2 * math.pi)
         assert np.allclose(np.mod(ang / step, 1.0), 0.0, atol=1e-9) or np.allclose(
@@ -210,7 +210,7 @@ class TestQuantize:
     def test_fine_grid_matches_analog(self):
         chan = rayleigh(16, 6, 1)
         analog = svd_phase_beamformer(chan, 4, RHO)
-        fine = quantize_rf(chan, analog, PhaseResolution("digital", 14), RHO)
+        fine = quantize_rf(chan, analog, PhaseResolution(14), RHO)
         r_analog = achievable_rate(chan, analog, RHO).rate_bits
         r_fine = achievable_rate(chan, fine, RHO).rate_bits
         assert abs(r_analog - r_fine) <= 1e-3
@@ -218,27 +218,18 @@ class TestQuantize:
     def test_inactive_entries_stay_off(self):
         chan = rayleigh(32, 6, 2)
         sel = select_phase_shifters(chan, 4, RHO, SelectionPolicy(25.0))
-        q = quantize_rf(chan, sel, PhaseResolution("digital", 2), RHO)
+        q = quantize_rf(chan, sel, PhaseResolution(2), RHO)
         assert np.array_equal(q.f_rf == 0, sel.f_rf == 0)
 
     def test_rejects_digital_beamformer(self):
         chan = rayleigh(8, 6, 3)
         with pytest.raises(ValueError):
-            quantize_rf(chan, digital_svd_beamformer(chan, 2, RHO), PhaseResolution("digital", 2), RHO)
-
-    def test_rejects_analog_resolution(self):
-        chan = rayleigh(8, 6, 4)
-        with pytest.raises(ValueError):
-            quantize_rf(chan, svd_phase_beamformer(chan, 2, RHO), PhaseResolution("analog"), RHO)
+            quantize_rf(chan, digital_svd_beamformer(chan, 2, RHO), PhaseResolution(2), RHO)
 
     @pytest.mark.parametrize("bits", [0, 17])
     def test_resolution_bit_range(self, bits):
         with pytest.raises(ValueError):
-            PhaseResolution("digital", bits)
-
-    def test_analog_resolution_takes_no_bits(self):
-        with pytest.raises(ValueError):
-            PhaseResolution("analog", 3)
+            PhaseResolution(bits)
 
 
 class TestSelection:
@@ -347,7 +338,7 @@ class TestCrossSchemeConsistency:
             for t in range(60):
                 chan = rayleigh(64, 12, t)
                 analog = svd_phase_beamformer(chan, 4, RHO)
-                digital = quantize_rf(chan, analog, PhaseResolution("digital", bits), RHO)
+                digital = quantize_rf(chan, analog, PhaseResolution(bits), RHO)
                 diffs.append(
                     achievable_rate(chan, analog, RHO).rate_bits
                     - achievable_rate(chan, digital, RHO).rate_bits
@@ -363,7 +354,7 @@ class TestCrossSchemeConsistency:
             double_rf_beamformer(chan, 4, RHO),
             mixed_beamformer(chan, 4, 6, RHO),
             select_phase_shifters(chan, 4, RHO, SelectionPolicy(25.0)),
-            quantize_rf(chan, svd_phase_beamformer(chan, 4, RHO), PhaseResolution("digital", 3), RHO),
+            quantize_rf(chan, svd_phase_beamformer(chan, 4, RHO), PhaseResolution(3), RHO),
         ]
         for bf in builders:
             assert achievable_rate(chan, bf, RHO).rate_bits <= cap + 1e-9

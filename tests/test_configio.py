@@ -18,7 +18,7 @@ from beamsim import (
     write_csv,
 )
 from beamsim.configio import parse_config_text
-from beamsim.experiments import figure_preset, result_row, run_experiment
+from beamsim.experiments import expand_sweep, figure_preset, result_row, run_experiment
 
 BASIC = """
 [experiment]
@@ -132,6 +132,117 @@ class TestParse:
         path = tmp_path / "exp.ini"
         path.write_text(BASIC)
         assert parse_config(path).name == "demo"
+
+
+class TestSerialize:
+    def test_exact_text_of_all_four_sections(self):
+        cfg = ExperimentConfig(
+            name="full",
+            channel=ChannelModel(GEOMETRIC, 32, 16, l_paths=5),
+            k=4,
+            m=4,
+            rho_db=20.5,
+            scheme=Scheme("selection", beta_percent=25.0),
+            trials=40,
+            master_seed=3,
+            sweep=SweepAxis("beta_percent", (0.0, 12.5)),
+        )
+        assert serialize_config(cfg) == (
+            "[experiment]\n"
+            "name = full\n"
+            "k = 4\n"
+            "m = 4\n"
+            "rho_db = 20.5\n"
+            "trials = 40\n"
+            "master_seed = 3\n"
+            "\n"
+            "[channel]\n"
+            "kind = geometric\n"
+            "n_t = 32\n"
+            "n_r = 16\n"
+            "l_paths = 5\n"
+            "spacing_over_wavelength = 0.5\n"
+            "\n"
+            "[scheme]\n"
+            "kind = selection\n"
+            "beta_percent = 25.0\n"
+            "\n"
+            "[sweep]\n"
+            "param = beta_percent\n"
+            "values = 0.0, 12.5\n"
+        )
+
+
+def _sweep_of(text, scheme="kind = svd_phase"):
+    return lambda: expand_sweep(parse_config_text(BASIC.replace("kind = svd_phase", scheme) + text))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: parse_config_text(BASIC + "\n[swep]\nparam = n\nvalues = 1\n"),
+            "unknown config section [swep]",
+        ),
+        (
+            lambda: parse_config_text(BASIC.replace("n_r = 64", "n_r = 64\nbandwidth = 3")),
+            "unknown config key channel.bandwidth",
+        ),
+        (
+            lambda: parse_config_text(BASIC.replace("rho_db = 34.0", "rho_db = fast")),
+            "bad value for experiment.rho_db: 'fast' (could not convert string to float: 'fast')",
+        ),
+        (
+            lambda: parse_config_text(BASIC.replace("k = 4\n", "")),
+            "missing required key experiment.k",
+        ),
+        (
+            lambda: parse_config_text(BASIC.split("[scheme]")[0]),
+            "missing required section [scheme]",
+        ),
+        (
+            _sweep_of("\n[sweep]\nparam = n\nvalues = 8.5\n"),
+            "sweep value 8.5 for 'n' must be a positive integer",
+        ),
+        (
+            _sweep_of("\n[sweep]\nparam = foo\nvalues = 1\n"),
+            "unknown sweep parameter 'foo'; choose from ('n', 'n_t', 'n_r', 'rho_db', 'k', 'm',"
+            " 'bits', 'beta_percent', 'l_paths', 'trials')",
+        ),
+        (
+            _sweep_of("\n[sweep]\nparam = k\nvalues = 2\n", scheme="kind = mixed"),
+            "sweeping k is ambiguous for mixed; sweep m instead",
+        ),
+        (
+            _sweep_of(
+                "\n[sweep]\nparam = beta_percent\nvalues = 100\n",
+                scheme="kind = selection\nbeta_percent = 25",
+            ),
+            "cannot sweep beta_percent = 100: beta_percent must lie in [0, 100)",
+        ),
+        (
+            lambda: figure_preset("fig99"),
+            "unknown figure id 'fig99'; choose from ('fig2', 'fig3', 'fig4', 'fig7', 'fig8',"
+            " 'fig9', 'fig10')",
+        ),
+    ],
+    ids=[
+        "unknown_section",
+        "unknown_key",
+        "bad_value",
+        "missing_key",
+        "missing_section",
+        "n_8.5",
+        "unknown_sweep_param",
+        "ambiguous_k_sweep",
+        "sweep_value_out_of_domain",
+        "unknown_figure",
+    ],
+)
+def test_config_error_message(make, message):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert str(info.value) == message
 
 
 class TestCsv:

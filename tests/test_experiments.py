@@ -147,6 +147,23 @@ class TestPool:
         parallel = run_experiment(cfg, workers=2)
         assert [repr(r) for r in serial.records] == [repr(r) for r in parallel.records]
 
+    def test_pool_is_no_larger_than_the_point(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                if max_workers > 3:  # fail before forking a process per worker
+                    raise AssertionError(f"pool of {max_workers} workers for 3 trials")
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = config(trials=3)
+        pooled = run_experiment(cfg, workers=8)
+        assert sizes == [3]
+        serial = run_experiment(cfg, workers=1)
+        assert [repr(r) for r in pooled.records] == [repr(r) for r in serial.records]
+
 
 P2P_SCHEMES = [
     Scheme("digital"),
@@ -357,7 +374,79 @@ class TestAnalyticCompanions:
         assert res.summary.analytic_rate == pytest.approx(expected, abs=1e-12)
 
 
+# Every figure point, in order, with its sweep annotation.
+FIGURE_POINTS = [
+    ("fig2_svd_phase_n16", "n", 16.0),
+    ("fig2_svd_phase_n64", "n", 64.0),
+    ("fig3_svd_phase_n8", "n", 8.0),
+    ("fig3_svd_phase_n16", "n", 16.0),
+    ("fig3_svd_phase_n32", "n", 32.0),
+    ("fig3_svd_phase_n64", "n", 64.0),
+    ("fig3_svd_phase_n128", "n", 128.0),
+    ("fig3_svd_phase_n256", "n", 256.0),
+    ("fig3_svd_phase_n512", "n", 512.0),
+    ("fig4_svd_phase_n8", "n", 8.0),
+    ("fig4_svd_phase_n16", "n", 16.0),
+    ("fig4_svd_phase_n32", "n", 32.0),
+    ("fig4_svd_phase_n64", "n", 64.0),
+    ("fig4_svd_phase_n128", "n", 128.0),
+    ("fig4_svd_phase_n256", "n", 256.0),
+    ("fig4_svd_phase_n512", "n", 512.0),
+    ("fig7_svd_phase_n64", None, None),
+    ("fig7_quantized_b1", "bits", 1.0),
+    ("fig7_quantized_b2", "bits", 2.0),
+    ("fig7_quantized_b3", "bits", 3.0),
+    ("fig7_quantized_b4", "bits", 4.0),
+    ("fig8_mu_zf_digital_rho0", "rho_db", 0.0),
+    ("fig8_mu_zf_digital_rho5", "rho_db", 5.0),
+    ("fig8_mu_zf_digital_rho10", "rho_db", 10.0),
+    ("fig8_mu_zf_digital_rho15", "rho_db", 15.0),
+    ("fig8_mu_zf_digital_rho20", "rho_db", 20.0),
+    ("fig8_mu_zf_digital_rho25", "rho_db", 25.0),
+    ("fig8_mu_zf_digital_rho30", "rho_db", 30.0),
+    ("fig8_mu_zf_digital_rho35", "rho_db", 35.0),
+    ("fig8_mu_zf_digital_rho40", "rho_db", 40.0),
+    ("fig8_mu_zf_hybrid_rho0", "rho_db", 0.0),
+    ("fig8_mu_zf_hybrid_rho5", "rho_db", 5.0),
+    ("fig8_mu_zf_hybrid_rho10", "rho_db", 10.0),
+    ("fig8_mu_zf_hybrid_rho15", "rho_db", 15.0),
+    ("fig8_mu_zf_hybrid_rho20", "rho_db", 20.0),
+    ("fig8_mu_zf_hybrid_rho25", "rho_db", 25.0),
+    ("fig8_mu_zf_hybrid_rho30", "rho_db", 30.0),
+    ("fig8_mu_zf_hybrid_rho35", "rho_db", 35.0),
+    ("fig8_mu_zf_hybrid_rho40", "rho_db", 40.0),
+    ("fig9_selection_n16_beta0", "beta_percent", 0.0),
+    ("fig9_selection_n16_beta10", "beta_percent", 10.0),
+    ("fig9_selection_n16_beta25", "beta_percent", 25.0),
+    ("fig9_selection_n16_beta50", "beta_percent", 50.0),
+    ("fig9_selection_n16_beta75", "beta_percent", 75.0),
+    ("fig9_selection_n64_beta0", "beta_percent", 0.0),
+    ("fig9_selection_n64_beta10", "beta_percent", 10.0),
+    ("fig9_selection_n64_beta25", "beta_percent", 25.0),
+    ("fig9_selection_n64_beta50", "beta_percent", 50.0),
+    ("fig9_selection_n64_beta75", "beta_percent", 75.0),
+    ("fig10_svd_phase_n8", "n", 8.0),
+    ("fig10_selection_n8", "n", 8.0),
+    ("fig10_svd_phase_n16", "n", 16.0),
+    ("fig10_selection_n16", "n", 16.0),
+    ("fig10_svd_phase_n32", "n", 32.0),
+    ("fig10_selection_n32", "n", 32.0),
+    ("fig10_svd_phase_n64", "n", 64.0),
+    ("fig10_selection_n64", "n", 64.0),
+    ("fig10_svd_phase_n128", "n", 128.0),
+    ("fig10_selection_n128", "n", 128.0),
+    ("fig10_svd_phase_n256", "n", 256.0),
+    ("fig10_selection_n256", "n", 256.0),
+    ("fig10_svd_phase_n512", "n", 512.0),
+    ("fig10_selection_n512", "n", 512.0),
+]
+
+
 class TestFigurePresets:
+    def test_every_point_name_and_annotation(self):
+        points = [c for fig_id in experiments.FIGURE_IDS for c in figure_preset(fig_id)]
+        assert [(c.name, c.sweep_param, c.sweep_value) for c in points] == FIGURE_POINTS
+
     def test_fig3_shape(self):
         cfgs = figure_preset("fig3", trials=10)
         assert len(cfgs) == 7
