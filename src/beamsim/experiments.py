@@ -344,13 +344,35 @@ def _sigint_held():
         signal.raise_signal(signal.SIGINT)
 
 
-def _init_worker() -> None:
-    """Pool-worker initializer: run this worker's BLAS on one thread, and
-    leave SIGINT to the parent, which cancels the pool and exits."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+@contextmanager
+def _one_blas_thread():
+    """Run the body with this process's BLAS on one thread, then restore the
+    previous count on every exit, an interrupt included.
+
+    Pool workers forked meanwhile inherit the single thread.  Setting the
+    count inside a worker instead would start a fresh OpenBLAS helper thread
+    there (OpenBLAS stops its threads at fork), which spins before it sleeps
+    and competes with the workers for cores.  Without a known thread
+    control, nothing changes.
+    """
     control = blas_thread_control()
-    if control is not None:
-        control[0](1)
+    if control is None:
+        yield
+        return
+    set_threads, get_threads = control
+    previous = get_threads()
+    try:
+        set_threads(1)
+        yield
+    finally:
+        with _sigint_held():
+            set_threads(previous)
+
+
+def _init_worker() -> None:
+    """Pool-worker initializer: leave SIGINT to the parent, which cancels the
+    pool and exits.  The worker's single BLAS thread is inherited."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -358,13 +380,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 
     Trials fan out over ``workers`` processes, but never more than
     ``config.trials``, when workers > 1; aggregation is ordered by
-    trial_index either way.  Each worker runs its BLAS on one
-    thread, so ``workers`` processes keep to ``workers`` cores; a serial run
-    keeps the library's default.  Workers ignore SIGINT: on an interrupt the
-    parent cancels the chunks not yet started, waits for the running ones
-    and re-raises ``KeyboardInterrupt``.  A trial's bits depend on its
-    (master_seed, trial_index) and on the BLAS thread count, so at large n
-    a pool and a serial run can differ in the last bit (see README).
+    trial_index either way.  The parent sets its BLAS to one thread before
+    it forks the workers and restores its count when the pool is done, so
+    each worker inherits one thread and ``workers`` processes keep to
+    ``workers`` cores; a serial run keeps the library's default.  Workers
+    ignore SIGINT: on an interrupt the parent cancels the chunks not yet
+    started, waits for the running ones and re-raises ``KeyboardInterrupt``.
+    A trial's bits depend on its (master_seed, trial_index) and on the BLAS
+    thread count, so at large n a pool and a serial run can differ in the
+    last bit (see README).
     """
     if config.sweep is not None:
         raise ConfigError("config still carries a sweep axis; expand_sweep() it first")
@@ -374,8 +398,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         records = [run_trial(config, i) for i in indices]
     else:
         chunk = max(1, config.trials // (4 * workers))
-        blas_thread_control()  # resolve once here; forked workers inherit it
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
+        with (
+            _one_blas_thread(),
+            ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool,
+        ):
             try:
                 with _sigint_held():  # the first submit forks the workers
                     results = pool.map(partial(run_trial, config), indices, chunksize=chunk)

@@ -1,6 +1,7 @@
 """Harness: trial execution, aggregation, sweeps and figure presets."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,36 @@ def _blas_threads_trial(config, trial_index):
     return TrialRecord(trial_index, float(threads), 0.0, 0.0, math.nan)
 
 
+def _os_threads_trial(config, trial_index):
+    """Stand-in for run_trial that records how many OS threads its process has."""
+    threads = len(os.listdir("/proc/self/task"))
+    return TrialRecord(trial_index, float(threads), 0.0, 0.0, math.nan)
+
+
+def _failing_trial(config, trial_index):
+    raise RuntimeError("stand-in trial failure")
+
+
+def _interrupted_trial(config, trial_index):
+    raise KeyboardInterrupt
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Run the test with this process's BLAS on two threads; yield the count
+    getter and restore the original count afterwards."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count a process's threads in")
+    control = blas_thread_control()
+    if control is None:
+        pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count entry point")
+    set_threads, get_threads = control
+    original = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(original)
+
+
 class TestPool:
     def test_workers_run_one_blas_thread(self, monkeypatch):
         control = blas_thread_control()
@@ -146,6 +177,39 @@ class TestPool:
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=2)
         assert [repr(r) for r in serial.records] == [repr(r) for r in parallel.records]
+
+    def test_workers_start_no_blas_helper_thread(self, two_blas_threads, monkeypatch):
+        # a worker that set its own thread count would start an OpenBLAS
+        # helper thread beside its main one
+        monkeypatch.setattr(experiments, "run_trial", _os_threads_trial)
+        res = run_experiment(config(trials=8), workers=2)
+        assert [r.capacity_bits for r in res.records] == [1.0] * 8
+
+    def test_parent_blas_threads_restored_after_the_run(self, two_blas_threads, monkeypatch):
+        monkeypatch.setattr(experiments, "run_trial", _blas_threads_trial)
+        run_experiment(config(trials=8), workers=2)
+        assert two_blas_threads() == 2
+
+    def test_parent_blas_threads_restored_after_a_failing_trial(
+        self, two_blas_threads, monkeypatch
+    ):
+        monkeypatch.setattr(experiments, "run_trial", _failing_trial)
+        with pytest.raises(RuntimeError, match="stand-in trial failure"):
+            run_experiment(config(trials=8), workers=2)
+        assert two_blas_threads() == 2
+
+    def test_parent_blas_threads_restored_after_an_interrupt(self, two_blas_threads, monkeypatch):
+        monkeypatch.setattr(experiments, "run_trial", _interrupted_trial)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config(trials=8), workers=2)
+        assert two_blas_threads() == 2
+
+    def test_pool_runs_without_blas_thread_control(self, monkeypatch):
+        monkeypatch.setattr(experiments, "blas_thread_control", lambda: None)
+        cfg = config(trials=6)
+        pooled = run_experiment(cfg, workers=2)
+        serial = run_experiment(cfg, workers=1)
+        assert [repr(r) for r in pooled.records] == [repr(r) for r in serial.records]
 
     def test_pool_is_no_larger_than_the_point(self, monkeypatch):
         sizes = []
