@@ -62,16 +62,20 @@ def export(repo: Path, sha: str, dest: Path) -> Path:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its result line plus the environment it recorded."""
+    """One perfbench run; its result line."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seconds", str(seconds), "--seed", str(seed), "--trace", str(trace),
     ]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    report = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
-    result["environment"] = json.loads(report.read_text())["environment"]
-    return result
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def recorded_environment(tree: Path, workload: str, seed: int) -> dict:
+    """The machine, Python, numpy and BLAS a run in ``tree`` recorded."""
+    report = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    environment = json.loads(report.read_text())["environment"]
+    return {k: environment.get(k) for k in ENVIRONMENT_KEYS}
 
 
 def metric(result: dict, name: str) -> float:
@@ -92,7 +96,6 @@ def bench_workload(trees: dict, workload: str, seed: int, pairs: int, seconds: f
     rates = {side: entry[side]["trials_per_s"] for side in SIDES}
     entry["trials_per_s_change_won_pairs"] = pairs_won(rates["parent"]["runs"], rates["change"]["runs"])
     entry["trials_per_s_median_ratio"] = round(rates["change"]["median"] / rates["parent"]["median"], 3)
-    entry["environment"] = results["parent"][0]["environment"]
     return entry
 
 
@@ -129,11 +132,10 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=None, help="default: BENCH_<label>.json in the repo")
     args = ap.parse_args(argv)
 
-    revs = {side: getattr(args, side) for side in SIDES}
     shas = {
-        side: subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
-                             capture_output=True, text=True, check=True).stdout.strip()
-        for side, rev in revs.items()
+        side: subprocess.run(["git", "rev-parse", "--verify", f"{getattr(args, side)}^{{commit}}"],
+                             cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+        for side in SIDES
     }
     trees = {side: export(ROOT, shas[side], args.workdir / side) for side in SIDES}
 
@@ -142,9 +144,6 @@ def main(argv=None) -> int:
         workloads[workload] = bench_workload(trees, workload, DEFAULT_SEED, args.pairs, args.seconds)
     for workload, seed, pairs in args.extra_seed:
         workloads[f"{workload}_seed{seed}"] = bench_workload(trees, workload, seed, pairs, args.seconds)
-    environment = next(iter(workloads.values()))["environment"] if workloads else {}
-    for entry in workloads.values():
-        del entry["environment"]
 
     bench = {
         "label": args.label,
@@ -154,7 +153,7 @@ def main(argv=None) -> int:
         "fresh process from a clean export of its commit; medians and quartiles (inclusive "
         "method) over runs, which are listed in pair order",
         "commits": shas,
-        "environment": {k: environment.get(k) for k in ENVIRONMENT_KEYS},
+        "environment": recorded_environment(trees["parent"], args.workloads[0], DEFAULT_SEED),
         "workloads": workloads,
     }
     for workload in args.trace:
