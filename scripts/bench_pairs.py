@@ -3,17 +3,18 @@
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --label pool_fork_one_thread --what "one line on the change" \\
-        --workloads large_rayleigh geometric fanout --pairs 10 \\
-        --extra-seed fanout:7:3 --trace fanout
+        --extra-seed fanout:7:3 --trace fanout --workdir /tmp/bench
 
 Each commit is exported with ``git archive`` into ``--workdir`` (no build
 output, no stale ``perfbench/out``), and every run is
-``perfbench/run.py --workload W --seconds S --seed N`` in a fresh process
-from that export.  Pairs alternate which side runs first (parent first in
-even pairs) so that drift in the host's speed falls on both sides.  Each
-metric is summarised by its median and inclusive quartiles over the runs,
-and the pairs the change won on ``trials_per_s`` are counted.  Standard
-library only.
+``perfbench/run.py --workload W`` in a fresh process from that export, at
+perfbench's own run length and default seed (``--seed N`` is passed only
+for ``--extra-seed`` runs).  Each of the workloads gets 10 pairs; pairs
+alternate which side runs first (parent first in even pairs) so that drift
+in the host's speed falls on both sides.  Each metric is summarised by its
+median and inclusive quartiles over the runs, and the pairs the change won
+on ``trials_per_s`` are counted.  The result is written to
+``BENCH_<label>.json`` at the repository root.  Standard library only.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -29,9 +31,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+WORKLOADS = ("large_rayleigh", "geometric", "fanout")
+PAIRS = 10
 END_TO_END = ("trials_per_s", "setup_s", "peak_rss_mb")
 ENVIRONMENT_KEYS = ("nproc", "cpu_count", "machine", "python", "numpy", "blas", "blas_threads_env")
-DEFAULT_SEED = 123456789  # perfbench's default; its reference rows are gated at this seed
 
 
 def summarize(runs: list[float]) -> dict:
@@ -61,14 +64,16 @@ def export(repo: Path, sha: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its result line."""
-    command = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seconds", str(seconds), "--seed", str(seed), "--trace", str(trace),
-    ]
+def run_once(tree: Path, workload: str, seed: int | None = None, trace: int = 0) -> dict:
+    """One perfbench run, at perfbench's default seed unless ``seed`` is
+    given; its result line, with the seed the run reported."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", str(trace)]
+    if seed is not None:
+        command += ["--seed", str(seed)]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["seed"] = int(re.search(r"^# workload=\S+ seed=(\d+) ", proc.stdout, re.M).group(1))
+    return result
 
 
 def recorded_environment(tree: Path, workload: str, seed: int) -> dict:
@@ -82,14 +87,14 @@ def metric(result: dict, name: str) -> float:
     return round(result["metrics"][name]["value"], 4)
 
 
-def bench_workload(trees: dict, workload: str, seed: int, pairs: int, seconds: float) -> dict:
+def bench_workload(trees: dict, workload: str, seed: int | None, pairs: int) -> dict:
     results = {side: [] for side in SIDES}
     for i in range(pairs):
         for side in pair_order(i):
-            results[side].append(run_once(trees[side], workload, seed, seconds, 0))
+            results[side].append(run_once(trees[side], workload, seed))
             rate = metric(results[side][-1], "trials_per_s")
-            print(f"{workload} seed {seed} pair {i} {side}: {rate} trials/s", file=sys.stderr)
-    entry = {"workload": workload, "seed": seed, "pairs": pairs}
+            print(f"{workload} pair {i} {side}: {rate} trials/s", file=sys.stderr)
+    entry = {"workload": workload, "seed": results["parent"][0]["seed"], "pairs": pairs}
     for side in SIDES:
         entry[side] = {name: summarize([metric(r, name) for r in results[side]]) for name in END_TO_END}
         entry[side]["all_correct"] = all(r["correct"] and r["failed"] == 0 for r in results[side])
@@ -99,13 +104,13 @@ def bench_workload(trees: dict, workload: str, seed: int, pairs: int, seconds: f
     return entry
 
 
-def bench_trace(trees: dict, workload: str, seconds: float) -> dict:
+def bench_trace(trees: dict, workload: str) -> dict:
     entry = {
-        "command": f"python3 perfbench/run.py --workload {workload} --seconds {seconds:g} --trace 1",
+        "command": f"python3 perfbench/run.py --workload {workload} --trace 1",
         "runs": "one per side, parent first",
     }
     for side in SIDES:
-        result = run_once(trees[side], workload, DEFAULT_SEED, seconds, 1)
+        result = run_once(trees[side], workload, trace=1)
         entry[side] = {name: metric(result, name) for name in result["metrics"]}
     return entry
 
@@ -121,15 +126,11 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="commit (or any git revision) under test")
     ap.add_argument("--label", required=True)
     ap.add_argument("--what", required=True, help="one line on what the change does")
-    ap.add_argument("--workloads", nargs="+", default=["large_rayleigh", "geometric", "fanout"])
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--extra-seed", type=extra_seed, action="append", default=[],
                     metavar="WORKLOAD:SEED:PAIRS")
     ap.add_argument("--trace", nargs="*", default=[], metavar="WORKLOAD",
                     help="workloads to run once per side with --trace 1")
     ap.add_argument("--workdir", type=Path, required=True, help="empty scratch directory for the exports")
-    ap.add_argument("--out", type=Path, default=None, help="default: BENCH_<label>.json in the repo")
     args = ap.parse_args(argv)
 
     shas = {
@@ -139,26 +140,24 @@ def main(argv=None) -> int:
     }
     trees = {side: export(ROOT, shas[side], args.workdir / side) for side in SIDES}
 
-    workloads = {}
-    for workload in args.workloads:
-        workloads[workload] = bench_workload(trees, workload, DEFAULT_SEED, args.pairs, args.seconds)
+    workloads = {workload: bench_workload(trees, workload, None, PAIRS) for workload in WORKLOADS}
     for workload, seed, pairs in args.extra_seed:
-        workloads[f"{workload}_seed{seed}"] = bench_workload(trees, workload, seed, pairs, args.seconds)
+        workloads[f"{workload}_seed{seed}"] = bench_workload(trees, workload, seed, pairs)
 
     bench = {
         "label": args.label,
         "what": args.what,
-        "command": f"python3 perfbench/run.py --workload <w> --seconds {args.seconds:g} --seed <s>",
+        "command": "python3 perfbench/run.py --workload <w> [--seed <s>]",
         "method": "alternating parent/change pairs (parent first in even pairs), each run in a "
         "fresh process from a clean export of its commit; medians and quartiles (inclusive "
         "method) over runs, which are listed in pair order",
         "commits": shas,
-        "environment": recorded_environment(trees["parent"], args.workloads[0], DEFAULT_SEED),
+        "environment": recorded_environment(trees["parent"], "fanout", workloads["fanout"]["seed"]),
         "workloads": workloads,
     }
     for workload in args.trace:
-        bench[f"trace_{workload}"] = bench_trace(trees, workload, args.seconds)
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+        bench[f"trace_{workload}"] = bench_trace(trees, workload)
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

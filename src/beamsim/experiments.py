@@ -12,6 +12,7 @@ depend only on the config, not on worker count or scheduling.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import signal
 import threading
 from collections.abc import Callable
@@ -381,7 +382,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     Trials fan out over ``workers`` processes, but never more than
     ``config.trials``, when workers > 1; aggregation is ordered by
     trial_index either way.  The parent sets its BLAS to one thread before
-    it forks the workers and restores its count when the pool is done, so
+    it forks the workers (by fork, whatever the platform's default start
+    method) and restores its count when the pool is done, so
     each worker inherits one thread and ``workers`` processes keep to
     ``workers`` cores; a serial run keeps the library's default.  Workers
     ignore SIGINT: on an interrupt the parent cancels the chunks not yet
@@ -398,9 +400,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         records = [run_trial(config, i) for i in indices]
     else:
         chunk = max(1, config.trials // (4 * workers))
+        # fork, not the platform default: a spawn or forkserver start (the
+        # Linux default from Python 3.14) would not inherit the single thread
+        fork = multiprocessing.get_context("fork")
         with (
             _one_blas_thread(),
-            ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool,
+            ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker) as pool,
         ):
             try:
                 with _sigint_held():  # the first submit forks the workers

@@ -185,23 +185,22 @@ class TestPool:
         res = run_experiment(config(trials=8), workers=2)
         assert [r.capacity_bits for r in res.records] == [1.0] * 8
 
-    def test_parent_blas_threads_restored_after_the_run(self, two_blas_threads, monkeypatch):
-        monkeypatch.setattr(experiments, "run_trial", _blas_threads_trial)
-        run_experiment(config(trials=8), workers=2)
-        assert two_blas_threads() == 2
-
-    def test_parent_blas_threads_restored_after_a_failing_trial(
-        self, two_blas_threads, monkeypatch
-    ):
-        monkeypatch.setattr(experiments, "run_trial", _failing_trial)
-        with pytest.raises(RuntimeError, match="stand-in trial failure"):
+    @pytest.mark.parametrize(
+        "trial, raised",
+        [
+            (_blas_threads_trial, None),
+            (_failing_trial, RuntimeError),
+            (_interrupted_trial, KeyboardInterrupt),
+        ],
+        ids=["normal_return", "failing_trial", "interrupt"],
+    )
+    def test_parent_blas_threads_restored(self, trial, raised, two_blas_threads, monkeypatch):
+        monkeypatch.setattr(experiments, "run_trial", trial)
+        if raised is None:
             run_experiment(config(trials=8), workers=2)
-        assert two_blas_threads() == 2
-
-    def test_parent_blas_threads_restored_after_an_interrupt(self, two_blas_threads, monkeypatch):
-        monkeypatch.setattr(experiments, "run_trial", _interrupted_trial)
-        with pytest.raises(KeyboardInterrupt):
-            run_experiment(config(trials=8), workers=2)
+        else:
+            with pytest.raises(raised):
+                run_experiment(config(trials=8), workers=2)
         assert two_blas_threads() == 2
 
     def test_pool_runs_without_blas_thread_control(self, monkeypatch):
@@ -210,6 +209,19 @@ class TestPool:
         pooled = run_experiment(cfg, workers=2)
         serial = run_experiment(cfg, workers=1)
         assert [repr(r) for r in pooled.records] == [repr(r) for r in serial.records]
+
+    def test_pool_forks_whatever_the_default_start_method(self, monkeypatch):
+        # only forked workers inherit the parent's single BLAS thread
+        methods = []
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context=None, **kwargs):
+                methods.append(mp_context and mp_context.get_start_method())
+                super().__init__(max_workers, mp_context=mp_context, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(config(trials=4), workers=2)
+        assert methods == ["fork"]
 
     def test_pool_is_no_larger_than_the_point(self, monkeypatch):
         sizes = []
