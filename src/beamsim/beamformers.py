@@ -19,7 +19,7 @@ import numpy as np
 from .channel import ChannelRealization, channel_svd
 from .closed_form import alpha_from_beta
 from .errors import DegenerateColumnError, DimensionError, SingularMatrixError
-from .linalg import SvdResult, require_rank
+from .linalg import SvdResult
 from .rates import COND_LIMIT, _gamma, waterfill
 
 @dataclass(frozen=True)
@@ -100,13 +100,21 @@ def _p2p_design(
     return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=power, w_rf=w_rf, w_b=w_b, digital=digital)
 
 
+def _svd_design(chan, svd: SvdResult, side, rho, digital=False) -> HybridBeamformer:
+    """Point-to-point design from SVD factors of ``chan``: ``side`` maps the
+    right singular vectors to the transmit (RF, baseband) pair, then the
+    left ones to the receive pair."""
+    f_rf, f_b = side(svd.v)
+    w_rf, w_b = side(svd.u)
+    return _p2p_design(chan, f_rf, f_b, w_rf, w_b, rho, digital)
+
+
 def digital_svd_beamformer(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
     """Unconstrained SVD design: F = V_{1:k}, W = U_{1:k}, capacity-achieving."""
     _check_rho(rho)
     svd = channel_svd(chan, k)
-    require_rank(svd.sigma, k)
     eye = np.eye(k, dtype=complex)
-    return _p2p_design(chan, svd.v, eye, svd.u, eye, rho, digital=True)
+    return _svd_design(chan, svd, lambda cols: (cols, eye), rho, digital=True)
 
 
 def _paired_phase_columns(x: np.ndarray) -> np.ndarray:
@@ -159,9 +167,7 @@ def mixed_beamformer(chan: ChannelRealization, k: int, m: int, rho: float) -> Hy
     _check_rho(rho)
     if not k <= m <= 2 * k:
         raise DimensionError(f"need k <= m <= 2k, got k={k}, m={m}")
-    svd = channel_svd(chan, k)
-    require_rank(svd.sigma, k)
-    return mixed_from_svd(chan, svd, m - k, rho)
+    return mixed_from_svd(chan, channel_svd(chan, k), m - k, rho)
 
 
 def mixed_from_svd(
@@ -169,9 +175,7 @@ def mixed_from_svd(
 ) -> HybridBeamformer:
     """The mixed design built from given SVD factors of ``chan``, with the
     strongest ``n_pairs`` streams on shifter pairs."""
-    f_rf, f_b = _mixed_rf(svd.v, n_pairs)
-    w_rf, w_b = _mixed_rf(svd.u, n_pairs)
-    return _p2p_design(chan, f_rf, f_b, w_rf, w_b, rho)
+    return _svd_design(chan, svd, lambda cols: _mixed_rf(cols, n_pairs), rho)
 
 
 def svd_phase_beamformer(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
@@ -229,19 +233,16 @@ def select_phase_shifters(
     """
     _check_rho(rho)
     svd = channel_svd(chan, k)
-    require_rank(svd.sigma, k)
-    n_r, n_t = chan.shape
     alpha = alpha_from_beta(policy.beta_percent)
-    keep_t = math.sqrt(n_t) * np.abs(svd.v) > alpha
-    keep_r = math.sqrt(n_r) * np.abs(svd.u) > alpha
-    if not (keep_t.any(axis=0).all() and keep_r.any(axis=0).all()):
-        raise DegenerateColumnError(
-            f"beta={policy.beta_percent}% disabled an entire RF column"
-        )
-    f_rf = np.where(keep_t, np.exp(1j * np.angle(svd.v)), 0.0)
-    w_rf = np.where(keep_r, np.exp(1j * np.angle(svd.u)), 0.0)
     eye = np.eye(k, dtype=complex)
-    return _p2p_design(chan, f_rf, eye, w_rf, eye, rho)
+
+    def masked_phases(cols):
+        keep = math.sqrt(cols.shape[0]) * np.abs(cols) > alpha
+        if not keep.any(axis=0).all():
+            raise DegenerateColumnError(f"beta={policy.beta_percent}% disabled an entire RF column")
+        return np.where(keep, np.exp(1j * np.angle(cols)), 0.0), eye
+
+    return _svd_design(chan, svd, masked_phases, rho)
 
 
 def _require_mu_shape(chan: ChannelRealization, k: int) -> None:
@@ -267,9 +268,7 @@ def mu_zf_hybrid(chan: ChannelRealization, k: int, rho: float) -> HybridBeamform
     """
     _check_rho(rho)
     _require_mu_shape(chan, k)
-    svd = channel_svd(chan, k)
-    require_rank(svd.sigma, k)
-    f_rf = np.exp(1j * np.angle(svd.v))
+    f_rf = np.exp(1j * np.angle(channel_svd(chan, k).v))
     f_b = _checked_inv(chan.h @ f_rf, "H F_RF")
     return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=np.full(k, 1.0 / k))
 

@@ -11,8 +11,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError
-from .linalg import SeededRng, SvdResult, _complex_gaussian, factored_svd, thin_svd
+from .errors import DimensionError, RankError
+from .linalg import (
+    SeededRng,
+    SvdResult,
+    _complex_gaussian,
+    factored_svd,
+    require_rank,
+    require_truncation,
+    thin_svd,
+)
 
 RAYLEIGH = "rayleigh"
 GEOMETRIC = "geometric"
@@ -166,15 +174,23 @@ def draw_channel(model: ChannelModel, rng: SeededRng) -> ChannelRealization:
 
 
 def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
-    """Rank-``m`` thin SVD of ``chan.h``, the one place a factorization is picked.
+    """Rank-``m`` thin SVD of ``chan.h``: the one place a factorization is
+    picked and the one place rank is decided.
 
-    A geometric draw with ``m`` at most its path count is factored from its
-    paths in O(n L^2) (``factored_svd`` on the draw's cached ``path_qr``,
-    so repeated calls share one QR per steering block); anything else,
-    including a rank-starved ``m > L`` that must fail the same way, takes
-    the dense ``thin_svd(chan.h, m)``.
+    Returns factors with ``m`` significant singular values or raises
+    RankError; ``m`` outside ``1..min(n_r, n_t)`` raises DimensionError.
+    A Rayleigh draw takes the dense ``thin_svd``.  A geometric draw is
+    factored from its paths in O(n L^2) (``factored_svd`` on its cached
+    ``path_qr``); its rank is at most L, so ``m > L`` raises before any
+    SVD, without forming ``h``.
     """
-    if chan.factors is not None and 1 <= m <= chan.factors[1].size:
+    if chan.factors is None:
+        svd = thin_svd(chan.h, m)
+    else:
+        require_truncation(m, chan.shape)
+        if m > chan.factors[1].size:
+            raise RankError(f"requested {m} streams but effective rank is smaller")
         qr_r, qr_t = chan.path_qr
-        return factored_svd(qr_r, chan.factors[1], qr_t, m)
-    return thin_svd(chan.h, m)
+        svd = factored_svd(qr_r, chan.factors[1], qr_t, m)
+    require_rank(svd.sigma, m)
+    return svd

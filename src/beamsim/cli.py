@@ -2,7 +2,7 @@
 
     beamsim run <config> [--out FILE] [--workers N]
     beamsim sweep <config> --param NAME --values V1,V2,... [--out FILE] [--workers N]
-    beamsim figure <id> [--trials N] [--seed S] [--out DIR] [--workers N]
+    beamsim figure <id> [<id> ...] [--trials N] [--seed S] [--out DIR] [--workers N]
     beamsim validate [--strict]
 
 BEAMSIM_SEED in the environment overrides the config seed (an explicit
@@ -103,11 +103,12 @@ def _cmd_figure(args) -> int:
     kwargs = {"trials": args.trials}
     if seed is not None:
         kwargs["master_seed"] = seed
-    configs = figure_preset(args.id, **kwargs)
+    presets = {fig_id: figure_preset(fig_id, **kwargs) for fig_id in args.ids}
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"{args.id}.csv")
-    _run_points(configs, args.workers, out_path)
-    print(f"wrote {out_path}", file=sys.stderr)
+    for fig_id, configs in presets.items():
+        out_path = os.path.join(args.out, f"{fig_id}.csv")
+        _run_points(configs, args.workers, out_path)
+        print(f"wrote {out_path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -138,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_fig = sub.add_parser("figure", help="run a built-in figure preset")
-    p_fig.add_argument("id", choices=FIGURE_IDS)
+    p_fig = sub.add_parser("figure", help="run built-in figure presets, one CSV each")
+    p_fig.add_argument("ids", nargs="+", choices=FIGURE_IDS, metavar="id")
     p_fig.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_fig.add_argument("--seed", type=int, default=None)
     p_fig.add_argument("--out", default=".")

@@ -88,6 +88,12 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def require_truncation(m: int, shape: tuple[int, int]) -> None:
+    """Raise DimensionError unless ``1 <= m <= min(shape)``."""
+    if not 1 <= m <= min(shape):
+        raise DimensionError(f"m={m} outside 1..min{shape} for a {shape[0]}x{shape[1]} matrix")
+
+
 def thin_svd(a, m: int) -> SvdResult:
     """Rank-``m`` thin SVD of a complex matrix.
 
@@ -100,10 +106,7 @@ def thin_svd(a, m: int) -> SvdResult:
         ``1 <= m <= min(a.shape)``.
     """
     a = as_complex_matrix(a, "a")
-    if not 1 <= m <= min(a.shape):
-        raise DimensionError(
-            f"m={m} outside 1..min{a.shape} for a {a.shape[0]}x{a.shape[1]} matrix"
-        )
+    require_truncation(m, a.shape)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .channel import ChannelRealization, channel_svd
 from .errors import DimensionError, SingularMatrixError
-from .linalg import require_rank
 
 if TYPE_CHECKING:
     from .beamformers import HybridBeamformer
@@ -31,7 +30,6 @@ class RateReport:
 
     rate_bits: float
     per_stream: np.ndarray
-    rho_db: float
     noise_cov_condition: float
 
 
@@ -78,21 +76,14 @@ def _gamma(mat: np.ndarray) -> float:
     return float(np.trace(mat.conj().T @ mat).real) / mat.shape[1]
 
 
-def _to_db(rho: float) -> float:
-    return 10.0 * math.log10(rho)
-
-
 def capacity_p2p(chan: ChannelRealization, k: int, rho: float) -> RateReport:
     """Point-to-point capacity with k streams: waterfilling over sigma_k^2."""
-    svd = channel_svd(chan, k)
-    require_rank(svd.sigma, k)
-    gains = svd.sigma**2
+    gains = channel_svd(chan, k).sigma ** 2
     p = waterfill(gains, rho)
     per = np.log2(1.0 + rho * p * gains)
     return RateReport(
         rate_bits=float(per.sum()),
         per_stream=per,
-        rho_db=_to_db(rho),
         noise_cov_condition=1.0,
     )
 
@@ -134,7 +125,6 @@ def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float
     return RateReport(
         rate_bits=float(per.sum()),
         per_stream=per,
-        rho_db=_to_db(rho),
         noise_cov_condition=cond,
     )
 
@@ -165,6 +155,5 @@ def sum_rate_mu(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) ->
     return RateReport(
         rate_bits=float(per.sum()),
         per_stream=per,
-        rho_db=_to_db(rho),
         noise_cov_condition=1.0,
     )

@@ -24,7 +24,6 @@ from .beamformers import (
 )
 from .channel import (
     GEOMETRIC,
-    RAYLEIGH,
     ChannelModel,
     ChannelRealization,
     channel_svd,
@@ -37,6 +36,7 @@ from .experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
     Scheme,
+    _rayleigh,
     result_row,
     run_experiment,
 )
@@ -109,10 +109,6 @@ def cyclic_jacobi_eigvalsh(a, tol: float = 1e-13, max_sweeps: int = 100) -> np.n
 
 def _random_complex(gen, rows, cols):
     return (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / math.sqrt(2.0)
-
-
-def _rayleigh_chan(n_t, n_r=None):
-    return ChannelModel(RAYLEIGH, n_t, n_r if n_r is not None else n_t)
 
 
 def check_svd_factors(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -240,7 +236,7 @@ def check_channel_generation(seed: int = DEFAULT_SEED) -> CheckResult:
         n = int(gen.integers(1, 200))
         worst_norm = max(worst_norm, abs(np.linalg.norm(steering_vector(phi, n)) - 1.0))
 
-    ray = _rayleigh_chan(32)
+    ray = _rayleigh(32)
     pooled = []
     for t in range(64):
         pooled.append(np.abs(draw_channel(ray, SeededRng(seed, t)).h) ** 2)
@@ -287,7 +283,7 @@ def check_channel_generation(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def _pooled_v_amplitudes(n: int, k: int, trials: int, seed: int) -> np.ndarray:
-    model = _rayleigh_chan(n)
+    model = _rayleigh(n)
     out = []
     for t in range(trials):
         chan = draw_channel(model, SeededRng(seed, t))
@@ -442,7 +438,7 @@ def check_phase_matching(seed: int = DEFAULT_SEED) -> CheckResult:
     ok = True
     margin = math.inf
     for _ in range(5):
-        chan = draw_channel(_rayleigh_chan(32), SeededRng(seed + 8, int(gen.integers(1 << 30))))
+        chan = draw_channel(_rayleigh(32), SeededRng(seed + 8, int(gen.integers(1 << 30))))
         svd = channel_svd(chan, 4)
         f_rf = np.exp(1j * np.angle(svd.v))
         n = chan.h.shape[1]
@@ -466,7 +462,7 @@ def check_gauge_invariance(seed: int = DEFAULT_SEED) -> CheckResult:
     worst = 0.0
     rho = 10.0 ** 3.4
     for _ in range(5):
-        chan = draw_channel(_rayleigh_chan(24), SeededRng(seed + 10, int(gen.integers(1 << 30))))
+        chan = draw_channel(_rayleigh(24), SeededRng(seed + 10, int(gen.integers(1 << 30))))
         for n_pairs in (0, 3):
             base = achievable_rate(chan, mixed_beamformer(chan, 3, 3 + n_pairs, rho), rho).rate_bits
             svd = channel_svd(chan, 3)
@@ -486,7 +482,7 @@ def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
         offs = []
         trials = 20 if n == 256 else 60
         for t in range(trials):
-            chan = draw_channel(_rayleigh_chan(n), SeededRng(seed + 11 + n, t))
+            chan = draw_channel(_rayleigh(n), SeededRng(seed + 11 + n, t))
             svd = channel_svd(chan, 4)
             f_rf = np.exp(1j * np.angle(svd.v))
             g = svd.v.conj().T @ f_rf / math.sqrt(n)
@@ -513,23 +509,19 @@ def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def check_quantization_bound(
-    seed: int = DEFAULT_SEED, quantize_fn=quantize_rf, trials: int = 150
-) -> CheckResult:
+def check_quantization_bound(seed: int = DEFAULT_SEED, trials: int = 150) -> CheckResult:
     """Measured loss from digital grids stays below the closed-form bound."""
     rho = 10.0 ** 3.4
-    model = _rayleigh_chan(64)
-    gaps = {}
-    for bits in (2, 3, 4):
-        diffs = []
-        for t in range(trials):
-            chan = draw_channel(model, SeededRng(seed + 12, t))
-            analog = svd_phase_beamformer(chan, 4, rho)
-            digital = quantize_fn(chan, analog, PhaseResolution(bits), rho)
-            r_analog = achievable_rate(chan, analog, rho).rate_bits
-            r_digital = achievable_rate(chan, digital, rho).rate_bits
-            diffs.append(r_analog - r_digital)
-        gaps[bits] = float(np.mean(diffs))
+    model = _rayleigh(64)
+    diffs = {bits: [] for bits in (2, 3, 4)}
+    for t in range(trials):
+        chan = draw_channel(model, SeededRng(seed + 12, t))
+        analog = svd_phase_beamformer(chan, 4, rho)
+        r_analog = achievable_rate(chan, analog, rho).rate_bits
+        for bits, out in diffs.items():
+            digital = quantize_rf(chan, analog, PhaseResolution(bits), rho)
+            out.append(r_analog - achievable_rate(chan, digital, rho).rate_bits)
+    gaps = {bits: float(np.mean(out)) for bits, out in diffs.items()}
     passed = all(
         gaps[bits] <= closed_form.quant_gap_bound(4, bits) + 0.5 for bits in (2, 3, 4)
     )
@@ -550,7 +542,7 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     eig_form = float(np.sum(np.log2(1.0 + np.maximum(np.linalg.eigvalsh(psd), 0.0))))
     det_vs_eig = abs(float(logdet) / math.log(2.0) - eig_form)
 
-    chan = draw_channel(_rayleigh_chan(16), SeededRng(seed + 14, 0))
+    chan = draw_channel(_rayleigh(16), SeededRng(seed + 14, 0))
     rho = 10.0 ** 3.4
     bf = svd_phase_beamformer(chan, 4, rho)
     base = achievable_rate(chan, bf, rho).rate_bits
@@ -568,7 +560,7 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     dominated = True
     for builder in (svd_phase_beamformer, double_rf_beamformer):
         for t in range(5):
-            c = draw_channel(_rayleigh_chan(12), SeededRng(seed + 15, t))
+            c = draw_channel(_rayleigh(12), SeededRng(seed + 15, t))
             cap = capacity_p2p(c, 3, rho).rate_bits
             rate = achievable_rate(c, builder(c, 3, rho), rho).rate_bits
             dominated = dominated and rate <= cap + 1e-9
@@ -616,7 +608,7 @@ def check_closed_form_web(seed: int = DEFAULT_SEED) -> CheckResult:
 def _tiny_config(seed: int) -> ExperimentConfig:
     return ExperimentConfig(
         name="determinism_probe",
-        channel=_rayleigh_chan(16),
+        channel=_rayleigh(16),
         k=4,
         m=4,
         rho_db=34.0,
@@ -669,7 +661,7 @@ def check_gap_convergence(seed: int = DEFAULT_SEED, trials: int = 200) -> CheckR
     excluded = 0
     for n in (32, 64, 128, 256, 512):
         config = replace(
-            _tiny_config(seed + 16), name="convergence_probe", channel=_rayleigh_chan(n), trials=trials
+            _tiny_config(seed + 16), name="convergence_probe", channel=_rayleigh(n), trials=trials
         )
         summary = run_experiment(config).summary
         devs.append(abs(summary.mean_gap - target))

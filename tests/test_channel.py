@@ -253,13 +253,20 @@ class TestChannelSvd:
         with pytest.raises(RankError):
             require_rank(thin_svd(chan.h, 3).sigma, 3)
 
-    def test_more_streams_than_paths_take_dense_path(self):
+    def test_more_streams_than_paths_raise_without_forming_h(self):
         chan = draw_channel(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), SeededRng(8, 2))
-        dense, fallback = thin_svd(chan.h, 3), channel_svd(chan, 3)
-        for name in ("u", "sigma", "v"):
-            assert np.array_equal(getattr(fallback, name), getattr(dense, name))
+        with pytest.raises(RankError, match="requested 3 streams but effective rank is smaller"):
+            channel_svd(chan, 3)
         with pytest.raises(RankError):
             capacity_p2p(chan, 3, 100.0)
+        assert "h" not in vars(chan)
+
+    @pytest.mark.parametrize("m", [0, 17])
+    def test_out_of_range_m_is_a_dimension_error(self, m):
+        chan = draw_channel(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), SeededRng(8, 2))
+        with pytest.raises(DimensionError, match=rf"m={m} outside 1\.\.min\(16, 16\)"):
+            channel_svd(chan, m)
+        assert "h" not in vars(chan)
 
     def test_rayleigh_is_bitwise_dense(self):
         chan = draw_channel(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))

@@ -236,6 +236,14 @@ class TestFigure:
         main(["figure", "fig2", "--trials", "2", "--seed", "2", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "fig2.csv").read_text() == (tmp_path / "b" / "fig2.csv").read_text()
 
+    def test_several_ids_match_single_runs(self, tmp_path):
+        opts = ["--trials", "2", "--seed", "5", "--out"]
+        assert main(["figure", "fig2", "fig7", *opts, str(tmp_path / "both")]) == 0
+        for fig_id in ("fig2", "fig7"):
+            assert main(["figure", fig_id, *opts, str(tmp_path / fig_id)]) == 0
+            single = (tmp_path / fig_id / f"{fig_id}.csv").read_bytes()
+            assert (tmp_path / "both" / f"{fig_id}.csv").read_bytes() == single
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):

@@ -21,7 +21,7 @@ from beamsim import (
     run_experiment,
     run_trial,
 )
-from beamsim import experiments
+from beamsim import channel, experiments, linalg
 from beamsim.configio import parse_config_text, serialize_config
 from beamsim.experiments import SCHEMES, TrialRecord, analytic_gap, result_row
 from beamsim.linalg import blas_thread_control
@@ -284,6 +284,20 @@ class TestGeometricFromFactors:
         assert not rec.degenerate
         assert "h" not in vars(drawn[0])
         assert qrs == [(64, 5), (64, 5)]
+
+    def test_rank_starved_trial_forms_no_h_and_runs_no_svd(self, monkeypatch):
+        # k > L is refused from the path count alone
+        drawn, svds = [], []
+        real_draw, real_svd = experiments.draw_channel, linalg.thin_svd
+        monkeypatch.setattr(
+            experiments, "draw_channel", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
+        )
+        for module in (channel, linalg):
+            monkeypatch.setattr(module, "thin_svd", lambda *a: svds.append(a) or real_svd(*a))
+        rec = run_trial(geometric_config(Scheme("svd_phase"), 256, 2, 4), 0)
+        assert rec.degenerate
+        assert "h" not in vars(drawn[0])
+        assert svds == []
 
     def test_records_match_dense_oracle(self, monkeypatch):
         configs = [

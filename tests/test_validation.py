@@ -35,9 +35,10 @@ def faulty_quantize(chan, bf, res, rho):
     return _p2p_design(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
 
 
-def test_quantization_bound_check_catches_injected_fault():
+def test_quantization_bound_check_catches_injected_fault(monkeypatch):
     good = validation.check_quantization_bound(DEFAULT_SEED, trials=40)
-    bad = validation.check_quantization_bound(DEFAULT_SEED, quantize_fn=faulty_quantize, trials=40)
+    monkeypatch.setattr(validation, "quantize_rf", faulty_quantize)
+    bad = validation.check_quantization_bound(DEFAULT_SEED, trials=40)
     assert good.passed
     assert not bad.passed
 
