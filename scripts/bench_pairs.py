@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -77,10 +78,15 @@ def run_once(tree: Path, workload: str, seed: int | None = None, trace: int = 0)
 
 
 def recorded_environment(tree: Path, workload: str, seed: int) -> dict:
-    """The machine, Python, numpy and BLAS a run in ``tree`` recorded."""
+    """The machine, Python, numpy and BLAS a run in ``tree`` recorded, and
+    whether PYTHONDONTWRITEBYTECODE is set here: every run inherits it, and
+    without written bytecode each run's ``setup_s`` includes compiling
+    beamsim's source."""
     report = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     environment = json.loads(report.read_text())["environment"]
-    return {k: environment.get(k) for k in ENVIRONMENT_KEYS}
+    recorded = {k: environment.get(k) for k in ENVIRONMENT_KEYS}
+    recorded["python_dont_write_bytecode"] = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    return recorded
 
 
 def metric(result: dict, name: str) -> float:

@@ -59,7 +59,6 @@ from .experiments import (
 from .linalg import (
     SeededRng,
     SvdResult,
-    erf,
     ks_statistic,
     rayleigh_cdf,
     sample_complex_gaussian,
@@ -72,6 +71,5 @@ from .rates import (
     sum_rate_mu,
     waterfill,
 )
-from .validation import run_validation
 
 __version__ = "0.1.0"

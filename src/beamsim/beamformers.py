@@ -18,9 +18,9 @@ import numpy as np
 
 from .channel import ChannelRealization, channel_svd
 from .closed_form import alpha_from_beta
-from .errors import DegenerateColumnError, DimensionError, SingularMatrixError
+from .errors import DegenerateColumnError, DimensionError
 from .linalg import SvdResult
-from .rates import COND_LIMIT, _gamma, waterfill
+from .rates import _checked_condition, _gamma, waterfill
 
 @dataclass(frozen=True)
 class PhaseResolution:
@@ -254,9 +254,7 @@ def _require_mu_shape(chan: ChannelRealization, k: int) -> None:
 
 
 def _checked_inv(a: np.ndarray, name: str) -> np.ndarray:
-    cond = float(np.linalg.cond(a))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(f"{name} condition number {cond:.3e}")
+    _checked_condition(a, name)
     return np.linalg.inv(a)
 
 

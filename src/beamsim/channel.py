@@ -17,13 +17,15 @@ from .linalg import (
     SvdResult,
     _complex_gaussian,
     factored_svd,
-    require_rank,
     require_truncation,
     thin_svd,
 )
 
 RAYLEIGH = "rayleigh"
 GEOMETRIC = "geometric"
+
+# sigma_m at or below this fraction of sigma_1 counts as rank-deficient
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -184,13 +186,14 @@ def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
     ``path_qr``); its rank is at most L, so ``m > L`` raises before any
     SVD, without forming ``h``.
     """
+    svd = None
     if chan.factors is None:
         svd = thin_svd(chan.h, m)
     else:
         require_truncation(m, chan.shape)
-        if m > chan.factors[1].size:
-            raise RankError(f"requested {m} streams but effective rank is smaller")
-        qr_r, qr_t = chan.path_qr
-        svd = factored_svd(qr_r, chan.factors[1], qr_t, m)
-    require_rank(svd.sigma, m)
+        if m <= chan.factors[1].size:
+            qr_r, qr_t = chan.path_qr
+            svd = factored_svd(qr_r, chan.factors[1], qr_t, m)
+    if svd is None or svd.sigma[m - 1] <= RANK_TOL * svd.sigma[0]:
+        raise RankError(f"requested {m} streams but effective rank is smaller")
     return svd

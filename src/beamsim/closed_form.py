@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DimensionError
-from .linalg import erf
 
 _LOG2_QUARTER_PI = math.log2(math.pi / 4.0)
 
@@ -74,7 +73,7 @@ def truncated_rayleigh_mean(alpha: float) -> float:
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
     half_sqrt_pi = math.sqrt(math.pi) / 2.0
-    return half_sqrt_pi + alpha * math.exp(-alpha * alpha) - half_sqrt_pi * erf(alpha)
+    return half_sqrt_pi + alpha * math.exp(-alpha * alpha) - half_sqrt_pi * math.erf(alpha)
 
 
 def selection_gap(k: int, beta_percent: float) -> float:

@@ -188,6 +188,15 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not math.isfinite(self.rho_db):
             raise ConfigError("rho_db must be finite")
+        try:
+            rho = 10.0 ** (self.rho_db / 10.0)
+        except OverflowError:
+            rho = math.inf
+        if not 0.0 < rho < math.inf:
+            raise ConfigError(
+                f"rho_db = {self.rho_db:g} is out of range: its linear SNR"
+                " 10 ** (rho_db / 10) must be positive and finite"
+            )
         lo, hi = (f * self.k for f in self.scheme.spec.m_per_k)
         if not lo <= self.m <= hi:
             raise ConfigError(

@@ -2,8 +2,8 @@
 
 Everything downstream (channel draws, beamformer construction, rate
 evaluation) is built on the primitives here: a gauge-fixed thin SVD,
-counter-based random streams, a handle on the BLAS thread count, and a
-couple of scalar helpers.
+counter-based random streams, a handle on the BLAS thread count, and the
+CDFs and KS distance that sampled laws are checked with.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, RankError
+from .errors import ConvergenceError, DimensionError
 
 _MASK64 = (1 << 64) - 1
 
@@ -27,8 +27,8 @@ _BLAS_THREAD_SYMBOLS = (
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
-# sigma_k at or below this fraction of sigma_1 counts as rank-deficient
-RANK_TOL = 1e-9
+# the Rayleigh scale of |z| and the standard deviation of Re z, z ~ CN(0, 1)
+_CN_SCALE = 1.0 / math.sqrt(2.0)
 
 # entries within this relative distance of a column's largest magnitude tie
 # for the gauge anchor, so equal-magnitude columns anchor on their first entry
@@ -43,8 +43,7 @@ class SeededRng:
     sequences on any platform, and distinct stream_ids give statistically
     independent streams.  Each ``generator()`` call restarts the stream
     from its origin, so a SeededRng can be shared freely between workers;
-    derive per-task streams with ``stream()`` instead of sharing generator
-    state.
+    give each task its own ``stream_id`` instead of sharing generator state.
     """
 
     master_seed: int
@@ -55,9 +54,6 @@ class SeededRng:
             [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
         return np.random.Generator(np.random.Philox(key=key))
-
-    def stream(self, stream_id: int) -> "SeededRng":
-        return SeededRng(self.master_seed, stream_id)
 
 
 @dataclass(frozen=True)
@@ -181,17 +177,6 @@ def blas_thread_control():
     return None
 
 
-def require_rank(sigma: np.ndarray, k: int) -> None:
-    """Raise RankError unless the first k singular values are all significant."""
-    if k > sigma.size or sigma[k - 1] <= RANK_TOL * sigma[0]:
-        raise RankError(f"requested {k} streams but effective rank is smaller")
-
-
-def erf(x: float) -> float:
-    """Gauss error function; odd symmetry holds exactly by construction."""
-    return math.copysign(math.erf(abs(x)), x)
-
-
 def _complex_gaussian(gen: np.random.Generator, n: int) -> np.ndarray:
     z = gen.standard_normal(2 * n)
     return (z[0::2] + 1j * z[1::2]) / math.sqrt(2.0)
@@ -205,33 +190,27 @@ def sample_complex_gaussian(rng: SeededRng, n: int) -> np.ndarray:
 
 
 def ks_statistic(samples, cdf) -> float:
-    """Sup-norm distance between the empirical CDF of ``samples`` and ``cdf``.
-
-    ``cdf`` may be vectorized over ndarrays or a plain scalar function.
-    """
+    """Sup-norm distance between the empirical CDF of ``samples`` and ``cdf``,
+    which is called once on the sorted samples as an ndarray."""
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if n == 0:
         raise ValueError("samples must be nonempty")
-    try:
-        f = np.asarray(cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.fromiter((cdf(t) for t in x), dtype=float, count=n)
+    f = np.asarray(cdf(x), dtype=float)
     steps = np.arange(n + 1) / n
     d_hi = float(np.max(steps[1:] - f))
     d_lo = float(np.max(f - steps[:-1]))
     return max(d_hi, d_lo, 0.0)
 
 
-def rayleigh_cdf(x, sigma: float = 1.0 / math.sqrt(2.0)):
-    """CDF of a Rayleigh variable with scale ``sigma``."""
+def rayleigh_cdf(x):
+    """CDF of |z| for z ~ CN(0, 1): a Rayleigh variable with scale 1/sqrt(2)."""
     x = np.asarray(x, dtype=float)
-    return np.where(x <= 0.0, 0.0, 1.0 - np.exp(-x * x / (2.0 * sigma * sigma)))
+    return np.where(x <= 0.0, 0.0, 1.0 - np.exp(-x * x / (2.0 * _CN_SCALE * _CN_SCALE)))
 
 
-def normal_cdf(x, sigma: float = 1.0):
-    """CDF of a zero-mean normal with standard deviation ``sigma``."""
+def normal_cdf(x):
+    """CDF of Re z for z ~ CN(0, 1): a zero-mean normal with standard
+    deviation 1/sqrt(2)."""
     x = np.asarray(x, dtype=float)
-    return 0.5 * (1.0 + np.vectorize(erf)(x / (sigma * math.sqrt(2.0))))
+    return 0.5 * (1.0 + np.vectorize(math.erf)(x / (_CN_SCALE * math.sqrt(2.0))))

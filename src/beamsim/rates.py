@@ -33,11 +33,12 @@ class RateReport:
     noise_cov_condition: float
 
 
-def waterfill(gains, rho: float, budget: float = 1.0) -> np.ndarray:
-    """Optimal power split over parallel channels with power gains ``gains``.
+def waterfill(gains, rho: float) -> np.ndarray:
+    """Optimal split of a unit power budget over parallel channels with power
+    gains ``gains``.
 
-    Returns p with p_i = max(0, mu - 1/(rho g_i)) and sum(p) = budget,
-    computed by the exact sorted water-level formula (no iteration).
+    Returns p with p_i = max(0, mu - 1/(rho g_i)) and sum(p) = 1, computed
+    by the exact sorted water-level formula (no iteration).
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -46,8 +47,6 @@ def waterfill(gains, rho: float, budget: float = 1.0) -> np.ndarray:
         raise ValueError("gains must be finite and nonnegative")
     if not rho > 0.0:
         raise ValueError("rho must be positive")
-    if not budget > 0.0:
-        raise ValueError("budget must be positive")
     if not np.any(g > 0.0):
         raise ValueError("waterfilling needs at least one positive gain")
 
@@ -62,13 +61,22 @@ def waterfill(gains, rho: float, budget: float = 1.0) -> np.ndarray:
     csum = np.cumsum(shifted)
     active = shifted.size
     while active > 1:
-        level = (budget + csum[active - 1]) / active
+        level = (1.0 + csum[active - 1]) / active
         if level > shifted[active - 1]:
             break
         active -= 1
-    level = (budget + csum[active - 1]) / active
+    level = (1.0 + csum[active - 1]) / active
     p[idx[order[:active]]] = level - shifted[:active]
     return p
+
+
+def _checked_condition(a: np.ndarray, name: str) -> float:
+    """Condition number of ``a``; SingularMatrixError, naming ``name``, when it
+    is not finite or exceeds COND_LIMIT."""
+    cond = float(np.linalg.cond(a))
+    if not math.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularMatrixError(f"{name} condition number {cond:.3e}")
+    return cond
 
 
 def _gamma(mat: np.ndarray) -> float:
@@ -110,9 +118,7 @@ def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float
 
     gamma_t, gamma_r = _gamma(f), _gamma(w)
     rn = (w.conj().T @ w) / gamma_r
-    cond = float(np.linalg.cond(rn))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(f"noise covariance condition number {cond:.3e}")
+    cond = _checked_condition(rn, "noise covariance")
     try:
         lchol = np.linalg.cholesky(rn)
     except np.linalg.LinAlgError as exc:

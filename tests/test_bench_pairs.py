@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py: the summary step of a BENCH file, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,17 @@ def test_pairs_alternate_which_side_runs_first():
         ("change", "parent"),
         ("parent", "change"),
     ]
+
+
+@pytest.mark.parametrize("value, recorded", [("1", True), ("", False), (None, False)])
+def test_environment_records_whether_bytecode_is_written(tmp_path, monkeypatch, value, recorded):
+    report = tmp_path / "perfbench" / "out" / "fanout-seed2-trace0.json"
+    report.parent.mkdir(parents=True)
+    report.write_text(json.dumps({"environment": {"nproc": 2, "numpy": "2.4.6"}}))
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    environment = bench_pairs.recorded_environment(tmp_path, "fanout", 2)
+    assert environment["python_dont_write_bytecode"] is recorded
+    assert environment["nproc"] == 2 and environment["blas"] is None

@@ -207,14 +207,22 @@ class TestSweepDomainErrors:
             (GOOD.replace("kind = rayleigh", "kind = geometric\nl_paths = 2"), "l_paths", "2,20", "20"),
             (GOOD.replace("kind = svd_phase", "kind = quantized\nbits = 2"), "bits", "2,40", "40"),
             (GOOD.replace("kind = svd_phase", "kind = quantized\nbits = 2"), "beta_percent", "10", "10"),
+            (GOOD, "rho_db", "30,4000", "4000"),
+            (GOOD, "rho_db", "30,-4000", "-4000"),
         ],
-        ids=["l_paths_above_n", "bits_above_16", "beta_on_quantized"],
+        ids=["l_paths_above_n", "bits_above_16", "beta_on_quantized", "rho_overflows", "rho_underflows"],
     )
     def test_out_of_domain_value_exits_2(self, tmp_path, capsys, text, param, values, bad):
         path = tmp_path / "exp.ini"
         path.write_text(text)
         assert main(["sweep", str(path), "--param", param, "--values", values]) == 2
         assert f"{param} = {bad}" in capsys.readouterr().err
+
+    def test_run_with_rho_db_out_of_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(GOOD.replace("rho_db = 20.0", "rho_db = 4000"))
+        assert main(["run", str(path)]) == 2
+        assert "rho_db = 4000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, config_file, workers):

@@ -11,7 +11,6 @@ from beamsim import (
     ConvergenceError,
     DimensionError,
     SeededRng,
-    erf,
     ks_statistic,
     rayleigh_cdf,
     sample_complex_gaussian,
@@ -111,27 +110,30 @@ class TestThinSvd:
 
 
 class TestErf:
+    """The properties closed_form and normal_cdf rely on in math.erf,
+    exact odd symmetry included."""
+
     def test_zero(self):
-        assert erf(0.0) == 0.0
+        assert math.erf(0.0) == 0.0
 
     def test_one_vs_series_oracle(self):
-        assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-7)
-        assert erf(1.0) == pytest.approx(erf_series(1.0), abs=1e-12)
+        assert math.erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-7)
+        assert math.erf(1.0) == pytest.approx(erf_series(1.0), abs=1e-12)
 
     def test_saturation(self):
-        assert erf(6.0) == pytest.approx(1.0, abs=1e-7)
+        assert math.erf(6.0) == pytest.approx(1.0, abs=1e-7)
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.5, 2.5, 3.5, 4.0])
     def test_against_series(self, x):
-        assert erf(x) == pytest.approx(erf_series(x), abs=1e-12)
+        assert math.erf(x) == pytest.approx(erf_series(x), abs=1e-12)
 
     @given(st.floats(-6, 6, allow_nan=False))
     def test_odd_exact(self, x):
-        assert erf(-x) == -erf(x)
+        assert math.erf(-x) == -math.erf(x)
 
     def test_monotone_and_bounded(self):
         grid = np.linspace(-6, 6, 10_000)
-        vals = np.array([erf(float(x)) for x in grid])
+        vals = np.array([math.erf(float(x)) for x in grid])
         assert np.all(np.diff(vals) >= 0)
         assert np.all(np.abs(vals) <= 1.0)
 
@@ -157,7 +159,7 @@ class TestComplexGaussian:
 
     def test_real_part_ks(self):
         z = sample_complex_gaussian(SeededRng(123, 2), 100_000)
-        d = ks_statistic(z.real, lambda x: normal_cdf(x, sigma=1 / math.sqrt(2)))
+        d = ks_statistic(z.real, normal_cdf)
         assert d <= 0.01
 
     def test_n_must_be_positive(self):
@@ -182,10 +184,6 @@ class TestKsStatistic:
         samples = np.sqrt(-np.log(1 - u))
         assert ks_statistic(samples, rayleigh_cdf) <= 0.02
 
-    def test_scalar_cdf_accepted(self):
-        d = ks_statistic([0.5, 1.0], lambda t: min(max(t, 0.0), 1.0))
-        assert 0.0 <= d <= 1.0
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_statistic([], rayleigh_cdf)
@@ -193,14 +191,16 @@ class TestKsStatistic:
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=50))
     @settings(deadline=None)
     def test_range(self, xs):
-        d = ks_statistic(np.array(xs), lambda x: normal_cdf(x, sigma=1.0))
+        d = ks_statistic(np.array(xs), normal_cdf)
         assert 0.0 <= d <= 1.0
 
 
 class TestSeededRng:
     def test_stream_derivation(self):
-        rng = SeededRng(77)
-        assert rng.stream(5) == SeededRng(77, 5)
+        assert SeededRng(77) == SeededRng(77, 0)
+        draw = SeededRng(77, 5).generator().standard_normal(4)
+        assert np.array_equal(draw, SeededRng(77, 5).generator().standard_normal(4))
+        assert not np.array_equal(draw, SeededRng(77, 6).generator().standard_normal(4))
 
     def test_platform_stable_first_draws(self):
         # Philox keyed streams are fixed by (seed, stream); pin a value so

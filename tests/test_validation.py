@@ -1,6 +1,10 @@
 """The self-check suite itself: all green, mutation-sensitive, seed-robust."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +145,13 @@ def test_jacobi_eigensolver_matches_numpy():
         ours = validation.cyclic_jacobi_eigvalsh(herm)
         ref = np.sort(np.linalg.eigvalsh(herm))[::-1]
         np.testing.assert_allclose(ours, ref, atol=1e-10 * max(1.0, np.linalg.norm(herm)))
+
+
+def test_import_beamsim_leaves_validate_suite_unloaded():
+    src = str(Path(validation.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import beamsim, sys; print('beamsim.validation' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
