@@ -6,7 +6,7 @@ Both models are normalized so E[||H||^2] = n_r * n_t.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -79,6 +79,8 @@ class ChannelRealization:
     paths: tuple[PathComponent, ...] | None = None
     factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     h: InitVar[np.ndarray | None] = None
+    # m -> this draw's rank-m SvdResult, filled by channel_svd
+    _svds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self, h):
         if h is None:
@@ -185,8 +187,14 @@ def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
     factored from its paths in O(n L^2) (``factored_svd`` on its cached
     ``path_qr``); its rank is at most L, so ``m > L`` raises before any
     SVD, without forming ``h``.
+
+    Each draw is factored once per ``m``: later calls return the same
+    result, whose ``u``, ``sigma`` and ``v`` are read-only because every
+    consumer of the draw shares them.
     """
-    svd = None
+    svd = chan._svds.get(m)
+    if svd is not None:
+        return svd
     if chan.factors is None:
         svd = thin_svd(chan.h, m)
     else:
@@ -196,4 +204,7 @@ def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
             svd = factored_svd(qr_r, chan.factors[1], qr_t, m)
     if svd is None or svd.sigma[m - 1] <= RANK_TOL * svd.sigma[0]:
         raise RankError(f"requested {m} streams but effective rank is smaller")
+    for a in (svd.u, svd.sigma, svd.v):
+        a.flags.writeable = False
+    chan._svds[m] = svd
     return svd

@@ -4,8 +4,9 @@ A trial draws one channel on its own random stream (master_seed,
 trial_index), builds the configured beamformer and measures capacity and
 achieved rate.  Trials that cannot be completed (stream count above the
 channel rank, selection killing an RF column, a singular inversion, an
-SVD that does not converge) are recorded as degenerate and excluded from
-the means but kept in the accounting, never silently dropped.  Summaries
+SVD or eigensolver that does not converge, a capacity or rate that is not
+finite) are recorded as degenerate and excluded from the means but kept
+in the accounting, never silently dropped.  Summaries
 depend only on the config, not on worker count or scheduling.
 """
 
@@ -280,7 +281,15 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
             bf = spec.build(chan, config, rho)
             rate = achievable_rate(chan, bf, rho).rate_bits
         inactive = _inactive_fraction(bf) if spec.reports_inactive else math.nan
-    except (RankError, DegenerateColumnError, SingularMatrixError, ConvergenceError):
+    except (
+        RankError,
+        DegenerateColumnError,
+        SingularMatrixError,
+        ConvergenceError,
+        np.linalg.LinAlgError,
+    ):
+        capacity = rate = math.nan
+    if not (math.isfinite(capacity) and math.isfinite(rate)):
         return TrialRecord(trial_index, math.nan, math.nan, math.nan, math.nan, True)
     return TrialRecord(trial_index, capacity, rate, capacity - rate, inactive, False)
 

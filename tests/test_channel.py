@@ -20,6 +20,7 @@ from beamsim import (
     steering_vector,
     thin_svd,
 )
+from beamsim import channel, linalg
 from beamsim.errors import DimensionError
 
 
@@ -264,6 +265,35 @@ class TestChannelSvd:
         with pytest.raises(DimensionError, match=rf"m={m} outside 1\.\.min\(16, 16\)"):
             channel_svd(chan, m)
         assert "h" not in vars(chan)
+
+    @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
+    def test_each_m_is_factored_once_per_draw(self, kind, monkeypatch):
+        model = ChannelModel(kind, 24, 24, l_paths=5 if kind == GEOMETRIC else None)
+        chan = draw_channel(model, SeededRng(8, 7))
+        calls = []
+        for module in (channel, linalg):
+            real = module.thin_svd
+            monkeypatch.setattr(
+                module, "thin_svd", lambda *a, real=real: calls.append(a) or real(*a)
+            )
+        first = channel_svd(chan, 3)
+        assert channel_svd(chan, 3) is first
+        assert len(calls) == 1
+        assert channel_svd(chan, 2) is not first
+        assert channel_svd(chan, 2) is channel_svd(chan, 2)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", ["u", "sigma", "v"])
+    @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
+    def test_shared_factors_are_read_only(self, kind, name):
+        model = ChannelModel(kind, 16, 16, l_paths=5 if kind == GEOMETRIC else None)
+        a = getattr(channel_svd(draw_channel(model, SeededRng(8, 3)), 2), name)
+        before = a.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+        assert np.array_equal(a, before)
 
     def test_rayleigh_is_bitwise_dense(self):
         chan = draw_channel(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))

@@ -56,6 +56,18 @@ class TestRun:
         assert rows[0]["experiment"] == "cli_demo"
         assert float(rows[0]["mean_rate"]) > 0
 
+    # rho * p * gains overflows at 3080 dB and 1 / (rho g) at -3200 dB: every
+    # trial is excluded, none raises
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rho_db", ["3080", "-3200"])
+    def test_non_finite_trials_are_excluded(self, rho_db, tmp_path, capsys):
+        path = tmp_path / "extreme.ini"
+        path.write_text(GOOD.replace("rho_db = 20.0", f"rho_db = {rho_db}"))
+        assert main(["run", str(path)]) == 0
+        row = read_rows(capsys.readouterr().out)[0]
+        assert row["excluded"] == row["trials"] == "4"
+        assert row["mean_rate"] == row["mean_gap"] == ""
+
     def test_out_file(self, config_file, tmp_path):
         out = tmp_path / "res.csv"
         assert main(["run", str(config_file), "--out", str(out)]) == 0

@@ -400,6 +400,48 @@ class TestSchemeTable:
         assert set(SPEC_CASES) == set(SCHEMES)
 
 
+def count_factorizations(monkeypatch) -> list[str]:
+    """Record the name of every channel factorization a trial runs: a
+    geometric draw's ``factored_svd`` and the ``thin_svd`` of its core, or a
+    Rayleigh draw's dense ``thin_svd``."""
+    calls = []
+    for module, name in ((channel, "thin_svd"), (linalg, "thin_svd"), (channel, "factored_svd")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    return calls
+
+
+class TestFactorOnce:
+    @pytest.mark.parametrize("kind", list(SCHEMES))
+    def test_one_thin_svd_per_rayleigh_trial(self, kind, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        res = run_experiment(config(scheme=SPEC_CASES[kind][0], trials=3))
+        assert res.summary.excluded_count == 0
+        # the digital ZF baseline inverts H H^H and factors nothing
+        assert calls == ([] if kind == "mu_zf_digital" else ["thin_svd"] * 3)
+
+    @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
+    def test_one_factorization_per_geometric_trial(self, scheme, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        res = run_experiment(geometric_config(scheme, 64, 5, 4, trials=3))
+        assert res.summary.excluded_count == 0
+        assert calls == ["factored_svd", "thin_svd"] * 3
+
+    @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
+    def test_rank_starved_draw_is_excluded(self, scheme, monkeypatch):
+        gen = np.random.default_rng(1)
+        h = np.outer(gen.standard_normal(16), gen.standard_normal(16)).astype(complex)
+        monkeypatch.setattr(
+            experiments, "draw_channel", lambda model, rng: ChannelRealization(model, h=h)
+        )
+        calls = count_factorizations(monkeypatch)
+        rec = run_trial(config(scheme=scheme, trials=1), 0)
+        assert rec.degenerate and math.isnan(rec.rate_bits)
+        assert calls == ["thin_svd"]
+
+
 class TestSweeps:
     def test_n_sets_both_sides(self):
         cfg = config(sweep=SweepAxis("n", (8.0, 16.0)))
