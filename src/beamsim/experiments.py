@@ -6,8 +6,8 @@ achieved rate.  Trials that cannot be completed (stream count above the
 channel rank, selection killing an RF column, a singular inversion, an
 SVD or eigensolver that does not converge, a capacity or rate that is not
 finite) are recorded as degenerate and excluded from the means but kept
-in the accounting, never silently dropped.  Summaries
-depend only on the config, not on worker count or scheduling.
+in the accounting, never silently dropped.  Summaries depend only on the
+config, not on worker count or scheduling.
 """
 
 from __future__ import annotations

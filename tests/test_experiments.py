@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsim import (
     ChannelModel,
@@ -28,7 +30,9 @@ from beamsim.linalg import blas_thread_control
 from beamsim import mixed_gap, mu_zf_gap, quant_gap_bound, selection_gap, svd_phase_gap
 
 
-def config(scheme=Scheme("svd_phase"), n=16, k=4, m=None, trials=30, seed=99, **kw):
+def config(
+    scheme=Scheme("svd_phase"), n=16, k=4, m=None, trials=30, seed=99, rho_db=34.0, **kw
+):
     if m is None:
         m = 2 * k if scheme.kind == "double_rf" else k
     n_r = k if scheme.kind.startswith("mu_") else n
@@ -37,7 +41,7 @@ def config(scheme=Scheme("svd_phase"), n=16, k=4, m=None, trials=30, seed=99, **
         channel=ChannelModel(RAYLEIGH, n, n_r),
         k=k,
         m=m,
-        rho_db=34.0,
+        rho_db=rho_db,
         scheme=scheme,
         trials=trials,
         master_seed=seed,
@@ -356,6 +360,19 @@ class TestDegenerateAccounting:
         assert res.summary.trial_count + res.summary.excluded_count == 60
         included = [r for r in res.records if not r.degenerate]
         assert all(math.isfinite(r.rate_bits) for r in included)
+
+    # the whole rho_db range ExperimentConfig accepts, overflowing ends included
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(SCHEMES))
+    @given(rho_db=st.floats(-3230.0, 3080.0))
+    @settings(deadline=None, max_examples=25)
+    def test_every_snr_gives_a_finite_or_excluded_record(self, kind, rho_db):
+        rec = run_trial(config(scheme=SPEC_CASES[kind][0], n=8, rho_db=rho_db, trials=1), 0)
+        values = (rec.capacity_bits, rec.rate_bits, rec.gap_bits)
+        if rec.degenerate:
+            assert all(math.isnan(v) for v in values)
+        else:
+            assert all(math.isfinite(v) for v in values)
 
     def test_svd_failure_excludes_trial(self, monkeypatch):
         def fail(*args, **kwargs):
