@@ -9,11 +9,12 @@ Each commit is exported with ``git archive`` into ``--workdir`` (no build
 output, no stale ``perfbench/out``), and every run is
 ``perfbench/run.py --workload W`` in a fresh process from that export, at
 perfbench's own run length and default seed (``--seed N`` is passed only
-for ``--extra-seed`` runs).  Each of the workloads gets 10 pairs; pairs
-alternate which side runs first (parent first in even pairs) so that drift
-in the host's speed falls on both sides.  Each metric is summarised by its
-median and inclusive quartiles over the runs, and the pairs the change won
-on ``trials_per_s`` are counted.  The result is written to
+for ``--extra-seed`` runs).  Each workload ``BENCHMARK.json`` declares
+gets 10 pairs; pairs alternate which side runs first (parent first in even
+pairs) so that drift in the host's speed falls on both sides.  Each
+end-to-end metric it declares is summarised by its median and inclusive
+quartiles over the runs, and the pairs the change won on ``trials_per_s``
+are counted.  The result is written to
 ``BENCH_<label>.json`` at the repository root.  Standard library only.
 """
 
@@ -32,10 +33,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-WORKLOADS = ("large_rayleigh", "geometric", "fanout")
 PAIRS = 10
-END_TO_END = ("trials_per_s", "setup_s", "peak_rss_mb")
 ENVIRONMENT_KEYS = ("nproc", "cpu_count", "machine", "python", "numpy", "blas", "blas_threads_env")
+
+
+def benchmark_names(root: Path) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The workload and end-to-end metric names ``root/BENCHMARK.json``
+    declares, in its order."""
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    return (
+        tuple(w["name"] for w in benchmark["workloads"]),
+        tuple(m["name"] for m in benchmark["end_to_end"]),
+    )
 
 
 def summarize(runs: list[float]) -> dict:
@@ -93,7 +102,9 @@ def metric(result: dict, name: str) -> float:
     return round(result["metrics"][name]["value"], 4)
 
 
-def bench_workload(trees: dict, workload: str, seed: int | None, pairs: int) -> dict:
+def bench_workload(
+    trees: dict, workload: str, seed: int | None, pairs: int, end_to_end: tuple[str, ...]
+) -> dict:
     results = {side: [] for side in SIDES}
     for i in range(pairs):
         for side in pair_order(i):
@@ -102,7 +113,7 @@ def bench_workload(trees: dict, workload: str, seed: int | None, pairs: int) -> 
             print(f"{workload} pair {i} {side}: {rate} trials/s", file=sys.stderr)
     entry = {"workload": workload, "seed": results["parent"][0]["seed"], "pairs": pairs}
     for side in SIDES:
-        entry[side] = {name: summarize([metric(r, name) for r in results[side]]) for name in END_TO_END}
+        entry[side] = {name: summarize([metric(r, name) for r in results[side]]) for name in end_to_end}
         entry[side]["all_correct"] = all(r["correct"] and r["failed"] == 0 for r in results[side])
     rates = {side: entry[side]["trials_per_s"] for side in SIDES}
     entry["trials_per_s_change_won_pairs"] = pairs_won(rates["parent"]["runs"], rates["change"]["runs"])
@@ -146,9 +157,10 @@ def main(argv=None) -> int:
     }
     trees = {side: export(ROOT, shas[side], args.workdir / side) for side in SIDES}
 
-    workloads = {workload: bench_workload(trees, workload, None, PAIRS) for workload in WORKLOADS}
+    names, end_to_end = benchmark_names(ROOT)
+    workloads = {w: bench_workload(trees, w, None, PAIRS, end_to_end) for w in names}
     for workload, seed, pairs in args.extra_seed:
-        workloads[f"{workload}_seed{seed}"] = bench_workload(trees, workload, seed, pairs)
+        workloads[f"{workload}_seed{seed}"] = bench_workload(trees, workload, seed, pairs, end_to_end)
 
     bench = {
         "label": args.label,
@@ -158,7 +170,7 @@ def main(argv=None) -> int:
         "fresh process from a clean export of its commit; medians and quartiles (inclusive "
         "method) over runs, which are listed in pair order",
         "commits": shas,
-        "environment": recorded_environment(trees["parent"], "fanout", workloads["fanout"]["seed"]),
+        "environment": recorded_environment(trees["parent"], names[0], workloads[names[0]]["seed"]),
         "workloads": workloads,
     }
     for workload in args.trace:

@@ -6,7 +6,7 @@ Both models are normalized so E[||H||^2] = n_r * n_t.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,7 +63,7 @@ class PathComponent:
     phi_r: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChannelRealization:
     """One channel draw; ``paths`` (geometric only) sorted by descending |beta|.
 
@@ -72,44 +72,39 @@ class ChannelRealization:
     steering vectors as columns and ``g = sqrt(n_t n_r / L) beta``.  A
     Rayleigh draw is given its dense ``h``; a geometric draw forms ``h``
     from its paths only when something reads it, and otherwise works
-    through ``project`` and ``path_qr`` in O(n L) per column.
+    through ``project`` in O(n L) per column.
     """
 
     model: ChannelModel
     paths: tuple[PathComponent, ...] | None = None
     factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    h: InitVar[np.ndarray | None] = None
-    # m -> this draw's rank-m SvdResult, filled by channel_svd
-    _svds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self, h):
+    def __init__(self, model: ChannelModel, paths=None, factors=None, h=None):
+        # frozen, so the fields go straight into the instance dict; _svds maps
+        # m -> this draw's rank-m SvdResult and is filled by channel_svd
+        vars(self).update(model=model, paths=paths, factors=factors, _svds={})
         if h is None:
-            if self.paths is None or self.factors is None:
+            if paths is None or factors is None:
                 raise ValueError("a channel realization needs h or its paths and factors")
             return
         if np.shape(h) != self.shape:
             raise DimensionError(f"h has shape {np.shape(h)}, the model {self.shape}")
-        self.__dict__["h"] = h  # found there before the cached ``h`` forms one
+        vars(self)["h"] = h  # found there before the cached ``h`` forms one
 
     @property
     def shape(self) -> tuple[int, int]:
         """``(n_r, n_t)``, the shape of ``h``."""
         return (self.model.n_r, self.model.n_t)
 
-    def _formed_h(self) -> np.ndarray:
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The dense channel matrix: as given, or formed from the paths."""
         # the same operands and order draw_channel used before h was lazy,
         # so the bits match; (a_r * g) @ a_t^H would round differently
         a_r, _, a_t = self.factors
         beta = np.array([p.beta for p in self.paths])
         scale = math.sqrt(self.model.n_t * self.model.n_r / len(self.paths))
         return scale * ((a_r * beta) @ a_t.conj().T)
-
-    @cached_property
-    def path_qr(self):
-        """QR factors of the receive and transmit steering blocks, computed
-        once per draw for every ``channel_svd`` call."""
-        a_r, _, a_t = self.factors
-        return np.linalg.qr(a_r), np.linalg.qr(a_t)
 
     def project(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The effective channel ``W^H H F``.
@@ -122,12 +117,6 @@ class ChannelRealization:
             return w.conj().T @ self.h @ f
         a_r, g, a_t = self.factors
         return ((w.conj().T @ a_r) * g) @ (a_t.conj().T @ f)
-
-
-# Attached after the dataclass is built, so that ``h`` stays an optional
-# init argument (an InitVar) and a given matrix is the cached value.
-ChannelRealization.h = cached_property(ChannelRealization._formed_h)
-ChannelRealization.h.__set_name__(ChannelRealization, "h")
 
 
 def steering_vector(phi: float, n: int, spacing_over_wavelength: float = 0.5) -> np.ndarray:
@@ -184,9 +173,9 @@ def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
     Returns factors with ``m`` significant singular values or raises
     RankError; ``m`` outside ``1..min(n_r, n_t)`` raises DimensionError.
     A Rayleigh draw takes the dense ``thin_svd``.  A geometric draw is
-    factored from its paths in O(n L^2) (``factored_svd`` on its cached
-    ``path_qr``); its rank is at most L, so ``m > L`` raises before any
-    SVD, without forming ``h``.
+    factored from its path factors in O(n L^2) (``factored_svd``); its
+    rank is at most L, so ``m > L`` raises before any SVD, without
+    forming ``h``.
 
     Each draw is factored once per ``m``: later calls return the same
     result, whose ``u``, ``sigma`` and ``v`` are read-only because every
@@ -200,8 +189,7 @@ def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
     else:
         require_truncation(m, chan.shape)
         if m <= chan.factors[1].size:
-            qr_r, qr_t = chan.path_qr
-            svd = factored_svd(qr_r, chan.factors[1], qr_t, m)
+            svd = factored_svd(*chan.factors, m)
     if svd is None or svd.sigma[m - 1] <= RANK_TOL * svd.sigma[0]:
         raise RankError(f"requested {m} streams but effective rank is smaller")
     for a in (svd.u, svd.sigma, svd.v):

@@ -75,15 +75,6 @@ class SvdResult:
     v: np.ndarray
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 def require_truncation(m: int, shape: tuple[int, int]) -> None:
     """Raise DimensionError unless ``1 <= m <= min(shape)``."""
     if not 1 <= m <= min(shape):
@@ -101,7 +92,11 @@ def thin_svd(a, m: int) -> SvdResult:
         Number of leading singular triplets to keep,
         ``1 <= m <= min(a.shape)``.
     """
-    a = as_complex_matrix(a, "a")
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2:
+        raise DimensionError(f"a must be 2-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("a contains non-finite entries")
     require_truncation(m, a.shape)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -114,18 +109,17 @@ def thin_svd(a, m: int) -> SvdResult:
     return SvdResult(u=u, sigma=s, v=v)
 
 
-def factored_svd(qr_r, g, qr_t, m: int) -> SvdResult:
+def factored_svd(a_r, g, a_t, m: int) -> SvdResult:
     """Rank-``m`` thin SVD of ``a_r diag(g) a_t^H`` from its factors.
 
-    ``qr_r`` and ``qr_t`` are the QR factors ``(Q, R)`` of the steering
-    blocks ``a_r`` (rows x L) and ``a_t`` (cols x L).  They reduce the
-    problem to the thin SVD of the L x L core ``R_r diag(g) R_t^H``, whose
-    factors ``Q_r``/``Q_t`` rotate back to full size: O((rows + cols) L^2)
-    work instead of a dense SVD.  The result is exact (not an
-    approximation) for any ``1 <= m <= L``.
+    The QR factors ``(Q, R)`` of the steering blocks ``a_r`` (rows x L)
+    and ``a_t`` (cols x L) reduce the problem to the thin SVD of the
+    L x L core ``R_r diag(g) R_t^H``, whose factors ``Q_r``/``Q_t`` rotate
+    back to full size: O((rows + cols) L^2) work instead of a dense SVD.
+    The result is exact (not an approximation) for any ``1 <= m <= L``.
     """
-    q_r, r_r = qr_r
-    q_t, r_t = qr_t
+    q_r, r_r = np.linalg.qr(a_r)
+    q_t, r_t = np.linalg.qr(a_t)
     core = thin_svd((r_r * g) @ r_t.conj().T, m)
     u = q_r @ core.u
     v = q_t @ core.v

@@ -2,8 +2,9 @@
 
 The evaluators derive the normalization factors from the beamformer's
 own matrices, so it cannot smuggle in extra transmit power; the
-log-det argument is whitened against the combiner's noise covariance and
-symmetrized before eigendecomposition so every log term is real.
+log-det argument is whitened against the combiner's noise covariance.
+That argument is ``T T^H``, Hermitian by construction, and ``eigvalsh``
+reads one triangle of it, so every eigenvalue and log term is real.
 """
 
 from __future__ import annotations

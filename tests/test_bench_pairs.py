@@ -12,6 +12,20 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
+def test_workloads_and_metrics_are_read_from_benchmark_json(tmp_path):
+    root = SCRIPT.parent.parent
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    assert bench_pairs.benchmark_names(root) == (
+        tuple(w["name"] for w in declared["workloads"]),
+        tuple(m["name"] for m in declared["end_to_end"]),
+    )
+    # a workload added to BENCHMARK.json is benchmarked without another edit
+    declared["workloads"].append({"name": "shared_draws", "why": "points that share draws"})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+    workloads, _ = bench_pairs.benchmark_names(tmp_path)
+    assert workloads[-1] == "shared_draws" and len(workloads) == len(declared["workloads"])
+
+
 def test_median_and_inclusive_quartiles_of_odd_runs():
     runs = [5.0, 1.0, 4.0, 2.0, 3.0]
     assert bench_pairs.summarize(runs) == {

@@ -1,5 +1,6 @@
 """Channel models: steering vectors, Rayleigh and geometric draws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -182,15 +183,29 @@ class TestLazyDense:
         ref = w.conj().T @ chan.h @ f
         assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_one_qr_per_steering_block_per_draw(self, monkeypatch):
+    def test_one_qr_per_steering_block_per_factorization(self, monkeypatch):
         chan = draw_channel(ChannelModel(GEOMETRIC, 32, 32, l_paths=4), SeededRng(8, 5))
         real_qr, blocks = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda a: blocks.append(a) or real_qr(a))
         first = channel_svd(chan, 2)
-        again = channel_svd(chan, 4)
         assert len(blocks) == 2
         assert blocks[0] is chan.factors[0] and blocks[1] is chan.factors[2]
+        again = channel_svd(chan, 4)
+        assert len(blocks) == 4
+        assert blocks[2] is chan.factors[0] and blocks[3] is chan.factors[2]
         assert np.array_equal(again.sigma[:2], first.sigma)
+
+    def test_given_h_is_the_h_read(self):
+        h = np.ones((3, 2), dtype=complex)
+        assert ChannelRealization(ChannelModel(RAYLEIGH, 2, 3), h=h).h is h
+
+    @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
+    @pytest.mark.parametrize("name", ["model", "h"])
+    def test_realization_is_frozen(self, kind, name):
+        model = ChannelModel(kind, 8, 8, l_paths=3 if kind == GEOMETRIC else None)
+        chan = draw_channel(model, SeededRng(8, 6))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chan, name, None)
 
 
 def paths_channel(n, phi_t, phi_r, beta):

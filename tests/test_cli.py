@@ -56,17 +56,15 @@ class TestRun:
         assert rows[0]["experiment"] == "cli_demo"
         assert float(rows[0]["mean_rate"]) > 0
 
-    # rho * p * gains overflows at 3080 dB and 1 / (rho g) at -3200 dB: every
-    # trial is excluded, none raises
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("rho_db", ["3080", "-3200"])
-    def test_non_finite_trials_are_excluded(self, rho_db, tmp_path, capsys):
+    # beyond the documented range, 3080 dB overflows rho * p * gains and
+    # -3200 dB overflows 1 / (rho g); the config refuses both up front
+    @pytest.mark.parametrize("rho_db", ["3080", "-3200", "300.5", "-300.5"])
+    def test_rho_db_outside_documented_range_exits_2(self, rho_db, tmp_path, capsys):
         path = tmp_path / "extreme.ini"
         path.write_text(GOOD.replace("rho_db = 20.0", f"rho_db = {rho_db}"))
-        assert main(["run", str(path)]) == 0
-        row = read_rows(capsys.readouterr().out)[0]
-        assert row["excluded"] == row["trials"] == "4"
-        assert row["mean_rate"] == row["mean_gap"] == ""
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"rho_db = {rho_db} is out of range" in err and "[-300, 300] dB" in err
 
     def test_out_file(self, config_file, tmp_path):
         out = tmp_path / "res.csv"

@@ -3,6 +3,7 @@
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from beamsim import (
 )
 from beamsim import channel, experiments, linalg
 from beamsim.configio import parse_config_text, serialize_config
-from beamsim.experiments import SCHEMES, TrialRecord, analytic_gap, result_row
+from beamsim.experiments import (
+    RHO_DB_RANGE,
+    SCHEMES,
+    TrialRecord,
+    analytic_gap,
+    result_row,
+)
 from beamsim.linalg import blas_thread_control
 from beamsim import mixed_gap, mu_zf_gap, quant_gap_bound, selection_gap, svd_phase_gap
 
@@ -361,10 +368,10 @@ class TestDegenerateAccounting:
         included = [r for r in res.records if not r.degenerate]
         assert all(math.isfinite(r.rate_bits) for r in included)
 
-    # the whole rho_db range ExperimentConfig accepts, overflowing ends included
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the documented rho_db range, ends included, without a floating-point warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", list(SCHEMES))
-    @given(rho_db=st.floats(-3230.0, 3080.0))
+    @given(rho_db=st.floats(*RHO_DB_RANGE))
     @settings(deadline=None, max_examples=25)
     def test_every_snr_gives_a_finite_or_excluded_record(self, kind, rho_db):
         rec = run_trial(config(scheme=SPEC_CASES[kind][0], n=8, rho_db=rho_db, trials=1), 0)
@@ -382,6 +389,23 @@ class TestDegenerateAccounting:
         res = run_experiment(config(trials=5))
         assert res.summary.excluded_count == 5
         assert res.summary.trial_count == 0
+
+    def test_non_finite_capacity_excludes_trial(self, monkeypatch):
+        monkeypatch.setattr(
+            experiments, "capacity_p2p", lambda *a: SimpleNamespace(rate_bits=math.inf)
+        )
+        res = run_experiment(config(trials=5))
+        assert res.summary.excluded_count == 5
+        assert all(r.degenerate and math.isnan(r.capacity_bits) for r in res.records)
+
+    def test_eigvalsh_failure_excludes_trial(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        res = run_experiment(config(trials=5))
+        assert res.summary.excluded_count == 5
+        assert all(r.degenerate for r in res.records)
 
     def test_selection_records_inactive_fraction(self):
         res = run_experiment(config(scheme=Scheme("selection", beta_percent=25.0), n=64, trials=20))

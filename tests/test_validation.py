@@ -47,10 +47,9 @@ def test_quantization_bound_check_catches_injected_fault(monkeypatch):
     assert not bad.passed
 
 
-def factored_svd_without_q(qr_r, g, qr_t, m):
-    """Treats the steering blocks as orthonormal: the QRs go unused, so the
+def factored_svd_without_q(a_r, g, a_t, m):
+    """Treats the steering blocks as orthonormal: no QR is taken, so the
     factors are never rotated by Q and the overlap between paths is ignored."""
-    a_r, a_t = qr_r[0] @ qr_r[1], qr_t[0] @ qr_t[1]
     core = thin_svd(np.diag(g), m)
     return SvdResult(u=a_r @ core.u, sigma=core.sigma, v=a_t @ core.v)
 
