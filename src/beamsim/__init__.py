@@ -5,13 +5,11 @@ from .beamformers import (
     PhaseResolution,
     SelectionPolicy,
     digital_svd_beamformer,
-    double_rf_beamformer,
     mixed_beamformer,
     mu_zf_digital,
     mu_zf_hybrid,
     quantize_rf,
     select_phase_shifters,
-    svd_phase_beamformer,
 )
 from .channel import (
     GEOMETRIC,

@@ -7,6 +7,8 @@ modulus shifters so the pair sums back exactly, and the selection design
 zeroes shifters whose singular-vector entry falls below a threshold.
 Power allocations are always waterfilled over the per-stream gains of the
 actual (finite-size) effective channel, not the asymptotic values.
+Builders take the channel's factors (``channel.channel_svd``) as an
+argument and never factor the channel themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, channel_svd
+from .channel import ChannelRealization
 from .closed_form import alpha_from_beta
 from .errors import DegenerateColumnError, DimensionError
 from .linalg import SvdResult
@@ -83,11 +85,6 @@ class HybridBeamformer:
         return 1.0 if w is None else _gamma(w)
 
 
-def _check_rho(rho: float) -> None:
-    if not rho > 0.0:
-        raise ValueError("rho must be a positive linear SNR")
-
-
 def _p2p_design(
     chan: ChannelRealization, f_rf, f_b, w_rf, w_b, rho, digital=False
 ) -> HybridBeamformer:
@@ -109,11 +106,11 @@ def _svd_design(chan, svd: SvdResult, side, rho, digital=False) -> HybridBeamfor
     return _p2p_design(chan, f_rf, f_b, w_rf, w_b, rho, digital)
 
 
-def digital_svd_beamformer(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
+def digital_svd_beamformer(
+    chan: ChannelRealization, svd: SvdResult, rho: float
+) -> HybridBeamformer:
     """Unconstrained SVD design: F = V_{1:k}, W = U_{1:k}, capacity-achieving."""
-    _check_rho(rho)
-    svd = channel_svd(chan, k)
-    eye = np.eye(k, dtype=complex)
+    eye = np.eye(svd.v.shape[1], dtype=complex)
     return _svd_design(chan, svd, lambda cols: (cols, eye), rho, digital=True)
 
 
@@ -157,37 +154,23 @@ def _mixed_rf(cols: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return rf, mixer
 
 
-def mixed_beamformer(chan: ChannelRealization, k: int, m: int, rho: float) -> HybridBeamformer:
-    """Hybrid design for k <= m <= 2k RF chains per side.
+def mixed_beamformer(
+    chan: ChannelRealization, svd: SvdResult, m: int, rho: float
+) -> HybridBeamformer:
+    """Hybrid design for k <= m <= 2k RF chains per side, from the rank-k
+    factors ``svd`` of ``chan``.
 
     The strongest m - k streams each use a two-shifter pair that
     reproduces the singular-vector column exactly; the remaining 2k - m
-    streams use a single phase-only column each.
+    streams use a single phase-only column each.  So m = k is the
+    phase-only design (each shifter copies the phase of its singular-vector
+    entry, baseband identity), and m = 2k factors the SVD precoder exactly
+    and meets the digital rate.
     """
-    _check_rho(rho)
+    k = svd.v.shape[1]
     if not k <= m <= 2 * k:
         raise DimensionError(f"need k <= m <= 2k, got k={k}, m={m}")
-    return mixed_from_svd(chan, channel_svd(chan, k), m - k, rho)
-
-
-def mixed_from_svd(
-    chan: ChannelRealization, svd: SvdResult, n_pairs: int, rho: float
-) -> HybridBeamformer:
-    """The mixed design built from given SVD factors of ``chan``, with the
-    strongest ``n_pairs`` streams on shifter pairs."""
-    return _svd_design(chan, svd, lambda cols: _mixed_rf(cols, n_pairs), rho)
-
-
-def svd_phase_beamformer(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
-    """Phase-only RF design with m = k: each shifter copies the phase of the
-    matching singular-vector entry; baseband stays identity."""
-    return mixed_beamformer(chan, k, k, rho)
-
-
-def double_rf_beamformer(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
-    """Two RF chains per stream (m = 2k): exact factorization of the SVD
-    precoder from unit-modulus shifter pairs, so the digital rate is met."""
-    return mixed_beamformer(chan, k, 2 * k, rho)
+    return _svd_design(chan, svd, lambda cols: _mixed_rf(cols, m - k), rho)
 
 
 def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
@@ -211,7 +194,6 @@ def quantize_rf(
 ) -> HybridBeamformer:
     """Replace every active RF phase with its nearest digital grid point and
     re-waterfill over the resulting effective gains."""
-    _check_rho(rho)
     if bf.digital:
         raise ValueError("cannot quantize an unconstrained (digital) beamformer")
     if bf.w_rf is None or bf.w_b is None:
@@ -222,19 +204,18 @@ def quantize_rf(
 
 
 def select_phase_shifters(
-    chan: ChannelRealization, k: int, rho: float, policy: SelectionPolicy
+    chan: ChannelRealization, svd: SvdResult, rho: float, policy: SelectionPolicy
 ) -> HybridBeamformer:
-    """Phase-only design with the weakest shifters switched off.
+    """Phase-only design from the factors ``svd`` of ``chan``, with the
+    weakest shifters switched off.
 
     A transmit shifter stays active only where sqrt(n_t) |V_entry| exceeds
     the policy threshold, and likewise at the receiver with sqrt(n_r) |U|;
     normalization factors come from the actual masked matrices.  Raises
     DegenerateColumnError if any RF column loses all its shifters.
     """
-    _check_rho(rho)
-    svd = channel_svd(chan, k)
     alpha = alpha_from_beta(policy.beta_percent)
-    eye = np.eye(k, dtype=complex)
+    eye = np.eye(svd.v.shape[1], dtype=complex)
 
     def masked_phases(cols):
         keep = math.sqrt(cols.shape[0]) * np.abs(cols) > alpha
@@ -258,22 +239,22 @@ def _checked_inv(a: np.ndarray, name: str) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def mu_zf_hybrid(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
-    """Multiuser hybrid: phase-only RF columns, baseband inverts H F_RF.
+def mu_zf_hybrid(chan: ChannelRealization, svd: SvdResult) -> HybridBeamformer:
+    """Multiuser hybrid from the rank-k factors ``svd`` of ``chan``: phase-only
+    RF columns, baseband inverts H F_RF.
 
     The effective channel H F_RF F_B / sqrt(Gt) is the identity up to the
     power normalization, so each user sees an interference-free link.
     """
-    _check_rho(rho)
+    k = svd.v.shape[1]
     _require_mu_shape(chan, k)
-    f_rf = np.exp(1j * np.angle(channel_svd(chan, k).v))
+    f_rf = np.exp(1j * np.angle(svd.v))
     f_b = _checked_inv(chan.h @ f_rf, "H F_RF")
     return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=np.full(k, 1.0 / k))
 
 
-def mu_zf_digital(chan: ChannelRealization, k: int, rho: float) -> HybridBeamformer:
+def mu_zf_digital(chan: ChannelRealization, k: int) -> HybridBeamformer:
     """Unconstrained zero-forcing: F = H^H (H H^H)^-1, the digital baseline."""
-    _check_rho(rho)
     _require_mu_shape(chan, k)
     f = chan.h.conj().T @ _checked_inv(chan.h @ chan.h.conj().T, "H H^H")
     return HybridBeamformer(

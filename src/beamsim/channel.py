@@ -80,9 +80,8 @@ class ChannelRealization:
     factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __init__(self, model: ChannelModel, paths=None, factors=None, h=None):
-        # frozen, so the fields go straight into the instance dict; _svds maps
-        # m -> this draw's rank-m SvdResult and is filled by channel_svd
-        vars(self).update(model=model, paths=paths, factors=factors, _svds={})
+        # frozen, so the fields go straight into the instance dict
+        vars(self).update(model=model, paths=paths, factors=factors)
         if h is None:
             if paths is None or factors is None:
                 raise ValueError("a channel realization needs h or its paths and factors")
@@ -177,22 +176,17 @@ def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
     rank is at most L, so ``m > L`` raises before any SVD, without
     forming ``h``.
 
-    Each draw is factored once per ``m``: later calls return the same
-    result, whose ``u``, ``sigma`` and ``v`` are read-only because every
-    consumer of the draw shares them.
+    A trial calls this once and hands the one result to both the
+    capacity reference and the design, so its ``u``, ``sigma`` and ``v``
+    are read-only: no consumer can change what the other reads.
     """
-    svd = chan._svds.get(m)
-    if svd is not None:
-        return svd
     if chan.factors is None:
         svd = thin_svd(chan.h, m)
     else:
         require_truncation(m, chan.shape)
-        if m <= chan.factors[1].size:
-            svd = factored_svd(*chan.factors, m)
+        svd = factored_svd(*chan.factors, m) if m <= chan.factors[1].size else None
     if svd is None or svd.sigma[m - 1] <= RANK_TOL * svd.sigma[0]:
         raise RankError(f"requested {m} streams but effective rank is smaller")
     for a in (svd.u, svd.sigma, svd.v):
         a.flags.writeable = False
-    chan._svds[m] = svd
     return svd

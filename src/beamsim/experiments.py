@@ -29,15 +29,13 @@ from .beamformers import (
     PhaseResolution,
     SelectionPolicy,
     digital_svd_beamformer,
-    double_rf_beamformer,
     mixed_beamformer,
     mu_zf_digital,
     mu_zf_hybrid,
     quantize_rf,
     select_phase_shifters,
-    svd_phase_beamformer,
 )
-from .channel import GEOMETRIC, RAYLEIGH, ChannelModel, draw_channel
+from .channel import GEOMETRIC, RAYLEIGH, ChannelModel, channel_svd, draw_channel
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -60,12 +58,15 @@ RHO_DB_RANGE = (-300.0, 300.0)
 class SchemeSpec:
     """What the runner knows about one beamforming scheme.
 
-    ``build(chan, config, rho)`` makes the design and ``gap(config, rich)``
+    ``build(chan, svd, config, rho)`` makes the design from the trial's
+    factors ``svd = channel_svd(chan, config.k)``, and ``gap(config, rich)``
     predicts its capacity gap on a Rayleigh (rich) or geometric channel, or
     None.  Multiuser designs are measured with sum_rate_mu against the
-    digital ZF design (whose ``build`` is None), the rest with
-    achievable_rate against capacity_p2p.  Builders are called by module
-    global name, so patching one reaches every scheme.  ``param`` names the
+    digital ZF design (whose ``build`` is None and which factors nothing),
+    the rest with achievable_rate against capacity_p2p over the same
+    ``svd.sigma``.  Every ``build`` calls its builders by module global
+    name at call time, so patching a name here (as perfbench's tracer
+    does) reaches every scheme that uses it.  ``param`` names the
     Scheme field the scheme takes, ``check`` raises ValueError outside its
     domain, ``label`` formats the Scheme's fields into the CSV label, and m
     ranges over ``m_per_k`` times k.
@@ -81,6 +82,11 @@ class SchemeSpec:
     reports_inactive: bool = False
 
 
+def _mixed(chan, svd, c: ExperimentConfig, rho: float):
+    """The svd_phase (m = k), double_rf (m = 2k) and mixed designs."""
+    return mixed_beamformer(chan, svd, c.m, rho)
+
+
 def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
     bound = closed_form.quant_gap_bound(config.k, config.scheme.bits)
     return None if math.isinf(bound) else base + bound
@@ -88,22 +94,19 @@ def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
 
 # kind -> spec: the one place that tells the schemes apart.
 SCHEMES = {
-    "digital": SchemeSpec(lambda chan, c, rho: digital_svd_beamformer(chan, c.k, rho)),
+    "digital": SchemeSpec(lambda chan, svd, c, rho: digital_svd_beamformer(chan, svd, rho)),
     "svd_phase": SchemeSpec(
-        lambda chan, c, rho: svd_phase_beamformer(chan, c.k, rho),
-        gap=lambda c, rich: closed_form.svd_phase_gap(c.k) if rich else 0.0,
+        _mixed, gap=lambda c, rich: closed_form.svd_phase_gap(c.k) if rich else 0.0
     ),
-    "double_rf": SchemeSpec(
-        lambda chan, c, rho: double_rf_beamformer(chan, c.k, rho), m_per_k=(2, 2)
-    ),
+    "double_rf": SchemeSpec(_mixed, m_per_k=(2, 2)),
     "mixed": SchemeSpec(
-        lambda chan, c, rho: mixed_beamformer(chan, c.k, c.m, rho),
+        _mixed,
         gap=lambda c, rich: closed_form.mixed_gap(c.k, c.m) if rich else 0.0,
         m_per_k=(1, 2),
     ),
     "quantized": SchemeSpec(
-        lambda chan, c, rho: quantize_rf(
-            chan, svd_phase_beamformer(chan, c.k, rho), PhaseResolution(c.scheme.bits), rho
+        lambda chan, svd, c, rho: quantize_rf(
+            chan, _mixed(chan, svd, c, rho), PhaseResolution(c.scheme.bits), rho
         ),
         gap=lambda c, rich: _quant_gap(c, closed_form.svd_phase_gap(c.k) if rich else 0.0),
         param="bits",
@@ -111,8 +114,8 @@ SCHEMES = {
         label="quantized(b={bits})",
     ),
     "selection": SchemeSpec(
-        lambda chan, c, rho: select_phase_shifters(
-            chan, c.k, rho, SelectionPolicy(c.scheme.beta_percent)
+        lambda chan, svd, c, rho: select_phase_shifters(
+            chan, svd, rho, SelectionPolicy(c.scheme.beta_percent)
         ),
         gap=lambda c, rich: closed_form.selection_gap(c.k, c.scheme.beta_percent) if rich else None,
         param="beta_percent",
@@ -121,7 +124,7 @@ SCHEMES = {
         reports_inactive=True,
     ),
     "mu_zf_hybrid": SchemeSpec(
-        lambda chan, c, rho: mu_zf_hybrid(chan, c.k, rho),
+        lambda chan, svd, c, rho: mu_zf_hybrid(chan, svd),
         gap=lambda c, rich: closed_form.mu_zf_gap(c.k),
         multiuser=True,
     ),
@@ -271,13 +274,15 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     rho = 10.0 ** (config.rho_db / 10.0)
     try:
         if spec.multiuser:
-            baseline = mu_zf_digital(chan, config.k, rho)
+            bf = baseline = mu_zf_digital(chan, config.k)
             capacity = sum_rate_mu(chan, baseline, rho).rate_bits
-            bf = baseline if spec.build is None else spec.build(chan, config, rho)
+            if spec.build is not None:
+                bf = spec.build(chan, channel_svd(chan, config.k), config, rho)
             rate = sum_rate_mu(chan, bf, rho).rate_bits
         else:
-            capacity = capacity_p2p(chan, config.k, rho).rate_bits
-            bf = spec.build(chan, config, rho)
+            svd = channel_svd(chan, config.k)
+            capacity = capacity_p2p(svd.sigma, rho).rate_bits
+            bf = spec.build(chan, svd, config, rho)
             rate = achievable_rate(chan, bf, rho).rate_bits
         inactive = _inactive_fraction(bf) if spec.reports_inactive else math.nan
     except (
@@ -315,10 +320,11 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> SummarySt
     mean_cap, se_cap = _mean_se(cap)
     mean_rate, se_rate = _mean_se(rate)
     mean_gap, se_gap = _mean_se(gap)
-    if config.scheme.spec.reports_inactive and included:
-        mean_inact, se_inact = _mean_se(np.array([r.inactive_fraction for r in included]))
-    else:
-        mean_inact, se_inact = math.nan, math.nan
+    # schemes that do not report inactive shifters record NaN; dropping those
+    # (not averaging them) keeps the summary's NaN the one math.nan, so
+    # summaries of equal runs compare equal
+    inactive = np.array([r.inactive_fraction for r in included])
+    mean_inact, se_inact = _mean_se(inactive[~np.isnan(inactive)])
     gap_pred = analytic_gap(config)
     analytic = None
     if gap_pred is not None and math.isfinite(mean_cap):

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ChannelRealization, channel_svd
+from .channel import ChannelRealization
 from .errors import DimensionError, SingularMatrixError
 
 if TYPE_CHECKING:
@@ -85,9 +85,10 @@ def _gamma(mat: np.ndarray) -> float:
     return float(np.trace(mat.conj().T @ mat).real) / mat.shape[1]
 
 
-def capacity_p2p(chan: ChannelRealization, k: int, rho: float) -> RateReport:
-    """Point-to-point capacity with k streams: waterfilling over sigma_k^2."""
-    gains = channel_svd(chan, k).sigma ** 2
+def capacity_p2p(sigma: np.ndarray, rho: float) -> RateReport:
+    """Point-to-point capacity over the channel's leading singular values
+    ``sigma``, one stream each: waterfilling over sigma^2."""
+    gains = sigma**2
     p = waterfill(gains, rho)
     per = np.log2(1.0 + rho * p * gains)
     return RateReport(

@@ -14,14 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import closed_form
-from .beamformers import (
-    PhaseResolution,
-    double_rf_beamformer,
-    mixed_beamformer,
-    mixed_from_svd,
-    quantize_rf,
-    svd_phase_beamformer,
-)
+from .beamformers import PhaseResolution, mixed_beamformer, quantize_rf
 from .channel import (
     GEOMETRIC,
     ChannelModel,
@@ -403,6 +396,7 @@ def check_geometric_projection(seed: int = DEFAULT_SEED) -> CheckResult:
                 draws += 1
                 dense = ChannelRealization(model=model, h=chan.h)
                 for k in sorted({1, l}):
+                    svd = channel_svd(chan, k)
                     for scheme in _P2P_SCHEMES:
                         lo, hi = scheme.spec.m_per_k
                         config = ExperimentConfig(
@@ -414,7 +408,7 @@ def check_geometric_projection(seed: int = DEFAULT_SEED) -> CheckResult:
                             scheme=scheme,
                         )
                         try:
-                            bf = scheme.spec.build(chan, config, rho)
+                            bf = scheme.spec.build(chan, svd, config, rho)
                         except BeamsimError:
                             skipped += 1
                             continue
@@ -464,12 +458,12 @@ def check_gauge_invariance(seed: int = DEFAULT_SEED) -> CheckResult:
     rho = 10.0 ** 3.4
     for _ in range(5):
         chan = draw_channel(_rayleigh(24), SeededRng(seed + 10, int(gen.integers(1 << 30))))
-        for n_pairs in (0, 3):
-            base = achievable_rate(chan, mixed_beamformer(chan, 3, 3 + n_pairs, rho), rho).rate_bits
-            svd = channel_svd(chan, 3)
+        svd = channel_svd(chan, 3)
+        for m in (3, 6):
+            base = achievable_rate(chan, mixed_beamformer(chan, svd, m, rho), rho).rate_bits
             phases = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, 3))
             rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
-            bf_rot = mixed_from_svd(chan, rot, n_pairs, rho)
+            bf_rot = mixed_beamformer(chan, rot, m, rho)
             worst = max(worst, abs(achievable_rate(chan, bf_rot, rho).rate_bits - base))
     return CheckResult("gauge_invariance", worst <= 1e-9, {"max_rate_delta": worst, "tol": 1e-9})
 
@@ -517,7 +511,7 @@ def check_quantization_bound(seed: int = DEFAULT_SEED, trials: int = 150) -> Che
     diffs = {bits: [] for bits in (2, 3, 4)}
     for t in range(trials):
         chan = draw_channel(model, SeededRng(seed + 12, t))
-        analog = svd_phase_beamformer(chan, 4, rho)
+        analog = mixed_beamformer(chan, channel_svd(chan, 4), 4, rho)
         r_analog = achievable_rate(chan, analog, rho).rate_bits
         for bits, out in diffs.items():
             digital = quantize_rf(chan, analog, PhaseResolution(bits), rho)
@@ -545,7 +539,8 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
 
     chan = draw_channel(_rayleigh(16), SeededRng(seed + 14, 0))
     rho = 10.0 ** 3.4
-    bf = svd_phase_beamformer(chan, 4, rho)
+    svd = channel_svd(chan, 4)
+    bf = mixed_beamformer(chan, svd, 4, rho)
     base = achievable_rate(chan, bf, rho).rate_bits
     scaled = replace(bf, f_rf=bf.f_rf * math.sqrt(2.0))
     scale_delta = abs(achievable_rate(chan, scaled, rho).rate_bits - base)
@@ -554,16 +549,17 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     prev = -math.inf
     for rho_db in range(0, 41, 5):
         r = 10.0 ** (rho_db / 10.0)
-        rate = achievable_rate(chan, svd_phase_beamformer(chan, 4, r), r).rate_bits
+        rate = achievable_rate(chan, mixed_beamformer(chan, svd, 4, r), r).rate_bits
         monotone = monotone and rate >= prev - 1e-12
         prev = rate
 
     dominated = True
-    for builder in (svd_phase_beamformer, double_rf_beamformer):
+    for m in (3, 6):  # phase-only and double-RF
         for t in range(5):
             c = draw_channel(_rayleigh(12), SeededRng(seed + 15, t))
-            cap = capacity_p2p(c, 3, rho).rate_bits
-            rate = achievable_rate(c, builder(c, 3, rho), rho).rate_bits
+            svd = channel_svd(c, 3)
+            cap = capacity_p2p(svd.sigma, rho).rate_bits
+            rate = achievable_rate(c, mixed_beamformer(c, svd, m, rho), rho).rate_bits
             dominated = dominated and rate <= cap + 1e-9
 
     passed = det_vs_eig <= 1e-8 and scale_delta <= 1e-9 and monotone and dominated

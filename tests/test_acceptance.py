@@ -19,9 +19,10 @@ from beamsim import (
     RAYLEIGH,
     SeededRng,
     achievable_rate,
+    channel_svd,
     digital_svd_beamformer,
-    double_rf_beamformer,
     draw_channel,
+    mixed_beamformer,
     mu_zf_digital,
     mu_zf_hybrid,
     quant_gap_bound,
@@ -93,8 +94,9 @@ def test_criterion_2_exact_factorization():
     worst_factor = 0.0
     for t in range(100):
         chan = draw_channel(model, SeededRng(DEFAULT_SEED + 1, t))
-        digital = achievable_rate(chan, digital_svd_beamformer(chan, 4, RHO), RHO).rate_bits
-        bf = double_rf_beamformer(chan, 4, RHO)
+        svd = channel_svd(chan, 4)
+        digital = achievable_rate(chan, digital_svd_beamformer(chan, svd, RHO), RHO).rate_bits
+        bf = mixed_beamformer(chan, svd, 8, RHO)
         paired = achievable_rate(chan, bf, RHO).rate_bits
         worst_rate = max(worst_rate, abs(paired - digital))
         v = thin_svd(chan.h, 4).v
@@ -140,8 +142,8 @@ def test_criterion_5_multiuser_zero_forcing():
     gammas = []
     for t in range(TRIALS):
         chan = draw_channel(model, SeededRng(DEFAULT_SEED + 4, t))
-        zd = mu_zf_digital(chan, 4, RHO)
-        zh = mu_zf_hybrid(chan, 4, RHO)
+        zd = mu_zf_digital(chan, 4)
+        zh = mu_zf_hybrid(chan, channel_svd(chan, 4))
         gaps.append(sum_rate_mu(chan, zd, RHO).rate_bits - sum_rate_mu(chan, zh, RHO).rate_bits)
         gammas.append(zd.gamma_t)
     mean_gap, se = mean_se(np.array(gaps))

@@ -483,6 +483,57 @@ class TestFactorOnce:
         assert calls == ["thin_svd"]
 
 
+# kind -> the builder names its trial looks up in beamsim.experiments; a
+# point-to-point kind's first name is the one given the trial's factors
+BUILDER_NAMES = {
+    "digital": ("digital_svd_beamformer",),
+    "svd_phase": ("mixed_beamformer",),
+    "double_rf": ("mixed_beamformer",),
+    "mixed": ("mixed_beamformer",),
+    "quantized": ("mixed_beamformer", "quantize_rf"),
+    "selection": ("select_phase_shifters",),
+    "mu_zf_hybrid": ("mu_zf_digital", "mu_zf_hybrid"),
+    "mu_zf_digital": ("mu_zf_digital",),
+}
+
+
+def record_calls(monkeypatch, name: str) -> list[tuple]:
+    """Replace ``name`` in beamsim.experiments with a wrapper that records
+    the arguments of every call and then runs the original."""
+    calls = []
+    real = getattr(experiments, name)
+    monkeypatch.setattr(experiments, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+class TestBuildersByName:
+    def test_every_scheme_has_its_builders(self):
+        assert set(BUILDER_NAMES) == set(SCHEMES)
+
+    # perfbench's tracer times the build layer by patching these names
+    @pytest.mark.parametrize("kind", list(SCHEMES))
+    def test_patched_builder_names_run(self, kind, monkeypatch):
+        calls = {name: record_calls(monkeypatch, name) for name in BUILDER_NAMES[kind]}
+        rec = run_trial(config(scheme=SPEC_CASES[kind][0], trials=1), 0)
+        assert not rec.degenerate
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+
+    @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
+    def test_capacity_and_design_share_one_svd(self, scheme, monkeypatch):
+        real_svd, made = experiments.channel_svd, []
+        monkeypatch.setattr(
+            experiments, "channel_svd", lambda *a: made.append(real_svd(*a)) or made[-1]
+        )
+        capacity = record_calls(monkeypatch, "capacity_p2p")
+        built = record_calls(monkeypatch, BUILDER_NAMES[scheme.kind][0])
+        rec = run_trial(config(scheme=scheme, trials=1), 0)
+        assert not rec.degenerate
+        assert len(made) == len(capacity) == len(built) == 1
+        (svd,) = made
+        assert capacity[0][0] is svd.sigma
+        assert built[0][1] is svd
+
+
 class TestSweeps:
     def test_n_sets_both_sides(self):
         cfg = config(sweep=SweepAxis("n", (8.0, 16.0)))

@@ -16,12 +16,12 @@ from beamsim import (
     SeededRng,
     achievable_rate,
     capacity_p2p,
+    channel_svd,
     digital_svd_beamformer,
-    double_rf_beamformer,
     draw_channel,
+    mixed_beamformer,
     mu_zf_digital,
     sum_rate_mu,
-    svd_phase_beamformer,
     waterfill,
 )
 from beamsim.channel import ChannelRealization
@@ -84,57 +84,63 @@ class TestWaterfill:
 
 class TestCapacity:
     def test_unit_channel(self):
-        rep = capacity_p2p(explicit_channel([[1.0]]), 1, 1.0)
+        rep = capacity_p2p(channel_svd(explicit_channel([[1.0]]), 1).sigma, 1.0)
         assert rep.rate_bits == pytest.approx(1.0, abs=1e-12)
 
     def test_two_stream_hand_value(self):
-        rep = capacity_p2p(explicit_channel(np.diag([2.0, 1.0])), 2, 1.0)
+        rep = capacity_p2p(channel_svd(explicit_channel(np.diag([2.0, 1.0])), 2).sigma, 1.0)
         assert rep.rate_bits == pytest.approx(2.3398500028846243, abs=1e-9)
 
     def test_rank_error(self):
         h = np.outer([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(RankError):
-            capacity_p2p(explicit_channel(h), 2, 1.0)
+            capacity_p2p(channel_svd(explicit_channel(h), 2).sigma, 1.0)
 
     def test_per_stream_sums(self):
         chan = draw_channel(ChannelModel(RAYLEIGH, 8, 8), SeededRng(1, 0))
-        rep = capacity_p2p(chan, 3, RHO_34DB)
+        rep = capacity_p2p(channel_svd(chan, 3).sigma, RHO_34DB)
         assert rep.rate_bits == pytest.approx(float(rep.per_stream.sum()), abs=1e-9)
 
 
 class TestAchievableRate:
     def test_digital_meets_capacity(self):
         chan = draw_channel(ChannelModel(RAYLEIGH, 16, 16), SeededRng(2, 0))
-        cap = capacity_p2p(chan, 4, RHO_34DB).rate_bits
-        rate = achievable_rate(chan, digital_svd_beamformer(chan, 4, RHO_34DB), RHO_34DB).rate_bits
+        svd = channel_svd(chan, 4)
+        cap = capacity_p2p(svd.sigma, RHO_34DB).rate_bits
+        bf = digital_svd_beamformer(chan, svd, RHO_34DB)
+        rate = achievable_rate(chan, bf, RHO_34DB).rate_bits
         assert rate == pytest.approx(cap, abs=1e-9)
 
     def test_double_rf_meets_capacity(self):
         chan = draw_channel(ChannelModel(RAYLEIGH, 16, 16), SeededRng(2, 1))
-        cap = capacity_p2p(chan, 2, RHO_34DB).rate_bits
-        rate = achievable_rate(chan, double_rf_beamformer(chan, 2, RHO_34DB), RHO_34DB).rate_bits
+        svd = channel_svd(chan, 2)
+        cap = capacity_p2p(svd.sigma, RHO_34DB).rate_bits
+        rate = achievable_rate(chan, mixed_beamformer(chan, svd, 4, RHO_34DB), RHO_34DB).rate_bits
         assert rate == pytest.approx(cap, abs=1e-9)
 
     def test_capacity_dominates_hybrids(self):
         for t in range(5):
             chan = draw_channel(ChannelModel(RAYLEIGH, 12, 12), SeededRng(2, 10 + t))
-            cap = capacity_p2p(chan, 3, RHO_34DB).rate_bits
-            rate = achievable_rate(chan, svd_phase_beamformer(chan, 3, RHO_34DB), RHO_34DB).rate_bits
+            svd = channel_svd(chan, 3)
+            cap = capacity_p2p(svd.sigma, RHO_34DB).rate_bits
+            bf = mixed_beamformer(chan, svd, 3, RHO_34DB)
+            rate = achievable_rate(chan, bf, RHO_34DB).rate_bits
             assert rate <= cap + 1e-9
 
     def test_monotone_in_rho(self):
         chan = draw_channel(ChannelModel(RAYLEIGH, 16, 16), SeededRng(2, 2))
+        svd = channel_svd(chan, 4)
         prev = -math.inf
         for rho_db in range(0, 45, 5):
             rho = 10 ** (rho_db / 10)
-            rate = achievable_rate(chan, svd_phase_beamformer(chan, 4, rho), rho).rate_bits
+            rate = achievable_rate(chan, mixed_beamformer(chan, svd, 4, rho), rho).rate_bits
             assert rate >= prev - 1e-12
             prev = rate
 
     def test_scale_consistency(self):
         # doubling gamma_t by scaling F leaves the normalized rate unchanged
         chan = draw_channel(ChannelModel(RAYLEIGH, 16, 16), SeededRng(2, 3))
-        bf = svd_phase_beamformer(chan, 4, RHO_34DB)
+        bf = mixed_beamformer(chan, channel_svd(chan, 4), 4, RHO_34DB)
         base = achievable_rate(chan, bf, RHO_34DB).rate_bits
         scaled = replace(bf, f_rf=bf.f_rf * math.sqrt(2.0))
         assert achievable_rate(chan, scaled, RHO_34DB).rate_bits == pytest.approx(base, abs=1e-9)
@@ -150,7 +156,7 @@ class TestAchievableRate:
 
     def test_requires_receive_side(self):
         chan = draw_channel(ChannelModel(RAYLEIGH, 8, 4), SeededRng(2, 4))
-        bf = mu_zf_digital(chan, 4, RHO_34DB)
+        bf = mu_zf_digital(chan, 4)
         with pytest.raises(DimensionError):
             achievable_rate(chan, bf, RHO_34DB)
 
@@ -158,7 +164,7 @@ class TestAchievableRate:
         from beamsim import SingularMatrixError
 
         chan = draw_channel(ChannelModel(RAYLEIGH, 8, 8), SeededRng(2, 6))
-        bf = digital_svd_beamformer(chan, 2, RHO_34DB)
+        bf = digital_svd_beamformer(chan, channel_svd(chan, 2), RHO_34DB)
         w = bf.w_rf.copy()
         w[:, 1] = w[:, 0]  # duplicate combiner column: W^H W is singular
         broken = replace(bf, w_rf=w)
@@ -168,7 +174,7 @@ class TestAchievableRate:
     def test_gap_matches_direct_formula(self):
         # rate of the unconstrained design equals sum log2(1 + rho p sigma^2)
         chan = draw_channel(ChannelModel(RAYLEIGH, 16, 16), SeededRng(2, 5))
-        bf = digital_svd_beamformer(chan, 4, RHO_34DB)
+        bf = digital_svd_beamformer(chan, channel_svd(chan, 4), RHO_34DB)
         rep = achievable_rate(chan, bf, RHO_34DB)
         from beamsim import thin_svd
 
@@ -180,7 +186,7 @@ class TestAchievableRate:
 class TestSumRateMu:
     def test_exact_zf_closed_form(self):
         chan = draw_channel(ChannelModel(RAYLEIGH, 32, 4), SeededRng(3, 0))
-        bf = mu_zf_digital(chan, 4, RHO_34DB)
+        bf = mu_zf_digital(chan, 4)
         rep = sum_rate_mu(chan, bf, RHO_34DB)
         expected = 4 * math.log2(1 + RHO_34DB / (4 * bf.gamma_t))
         assert rep.rate_bits == pytest.approx(expected, abs=1e-9)
@@ -215,6 +221,6 @@ class TestSumRateMu:
 
     def test_rejects_receive_side(self):
         chan = draw_channel(ChannelModel(RAYLEIGH, 8, 8), SeededRng(3, 1))
-        bf = digital_svd_beamformer(chan, 4, RHO_34DB)
+        bf = digital_svd_beamformer(chan, channel_svd(chan, 4), RHO_34DB)
         with pytest.raises(DimensionError):
             sum_rate_mu(chan, bf, RHO_34DB)
