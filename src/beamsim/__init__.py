@@ -53,6 +53,7 @@ from .experiments import (
     figure_preset,
     run_experiment,
     run_trial,
+    run_trials,
 )
 from .linalg import (
     SeededRng,

@@ -16,6 +16,7 @@ from .linalg import (
     SeededRng,
     SvdResult,
     _complex_gaussian,
+    adjoint,
     factored_svd,
     require_truncation,
     thin_svd,
@@ -113,9 +114,15 @@ class ChannelRealization:
         ``h`` left to right.
         """
         if self.factors is None:
-            return w.conj().T @ self.h @ f
+            return dense_project(self.h, w, f)
         a_r, g, a_t = self.factors
         return ((w.conj().T @ a_r) * g) @ (a_t.conj().T @ f)
+
+
+def dense_project(h: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``W^H H F`` through a dense ``h``, left to right; over the last two
+    axes, so a stack of draws projects matrix by matrix."""
+    return adjoint(w) @ h @ f
 
 
 def steering_vector(phi: float, n: int, spacing_over_wavelength: float = 0.5) -> np.ndarray:
@@ -185,8 +192,26 @@ def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
     else:
         require_truncation(m, chan.shape)
         svd = factored_svd(*chan.factors, m) if m <= chan.factors[1].size else None
-    if svd is None or svd.sigma[m - 1] <= RANK_TOL * svd.sigma[0]:
+    if svd is None or not _full_rank(svd.sigma, m):
         raise RankError(f"requested {m} streams but effective rank is smaller")
     for a in (svd.u, svd.sigma, svd.v):
         a.flags.writeable = False
     return svd
+
+
+def _full_rank(sigma: np.ndarray, m: int):
+    """Whether sigma_m clears ``RANK_TOL`` sigma_1, for each row of ``sigma``."""
+    return sigma[..., m - 1] > RANK_TOL * sigma[..., 0]
+
+
+def dense_svds(h: np.ndarray, m: int) -> tuple[SvdResult, np.ndarray]:
+    """``channel_svd`` of each dense draw of a stack ``h`` (draws x n_r x n_t).
+
+    Returns the stacked factors, each draw's bitwise those of its own
+    ``channel_svd``, and a mask of the draws with ``m`` significant singular
+    values: the rank rule of ``channel_svd``, whose RankError the others
+    would raise.  A failed factorization raises ConvergenceError for the
+    whole stack.
+    """
+    svd = thin_svd(h, m)
+    return svd, _full_rank(svd.sigma, m)

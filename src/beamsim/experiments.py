@@ -8,6 +8,11 @@ SVD or eigensolver that does not converge, a capacity or rate that is not
 finite) are recorded as degenerate and excluded from the means but kept
 in the accounting, never silently dropped.  Summaries depend only on the
 config, not on worker count or scheduling.
+
+Trials run in batches (``run_trials``).  A batch of dense (Rayleigh)
+draws is stacked and factored, designed and rated by stacked numpy calls,
+each draw's result bitwise that of ``run_trial``; any trial a stacked
+check flags is run by ``run_trial``, which decides every exclusion.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import threading
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -28,14 +33,28 @@ from . import closed_form
 from .beamformers import (
     PhaseResolution,
     SelectionPolicy,
+    _within,
     digital_svd_beamformer,
+    digital_svd_beamformer_batch,
     mixed_beamformer,
+    mixed_beamformer_batch,
     mu_zf_digital,
+    mu_zf_digital_batch,
     mu_zf_hybrid,
+    mu_zf_hybrid_batch,
     quantize_rf,
+    quantize_rf_batch,
     select_phase_shifters,
+    select_phase_shifters_batch,
 )
-from .channel import GEOMETRIC, RAYLEIGH, ChannelModel, channel_svd, draw_channel
+from .channel import (
+    GEOMETRIC,
+    RAYLEIGH,
+    ChannelModel,
+    channel_svd,
+    dense_svds,
+    draw_channel,
+)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -43,8 +62,15 @@ from .errors import (
     RankError,
     SingularMatrixError,
 )
-from .linalg import SeededRng, blas_thread_control
-from .rates import achievable_rate, capacity_p2p, sum_rate_mu
+from .linalg import SeededRng, SvdResult, blas_thread_control, kept_rows
+from .rates import (
+    achievable_rate,
+    achievable_rate_bits,
+    capacity_bits,
+    capacity_p2p,
+    sum_rate_mu,
+    sum_rate_mu_bits,
+)
 
 DEFAULT_SEED = 123456789
 DEFAULT_TRIALS = 500
@@ -52,6 +78,11 @@ DEFAULT_TRIALS = 500
 # scheme's rates stay finite, with no floating-point warning, across it;
 # near +-3000 dB the rate arithmetic overflows.
 RHO_DB_RANGE = (-300.0, 300.0)
+# A batch of trials holds at most this many bytes of stacked channel
+# matrices (and always one trial): 128 trials at n = 8, 2 at n = 64 and
+# one from n = 128, where a trial runs alone.  At n = 8 a larger cap
+# gains no speed and holds more working memory in each pool worker.
+BATCH_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -66,13 +97,17 @@ class SchemeSpec:
     the rest with achievable_rate against capacity_p2p over the same
     ``svd.sigma``.  Every ``build`` calls its builders by module global
     name at call time, so patching a name here (as perfbench's tracer
-    does) reaches every scheme that uses it.  ``param`` names the
+    does) reaches every scheme that uses it.  ``batch(h, svd, config,
+    rho)`` is the stacked twin of ``build`` over a stack ``h`` of dense
+    draws and their stacked factors: it returns the designs of the draws
+    ``build`` would not refuse, and that mask.  ``param`` names the
     Scheme field the scheme takes, ``check`` raises ValueError outside its
     domain, ``label`` formats the Scheme's fields into the CSV label, and m
     ranges over ``m_per_k`` times k.
     """
 
     build: Callable | None
+    batch: Callable | None
     gap: Callable = lambda config, rich: 0.0
     param: str | None = None
     check: Callable | None = None
@@ -87,6 +122,17 @@ def _mixed(chan, svd, c: ExperimentConfig, rho: float):
     return mixed_beamformer(chan, svd, c.m, rho)
 
 
+def _mixed_batch(h, svd, c: ExperimentConfig, rho: float):
+    return mixed_beamformer_batch(h, svd, c.m, rho)
+
+
+def _quantized_batch(h, svd, c: ExperimentConfig, rho: float):
+    bf, ok = _mixed_batch(h, svd, c, rho)
+    (h,) = kept_rows(ok, h)
+    bf, snapped = quantize_rf_batch(h, bf, PhaseResolution(c.scheme.bits), rho)
+    return bf, _within(ok, snapped)
+
+
 def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
     bound = closed_form.quant_gap_bound(config.k, config.scheme.bits)
     return None if math.isinf(bound) else base + bound
@@ -94,13 +140,19 @@ def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
 
 # kind -> spec: the one place that tells the schemes apart.
 SCHEMES = {
-    "digital": SchemeSpec(lambda chan, svd, c, rho: digital_svd_beamformer(chan, svd, rho)),
-    "svd_phase": SchemeSpec(
-        _mixed, gap=lambda c, rich: closed_form.svd_phase_gap(c.k) if rich else 0.0
+    "digital": SchemeSpec(
+        lambda chan, svd, c, rho: digital_svd_beamformer(chan, svd, rho),
+        lambda h, svd, c, rho: digital_svd_beamformer_batch(h, svd, rho),
     ),
-    "double_rf": SchemeSpec(_mixed, m_per_k=(2, 2)),
+    "svd_phase": SchemeSpec(
+        _mixed,
+        _mixed_batch,
+        gap=lambda c, rich: closed_form.svd_phase_gap(c.k) if rich else 0.0,
+    ),
+    "double_rf": SchemeSpec(_mixed, _mixed_batch, m_per_k=(2, 2)),
     "mixed": SchemeSpec(
         _mixed,
+        _mixed_batch,
         gap=lambda c, rich: closed_form.mixed_gap(c.k, c.m) if rich else 0.0,
         m_per_k=(1, 2),
     ),
@@ -108,6 +160,7 @@ SCHEMES = {
         lambda chan, svd, c, rho: quantize_rf(
             chan, _mixed(chan, svd, c, rho), PhaseResolution(c.scheme.bits), rho
         ),
+        _quantized_batch,
         gap=lambda c, rich: _quant_gap(c, closed_form.svd_phase_gap(c.k) if rich else 0.0),
         param="bits",
         check=PhaseResolution,
@@ -117,6 +170,9 @@ SCHEMES = {
         lambda chan, svd, c, rho: select_phase_shifters(
             chan, svd, rho, SelectionPolicy(c.scheme.beta_percent)
         ),
+        lambda h, svd, c, rho: select_phase_shifters_batch(
+            h, svd, rho, SelectionPolicy(c.scheme.beta_percent)
+        ),
         gap=lambda c, rich: closed_form.selection_gap(c.k, c.scheme.beta_percent) if rich else None,
         param="beta_percent",
         check=SelectionPolicy,
@@ -125,10 +181,11 @@ SCHEMES = {
     ),
     "mu_zf_hybrid": SchemeSpec(
         lambda chan, svd, c, rho: mu_zf_hybrid(chan, svd),
+        lambda h, svd, c, rho: mu_zf_hybrid_batch(h, svd),
         gap=lambda c, rich: closed_form.mu_zf_gap(c.k),
         multiuser=True,
     ),
-    "mu_zf_digital": SchemeSpec(None, multiuser=True),
+    "mu_zf_digital": SchemeSpec(None, None, multiuser=True),
 }
 
 
@@ -236,9 +293,18 @@ class TrialRecord:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
+def _same(a, b) -> bool:
+    """Equal, with NaN equal to NaN whatever object holds it."""
+    return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
+
+
+@dataclass(frozen=True, eq=False)
 class SummaryStats:
-    """Per-config aggregates; std errors are std(ddof=1)/sqrt(count)."""
+    """Per-config aggregates; std errors are std(ddof=1)/sqrt(count).
+
+    Two summaries are equal when every field is, a NaN field equal to any
+    NaN (a Python or a numpy one).
+    """
 
     trial_count: int
     excluded_count: int
@@ -252,6 +318,17 @@ class SummaryStats:
     se_inactive: float
     analytic_rate: float | None
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if not isinstance(other, SummaryStats):
+            return NotImplemented
+        return all(_same(a, b) for a, b in zip(self._fields(), other._fields()))
+
+    def __hash__(self):
+        return hash(tuple(None if v != v else v for v in self._fields()))
+
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -260,9 +337,12 @@ class ExperimentResult:
     records: tuple[TrialRecord, ...]
 
 
-def _inactive_fraction(bf) -> float:
-    on = int(np.count_nonzero(bf.f_rf)) + int(np.count_nonzero(bf.w_rf))
-    total = bf.f_rf.size + bf.w_rf.size
+def _inactive_fraction(bf):
+    """The share of RF shifters switched off, of a design or of each of a stack."""
+    on = (bf.f_rf != 0).sum(axis=(-2, -1), dtype=float) + (bf.w_rf != 0).sum(
+        axis=(-2, -1), dtype=float
+    )
+    total = math.prod(bf.f_rf.shape[-2:]) + math.prod(bf.w_rf.shape[-2:])
     return 1.0 - on / total
 
 
@@ -272,19 +352,20 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     rng = SeededRng(config.master_seed, trial_index)
     chan = draw_channel(config.channel, rng)
     rho = 10.0 ** (config.rho_db / 10.0)
+    inactive = math.nan
     try:
         if spec.multiuser:
-            bf = baseline = mu_zf_digital(chan, config.k)
-            capacity = sum_rate_mu(chan, baseline, rho).rate_bits
+            capacity = rate = sum_rate_mu(chan, mu_zf_digital(chan, config.k), rho).rate_bits
             if spec.build is not None:
                 bf = spec.build(chan, channel_svd(chan, config.k), config, rho)
-            rate = sum_rate_mu(chan, bf, rho).rate_bits
+                rate = sum_rate_mu(chan, bf, rho).rate_bits
         else:
             svd = channel_svd(chan, config.k)
             capacity = capacity_p2p(svd.sigma, rho).rate_bits
             bf = spec.build(chan, svd, config, rho)
             rate = achievable_rate(chan, bf, rho).rate_bits
-        inactive = _inactive_fraction(bf) if spec.reports_inactive else math.nan
+            if spec.reports_inactive:
+                inactive = float(_inactive_fraction(bf))
     except (
         RankError,
         DegenerateColumnError,
@@ -296,6 +377,92 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     if not (math.isfinite(capacity) and math.isfinite(rate)):
         return TrialRecord(trial_index, math.nan, math.nan, math.nan, math.nan, True)
     return TrialRecord(trial_index, capacity, rate, capacity - rate, inactive, False)
+
+
+def _stacked_records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRecord]:
+    """The records of the trials ``indices`` of a Rayleigh config, from
+    stacked draws, by trial index; a trial that a stacked check flags has
+    none.
+
+    The flags are the draws a builder or evaluator would refuse (rank below
+    k, a dead selection column, a condition number past COND_LIMIT) and a
+    zero or non-finite waterfill gain, capacity or rate.  A stacked LAPACK
+    call that fails raises for the whole batch.
+    """
+    spec = config.scheme.spec
+    rho = 10.0 ** (config.rho_db / 10.0)
+    h = np.stack(
+        [draw_channel(config.channel, SeededRng(config.master_seed, i)).h for i in indices]
+    )
+    rows = np.arange(len(indices))  # the batch positions still in the stack
+    inactive = np.full(len(indices), math.nan)  # by batch position
+    # Each stage keeps the rows it passes; a name whose arrays the later
+    # stages do not read is dropped at once, to hold the batch's peak memory.
+    if spec.multiuser:
+        baseline, ok = mu_zf_digital_batch(h, config.k)
+        rows, h = kept_rows(ok, rows, h)
+        capacity = rate = sum_rate_mu_bits(h, baseline, rho)
+        del baseline
+        if spec.batch is not None:
+            svd, ok = dense_svds(h, config.k)
+            rows, h, capacity, u, sigma, v = kept_rows(
+                ok, rows, h, capacity, svd.u, svd.sigma, svd.v
+            )
+            bf, ok = spec.batch(h, SvdResult(u, sigma, v), config, rho)
+            del svd, u, sigma, v
+            rows, h, capacity = kept_rows(ok, rows, h, capacity)
+            rate = sum_rate_mu_bits(h, bf, rho)
+    else:
+        svd, ok = dense_svds(h, config.k)
+        rows, h, u, sigma, v = kept_rows(ok, rows, h, svd.u, svd.sigma, svd.v)
+        capacity = capacity_bits(sigma, rho)
+        bf, ok = spec.batch(h, SvdResult(u, sigma, v), config, rho)
+        del svd, u, sigma, v
+        rows, h, capacity = kept_rows(ok, rows, h, capacity)
+        if spec.reports_inactive:
+            inactive[rows] = _inactive_fraction(bf)
+        rate, ok = achievable_rate_bits(h, bf, rho)
+        rows, capacity = kept_rows(ok, rows, capacity)
+    out = {}
+    for row, c, r in zip(rows.tolist(), capacity.tolist(), rate.tolist()):
+        if math.isfinite(c) and math.isfinite(r):
+            i, x = indices[row], float(inactive[row])
+            # no inactive share is math.nan itself, as in run_trial's records
+            out[i] = TrialRecord(i, c, r, c - r, math.nan if math.isnan(x) else x, False)
+    return out
+
+
+def run_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
+    """The records of the trials ``indices``, equal to
+    ``[run_trial(config, i) for i in indices]`` and computed as one batch.
+
+    Two or more Rayleigh draws are stacked (``_stacked_records``).  Each
+    trial a stacked check flags, every trial of a batch whose stacked
+    LAPACK call fails, and every geometric trial is run by ``run_trial``.
+    """
+    indices = list(indices)
+    done = {}
+    if len(indices) > 1 and config.channel.kind == RAYLEIGH:
+        try:
+            done = _stacked_records(config, indices)
+        except (ConvergenceError, np.linalg.LinAlgError):
+            done = {}
+    return [done[i] if i in done else run_trial(config, i) for i in indices]
+
+
+def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
+    """The config's trial indices in consecutive batches of near-equal size.
+
+    A batch holds at most ``BATCH_BYTES`` of stacked channel matrices, and
+    always one trial.  The batch count is a multiple of ``workers`` (up to
+    one batch per trial), so a pool's workers get equal shares.
+    """
+    draw = np.dtype(complex).itemsize * config.channel.n_r * config.channel.n_t
+    size = max(1, BATCH_BYTES // draw)
+    count = -(-config.trials // size)
+    count = min(config.trials, -(-count // workers) * workers)
+    bounds = [config.trials * j // count for j in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -402,27 +569,28 @@ def _init_worker() -> None:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all trials of a single-point config; deterministic for fixed config.
 
-    Trials fan out over ``workers`` processes, but never more than
-    ``config.trials``, when workers > 1; aggregation is ordered by
+    The trials run in batches (``trial_batches``, ``run_trials``), which
+    fan out over ``workers`` processes, but never more than
+    ``config.trials``, when workers > 1, a pool task carrying about a
+    quarter of a worker's share of the batches; aggregation is ordered by
     trial_index either way.  The parent sets its BLAS to one thread before
     it forks the workers (by fork, whatever the platform's default start
     method) and restores its count when the pool is done, so
     each worker inherits one thread and ``workers`` processes keep to
     ``workers`` cores; a serial run keeps the library's default.  Workers
-    ignore SIGINT: on an interrupt the parent cancels the chunks not yet
+    ignore SIGINT: on an interrupt the parent cancels the batches not yet
     started, waits for the running ones and re-raises ``KeyboardInterrupt``.
     A trial's bits depend on its (master_seed, trial_index) and on the BLAS
-    thread count, so at large n a pool and a serial run can differ in the
-    last bit (see README).
+    thread count, not on the batch it ran in, so at large n a pool and a
+    serial run can differ in the last bit (see README).
     """
     if config.sweep is not None:
         raise ConfigError("config still carries a sweep axis; expand_sweep() it first")
-    indices = range(config.trials)
     workers = min(workers, config.trials)  # a fork start launches every worker at once
+    batches = trial_batches(config, max(workers, 1))
     if workers <= 1:
-        records = [run_trial(config, i) for i in indices]
+        records = [r for batch in batches for r in run_trials(config, batch)]
     else:
-        chunk = max(1, config.trials // (4 * workers))
         # fork, not the platform default: a spawn or forkserver start (the
         # Linux default from Python 3.14) would not inherit the single thread
         fork = multiprocessing.get_context("fork")
@@ -432,8 +600,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         ):
             try:
                 with _sigint_held():  # the first submit forks the workers
-                    results = pool.map(partial(run_trial, config), indices, chunksize=chunk)
-                records = list(results)
+                    results = pool.map(
+                        partial(run_trials, config),
+                        batches,
+                        chunksize=max(1, len(batches) // (4 * workers)),
+                    )
+                records = [r for batch in results for r in batch]
             except KeyboardInterrupt:
                 with _sigint_held():
                     pool.shutdown(cancel_futures=True)

@@ -82,29 +82,32 @@ def require_truncation(m: int, shape: tuple[int, int]) -> None:
 
 
 def thin_svd(a, m: int) -> SvdResult:
-    """Rank-``m`` thin SVD of a complex matrix.
+    """Rank-``m`` thin SVD of a complex matrix, or of each matrix of a stack.
 
     Parameters
     ----------
     a : array_like
-        Matrix to factor, any complex or real 2-D array.
+        Matrix to factor, any complex or real 2-D array, or a stack of
+        them with leading batch axes; the factors then carry the same
+        leading axes, and each matrix's factors are bitwise those of its
+        own call.
     m : int
         Number of leading singular triplets to keep,
-        ``1 <= m <= min(a.shape)``.
+        ``1 <= m <= min(rows, cols)``.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DimensionError(f"a must be 2-D, got shape {a.shape}")
+    if a.ndim < 2:
+        raise DimensionError(f"a must be 2-D or a stack of 2-D matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("a contains non-finite entries")
-    require_truncation(m, a.shape)
+    require_truncation(m, a.shape[-2:])
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    u = u[:, :m].copy()
-    s = s[:m].copy()
-    v = vh[:m].conj().T.copy()
+    u = u[..., :m].copy()
+    s = s[..., :m].copy()
+    v = adjoint(vh[..., :m, :]).copy()
     _fix_gauge(u, v)
     return SvdResult(u=u, sigma=s, v=v)
 
@@ -129,15 +132,34 @@ def factored_svd(a_r, g, a_t, m: int) -> SvdResult:
 
 def _fix_gauge(u: np.ndarray, v: np.ndarray) -> None:
     """Rotate matching columns of ``u`` and ``v`` in place so each column's
-    anchor entry of ``v`` is real and nonnegative (see ``SvdResult``)."""
+    anchor entry of ``v`` is real and nonnegative (see ``SvdResult``); over
+    the last two axes, so a stack is fixed matrix by matrix."""
     mags = np.abs(v)
-    anchors = np.argmax(mags >= (1.0 - GAUGE_TIE) * mags.max(axis=0), axis=0)
-    p = v[anchors, np.arange(v.shape[1])]
+    anchors = np.argmax(mags >= (1.0 - GAUGE_TIE) * mags.max(axis=-2, keepdims=True), axis=-2)
+    # One matrix indexes plainly: take_along_axis's set-up, twice per
+    # geometric trial, cost the geometric workload about 3% of its time.
+    if v.ndim == 2:
+        p = v[anchors, np.arange(v.shape[1])]
+    else:
+        p = np.take_along_axis(v, anchors[..., None, :], axis=-2)[..., 0, :]
     # hypot, not np.abs: it rounds each magnitude exactly as scalar abs() does
     mag = np.hypot(p.real, p.imag)
     rot = np.divide(p, mag, out=np.ones_like(p), where=mag > 0.0).conjugate()
-    v *= rot
-    u *= rot
+    v *= rot[..., None, :]
+    u *= rot[..., None, :]
+
+
+def kept_rows(ok: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows (first-axis entries) of each array where the mask ``ok`` is
+    true: copies, or the arrays themselves when it keeps every row."""
+    if ok.all():
+        return arrays
+    return tuple(a[ok] for a in arrays)
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes (``a.conj().T`` of a matrix)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 @functools.cache

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it is used to check:
 the error function comes from its Maclaurin series in 50-digit arithmetic,
 the thresholded-Rayleigh mean from adaptive quadrature, multiuser SINRs
-from a scalar-by-scalar loop, and singular values from cyclic Jacobi
+from a scalar-by-scalar loop, waterfilling from a descending search over
+one gain vector, and singular values from cyclic Jacobi
 eigenvalues of the Gram matrix (that solver never calls LAPACK, and
 test_validation pins it against numpy.linalg.eigvalsh).
 """
@@ -60,6 +61,25 @@ def sum_rate_scalar_loop(h: np.ndarray, f: np.ndarray, rho: float) -> float:
         interference = (rho / k) * (sum(powers) - powers[user])
         total += math.log2(1.0 + signal / (1.0 + interference))
     return total
+
+
+def waterfill_loop(gains: np.ndarray, rho: float) -> np.ndarray:
+    """Waterfilling of one gain vector by the sorted water level, searching
+    the active count down from the number of positive gains: the same
+    operands and rounding as ``rates.waterfill``, so its bits must match."""
+    g = np.asarray(gains, dtype=float)
+    p = np.zeros_like(g)
+    idx = np.flatnonzero(g > 0.0)
+    inv = 1.0 / (rho * g[idx])
+    order = np.argsort(inv, kind="stable")
+    shifted = inv[order] - inv[order][0]
+    csum = np.cumsum(shifted)
+    active = shifted.size
+    while active > 1 and not (1.0 + csum[active - 1]) / active > shifted[active - 1]:
+        active -= 1
+    level = (1.0 + csum[active - 1]) / active
+    p[idx[order[:active]]] = level - shifted[:active]
+    return p
 
 
 def singular_values_via_gram(a: np.ndarray) -> np.ndarray:

@@ -3,7 +3,6 @@
 import math
 import os
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,12 +22,14 @@ from beamsim import (
     figure_preset,
     run_experiment,
     run_trial,
+    run_trials,
 )
-from beamsim import channel, experiments, linalg
+from beamsim import channel, experiments, linalg, rates
 from beamsim.configio import parse_config_text, serialize_config
 from beamsim.experiments import (
     RHO_DB_RANGE,
     SCHEMES,
+    SummaryStats,
     TrialRecord,
     analytic_gap,
     result_row,
@@ -124,29 +125,39 @@ class TestTrialsAndDeterminism:
             float(np.std(rates, ddof=1) / math.sqrt(50)), abs=1e-12
         )
 
+    def test_summaries_with_nan_from_numpy_compare_equal(self):
+        values = dict(trial_count=0, excluded_count=3, analytic_rate=None)
+        stats = ("capacity", "rate", "gap", "inactive")
+        fields = [f"{p}_{s}" for s in stats for p in ("mean", "se")]
+        plain = SummaryStats(**values, **dict.fromkeys(fields, math.nan))
+        numpy_nan = SummaryStats(**values, **dict.fromkeys(fields, np.float64("nan")))
+        assert plain == numpy_nan and hash(plain) == hash(numpy_nan)
+        assert plain != replace(numpy_nan, excluded_count=2)
+        assert plain != replace(numpy_nan, mean_rate=1.0)
+
     def test_sweep_config_must_be_expanded(self):
         cfg = config(sweep=SweepAxis("rho_db", (0.0, 10.0)))
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
 
-def _blas_threads_trial(config, trial_index):
-    """Stand-in for run_trial that records the BLAS thread count it ran on."""
+def _blas_threads_batch(config, indices):
+    """Stand-in for run_trials that records the BLAS thread count it ran on."""
     threads = blas_thread_control()[1]()
-    return TrialRecord(trial_index, float(threads), 0.0, 0.0, math.nan)
+    return [TrialRecord(i, float(threads), 0.0, 0.0, math.nan) for i in indices]
 
 
-def _os_threads_trial(config, trial_index):
-    """Stand-in for run_trial that records how many OS threads its process has."""
+def _os_threads_batch(config, indices):
+    """Stand-in for run_trials that records how many OS threads its process has."""
     threads = len(os.listdir("/proc/self/task"))
-    return TrialRecord(trial_index, float(threads), 0.0, 0.0, math.nan)
+    return [TrialRecord(i, float(threads), 0.0, 0.0, math.nan) for i in indices]
 
 
-def _failing_trial(config, trial_index):
+def _failing_batch(config, indices):
     raise RuntimeError("stand-in trial failure")
 
 
-def _interrupted_trial(config, trial_index):
+def _interrupted_batch(config, indices):
     raise KeyboardInterrupt
 
 
@@ -172,7 +183,7 @@ class TestPool:
         if control is None:
             pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count entry point")
         before = control[1]()
-        monkeypatch.setattr(experiments, "run_trial", _blas_threads_trial)
+        monkeypatch.setattr(experiments, "run_trials", _blas_threads_batch)
         res = run_experiment(config(trials=8), workers=2)
         assert [r.capacity_bits for r in res.records] == [1.0] * 8
         assert control[1]() == before
@@ -192,21 +203,21 @@ class TestPool:
     def test_workers_start_no_blas_helper_thread(self, two_blas_threads, monkeypatch):
         # a worker that set its own thread count would start an OpenBLAS
         # helper thread beside its main one
-        monkeypatch.setattr(experiments, "run_trial", _os_threads_trial)
+        monkeypatch.setattr(experiments, "run_trials", _os_threads_batch)
         res = run_experiment(config(trials=8), workers=2)
         assert [r.capacity_bits for r in res.records] == [1.0] * 8
 
     @pytest.mark.parametrize(
         "trial, raised",
         [
-            (_blas_threads_trial, None),
-            (_failing_trial, RuntimeError),
-            (_interrupted_trial, KeyboardInterrupt),
+            (_blas_threads_batch, None),
+            (_failing_batch, RuntimeError),
+            (_interrupted_batch, KeyboardInterrupt),
         ],
         ids=["normal_return", "failing_trial", "interrupt"],
     )
     def test_parent_blas_threads_restored(self, trial, raised, two_blas_threads, monkeypatch):
-        monkeypatch.setattr(experiments, "run_trial", trial)
+        monkeypatch.setattr(experiments, "run_trials", trial)
         if raised is None:
             run_experiment(config(trials=8), workers=2)
         else:
@@ -250,6 +261,22 @@ class TestPool:
         assert sizes == [3]
         serial = run_experiment(cfg, workers=1)
         assert [repr(r) for r in pooled.records] == [repr(r) for r in serial.records]
+
+    # n = 128 runs a trial per batch, and a task carries a quarter of a
+    # worker's share of them; n = 8 stacks 12 trials per batch, one a task
+    @pytest.mark.parametrize("n, chunks", [(128, [3]), (8, [1])])
+    def test_pool_task_carries_a_quarter_of_a_workers_batches(self, n, chunks, monkeypatch):
+        seen = []
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                seen.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        res = run_experiment(config(n=n, trials=24), workers=2)
+        assert seen == chunks
+        assert [r.trial_index for r in res.records] == list(range(24))
 
 
 P2P_SCHEMES = [
@@ -391,8 +418,9 @@ class TestDegenerateAccounting:
         assert res.summary.trial_count == 0
 
     def test_non_finite_capacity_excludes_trial(self, monkeypatch):
+        # the per-stream capacity both capacity_p2p and the stacked path run
         monkeypatch.setattr(
-            experiments, "capacity_p2p", lambda *a: SimpleNamespace(rate_bits=math.inf)
+            rates, "_capacity_streams", lambda sigma, rho: np.full(np.shape(sigma), math.inf)
         )
         res = run_experiment(config(trials=5))
         assert res.summary.excluded_count == 5
@@ -442,15 +470,20 @@ class TestSchemeTable:
 
 
 def count_factorizations(monkeypatch) -> list[str]:
-    """Record the name of every channel factorization a trial runs: a
-    geometric draw's ``factored_svd`` and the ``thin_svd`` of its core, or a
-    Rayleigh draw's dense ``thin_svd``."""
+    """Record the name of every channel factorization trials run, once per
+    matrix factored: a geometric draw's ``factored_svd`` and the
+    ``thin_svd`` of its core, or a Rayleigh draw's dense ``thin_svd``, which
+    a batch of trials calls once on its stacked draws."""
     calls = []
     for module, name in ((channel, "thin_svd"), (linalg, "thin_svd"), (channel, "factored_svd")):
         real = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
-        )
+
+        def counted(*a, real=real, name=name):
+            matrices = math.prod(np.shape(a[0])[:-2]) if name == "thin_svd" else 1
+            calls.extend([name] * matrices)
+            return real(*a)
+
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -481,6 +514,130 @@ class TestFactorOnce:
         rec = run_trial(config(scheme=scheme, trials=1), 0)
         assert rec.degenerate and math.isnan(rec.rate_bits)
         assert calls == ["thin_svd"]
+
+
+def batched_config(kind, n, trials=40, **kw):
+    """A Rayleigh point of ``kind`` at n x n, or n_t = n with 4 users."""
+    return config(scheme=SPEC_CASES[kind][0], n=n, trials=trials, seed=7, **kw)
+
+
+# every scheme on Rayleigh n = 8, 16 and 64, multiuser at 64 x 4 only
+BATCHED_POINTS = [
+    (kind, n)
+    for kind in SCHEMES
+    for n in ((64,) if SCHEMES[kind].multiuser else (8, 16, 64))
+]
+
+
+def split_records(cfg, size: int) -> list[str]:
+    """The reprs of run_trials over the config's trials in batches of ``size``."""
+    out = []
+    for start in range(0, cfg.trials, size):
+        out += run_trials(cfg, range(start, min(start + size, cfg.trials)))
+    return [repr(r) for r in out]
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize("kind, n", BATCHED_POINTS, ids=lambda v: str(v))
+    @pytest.mark.parametrize("size", [1, 3, 40], ids=["split1", "split3", "whole"])
+    def test_batches_equal_run_trial(self, kind, n, size):
+        cfg = batched_config(kind, n)
+        scalar = [repr(run_trial(cfg, i)) for i in range(cfg.trials)]
+        assert split_records(cfg, size) == scalar
+
+    @pytest.mark.parametrize("size", [1, 3, 40], ids=["split1", "split3", "whole"])
+    def test_excluded_trials_come_from_run_trial(self, size):
+        # beta = 90 at n = 16 kills an RF column in about half the draws
+        cfg = config(scheme=Scheme("selection", beta_percent=90.0), n=16, trials=40, seed=5)
+        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
+        assert 0 < sum(r.degenerate for r in scalar) < cfg.trials
+        assert split_records(cfg, size) == [repr(r) for r in scalar]
+
+    @pytest.mark.parametrize("kind", list(SCHEMES))
+    @pytest.mark.parametrize("size", [1, 3, 12], ids=["split1", "split3", "whole"])
+    @pytest.mark.parametrize("every", [3, 1], ids=["third", "all"])
+    def test_rank_one_draws_are_excluded(self, kind, size, every, monkeypatch):
+        # every third (or every) trial draws a rank-1 channel
+        real_draw = experiments.draw_channel
+
+        def draw(model, rng):
+            h = real_draw(model, rng).h
+            if rng.stream_id % every == every // 2:
+                h = np.outer(h[:, 0], h[0]) / abs(h[0, 0])
+            return ChannelRealization(model, h=h)
+
+        monkeypatch.setattr(experiments, "draw_channel", draw)
+        cfg = batched_config(kind, 64 if SCHEMES[kind].multiuser else 8, trials=12)
+        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
+        assert [r.degenerate for r in scalar] == [i % every == every // 2 for i in range(12)]
+        assert split_records(cfg, size) == [repr(r) for r in scalar]
+
+    @pytest.mark.parametrize("kind", [k for k in SCHEMES if not SCHEMES[k].multiuser])
+    def test_eigvalsh_failing_on_one_row(self, kind, monkeypatch):
+        # eigvalsh fails on the one matrix with the largest corner entry,
+        # whether called on it alone or on a stack that holds it
+        cfg = batched_config(kind, 8, trials=12)
+        real, corners = np.linalg.eigvalsh, []
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: corners.append(a[0, 0].real) or real(a)
+        )
+        for i in range(cfg.trials):
+            run_trial(cfg, i)
+        worst = max(corners)
+
+        def fail_on_one(a):
+            if (a[..., 0, 0].real >= worst).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
+        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
+        assert sum(r.degenerate for r in scalar) == 1
+        for size in (1, 3, 12):
+            assert split_records(cfg, size) == [repr(r) for r in scalar]
+
+    def test_geometric_trials_run_one_by_one(self, monkeypatch):
+        cfg = geometric_config(Scheme("svd_phase"), 16, 5, 4, trials=4)
+        calls = record_calls(monkeypatch, "run_trial")
+        records = run_trials(cfg, range(4))
+        assert [c[1] for c in calls] == [0, 1, 2, 3]
+        assert [repr(r) for r in records] == [repr(run_trial(cfg, i)) for i in range(4)]
+
+    # the ends of the documented SNR range, without a floating-point warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rho_db", RHO_DB_RANGE)
+    @pytest.mark.parametrize("kind", list(SCHEMES))
+    def test_batches_equal_run_trial_at_the_snr_limits(self, kind, rho_db):
+        cfg = batched_config(kind, 64 if SCHEMES[kind].multiuser else 8, trials=6, rho_db=rho_db)
+        assert split_records(cfg, 6) == [repr(run_trial(cfg, i)) for i in range(6)]
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_large_arrays_run_a_trial_per_batch(self, n):
+        for workers in (1, 2):
+            batches = experiments.trial_batches(config(n=n, trials=5), workers)
+            assert batches == [range(i, i + 1) for i in range(5)]
+
+    @pytest.mark.parametrize(
+        "n, n_r, trials, workers, sizes",
+        [
+            (8, 8, 400, 1, [100] * 4),  # 128 draws of 1 KiB fit
+            (8, 8, 400, 2, [100] * 4),
+            (8, 8, 300, 2, [75] * 4),  # 3 batches round up to 4
+            (64, 64, 10, 1, [2] * 5),  # 2 draws of 64 KiB fit
+            (64, 64, 9, 2, [1, 2, 1, 2, 1, 2]),  # 5 round up to 6
+            # 32 four-user draws of 4 KiB fit; 13 batches round up to 14
+            (64, 4, 400, 2, [28, 29, 28, 29, 28, 29, 29, 28, 29, 28, 29, 28, 29, 29]),
+            (16, 16, 3, 8, [1, 1, 1]),
+        ],
+    )
+    def test_batches_split_trials_evenly_within_the_cap(self, n, n_r, trials, workers, sizes):
+        scheme = Scheme("mu_zf_digital") if n_r != n else Scheme("svd_phase")
+        cfg = ExperimentConfig(
+            "t", ChannelModel(RAYLEIGH, n, n_r), 4, 4, 34.0, scheme, trials=trials
+        )
+        batches = experiments.trial_batches(cfg, workers)
+        assert [len(b) for b in batches] == sizes
+        assert [i for b in batches for i in b] == list(range(trials))
 
 
 # kind -> the builder names its trial looks up in beamsim.experiments; a
@@ -517,6 +674,13 @@ class TestBuildersByName:
         rec = run_trial(config(scheme=SPEC_CASES[kind][0], trials=1), 0)
         assert not rec.degenerate
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+
+    def test_mu_zf_digital_rates_its_design_once(self, monkeypatch):
+        # its design is its own baseline: the capacity is also the rate
+        calls = record_calls(monkeypatch, "sum_rate_mu")
+        rec = run_trial(config(scheme=Scheme("mu_zf_digital"), trials=1), 0)
+        assert len(calls) == 1
+        assert rec.capacity_bits == rec.rate_bits and rec.gap_bits == 0.0
 
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     def test_capacity_and_design_share_one_svd(self, scheme, monkeypatch):

@@ -92,6 +92,20 @@ class TestThinSvd:
         assert np.array_equal(r1.v, r2.v)
         assert np.array_equal(r1.sigma, r2.sigma)
 
+    @pytest.mark.parametrize("rows, cols", [(8, 8), (10, 7), (4, 64)])
+    def test_stack_factors_equal_each_matrix_alone(self, rows, cols):
+        # a stack gathers each column's gauge anchor along the batch axis,
+        # a single matrix by plain indexing: the bits must not differ
+        gen = np.random.default_rng(5)
+        stack = np.stack([random_complex(gen, rows, cols) for _ in range(6)])
+        # v's first column has equal magnitudes, so the tie rule anchors it
+        stack[2] = np.outer(random_complex(gen, rows, 1), np.exp(1j * gen.uniform(0, 6, cols)))
+        res = thin_svd(stack, 3)
+        for i, a in enumerate(stack):
+            one = thin_svd(a, 3)
+            for got, want in ((res.u[i], one.u), (res.sigma[i], one.sigma), (res.v[i], one.v)):
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("m", [0, -1, 4])
     def test_m_out_of_range(self, m):
         with pytest.raises(DimensionError):

@@ -27,7 +27,7 @@ from beamsim import (
 from beamsim.channel import ChannelRealization
 from beamsim.errors import RankError
 
-from oracles import sum_rate_scalar_loop
+from oracles import sum_rate_scalar_loop, waterfill_loop
 
 RHO_34DB = 10.0**3.4
 
@@ -55,6 +55,28 @@ class TestWaterfill:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             waterfill(np.zeros(3), rho=1.0)
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.0, 1e-4, 0.5, 1.0, 2.0, 50.0]), min_size=4, max_size=4)
+            | st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4),
+            min_size=1,
+            max_size=6,
+        ),
+        st.floats(1e-3, 1e6),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_stack_bits_equal_the_loop_row_by_row(self, rows, rho):
+        # repeated gains make ties in the sorted order
+        gains = np.array(rows)
+        gains[gains.max(axis=1) == 0.0, 0] = 1.0
+        stacked = waterfill(gains, rho)
+        for g, p in zip(gains, stacked):
+            assert waterfill(g, rho).tobytes() == p.tobytes() == waterfill_loop(g, rho).tobytes()
+
+    def test_stack_with_an_all_zero_row_rejected(self):
+        with pytest.raises(ValueError):
+            waterfill(np.array([[1.0, 2.0], [0.0, 0.0]]), rho=1.0)
 
     def test_zero_gain_gets_zero_power(self):
         p = waterfill(np.array([1.0, 0.0, 2.0]), rho=10.0)
