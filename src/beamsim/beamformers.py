@@ -11,10 +11,11 @@ Builders take the channel's factors (``channel.channel_svd``) as an
 argument and never factor the channel themselves.
 
 Each builder has a stacked twin (``*_batch``) that builds the designs of
-a stack of dense draws at once from stacked factors.  Both run the same
-helpers, which work over the last two axes, so a draw's design is
-bitwise the same either way.  Where a builder raises for a draw, its
-twin drops that draw and returns a mask of the draws it kept.
+a stack of draws (a stacked ``ChannelRealization``) at once from stacked
+factors.  Both run the same helpers, which work over the last two axes,
+so a draw's design is bitwise the same either way.  Where a builder
+raises for a draw, its twin drops that draw and returns a mask of the
+draws it kept.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, dense_project
+from .channel import ChannelRealization
 from .closed_form import alpha_from_beta
 from .errors import DegenerateColumnError, DimensionError
 from .linalg import SvdResult, adjoint, kept_rows
@@ -110,12 +111,12 @@ def _p2p_design(
     return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=power, w_rf=w_rf, w_b=w_b, digital=digital)
 
 
-def _p2p_design_batch(h, f_rf, f_b, w_rf, w_b, rho, digital=False):
-    """``_p2p_design`` over a stack ``h`` of dense draws: the designs of the
-    draws whose stream gains are all finite and positive, and that mask."""
+def _p2p_design_batch(chan, f_rf, f_b, w_rf, w_b, rho, digital=False):
+    """``_p2p_design`` over a stack of draws: the designs of the draws whose
+    stream gains are all finite and positive, and that mask."""
     f = f_rf @ f_b
     w = w_rf @ w_b
-    gains = _stream_gains(dense_project(h, w, f), f, w)
+    gains = _stream_gains(chan.project(w, f), f, w)
     ok = (np.isfinite(gains) & (gains > 0.0)).all(axis=-1)
     f_rf, f_b, w_rf, w_b, gains = kept_rows(ok, f_rf, f_b, w_rf, w_b, gains)
     bf = HybridBeamformer(f_rf, f_b, waterfill(gains, rho), w_rf, w_b, digital)
@@ -138,11 +139,11 @@ def _svd_design(chan, svd: SvdResult, side, rho, digital=False) -> HybridBeamfor
     return _p2p_design(chan, f_rf, f_b, w_rf, w_b, rho, digital)
 
 
-def _svd_design_batch(h, svd: SvdResult, side, rho, digital=False):
-    """``_svd_design`` over a stack of dense draws and their stacked factors."""
+def _svd_design_batch(chan, svd: SvdResult, side, rho, digital=False):
+    """``_svd_design`` over a stack of draws and their stacked factors."""
     f_rf, f_b = side(svd.v)
     w_rf, w_b = side(svd.u)
-    return _p2p_design_batch(h, f_rf, f_b, w_rf, w_b, rho, digital)
+    return _p2p_design_batch(chan, f_rf, f_b, w_rf, w_b, rho, digital)
 
 
 def _shared(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -167,9 +168,9 @@ def digital_svd_beamformer(
     return _svd_design(chan, svd, _digital_side, rho, digital=True)
 
 
-def digital_svd_beamformer_batch(h, svd: SvdResult, rho: float):
+def digital_svd_beamformer_batch(chan, svd: SvdResult, rho: float):
     """``digital_svd_beamformer`` of each draw of a stack."""
-    return _svd_design_batch(h, svd, _digital_side, rho, digital=True)
+    return _svd_design_batch(chan, svd, _digital_side, rho, digital=True)
 
 
 def _phase_only(x: np.ndarray) -> np.ndarray:
@@ -242,9 +243,9 @@ def mixed_beamformer(
     return _svd_design(chan, svd, _mixed_side(svd, m), rho)
 
 
-def mixed_beamformer_batch(h, svd: SvdResult, m: int, rho: float):
+def mixed_beamformer_batch(chan, svd: SvdResult, m: int, rho: float):
     """``mixed_beamformer`` of each draw of a stack."""
-    return _svd_design_batch(h, svd, _mixed_side(svd, m), rho)
+    return _svd_design_batch(chan, svd, _mixed_side(svd, m), rho)
 
 
 def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
@@ -277,11 +278,11 @@ def quantize_rf(
     return _p2p_design(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
 
 
-def quantize_rf_batch(h, bf: HybridBeamformer, res: PhaseResolution, rho: float):
-    """``quantize_rf`` over a stack of dense draws and their stacked designs."""
+def quantize_rf_batch(chan, bf: HybridBeamformer, res: PhaseResolution, rho: float):
+    """``quantize_rf`` over a stack of draws and their stacked designs."""
     f_rf = _snap_phases(bf.f_rf, res.bits)
     w_rf = _snap_phases(bf.w_rf, res.bits)
-    return _p2p_design_batch(h, f_rf, bf.f_b, w_rf, bf.w_b, rho)
+    return _p2p_design_batch(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
 
 
 def _selection_rf(cols: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -314,15 +315,15 @@ def select_phase_shifters(
     return _svd_design(chan, svd, masked_phases, rho)
 
 
-def select_phase_shifters_batch(h, svd: SvdResult, rho: float, policy: SelectionPolicy):
+def select_phase_shifters_batch(chan, svd: SvdResult, rho: float, policy: SelectionPolicy):
     """``select_phase_shifters`` of each draw of a stack; a draw with a dead
     RF column is dropped."""
     alpha = alpha_from_beta(policy.beta_percent)
     (f_rf, f_live), (w_rf, w_live) = _selection_rf(svd.v, alpha), _selection_rf(svd.u, alpha)
     live = f_live & w_live
-    h, f_rf, w_rf = kept_rows(live, h, f_rf, w_rf)
+    chan, f_rf, w_rf = kept_rows(live, chan, f_rf, w_rf)
     eye = _eye(f_rf)
-    bf, ok = _p2p_design_batch(h, f_rf, eye, w_rf, eye, rho)
+    bf, ok = _p2p_design_batch(chan, f_rf, eye, w_rf, eye, rho)
     return bf, _within(live, ok)
 
 
@@ -365,11 +366,11 @@ def mu_zf_hybrid(chan: ChannelRealization, svd: SvdResult) -> HybridBeamformer:
     return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=_equal_power(k))
 
 
-def mu_zf_hybrid_batch(h, svd: SvdResult):
-    """``mu_zf_hybrid`` of each draw of a stack; an ill-conditioned H F_RF
-    drops its draw."""
+def mu_zf_hybrid_batch(chan, svd: SvdResult):
+    """``mu_zf_hybrid`` of each dense draw of a stack; an ill-conditioned
+    H F_RF drops its draw."""
     f_rf = _phase_only(svd.v)
-    f_b, ok = _inv_batch(h @ f_rf)
+    f_b, ok = _inv_batch(chan.h @ f_rf)
     (f_rf,) = kept_rows(ok, f_rf)
     return HybridBeamformer(f_rf, f_b, _equal_power(f_b.shape[-1], f_b.shape[:-2])), ok
 
@@ -381,9 +382,10 @@ def mu_zf_digital(chan: ChannelRealization, k: int) -> HybridBeamformer:
     return HybridBeamformer(f_rf=f, f_b=_eye(f), power=_equal_power(k), digital=True)
 
 
-def mu_zf_digital_batch(h, k: int):
-    """``mu_zf_digital`` of each draw of a stack; an ill-conditioned H H^H
-    drops its draw."""
+def mu_zf_digital_batch(chan, k: int):
+    """``mu_zf_digital`` of each dense draw of a stack; an ill-conditioned
+    H H^H drops its draw."""
+    h = chan.h
     gram_inv, ok = _inv_batch(h @ adjoint(h))
     (h,) = kept_rows(ok, h)
     f = adjoint(h) @ gram_inv

@@ -1,6 +1,8 @@
 """Channel generation: i.i.d. Rayleigh fading and sparse multipath with ULA steering.
 
-Both models are normalized so E[||H||^2] = n_r * n_t.
+Both models are normalized so E[||H||^2] = n_r * n_t.  A realization holds
+one draw or a stack of draws, which a batch of trials factors
+(``channel_svds``) and projects with the code one draw uses.
 """
 
 from __future__ import annotations
@@ -66,14 +68,21 @@ class PathComponent:
 
 @dataclass(frozen=True, init=False)
 class ChannelRealization:
-    """One channel draw; ``paths`` (geometric only) sorted by descending |beta|.
+    """One channel draw, or a stack of draws of one model.
 
+    ``paths`` (one geometric draw only) are sorted by descending |beta|.
     ``factors`` (geometric only) holds the path structure the draw was
     built from, ``(a_r, g, a_t)`` with ``h = a_r diag(g) a_t^H``: the
     steering vectors as columns and ``g = sqrt(n_t n_r / L) beta``.  A
     Rayleigh draw is given its dense ``h``; a geometric draw forms ``h``
     from its paths only when something reads it, and otherwise works
     through ``project`` in O(n L) per column.
+
+    A stack carries a leading axis over its draws on ``h`` or on each
+    factor; ``project`` works over it and ``chan[rows]`` keeps some of its
+    draws (so ``kept_rows`` drops draws of a stack).  A stack of path
+    draws has no ``paths`` and forms no dense ``h``: that ``h`` would need
+    the unscaled gains to carry one draw's bits.
     """
 
     model: ChannelModel
@@ -84,21 +93,23 @@ class ChannelRealization:
         # frozen, so the fields go straight into the instance dict
         vars(self).update(model=model, paths=paths, factors=factors)
         if h is None:
-            if paths is None or factors is None:
-                raise ValueError("a channel realization needs h or its paths and factors")
+            if factors is None:
+                raise ValueError("a channel realization needs h or its path factors")
             return
-        if np.shape(h) != self.shape:
+        if np.shape(h)[-2:] != self.shape:
             raise DimensionError(f"h has shape {np.shape(h)}, the model {self.shape}")
         vars(self)["h"] = h  # found there before the cached ``h`` forms one
 
     @property
     def shape(self) -> tuple[int, int]:
-        """``(n_r, n_t)``, the shape of ``h``."""
+        """``(n_r, n_t)``, the shape of ``h`` (of each draw of a stack)."""
         return (self.model.n_r, self.model.n_t)
 
     @cached_property
     def h(self) -> np.ndarray:
         """The dense channel matrix: as given, or formed from the paths."""
+        if self.paths is None:
+            raise ValueError("a stack of path draws forms no dense h")
         # the same operands and order draw_channel used before h was lazy,
         # so the bits match; (a_r * g) @ a_t^H would round differently
         a_r, _, a_t = self.factors
@@ -106,23 +117,24 @@ class ChannelRealization:
         scale = math.sqrt(self.model.n_t * self.model.n_r / len(self.paths))
         return scale * ((a_r * beta) @ a_t.conj().T)
 
+    def __getitem__(self, rows) -> ChannelRealization:
+        """The draws ``rows`` (an index or mask over the first axis) of a stack."""
+        if self.factors is None:
+            return ChannelRealization(self.model, h=self.h[rows])
+        return ChannelRealization(self.model, factors=tuple(a[rows] for a in self.factors))
+
     def project(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The effective channel ``W^H H F``.
+        """The effective channel ``W^H H F``, of each draw of a stack with
+        ``w`` and ``f`` stacked alike.
 
         From the path factors as ``((W^H a_r) diag(g)) (a_t^H F)`` in
         O(n L k), without forming ``h``; a dense draw multiplies through
         ``h`` left to right.
         """
         if self.factors is None:
-            return dense_project(self.h, w, f)
+            return adjoint(w) @ self.h @ f
         a_r, g, a_t = self.factors
-        return ((w.conj().T @ a_r) * g) @ (a_t.conj().T @ f)
-
-
-def dense_project(h: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """``W^H H F`` through a dense ``h``, left to right; over the last two
-    axes, so a stack of draws projects matrix by matrix."""
-    return adjoint(w) @ h @ f
+        return ((adjoint(w) @ a_r) * g[..., None, :]) @ (adjoint(a_t) @ f)
 
 
 def steering_vector(phi: float, n: int, spacing_over_wavelength: float = 0.5) -> np.ndarray:
@@ -138,6 +150,37 @@ def steering_vector(phi: float, n: int, spacing_over_wavelength: float = 0.5) ->
     return np.exp(2j * math.pi * spacing_over_wavelength * math.cos(phi) * idx) / math.sqrt(n)
 
 
+def steering_block(phi: np.ndarray, n: int, spacing_over_wavelength: float = 0.5) -> np.ndarray:
+    """The steering vectors toward the angles ``phi`` (..., L) as columns,
+    (..., n, L): column j bitwise ``steering_vector(phi[..., j], n, ...)``.
+
+    Each angle's phase step is formed as there, with ``math.cos``, and one
+    broadcast ``np.exp`` makes every column.  Angles are not range-checked.
+    """
+    step = [2j * math.pi * spacing_over_wavelength * math.cos(p) for p in phi.ravel()]
+    step = np.array(step).reshape(phi.shape)
+    return np.exp(step[..., None, :] * np.arange(n)[:, None]) / math.sqrt(n)
+
+
+def draw_paths(model: ChannelModel, rng: SeededRng) -> tuple[np.ndarray, ...]:
+    """One geometric draw's path gains and angles ``(beta, phi_t, phi_r)``
+    from the stream ``rng``, sorted by descending |beta|."""
+    gen = rng.generator()
+    l = model.l_paths
+    beta = _complex_gaussian(gen, l)
+    phi_t = gen.uniform(0.0, math.pi, l)
+    phi_r = gen.uniform(0.0, math.pi, l)
+    order = np.argsort(-np.abs(beta), kind="stable")
+    return beta[order], phi_t[order], phi_r[order]
+
+
+def _path_factors(model: ChannelModel, beta, phi_t, phi_r) -> tuple[np.ndarray, ...]:
+    """``(a_r, g, a_t)`` of one draw's paths, or of a stack's along a leading axis."""
+    spacing = model.spacing_over_wavelength
+    g = math.sqrt(model.n_t * model.n_r / model.l_paths) * beta
+    return steering_block(phi_r, model.n_r, spacing), g, steering_block(phi_t, model.n_t, spacing)
+
+
 def draw_channel(model: ChannelModel, rng: SeededRng) -> ChannelRealization:
     """Draw one channel realization from ``model`` using the given stream.
 
@@ -147,71 +190,65 @@ def draw_channel(model: ChannelModel, rng: SeededRng) -> ChannelRealization:
     sqrt(n_t n_r / l_paths), kept as path factors; the dense ``h`` is
     formed only when read.
     """
-    gen = rng.generator()
     if model.kind == RAYLEIGH:
-        h = _complex_gaussian(gen, model.n_r * model.n_t).reshape(model.n_r, model.n_t)
-        return ChannelRealization(h=h, model=model)
-
-    l = model.l_paths
-    beta = _complex_gaussian(gen, l)
-    phi_t = gen.uniform(0.0, math.pi, l)
-    phi_r = gen.uniform(0.0, math.pi, l)
-    order = np.argsort(-np.abs(beta), kind="stable")
-    beta, phi_t, phi_r = beta[order], phi_t[order], phi_r[order]
-    a_t = np.column_stack(
-        [steering_vector(p, model.n_t, model.spacing_over_wavelength) for p in phi_t]
-    )
-    a_r = np.column_stack(
-        [steering_vector(p, model.n_r, model.spacing_over_wavelength) for p in phi_r]
-    )
-    scale = math.sqrt(model.n_t * model.n_r / l)
+        h = _complex_gaussian(rng.generator(), model.n_r * model.n_t)
+        return ChannelRealization(h=h.reshape(model.n_r, model.n_t), model=model)
+    beta, phi_t, phi_r = draw_paths(model, rng)
     paths = tuple(
         PathComponent(complex(b), float(pt), float(pr))
         for b, pt, pr in zip(beta, phi_t, phi_r)
     )
-    return ChannelRealization(model=model, paths=paths, factors=(a_r, scale * beta, a_t))
+    return ChannelRealization(model, paths, _path_factors(model, beta, phi_t, phi_r))
+
+
+def draw_path_stack(model: ChannelModel, rngs) -> ChannelRealization:
+    """The geometric draws of the streams ``rngs`` as one stack, each
+    draw's factors bitwise those ``draw_channel`` gives it: every draw's
+    gains and angles come from its own stream (``draw_paths``), and one
+    ``steering_block`` call per side makes the whole stack's columns."""
+    beta, phi_t, phi_r = (np.stack(a) for a in zip(*(draw_paths(model, r) for r in rngs)))
+    return ChannelRealization(model, factors=_path_factors(model, beta, phi_t, phi_r))
 
 
 def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
     """Rank-``m`` thin SVD of ``chan.h``: the one place a factorization is
-    picked and the one place rank is decided.
+    picked and the one place rank is decided (``channel_svds``).
 
     Returns factors with ``m`` significant singular values or raises
     RankError; ``m`` outside ``1..min(n_r, n_t)`` raises DimensionError.
-    A Rayleigh draw takes the dense ``thin_svd``.  A geometric draw is
-    factored from its path factors in O(n L^2) (``factored_svd``); its
-    rank is at most L, so ``m > L`` raises before any SVD, without
-    forming ``h``.
 
     A trial calls this once and hands the one result to both the
     capacity reference and the design, so its ``u``, ``sigma`` and ``v``
     are read-only: no consumer can change what the other reads.
     """
-    if chan.factors is None:
-        svd = thin_svd(chan.h, m)
-    else:
-        require_truncation(m, chan.shape)
-        svd = factored_svd(*chan.factors, m) if m <= chan.factors[1].size else None
-    if svd is None or not _full_rank(svd.sigma, m):
-        raise RankError(f"requested {m} streams but effective rank is smaller")
+    svd, ok = channel_svds(chan, m)
+    if not ok:
+        raise _rank_error(m)
     for a in (svd.u, svd.sigma, svd.v):
         a.flags.writeable = False
     return svd
 
 
-def _full_rank(sigma: np.ndarray, m: int):
-    """Whether sigma_m clears ``RANK_TOL`` sigma_1, for each row of ``sigma``."""
-    return sigma[..., m - 1] > RANK_TOL * sigma[..., 0]
+def channel_svds(chan: ChannelRealization, m: int) -> tuple[SvdResult, np.ndarray]:
+    """The rank-``m`` thin SVD of a draw, or of each draw of a stack, and
+    whether each draw has ``m`` significant singular values (sigma_m above
+    ``RANK_TOL`` sigma_1; ``channel_svd`` raises RankError for the others).
 
-
-def dense_svds(h: np.ndarray, m: int) -> tuple[SvdResult, np.ndarray]:
-    """``channel_svd`` of each dense draw of a stack ``h`` (draws x n_r x n_t).
-
-    Returns the stacked factors, each draw's bitwise those of its own
-    ``channel_svd``, and a mask of the draws with ``m`` significant singular
-    values: the rank rule of ``channel_svd``, whose RankError the others
-    would raise.  A failed factorization raises ConvergenceError for the
-    whole stack.
+    A Rayleigh draw takes the dense ``thin_svd``.  A geometric draw is
+    factored from its path factors in O(n L^2) (``factored_svd``); its
+    rank is at most L, so ``m > L`` raises RankError before any SVD,
+    without forming ``h``.  A stack's factors are bitwise each draw's
+    own, and a failed factorization raises ConvergenceError for all.
     """
-    svd = thin_svd(h, m)
-    return svd, _full_rank(svd.sigma, m)
+    if chan.factors is None:
+        svd = thin_svd(chan.h, m)
+    else:
+        require_truncation(m, chan.shape)
+        if m > chan.factors[1].shape[-1]:
+            raise _rank_error(m)
+        svd = factored_svd(*chan.factors, m)
+    return svd, svd.sigma[..., m - 1] > RANK_TOL * svd.sigma[..., 0]
+
+
+def _rank_error(m: int) -> RankError:
+    return RankError(f"requested {m} streams but effective rank is smaller")

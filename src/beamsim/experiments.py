@@ -9,10 +9,12 @@ finite) are recorded as degenerate and excluded from the means but kept
 in the accounting, never silently dropped.  Summaries depend only on the
 config, not on worker count or scheduling.
 
-Trials run in batches (``run_trials``).  A batch of dense (Rayleigh)
-draws is stacked and factored, designed and rated by stacked numpy calls,
-each draw's result bitwise that of ``run_trial``; any trial a stacked
-check flags is run by ``run_trial``, which decides every exclusion.
+Trials run in batches (``run_trials``).  A batch's draws, dense
+(Rayleigh) or from their path factors (geometric), are stacked and
+factored, designed and rated by stacked numpy calls, each draw's result
+bitwise that of ``run_trial``; any trial a stacked check flags is run by
+``run_trial``, which decides every exclusion.  Multiuser schemes on
+geometric draws run one trial at a time.
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ from .channel import (
     GEOMETRIC,
     RAYLEIGH,
     ChannelModel,
+    ChannelRealization,
     channel_svd,
-    dense_svds,
+    channel_svds,
     draw_channel,
+    draw_path_stack,
 )
 from .errors import (
     ConfigError,
@@ -79,9 +83,11 @@ DEFAULT_TRIALS = 500
 # near +-3000 dB the rate arithmetic overflows.
 RHO_DB_RANGE = (-300.0, 300.0)
 # A batch of trials holds at most this many bytes of stacked channel
-# matrices (and always one trial): 128 trials at n = 8, 2 at n = 64 and
-# one from n = 128, where a trial runs alone.  At n = 8 a larger cap
-# gains no speed and holds more working memory in each pool worker.
+# draws (and always one trial).  Dense matrices: 128 trials at n = 8, 2 at
+# n = 64 and one from n = 128, where a trial runs alone.  Five-path
+# factors: 6 trials at n = 128, 3 at n = 256, one at n = 512.  At n = 8 a
+# larger cap gains no speed and holds more working memory in each pool
+# worker.
 BATCH_BYTES = 128 * 1024
 
 
@@ -97,13 +103,13 @@ class SchemeSpec:
     the rest with achievable_rate against capacity_p2p over the same
     ``svd.sigma``.  Every ``build`` calls its builders by module global
     name at call time, so patching a name here (as perfbench's tracer
-    does) reaches every scheme that uses it.  ``batch(h, svd, config,
-    rho)`` is the stacked twin of ``build`` over a stack ``h`` of dense
-    draws and their stacked factors: it returns the designs of the draws
-    ``build`` would not refuse, and that mask.  ``param`` names the
-    Scheme field the scheme takes, ``check`` raises ValueError outside its
-    domain, ``label`` formats the Scheme's fields into the CSV label, and m
-    ranges over ``m_per_k`` times k.
+    does) reaches every scheme that uses it.  ``batch(chan, svd, config,
+    rho)`` is the stacked twin of ``build`` over a stack of draws and their
+    stacked factors: it returns the designs of the draws ``build`` would
+    not refuse, and that mask.  ``param`` names the Scheme field the
+    scheme takes, ``check`` raises ValueError outside its domain, ``label``
+    formats the Scheme's fields into the CSV label, and m ranges over
+    ``m_per_k`` times k.
     """
 
     build: Callable | None
@@ -122,14 +128,14 @@ def _mixed(chan, svd, c: ExperimentConfig, rho: float):
     return mixed_beamformer(chan, svd, c.m, rho)
 
 
-def _mixed_batch(h, svd, c: ExperimentConfig, rho: float):
-    return mixed_beamformer_batch(h, svd, c.m, rho)
+def _mixed_batch(chan, svd, c: ExperimentConfig, rho: float):
+    return mixed_beamformer_batch(chan, svd, c.m, rho)
 
 
-def _quantized_batch(h, svd, c: ExperimentConfig, rho: float):
-    bf, ok = _mixed_batch(h, svd, c, rho)
-    (h,) = kept_rows(ok, h)
-    bf, snapped = quantize_rf_batch(h, bf, PhaseResolution(c.scheme.bits), rho)
+def _quantized_batch(chan, svd, c: ExperimentConfig, rho: float):
+    bf, ok = _mixed_batch(chan, svd, c, rho)
+    (chan,) = kept_rows(ok, chan)
+    bf, snapped = quantize_rf_batch(chan, bf, PhaseResolution(c.scheme.bits), rho)
     return bf, _within(ok, snapped)
 
 
@@ -142,7 +148,7 @@ def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
 SCHEMES = {
     "digital": SchemeSpec(
         lambda chan, svd, c, rho: digital_svd_beamformer(chan, svd, rho),
-        lambda h, svd, c, rho: digital_svd_beamformer_batch(h, svd, rho),
+        lambda chan, svd, c, rho: digital_svd_beamformer_batch(chan, svd, rho),
     ),
     "svd_phase": SchemeSpec(
         _mixed,
@@ -170,8 +176,8 @@ SCHEMES = {
         lambda chan, svd, c, rho: select_phase_shifters(
             chan, svd, rho, SelectionPolicy(c.scheme.beta_percent)
         ),
-        lambda h, svd, c, rho: select_phase_shifters_batch(
-            h, svd, rho, SelectionPolicy(c.scheme.beta_percent)
+        lambda chan, svd, c, rho: select_phase_shifters_batch(
+            chan, svd, rho, SelectionPolicy(c.scheme.beta_percent)
         ),
         gap=lambda c, rich: closed_form.selection_gap(c.k, c.scheme.beta_percent) if rich else None,
         param="beta_percent",
@@ -181,7 +187,7 @@ SCHEMES = {
     ),
     "mu_zf_hybrid": SchemeSpec(
         lambda chan, svd, c, rho: mu_zf_hybrid(chan, svd),
-        lambda h, svd, c, rho: mu_zf_hybrid_batch(h, svd),
+        lambda chan, svd, c, rho: mu_zf_hybrid_batch(chan, svd),
         gap=lambda c, rich: closed_form.mu_zf_gap(c.k),
         multiuser=True,
     ),
@@ -380,48 +386,52 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
 
 
 def _stacked_records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRecord]:
-    """The records of the trials ``indices`` of a Rayleigh config, from
-    stacked draws, by trial index; a trial that a stacked check flags has
-    none.
+    """The records of the trials ``indices``, from stacked draws, by trial
+    index; a trial that a stacked check flags has none.
 
     The flags are the draws a builder or evaluator would refuse (rank below
     k, a dead selection column, a condition number past COND_LIMIT) and a
     zero or non-finite waterfill gain, capacity or rate.  A stacked LAPACK
-    call that fails raises for the whole batch.
+    call that fails, and a k above a geometric draw's path count, raise for
+    the whole batch.
     """
     spec = config.scheme.spec
     rho = 10.0 ** (config.rho_db / 10.0)
-    h = np.stack(
-        [draw_channel(config.channel, SeededRng(config.master_seed, i)).h for i in indices]
-    )
+    rngs = [SeededRng(config.master_seed, i) for i in indices]
+    if config.channel.kind == GEOMETRIC:
+        chan = draw_path_stack(config.channel, rngs)
+    else:
+        chan = ChannelRealization(
+            config.channel, h=np.stack([draw_channel(config.channel, r).h for r in rngs])
+        )
     rows = np.arange(len(indices))  # the batch positions still in the stack
     inactive = np.full(len(indices), math.nan)  # by batch position
     # Each stage keeps the rows it passes; a name whose arrays the later
     # stages do not read is dropped at once, to hold the batch's peak memory.
     if spec.multiuser:
-        baseline, ok = mu_zf_digital_batch(h, config.k)
-        rows, h = kept_rows(ok, rows, h)
-        capacity = rate = sum_rate_mu_bits(h, baseline, rho)
+        baseline, ok = mu_zf_digital_batch(chan, config.k)
+        rows, chan = kept_rows(ok, rows, chan)
+        capacity = rate = sum_rate_mu_bits(chan, baseline, rho)
         del baseline
         if spec.batch is not None:
-            svd, ok = dense_svds(h, config.k)
-            rows, h, capacity, u, sigma, v = kept_rows(
-                ok, rows, h, capacity, svd.u, svd.sigma, svd.v
+            svd, ok = channel_svds(chan, config.k)
+            rows, chan, capacity, u, sigma, v = kept_rows(
+                ok, rows, chan, capacity, svd.u, svd.sigma, svd.v
             )
-            bf, ok = spec.batch(h, SvdResult(u, sigma, v), config, rho)
+            bf, ok = spec.batch(chan, SvdResult(u, sigma, v), config, rho)
             del svd, u, sigma, v
-            rows, h, capacity = kept_rows(ok, rows, h, capacity)
-            rate = sum_rate_mu_bits(h, bf, rho)
+            rows, chan, capacity = kept_rows(ok, rows, chan, capacity)
+            rate = sum_rate_mu_bits(chan, bf, rho)
     else:
-        svd, ok = dense_svds(h, config.k)
-        rows, h, u, sigma, v = kept_rows(ok, rows, h, svd.u, svd.sigma, svd.v)
+        svd, ok = channel_svds(chan, config.k)
+        rows, chan, u, sigma, v = kept_rows(ok, rows, chan, svd.u, svd.sigma, svd.v)
         capacity = capacity_bits(sigma, rho)
-        bf, ok = spec.batch(h, SvdResult(u, sigma, v), config, rho)
+        bf, ok = spec.batch(chan, SvdResult(u, sigma, v), config, rho)
         del svd, u, sigma, v
-        rows, h, capacity = kept_rows(ok, rows, h, capacity)
+        rows, chan, capacity = kept_rows(ok, rows, chan, capacity)
         if spec.reports_inactive:
             inactive[rows] = _inactive_fraction(bf)
-        rate, ok = achievable_rate_bits(h, bf, rho)
+        rate, ok = achievable_rate_bits(chan, bf, rho)
         rows, capacity = kept_rows(ok, rows, capacity)
     out = {}
     for row, c, r in zip(rows.tolist(), capacity.tolist(), rate.tolist()):
@@ -436,16 +446,18 @@ def run_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
     """The records of the trials ``indices``, equal to
     ``[run_trial(config, i) for i in indices]`` and computed as one batch.
 
-    Two or more Rayleigh draws are stacked (``_stacked_records``).  Each
-    trial a stacked check flags, every trial of a batch whose stacked
-    LAPACK call fails, and every geometric trial is run by ``run_trial``.
+    Two or more draws are stacked (``_stacked_records``).  Each trial a
+    stacked check flags, every trial of a batch whose stacked LAPACK call
+    fails or whose k exceeds a geometric draw's rank, and every multiuser
+    trial on geometric draws (whose dense ``h`` a stack does not form) is
+    run by ``run_trial``.
     """
     indices = list(indices)
     done = {}
-    if len(indices) > 1 and config.channel.kind == RAYLEIGH:
+    if len(indices) > 1 and not (config.scheme.spec.multiuser and config.channel.kind == GEOMETRIC):
         try:
             done = _stacked_records(config, indices)
-        except (ConvergenceError, np.linalg.LinAlgError):
+        except (RankError, ConvergenceError, np.linalg.LinAlgError):
             done = {}
     return [done[i] if i in done else run_trial(config, i) for i in indices]
 
@@ -453,12 +465,15 @@ def run_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
 def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
     """The config's trial indices in consecutive batches of near-equal size.
 
-    A batch holds at most ``BATCH_BYTES`` of stacked channel matrices, and
-    always one trial.  The batch count is a multiple of ``workers`` (up to
-    one batch per trial), so a pool's workers get equal shares.
+    A batch holds at most ``BATCH_BYTES`` of stacked draws, and always one
+    trial: n_r n_t complex entries per dense draw, (n_r + n_t) L per
+    geometric draw's steering blocks.  The batch count is a multiple of
+    ``workers`` (up to one batch per trial), so a pool's workers get equal
+    shares.
     """
-    draw = np.dtype(complex).itemsize * config.channel.n_r * config.channel.n_t
-    size = max(1, BATCH_BYTES // draw)
+    n_t, n_r, l_paths = config.channel.n_t, config.channel.n_r, config.channel.l_paths
+    entries = n_r * n_t if l_paths is None else (n_r + n_t) * l_paths
+    size = max(1, BATCH_BYTES // (np.dtype(complex).itemsize * entries))
     count = -(-config.trials // size)
     count = min(config.trials, -(-count // workers) * workers)
     bounds = [config.trials * j // count for j in range(count + 1)]

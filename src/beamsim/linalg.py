@@ -120,10 +120,12 @@ def factored_svd(a_r, g, a_t, m: int) -> SvdResult:
     L x L core ``R_r diag(g) R_t^H``, whose factors ``Q_r``/``Q_t`` rotate
     back to full size: O((rows + cols) L^2) work instead of a dense SVD.
     The result is exact (not an approximation) for any ``1 <= m <= L``.
+    Stacked factors (a leading axis on each) give stacked results, each
+    bitwise that of its own call.
     """
     q_r, r_r = np.linalg.qr(a_r)
     q_t, r_t = np.linalg.qr(a_t)
-    core = thin_svd((r_r * g) @ r_t.conj().T, m)
+    core = thin_svd((r_r * g[..., None, :]) @ adjoint(r_t), m)
     u = q_r @ core.u
     v = q_t @ core.v
     _fix_gauge(u, v)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ChannelRealization, dense_project
+from .channel import ChannelRealization
 from .errors import DimensionError, SingularMatrixError
 from .linalg import adjoint, kept_rows
 
@@ -171,10 +171,10 @@ def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float
 
 
 def achievable_rate_bits(
-    h: np.ndarray, bf: "HybridBeamformer", rho: float
+    chan: ChannelRealization, bf: "HybridBeamformer", rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``achievable_rate(...).rate_bits`` of a stack of point-to-point designs
-    over a stack ``h`` of dense draws.
+    over a stack ``chan`` of draws.
 
     Returns the rates of the draws whose noise covariance is well
     conditioned and that mask; ``achievable_rate`` raises
@@ -184,9 +184,9 @@ def achievable_rate_bits(
     f, w = bf.precoder(), bf.combiner()
     rn, gamma_r = _noise_covariance(w)
     ok = _conditioned(np.linalg.cond(rn))
-    f, w, rn, gamma_r, power, h = kept_rows(ok, f, w, rn, gamma_r, bf.power, h)
+    f, w, rn, gamma_r, power, chan = kept_rows(ok, f, w, rn, gamma_r, bf.power, chan)
     lchol = np.linalg.cholesky(rn)
-    per = _whitened_streams(lchol, dense_project(h, w, f), power, _gamma(f), gamma_r, rho)
+    per = _whitened_streams(lchol, chan.project(w, f), power, _gamma(f), gamma_r, rho)
     return per.sum(axis=-1), ok
 
 
@@ -226,7 +226,7 @@ def sum_rate_mu(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) ->
     )
 
 
-def sum_rate_mu_bits(h: np.ndarray, bf: "HybridBeamformer", rho: float) -> np.ndarray:
+def sum_rate_mu_bits(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) -> np.ndarray:
     """``sum_rate_mu(...).rate_bits`` of a stack of multiuser designs over a
-    stack ``h`` of dense draws."""
-    return _mu_streams(h, bf.precoder(), rho).sum(axis=-1)
+    stack ``chan`` of dense draws."""
+    return _mu_streams(chan.h, bf.precoder(), rho).sum(axis=-1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamsim import channel
 from beamsim import (
     GEOMETRIC,
     RAYLEIGH,
@@ -21,7 +22,9 @@ from beamsim import (
     steering_vector,
     thin_svd,
 )
+from beamsim.channel import channel_svds, draw_path_stack, draw_paths, steering_block
 from beamsim.errors import DimensionError
+from beamsim.linalg import factored_svd
 
 
 class TestSteeringVector:
@@ -47,6 +50,26 @@ class TestSteeringVector:
     def test_domain(self, phi):
         with pytest.raises(ValueError):
             steering_vector(phi, 4)
+
+
+def steering_columns(angles, n, spacing=0.5):
+    return np.column_stack([steering_vector(p, n, spacing) for p in angles])
+
+
+class TestSteeringBlock:
+    @pytest.mark.parametrize("n", [1, 16, 128, 512])
+    @pytest.mark.parametrize("spacing", [0.5, 0.7])
+    def test_bitwise_the_steering_vectors(self, n, spacing):
+        # tobytes compares signs of zero too
+        gen = np.random.default_rng(n)
+        phi = np.array([0.0, math.pi / 2, math.pi, *gen.uniform(0.0, math.pi, 3)])
+        want = steering_columns(phi, n, spacing)
+        assert steering_block(phi, n, spacing).tobytes() == want.tobytes()
+        stack = np.stack([phi, gen.uniform(0.0, math.pi, 6), phi[::-1]])
+        block = steering_block(stack, n, spacing)
+        assert block.shape == (3, n, 6)
+        for got, angles in zip(block, stack):
+            assert got.tobytes() == steering_columns(angles, n, spacing).tobytes()
 
 
 class TestChannelModel:
@@ -297,3 +320,72 @@ class TestChannelSvd:
         dense, res = thin_svd(chan.h, 4), channel_svd(chan, 4)
         for name in ("u", "sigma", "v"):
             assert np.array_equal(getattr(res, name), getattr(dense, name))
+
+
+def path_stack(model, count=6, seed=9):
+    return draw_path_stack(model, [SeededRng(seed, t) for t in range(count)])
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("n_t, n_r, l", [(16, 16, 5), (64, 32, 3), (8, 8, 1)])
+    def test_each_draw_bitwise_its_own(self, n_t, n_r, l):
+        model = ChannelModel(GEOMETRIC, n_t, n_r, l_paths=l)
+        stack = path_stack(model)
+        assert [a.shape for a in stack.factors] == [(6, n_r, l), (6, l), (6, n_t, l)]
+        for t in range(6):
+            one = draw_channel(model, SeededRng(9, t))
+            for got, want in zip(stack.factors, one.factors):
+                assert got[t].tobytes() == want.tobytes()
+
+    def test_stack_of_path_draws_forms_no_dense_h(self):
+        stack = path_stack(ChannelModel(GEOMETRIC, 16, 16, l_paths=3))
+        with pytest.raises(ValueError, match="no dense h"):
+            stack.h
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_factors_equal_each_draw_alone(self, m):
+        model = ChannelModel(GEOMETRIC, 32, 24, l_paths=5)
+        stack = path_stack(model)
+        res = factored_svd(*stack.factors, m)
+        for t in range(6):
+            one = factored_svd(*draw_channel(model, SeededRng(9, t)).factors, m)
+            for got, want in ((res.u[t], one.u), (res.sigma[t], one.sigma), (res.v[t], one.v)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_rank_mask_and_refusal_follow_channel_svd(self, monkeypatch):
+        # draw 2's second path coincides with its first, so its rank is 4
+        model = ChannelModel(GEOMETRIC, 16, 16, l_paths=5)
+        real = draw_paths
+
+        def coincident(model, rng):
+            beta, phi_t, phi_r = real(model, rng)
+            if rng.stream_id == 2:
+                phi_t[1], phi_r[1] = phi_t[0], phi_r[0]
+            return beta, phi_t, phi_r
+
+        monkeypatch.setattr(channel, "draw_paths", coincident)
+        stack = path_stack(model)
+        _, ok = channel_svds(stack, 5)
+        assert ok.tolist() == [True, True, False, True, True, True]
+        with pytest.raises(RankError):
+            channel_svd(draw_channel(model, SeededRng(9, 2)), 5)
+        with pytest.raises(RankError, match="requested 6 streams"):
+            channel_svds(stack, 6)
+
+    @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
+    def test_projection_and_kept_rows_equal_each_draw(self, kind):
+        model = ChannelModel(kind, 24, 20, l_paths=4 if kind == GEOMETRIC else None)
+        draws = [draw_channel(model, SeededRng(9, t)) for t in range(6)]
+        if kind == GEOMETRIC:
+            stack = path_stack(model)
+        else:
+            stack = ChannelRealization(model, h=np.stack([c.h for c in draws]))
+        gen = np.random.default_rng(2)
+        w = gen.standard_normal((6, 20, 3)) + 1j * gen.standard_normal((6, 20, 3))
+        f = gen.standard_normal((6, 24, 3)) + 1j * gen.standard_normal((6, 24, 3))
+        e = stack.project(w, f)
+        for t, chan in enumerate(draws):
+            assert e[t].tobytes() == chan.project(w[t], f[t]).tobytes()
+        keep = np.array([True, False, True, True, False, True])
+        kept = stack[keep]
+        assert kept.project(w[keep], f[keep]).tobytes() == e[keep].tobytes()

@@ -472,15 +472,15 @@ class TestSchemeTable:
 def count_factorizations(monkeypatch) -> list[str]:
     """Record the name of every channel factorization trials run, once per
     matrix factored: a geometric draw's ``factored_svd`` and the
-    ``thin_svd`` of its core, or a Rayleigh draw's dense ``thin_svd``, which
-    a batch of trials calls once on its stacked draws."""
+    ``thin_svd`` of its core, or a Rayleigh draw's dense ``thin_svd``.  A
+    batch of trials calls each once on its stacked draws (or cores), which
+    counts once per draw."""
     calls = []
     for module, name in ((channel, "thin_svd"), (linalg, "thin_svd"), (channel, "factored_svd")):
         real = getattr(module, name)
 
         def counted(*a, real=real, name=name):
-            matrices = math.prod(np.shape(a[0])[:-2]) if name == "thin_svd" else 1
-            calls.extend([name] * matrices)
+            calls.extend([name] * math.prod(np.shape(a[0])[:-2]))
             return real(*a)
 
         monkeypatch.setattr(module, name, counted)
@@ -501,7 +501,8 @@ class TestFactorOnce:
         calls = count_factorizations(monkeypatch)
         res = run_experiment(geometric_config(scheme, 64, 5, 4, trials=3))
         assert res.summary.excluded_count == 0
-        assert calls == ["factored_svd", "thin_svd"] * 3
+        # one batch: the three draws' factored_svd, then their cores' thin_svd
+        assert sorted(calls) == ["factored_svd"] * 3 + ["thin_svd"] * 3
 
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     def test_rank_starved_draw_is_excluded(self, scheme, monkeypatch):
@@ -596,12 +597,92 @@ class TestBatchedTrials:
         for size in (1, 3, 12):
             assert split_records(cfg, size) == [repr(r) for r in scalar]
 
-    def test_geometric_trials_run_one_by_one(self, monkeypatch):
+    def test_geometric_batches_stack_and_equal_run_trial(self, monkeypatch):
         cfg = geometric_config(Scheme("svd_phase"), 16, 5, 4, trials=4)
         calls = record_calls(monkeypatch, "run_trial")
         records = run_trials(cfg, range(4))
-        assert [c[1] for c in calls] == [0, 1, 2, 3]
+        assert calls == []
         assert [repr(r) for r in records] == [repr(run_trial(cfg, i)) for i in range(4)]
+
+    @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("size", [1, 3, 40], ids=["split1", "split3", "whole"])
+    def test_geometric_batches_equal_run_trial(self, scheme, n, size, monkeypatch):
+        cfg = geometric_config(scheme, n, 5, 4, trials=40)
+        scalar = [repr(run_trial(cfg, i)) for i in range(cfg.trials)]
+        assert "degenerate=True" not in "".join(scalar)
+        calls = record_calls(monkeypatch, "run_trial")
+        assert split_records(cfg, size) == scalar
+        # a batch of one runs run_trial; a larger one flags none of these draws
+        alone = [i for i in range(0, cfg.trials, size) if min(i + size, cfg.trials) == i + 1]
+        assert [c[1] for c in calls] == alone
+
+    def test_more_streams_than_paths_excluded_without_svd(self, monkeypatch):
+        cfg = geometric_config(Scheme("svd_phase"), 16, 2, 4, trials=6)
+        calls = count_factorizations(monkeypatch)
+        records = run_trials(cfg, range(6))
+        assert all(r.degenerate for r in records)
+        assert calls == []
+
+    @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
+    @pytest.mark.parametrize("size", [3, 12], ids=["split3", "whole"])
+    def test_coincident_paths_excluded_through_run_trial(self, scheme, size, monkeypatch):
+        # every third draw's second path coincides with its first: rank 4 < k = 5
+        real = channel.draw_paths
+
+        def coincident(model, rng):
+            beta, phi_t, phi_r = real(model, rng)
+            if rng.stream_id % 3 == 1:
+                phi_t[1], phi_r[1] = phi_t[0], phi_r[0]
+            return beta, phi_t, phi_r
+
+        monkeypatch.setattr(channel, "draw_paths", coincident)
+        cfg = geometric_config(scheme, 16, 5, 5, trials=12)
+        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
+        assert [r.degenerate for r in scalar] == [i % 3 == 1 for i in range(12)]
+        calls = record_calls(monkeypatch, "run_trial")
+        assert split_records(cfg, size) == [repr(r) for r in scalar]
+        assert [c[1] for c in calls] == [i for i in range(12) if i % 3 == 1]
+
+    @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
+    def test_eigvalsh_failing_on_one_row_of_a_geometric_stack(self, scheme, monkeypatch):
+        cfg = geometric_config(scheme, 16, 5, 4, trials=12)
+        real, corners = np.linalg.eigvalsh, []
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: corners.append(a[0, 0].real) or real(a)
+        )
+        for i in range(cfg.trials):
+            run_trial(cfg, i)
+        worst = max(corners)
+
+        def fail_on_one(a):
+            if (a[..., 0, 0].real >= worst).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
+        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
+        (bad,) = [r.trial_index for r in scalar if r.degenerate]
+        for size in (1, 3, 12):
+            calls = record_calls(monkeypatch, "run_trial")
+            assert split_records(cfg, size) == [repr(r) for r in scalar]
+            # a batch of one runs run_trial; of the stacks, the one that holds
+            # the failing row falls back whole, and no other
+            fallback = [i for i in range(12) if size == 1 or i // size == bad // size]
+            assert [c[1] for c in calls] == fallback
+
+    @pytest.mark.parametrize(
+        "n, trials, sizes",
+        [(128, 20, [5] * 4), (256, 10, [2, 3, 2, 3]), (512, 5, [1] * 5), (16, 60, [30, 30])],
+    )
+    def test_geometric_batches_hold_their_path_factors(self, n, trials, sizes):
+        # a five-path draw stacks (2 n) 5 complex entries: 6 fit at n = 128,
+        # 3 at n = 256, 51 at n = 16, and none beside another at n = 512
+        for workers in (1, 2):
+            cfg = geometric_config(Scheme("svd_phase"), n, 5, 4, trials=trials)
+            batches = experiments.trial_batches(cfg, workers)
+            assert [len(b) for b in batches] == sizes
+            assert [i for b in batches for i in b] == list(range(trials))
 
     # the ends of the documented SNR range, without a floating-point warning
     @pytest.mark.filterwarnings("error::RuntimeWarning")
