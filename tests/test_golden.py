@@ -59,10 +59,37 @@ def record_configs() -> list[ExperimentConfig]:
     return out
 
 
-def record_lines() -> list[str]:
+def exclusion_configs() -> list[ExperimentConfig]:
+    """Points whose trials are excluded: selection at beta = 90 on Rayleigh
+    n = 16, which kills an RF column in about half the draws, and a
+    geometric L = 2 channel asked for k = 4 streams, which excludes all."""
     return [
-        f"{c.name} {r!r}" for c in record_configs() for r in run_experiment(c).records
+        ExperimentConfig(
+            name="rayleigh_n16_selection(beta=90)",
+            channel=ChannelModel(RAYLEIGH, 16, 16),
+            k=4,
+            m=4,
+            rho_db=34.0,
+            scheme=Scheme("selection", beta_percent=90.0),
+            trials=40,
+            master_seed=5,
+        ),
+        ExperimentConfig(
+            name="geometric_n16_L2_svd_phase",
+            channel=ChannelModel(GEOMETRIC, 16, 16, l_paths=2),
+            k=4,
+            m=4,
+            rho_db=34.0,
+            scheme=Scheme("svd_phase"),
+            trials=6,
+            master_seed=20240611,
+        ),
     ]
+
+
+def record_lines(configs=None) -> list[str]:
+    configs = record_configs() if configs is None else configs
+    return [f"{c.name} {r!r}" for c in configs for r in run_experiment(c).records]
 
 
 def write_figures(out: Path, workers: int) -> None:
@@ -73,6 +100,14 @@ def write_figures(out: Path, workers: int) -> None:
 def test_records_match_golden():
     golden = (GOLDEN / "records.txt").read_text().splitlines()
     assert record_lines() == golden
+
+
+def test_exclusions_match_golden():
+    golden = (GOLDEN / "exclusions.txt").read_text().splitlines()
+    lines = record_lines(exclusion_configs())
+    assert lines == golden
+    assert 0 < sum("degenerate=True" in line for line in lines[:40]) < 40
+    assert all("degenerate=True" in line for line in lines[40:])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -89,3 +124,4 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     write_figures(GOLDEN, workers=1)
     (GOLDEN / "records.txt").write_text("\n".join(record_lines()) + "\n")
+    (GOLDEN / "exclusions.txt").write_text("\n".join(record_lines(exclusion_configs())) + "\n")
