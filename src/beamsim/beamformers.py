@@ -7,15 +7,15 @@ modulus shifters so the pair sums back exactly, and the selection design
 zeroes shifters whose singular-vector entry falls below a threshold.
 Power allocations are always waterfilled over the per-stream gains of the
 actual (finite-size) effective channel, not the asymptotic values.
-Builders take the channel's factors (``channel.channel_svd``) as an
-argument and never factor the channel themselves.
 
-Each builder has a stacked twin (``*_batch``) that builds the designs of
-a stack of draws (a stacked ``ChannelRealization``) at once from stacked
-factors.  Both run the same helpers, which work over the last two axes,
-so a draw's design is bitwise the same either way.  Where a builder
-raises for a draw, its twin drops that draw and returns a mask of the
-draws it kept.
+Each builder (``*_designs``) designs a stack of draws (a stacked
+``ChannelRealization``) at once from their stacked factors
+(``channel.channel_svds``), and never factors the channel itself.  It
+returns the designs of the draws it keeps and the mask of those draws:
+a draw it refuses (an RF column with every shifter off, an
+ill-conditioned inverse, no positive or a non-finite stream gain) is
+dropped, not raised.  The single-draw functions run the same builder on
+a stack of one and raise for a refused draw.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .closed_form import alpha_from_beta
-from .errors import DegenerateColumnError, DimensionError
+from .errors import DegenerateColumnError, DimensionError, SingularMatrixError
 from .linalg import SvdResult, adjoint, kept_rows
-from .rates import _checked_condition, _conditioned, _gamma, waterfill
+from .rates import COND_LIMIT, _conditioned, _gamma, waterfill
 
 @dataclass(frozen=True)
 class PhaseResolution:
@@ -63,8 +63,7 @@ class HybridBeamformer:
     unconstrained designs whose ``f_rf`` entries are not unit modulus.
     The normalization factors ``gamma_t``/``gamma_r`` are derived from the
     matrices, so they stay right under ``dataclasses.replace``.  A
-    ``*_batch`` builder's design holds a stack of designs, each array with
-    a leading axis over the draws.
+    stack of designs carries a leading axis over its draws on each array.
     """
 
     f_rf: np.ndarray
@@ -81,6 +80,13 @@ class HybridBeamformer:
         if self.w_rf is None or self.w_b is None:
             return None
         return self.w_rf @ self.w_b
+
+    def __getitem__(self, rows) -> HybridBeamformer:
+        """The designs ``rows`` of a stack (``None``: a stack of one)."""
+        w_rf, w_b = (None if a is None else a[rows] for a in (self.w_rf, self.w_b))
+        return HybridBeamformer(
+            self.f_rf[rows], self.f_b[rows], self.power[rows], w_rf, w_b, self.digital
+        )
 
     @property
     def gamma_t(self) -> float:
@@ -100,27 +106,17 @@ def _stream_gains(e: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.abs(e.diagonal(axis1=-2, axis2=-1)) ** 2
 
 
-def _p2p_design(
-    chan: ChannelRealization, f_rf, f_b, w_rf, w_b, rho, digital=False
-) -> HybridBeamformer:
-    """Point-to-point design with power waterfilled over |diag of the
-    normalized effective channel|^2."""
-    f = f_rf @ f_b
-    w = w_rf @ w_b
-    power = waterfill(_stream_gains(chan.project(w, f), f, w), rho)
-    return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=power, w_rf=w_rf, w_b=w_b, digital=digital)
-
-
-def _p2p_design_batch(chan, f_rf, f_b, w_rf, w_b, rho, digital=False):
-    """``_p2p_design`` over a stack of draws: the designs of the draws whose
-    stream gains are all finite and positive, and that mask."""
+def _p2p_designs(chan, f_rf, f_b, w_rf, w_b, rho, digital=False):
+    """Point-to-point designs with power waterfilled over |diag of the
+    normalized effective channel|^2, for the draws whose gains waterfill
+    takes (all finite, one positive), and that mask."""
     f = f_rf @ f_b
     w = w_rf @ w_b
     gains = _stream_gains(chan.project(w, f), f, w)
-    ok = (np.isfinite(gains) & (gains > 0.0)).all(axis=-1)
+    top = gains.max(axis=-1)  # NaN where any gain is NaN
+    ok = (top > 0.0) & (top < math.inf)
     f_rf, f_b, w_rf, w_b, gains = kept_rows(ok, f_rf, f_b, w_rf, w_b, gains)
-    bf = HybridBeamformer(f_rf, f_b, waterfill(gains, rho), w_rf, w_b, digital)
-    return bf, ok
+    return HybridBeamformer(f_rf, f_b, waterfill(gains, rho), w_rf, w_b, digital), ok
 
 
 def _within(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -130,26 +126,33 @@ def _within(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return out
 
 
-def _svd_design(chan, svd: SvdResult, side, rho, digital=False) -> HybridBeamformer:
-    """Point-to-point design from SVD factors of ``chan``: ``side`` maps the
+def _one(made, error: Exception) -> HybridBeamformer:
+    """The design of a stack of one, from a builder's ``(designs, mask)``;
+    ``error`` is raised where the builder refused the draw."""
+    bf, ok = made
+    if not ok[0]:
+        raise error
+    return bf[0]
+
+
+def _no_gain() -> ValueError:
+    return ValueError("waterfilling needs finite stream gains, one of them positive")
+
+
+def _svd_designs(chan, svd: SvdResult, side, rho, digital=False):
+    """Point-to-point designs from the factors of ``chan``: ``side`` maps the
     right singular vectors to the transmit (RF, baseband) pair, then the
     left ones to the receive pair."""
     f_rf, f_b = side(svd.v)
     w_rf, w_b = side(svd.u)
-    return _p2p_design(chan, f_rf, f_b, w_rf, w_b, rho, digital)
-
-
-def _svd_design_batch(chan, svd: SvdResult, side, rho, digital=False):
-    """``_svd_design`` over a stack of draws and their stacked factors."""
-    f_rf, f_b = side(svd.v)
-    w_rf, w_b = side(svd.u)
-    return _p2p_design_batch(chan, f_rf, f_b, w_rf, w_b, rho, digital)
+    return _p2p_designs(chan, f_rf, f_b, w_rf, w_b, rho, digital)
 
 
 def _shared(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``a`` for each matrix of ``cols``: ``a`` itself beside one matrix, a
-    read-only broadcast of it beside a stack."""
-    return a if cols.ndim == 2 else np.broadcast_to(a, cols.shape[:-2] + a.shape)
+    """A copy of ``a`` beside each matrix of the stack ``cols``."""
+    out = np.empty(cols.shape[:-2] + a.shape, a.dtype)
+    out[...] = a
+    return out
 
 
 def _eye(cols: np.ndarray) -> np.ndarray:
@@ -161,16 +164,16 @@ def _digital_side(cols: np.ndarray):
     return cols, _eye(cols)
 
 
+def digital_designs(chan, svd: SvdResult, rho: float):
+    """Unconstrained SVD designs: F = V_{1:k}, W = U_{1:k}, capacity-achieving."""
+    return _svd_designs(chan, svd, _digital_side, rho, digital=True)
+
+
 def digital_svd_beamformer(
     chan: ChannelRealization, svd: SvdResult, rho: float
 ) -> HybridBeamformer:
-    """Unconstrained SVD design: F = V_{1:k}, W = U_{1:k}, capacity-achieving."""
-    return _svd_design(chan, svd, _digital_side, rho, digital=True)
-
-
-def digital_svd_beamformer_batch(chan, svd: SvdResult, rho: float):
-    """``digital_svd_beamformer`` of each draw of a stack."""
-    return _svd_design_batch(chan, svd, _digital_side, rho, digital=True)
+    """``digital_designs`` of one draw; ValueError where it refuses the draw."""
+    return _one(digital_designs(chan[None], svd[None], rho), _no_gain())
 
 
 def _phase_only(x: np.ndarray) -> np.ndarray:
@@ -227,10 +230,8 @@ def _mixed_side(svd: SvdResult, m: int):
     return lambda cols: _mixed_rf(cols, m - k)
 
 
-def mixed_beamformer(
-    chan: ChannelRealization, svd: SvdResult, m: int, rho: float
-) -> HybridBeamformer:
-    """Hybrid design for k <= m <= 2k RF chains per side, from the rank-k
+def mixed_designs(chan, svd: SvdResult, m: int, rho: float):
+    """Hybrid designs for k <= m <= 2k RF chains per side, from the rank-k
     factors ``svd`` of ``chan``.
 
     The strongest m - k streams each use a two-shifter pair that
@@ -240,12 +241,14 @@ def mixed_beamformer(
     entry, baseband identity), and m = 2k factors the SVD precoder exactly
     and meets the digital rate.
     """
-    return _svd_design(chan, svd, _mixed_side(svd, m), rho)
+    return _svd_designs(chan, svd, _mixed_side(svd, m), rho)
 
 
-def mixed_beamformer_batch(chan, svd: SvdResult, m: int, rho: float):
-    """``mixed_beamformer`` of each draw of a stack."""
-    return _svd_design_batch(chan, svd, _mixed_side(svd, m), rho)
+def mixed_beamformer(
+    chan: ChannelRealization, svd: SvdResult, m: int, rho: float
+) -> HybridBeamformer:
+    """``mixed_designs`` of one draw; ValueError where it refuses the draw."""
+    return _one(mixed_designs(chan[None], svd[None], m, rho), _no_gain())
 
 
 def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
@@ -264,25 +267,24 @@ def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
     return out
 
 
+def quantized_designs(chan, bf: HybridBeamformer, res: PhaseResolution, rho: float):
+    """The stacked designs ``bf`` with every active RF phase replaced by its
+    nearest digital grid point, re-waterfilled over the resulting gains."""
+    f_rf = _snap_phases(bf.f_rf, res.bits)
+    w_rf = _snap_phases(bf.w_rf, res.bits)
+    return _p2p_designs(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
+
+
 def quantize_rf(
     chan: ChannelRealization, bf: HybridBeamformer, res: PhaseResolution, rho: float
 ) -> HybridBeamformer:
-    """Replace every active RF phase with its nearest digital grid point and
-    re-waterfill over the resulting effective gains."""
+    """``quantized_designs`` of one draw's design; ValueError where it
+    refuses the draw."""
     if bf.digital:
         raise ValueError("cannot quantize an unconstrained (digital) beamformer")
     if bf.w_rf is None or bf.w_b is None:
         raise DimensionError("quantize_rf supports point-to-point beamformers")
-    f_rf = _snap_phases(bf.f_rf, res.bits)
-    w_rf = _snap_phases(bf.w_rf, res.bits)
-    return _p2p_design(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
-
-
-def quantize_rf_batch(chan, bf: HybridBeamformer, res: PhaseResolution, rho: float):
-    """``quantize_rf`` over a stack of draws and their stacked designs."""
-    f_rf = _snap_phases(bf.f_rf, res.bits)
-    w_rf = _snap_phases(bf.w_rf, res.bits)
-    return _p2p_design_batch(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
+    return _one(quantized_designs(chan[None], bf[None], res, rho), _no_gain())
 
 
 def _selection_rf(cols: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -293,38 +295,40 @@ def _selection_rf(cols: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     return rf, keep.any(axis=-2).all(axis=-1)
 
 
-def select_phase_shifters(
-    chan: ChannelRealization, svd: SvdResult, rho: float, policy: SelectionPolicy
-) -> HybridBeamformer:
-    """Phase-only design from the factors ``svd`` of ``chan``, with the
-    weakest shifters switched off.
+def _selection_sides(svd: SvdResult, policy: SelectionPolicy):
+    """Both sides' phase-only RF with the weakest shifters switched off, and
+    whether every RF column of a draw keeps one on."""
+    alpha = alpha_from_beta(policy.beta_percent)
+    (f_rf, f_live), (w_rf, w_live) = _selection_rf(svd.v, alpha), _selection_rf(svd.u, alpha)
+    return f_rf, w_rf, f_live & w_live
+
+
+def selection_designs(chan, svd: SvdResult, rho: float, policy: SelectionPolicy):
+    """Phase-only designs from the factors ``svd`` of ``chan``, with the
+    weakest shifters switched off; a draw with a dead RF column is dropped.
 
     A transmit shifter stays active only where sqrt(n_t) |V_entry| exceeds
     the policy threshold, and likewise at the receiver with sqrt(n_r) |U|;
-    normalization factors come from the actual masked matrices.  Raises
-    DegenerateColumnError if any RF column loses all its shifters.
+    normalization factors come from the actual masked matrices.
     """
-    alpha = alpha_from_beta(policy.beta_percent)
-
-    def masked_phases(cols):
-        rf, live = _selection_rf(cols, alpha)
-        if not live:
-            raise DegenerateColumnError(f"beta={policy.beta_percent}% disabled an entire RF column")
-        return rf, _eye(cols)
-
-    return _svd_design(chan, svd, masked_phases, rho)
-
-
-def select_phase_shifters_batch(chan, svd: SvdResult, rho: float, policy: SelectionPolicy):
-    """``select_phase_shifters`` of each draw of a stack; a draw with a dead
-    RF column is dropped."""
-    alpha = alpha_from_beta(policy.beta_percent)
-    (f_rf, f_live), (w_rf, w_live) = _selection_rf(svd.v, alpha), _selection_rf(svd.u, alpha)
-    live = f_live & w_live
+    f_rf, w_rf, live = _selection_sides(svd, policy)
     chan, f_rf, w_rf = kept_rows(live, chan, f_rf, w_rf)
     eye = _eye(f_rf)
-    bf, ok = _p2p_design_batch(chan, f_rf, eye, w_rf, eye, rho)
+    bf, ok = _p2p_designs(chan, f_rf, eye, w_rf, eye, rho)
     return bf, _within(live, ok)
+
+
+def select_phase_shifters(
+    chan: ChannelRealization, svd: SvdResult, rho: float, policy: SelectionPolicy
+) -> HybridBeamformer:
+    """``selection_designs`` of one draw.  Raises DegenerateColumnError if
+    any RF column loses all its shifters, and ValueError where the stream
+    gains refuse the draw."""
+    f_rf, w_rf, live = _selection_sides(svd[None], policy)
+    if not live[0]:
+        raise DegenerateColumnError(f"beta={policy.beta_percent}% disabled an entire RF column")
+    eye = _eye(f_rf)
+    return _one(_p2p_designs(chan[None], f_rf, eye, w_rf, eye, rho), _no_gain())
 
 
 def _require_mu_shape(chan: ChannelRealization, k: int) -> None:
@@ -335,58 +339,55 @@ def _require_mu_shape(chan: ChannelRealization, k: int) -> None:
         )
 
 
-def _checked_inv(a: np.ndarray, name: str) -> np.ndarray:
-    _checked_condition(a, name)
-    return np.linalg.inv(a)
-
-
-def _inv_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of the well-conditioned matrices of a stack, and that mask:
-    the ones ``_checked_inv`` would not refuse."""
+def _inverses(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of the matrices of a stack whose condition number is finite
+    and within COND_LIMIT, and that mask."""
     ok = _conditioned(np.linalg.cond(a))
     (a,) = kept_rows(ok, a)
     return np.linalg.inv(a), ok
 
 
-def _equal_power(k: int, shape=()) -> np.ndarray:
+def _singular(name: str) -> SingularMatrixError:
+    return SingularMatrixError(f"{name} condition number is not finite or exceeds {COND_LIMIT:g}")
+
+
+def _equal_power(k: int, shape) -> np.ndarray:
     return np.full(shape + (k,), 1.0 / k)
 
 
-def mu_zf_hybrid(chan: ChannelRealization, svd: SvdResult) -> HybridBeamformer:
-    """Multiuser hybrid from the rank-k factors ``svd`` of ``chan``: phase-only
-    RF columns, baseband inverts H F_RF.
+def mu_zf_hybrid_designs(chan, svd: SvdResult):
+    """Multiuser hybrid designs from the rank-k factors ``svd`` of dense
+    draws: phase-only RF columns, baseband inverts H F_RF; an
+    ill-conditioned H F_RF drops its draw.
 
     The effective channel H F_RF F_B / sqrt(Gt) is the identity up to the
     power normalization, so each user sees an interference-free link.
     """
-    k = svd.v.shape[1]
-    _require_mu_shape(chan, k)
     f_rf = _phase_only(svd.v)
-    f_b = _checked_inv(chan.h @ f_rf, "H F_RF")
-    return HybridBeamformer(f_rf=f_rf, f_b=f_b, power=_equal_power(k))
-
-
-def mu_zf_hybrid_batch(chan, svd: SvdResult):
-    """``mu_zf_hybrid`` of each dense draw of a stack; an ill-conditioned
-    H F_RF drops its draw."""
-    f_rf = _phase_only(svd.v)
-    f_b, ok = _inv_batch(chan.h @ f_rf)
+    f_b, ok = _inverses(chan.h @ f_rf)
     (f_rf,) = kept_rows(ok, f_rf)
     return HybridBeamformer(f_rf, f_b, _equal_power(f_b.shape[-1], f_b.shape[:-2])), ok
 
 
-def mu_zf_digital(chan: ChannelRealization, k: int) -> HybridBeamformer:
-    """Unconstrained zero-forcing: F = H^H (H H^H)^-1, the digital baseline."""
-    _require_mu_shape(chan, k)
-    f = adjoint(chan.h) @ _checked_inv(chan.h @ adjoint(chan.h), "H H^H")
-    return HybridBeamformer(f_rf=f, f_b=_eye(f), power=_equal_power(k), digital=True)
+def mu_zf_hybrid(chan: ChannelRealization, svd: SvdResult) -> HybridBeamformer:
+    """``mu_zf_hybrid_designs`` of one draw; SingularMatrixError where it
+    refuses the draw."""
+    _require_mu_shape(chan, svd.v.shape[1])
+    return _one(mu_zf_hybrid_designs(chan[None], svd[None]), _singular("H F_RF"))
 
 
-def mu_zf_digital_batch(chan, k: int):
-    """``mu_zf_digital`` of each dense draw of a stack; an ill-conditioned
-    H H^H drops its draw."""
+def mu_zf_digital_designs(chan, k: int):
+    """Unconstrained zero-forcing, F = H^H (H H^H)^-1, of each draw: the
+    digital baseline; an ill-conditioned H H^H drops its draw."""
     h = chan.h
-    gram_inv, ok = _inv_batch(h @ adjoint(h))
+    gram_inv, ok = _inverses(h @ adjoint(h))
     (h,) = kept_rows(ok, h)
     f = adjoint(h) @ gram_inv
     return HybridBeamformer(f, _eye(f), _equal_power(k, f.shape[:-2]), digital=True), ok
+
+
+def mu_zf_digital(chan: ChannelRealization, k: int) -> HybridBeamformer:
+    """``mu_zf_digital_designs`` of one draw; SingularMatrixError where it
+    refuses the draw."""
+    _require_mu_shape(chan, k)
+    return _one(mu_zf_digital_designs(chan[None], k), _singular("H H^H"))

@@ -1,8 +1,8 @@
 """Channel generation: i.i.d. Rayleigh fading and sparse multipath with ULA steering.
 
 Both models are normalized so E[||H||^2] = n_r * n_t.  A realization holds
-one draw or a stack of draws, which a batch of trials factors
-(``channel_svds``) and projects with the code one draw uses.
+one draw or a stack of draws (a leading axis over them), and every
+function here takes either: a trial is a stack of one.
 """
 
 from __future__ import annotations
@@ -73,27 +73,28 @@ class ChannelRealization:
     ``paths`` (one geometric draw only) are sorted by descending |beta|.
     ``factors`` (geometric only) holds the path structure the draw was
     built from, ``(a_r, g, a_t)`` with ``h = a_r diag(g) a_t^H``: the
-    steering vectors as columns and ``g = sqrt(n_t n_r / L) beta``.  A
-    Rayleigh draw is given its dense ``h``; a geometric draw forms ``h``
-    from its paths only when something reads it, and otherwise works
-    through ``project`` in O(n L) per column.
+    steering vectors as columns and ``g = sqrt(n_t n_r / L) beta``, with
+    the unscaled gains ``beta`` beside them.  A Rayleigh draw is given its
+    dense ``h``; a geometric draw forms ``h`` from its factors only when
+    something reads it, and otherwise works through ``project`` in
+    O(n L) per column.
 
-    A stack carries a leading axis over its draws on ``h`` or on each
-    factor; ``project`` works over it and ``chan[rows]`` keeps some of its
-    draws (so ``kept_rows`` drops draws of a stack).  A stack of path
-    draws has no ``paths`` and forms no dense ``h``: that ``h`` would need
-    the unscaled gains to carry one draw's bits.
+    A stack carries a leading axis over its draws on ``h``, on each factor
+    and on ``beta``; ``project`` and ``h`` work over it, and ``chan[rows]``
+    keeps some of its draws (so ``kept_rows`` drops draws of a stack, and
+    ``chan[None]`` is the stack of one draw).  A stack has no ``paths``.
     """
 
     model: ChannelModel
     paths: tuple[PathComponent, ...] | None = None
     factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    beta: np.ndarray | None = None
 
-    def __init__(self, model: ChannelModel, paths=None, factors=None, h=None):
+    def __init__(self, model: ChannelModel, paths=None, factors=None, h=None, beta=None):
         # frozen, so the fields go straight into the instance dict
-        vars(self).update(model=model, paths=paths, factors=factors)
+        vars(self).update(model=model, paths=paths, factors=factors, beta=beta)
         if h is None:
-            if factors is None:
+            if factors is None or beta is None:
                 raise ValueError("a channel realization needs h or its path factors")
             return
         if np.shape(h)[-2:] != self.shape:
@@ -107,21 +108,22 @@ class ChannelRealization:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """The dense channel matrix: as given, or formed from the paths."""
-        if self.paths is None:
-            raise ValueError("a stack of path draws forms no dense h")
+        """The dense channel matrix: as given, or formed from the path factors."""
         # the same operands and order draw_channel used before h was lazy,
         # so the bits match; (a_r * g) @ a_t^H would round differently
         a_r, _, a_t = self.factors
-        beta = np.array([p.beta for p in self.paths])
-        scale = math.sqrt(self.model.n_t * self.model.n_r / len(self.paths))
-        return scale * ((a_r * beta) @ a_t.conj().T)
+        scale = math.sqrt(self.model.n_t * self.model.n_r / self.model.l_paths)
+        return scale * ((a_r * self.beta[..., None, :]) @ adjoint(a_t))
 
     def __getitem__(self, rows) -> ChannelRealization:
-        """The draws ``rows`` (an index or mask over the first axis) of a stack."""
-        if self.factors is None:
-            return ChannelRealization(self.model, h=self.h[rows])
-        return ChannelRealization(self.model, factors=tuple(a[rows] for a in self.factors))
+        """The draws ``rows`` (an index or mask over the first axis, or
+        ``None`` for a stack of one) of a stack, with its ``h`` if formed."""
+        def pick(a):
+            return None if a is None else a[rows]
+
+        factors = None if self.factors is None else tuple(map(pick, self.factors))
+        h = pick(vars(self).get("h"))
+        return ChannelRealization(self.model, factors=factors, h=h, beta=pick(self.beta))
 
     def project(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The effective channel ``W^H H F``, of each draw of a stack with
@@ -198,7 +200,7 @@ def draw_channel(model: ChannelModel, rng: SeededRng) -> ChannelRealization:
         PathComponent(complex(b), float(pt), float(pr))
         for b, pt, pr in zip(beta, phi_t, phi_r)
     )
-    return ChannelRealization(model, paths, _path_factors(model, beta, phi_t, phi_r))
+    return ChannelRealization(model, paths, _path_factors(model, beta, phi_t, phi_r), beta=beta)
 
 
 def draw_path_stack(model: ChannelModel, rngs) -> ChannelRealization:
@@ -206,24 +208,25 @@ def draw_path_stack(model: ChannelModel, rngs) -> ChannelRealization:
     draw's factors bitwise those ``draw_channel`` gives it: every draw's
     gains and angles come from its own stream (``draw_paths``), and one
     ``steering_block`` call per side makes the whole stack's columns."""
-    beta, phi_t, phi_r = (np.stack(a) for a in zip(*(draw_paths(model, r) for r in rngs)))
-    return ChannelRealization(model, factors=_path_factors(model, beta, phi_t, phi_r))
+    beta, phi_t, phi_r = (np.array(a) for a in zip(*(draw_paths(model, r) for r in rngs)))
+    return ChannelRealization(model, factors=_path_factors(model, beta, phi_t, phi_r), beta=beta)
 
 
 def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
-    """Rank-``m`` thin SVD of ``chan.h``: the one place a factorization is
-    picked and the one place rank is decided (``channel_svds``).
+    """Rank-``m`` thin SVD of one draw: ``channel_svds`` of its stack of
+    one, the one place a factorization is picked and rank is decided.
 
     Returns factors with ``m`` significant singular values or raises
     RankError; ``m`` outside ``1..min(n_r, n_t)`` raises DimensionError.
 
-    A trial calls this once and hands the one result to both the
-    capacity reference and the design, so its ``u``, ``sigma`` and ``v``
-    are read-only: no consumer can change what the other reads.
+    Its ``u``, ``sigma`` and ``v`` are read-only, so the callers that
+    share one result (a capacity and a design) cannot change what the
+    other reads.
     """
-    svd, ok = channel_svds(chan, m)
-    if not ok:
-        raise _rank_error(m)
+    svd, ok = channel_svds(chan[None], m)
+    if not ok[0]:
+        raise RankError(f"requested {m} streams but effective rank is smaller")
+    svd = svd[0]
     for a in (svd.u, svd.sigma, svd.v):
         a.flags.writeable = False
     return svd
@@ -236,19 +239,19 @@ def channel_svds(chan: ChannelRealization, m: int) -> tuple[SvdResult, np.ndarra
 
     A Rayleigh draw takes the dense ``thin_svd``.  A geometric draw is
     factored from its path factors in O(n L^2) (``factored_svd``); its
-    rank is at most L, so ``m > L`` raises RankError before any SVD,
-    without forming ``h``.  A stack's factors are bitwise each draw's
-    own, and a failed factorization raises ConvergenceError for all.
+    rank is at most L, so for ``m > L`` it gets zero factors, which no
+    draw passes, without an SVD or a formed ``h``.  A stack's factors are
+    bitwise each draw's own, and a failed factorization raises
+    ConvergenceError for all.
     """
     if chan.factors is None:
         svd = thin_svd(chan.h, m)
     else:
         require_truncation(m, chan.shape)
-        if m > chan.factors[1].shape[-1]:
-            raise _rank_error(m)
-        svd = factored_svd(*chan.factors, m)
+        g = chan.factors[1]
+        if m <= g.shape[-1]:
+            svd = factored_svd(*chan.factors, m)
+        else:  # rank at most L < m: zero factors, which no draw passes
+            lead, (n_r, n_t) = g.shape[:-1], chan.shape
+            svd = SvdResult(*(np.zeros(lead + s) for s in ((n_r, m), (m,), (n_t, m))))
     return svd, svd.sigma[..., m - 1] > RANK_TOL * svd.sigma[..., 0]
-
-
-def _rank_error(m: int) -> RankError:
-    return RankError(f"requested {m} streams but effective rank is smaller")

@@ -3,18 +3,17 @@
 A trial draws one channel on its own random stream (master_seed,
 trial_index), builds the configured beamformer and measures capacity and
 achieved rate.  Trials that cannot be completed (stream count above the
-channel rank, selection killing an RF column, a singular inversion, an
-SVD or eigensolver that does not converge, a capacity or rate that is not
-finite) are recorded as degenerate and excluded from the means but kept
+channel rank, selection killing an RF column, a singular inversion,
+stream gains waterfilling cannot take, an SVD or eigensolver that does
+not converge, a capacity or rate that is not finite) are recorded as degenerate and excluded from the means but kept
 in the accounting, never silently dropped.  Summaries depend only on the
 config, not on worker count or scheduling.
 
-Trials run in batches (``run_trials``).  A batch's draws, dense
-(Rayleigh) or from their path factors (geometric), are stacked and
-factored, designed and rated by stacked numpy calls, each draw's result
-bitwise that of ``run_trial``; any trial a stacked check flags is run by
-``run_trial``, which decides every exclusion.  Multiuser schemes on
-geometric draws run one trial at a time.
+Trials run in batches (``run_trials``), and a single trial is a batch
+of one.  A batch's draws, dense (Rayleigh) or as path factors
+(geometric), are stacked, then factored, designed and rated by stacked
+numpy calls; each stage drops the draws it refuses by a mask.  A draw's
+record is bitwise the same in any batch.
 """
 
 from __future__ import annotations
@@ -36,45 +35,27 @@ from .beamformers import (
     PhaseResolution,
     SelectionPolicy,
     _within,
-    digital_svd_beamformer,
-    digital_svd_beamformer_batch,
-    mixed_beamformer,
-    mixed_beamformer_batch,
-    mu_zf_digital,
-    mu_zf_digital_batch,
-    mu_zf_hybrid,
-    mu_zf_hybrid_batch,
-    quantize_rf,
-    quantize_rf_batch,
-    select_phase_shifters,
-    select_phase_shifters_batch,
+    digital_designs,
+    mixed_designs,
+    mu_zf_digital_designs,
+    mu_zf_hybrid_designs,
+    quantized_designs,
+    selection_designs,
 )
 from .channel import (
     GEOMETRIC,
     RAYLEIGH,
     ChannelModel,
     ChannelRealization,
-    channel_svd,
     channel_svds,
     draw_channel,
     draw_path_stack,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateColumnError,
-    RankError,
-    SingularMatrixError,
-)
-from .linalg import SeededRng, SvdResult, blas_thread_control, kept_rows
-from .rates import (
-    achievable_rate,
-    achievable_rate_bits,
-    capacity_bits,
-    capacity_p2p,
-    sum_rate_mu,
-    sum_rate_mu_bits,
-)
+from .errors import ConfigError, ConvergenceError, SingularMatrixError
+from .linalg import SeededRng, blas_thread_control, kept_rows
+
+# capacity_p2p is not called here; perfbench's tracer looks the name up
+from .rates import capacity_p2p, capacity_streams, mu_streams, p2p_streams  # noqa: F401
 
 DEFAULT_SEED = 123456789
 DEFAULT_TRIALS = 500
@@ -95,25 +76,22 @@ BATCH_BYTES = 128 * 1024
 class SchemeSpec:
     """What the runner knows about one beamforming scheme.
 
-    ``build(chan, svd, config, rho)`` makes the design from the trial's
-    factors ``svd = channel_svd(chan, config.k)``, and ``gap(config, rich)``
-    predicts its capacity gap on a Rayleigh (rich) or geometric channel, or
-    None.  Multiuser designs are measured with sum_rate_mu against the
-    digital ZF design (whose ``build`` is None and which factors nothing),
-    the rest with achievable_rate against capacity_p2p over the same
-    ``svd.sigma``.  Every ``build`` calls its builders by module global
-    name at call time, so patching a name here (as perfbench's tracer
-    does) reaches every scheme that uses it.  ``batch(chan, svd, config,
-    rho)`` is the stacked twin of ``build`` over a stack of draws and their
-    stacked factors: it returns the designs of the draws ``build`` would
-    not refuse, and that mask.  ``param`` names the Scheme field the
-    scheme takes, ``check`` raises ValueError outside its domain, ``label``
-    formats the Scheme's fields into the CSV label, and m ranges over
-    ``m_per_k`` times k.
+    ``design(chan, svd, config, rho)`` designs a stack of draws from their
+    stacked factors ``svd, _ = channel_svds(chan, config.k)``, and returns
+    the designs of the draws it keeps and that mask.  ``gap(config, rich)``
+    predicts the scheme's capacity gap on a Rayleigh (rich) or geometric
+    channel, or None.  Multiuser designs are measured with ``mu_streams``
+    against the digital ZF design (whose ``design`` is None and which
+    factors nothing), the rest with ``p2p_streams`` against
+    ``capacity_streams`` over the same ``svd.sigma``.  Every ``design``
+    calls its builders by module global name at call time, so patching a
+    name here reaches every scheme that uses it.  ``param`` names the
+    Scheme field the scheme takes, ``check`` raises ValueError outside its
+    domain, ``label`` formats the Scheme's fields into the CSV label, and m
+    ranges over ``m_per_k`` times k.
     """
 
-    build: Callable | None
-    batch: Callable | None
+    design: Callable | None
     gap: Callable = lambda config, rich: 0.0
     param: str | None = None
     check: Callable | None = None
@@ -125,17 +103,13 @@ class SchemeSpec:
 
 def _mixed(chan, svd, c: ExperimentConfig, rho: float):
     """The svd_phase (m = k), double_rf (m = 2k) and mixed designs."""
-    return mixed_beamformer(chan, svd, c.m, rho)
+    return mixed_designs(chan, svd, c.m, rho)
 
 
-def _mixed_batch(chan, svd, c: ExperimentConfig, rho: float):
-    return mixed_beamformer_batch(chan, svd, c.m, rho)
-
-
-def _quantized_batch(chan, svd, c: ExperimentConfig, rho: float):
-    bf, ok = _mixed_batch(chan, svd, c, rho)
+def _quantized(chan, svd, c: ExperimentConfig, rho: float):
+    bf, ok = _mixed(chan, svd, c, rho)
     (chan,) = kept_rows(ok, chan)
-    bf, snapped = quantize_rf_batch(chan, bf, PhaseResolution(c.scheme.bits), rho)
+    bf, snapped = quantized_designs(chan, bf, PhaseResolution(c.scheme.bits), rho)
     return bf, _within(ok, snapped)
 
 
@@ -146,37 +120,26 @@ def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
 
 # kind -> spec: the one place that tells the schemes apart.
 SCHEMES = {
-    "digital": SchemeSpec(
-        lambda chan, svd, c, rho: digital_svd_beamformer(chan, svd, rho),
-        lambda chan, svd, c, rho: digital_svd_beamformer_batch(chan, svd, rho),
-    ),
+    "digital": SchemeSpec(lambda chan, svd, c, rho: digital_designs(chan, svd, rho)),
     "svd_phase": SchemeSpec(
         _mixed,
-        _mixed_batch,
         gap=lambda c, rich: closed_form.svd_phase_gap(c.k) if rich else 0.0,
     ),
-    "double_rf": SchemeSpec(_mixed, _mixed_batch, m_per_k=(2, 2)),
+    "double_rf": SchemeSpec(_mixed, m_per_k=(2, 2)),
     "mixed": SchemeSpec(
         _mixed,
-        _mixed_batch,
         gap=lambda c, rich: closed_form.mixed_gap(c.k, c.m) if rich else 0.0,
         m_per_k=(1, 2),
     ),
     "quantized": SchemeSpec(
-        lambda chan, svd, c, rho: quantize_rf(
-            chan, _mixed(chan, svd, c, rho), PhaseResolution(c.scheme.bits), rho
-        ),
-        _quantized_batch,
+        _quantized,
         gap=lambda c, rich: _quant_gap(c, closed_form.svd_phase_gap(c.k) if rich else 0.0),
         param="bits",
         check=PhaseResolution,
         label="quantized(b={bits})",
     ),
     "selection": SchemeSpec(
-        lambda chan, svd, c, rho: select_phase_shifters(
-            chan, svd, rho, SelectionPolicy(c.scheme.beta_percent)
-        ),
-        lambda chan, svd, c, rho: select_phase_shifters_batch(
+        lambda chan, svd, c, rho: selection_designs(
             chan, svd, rho, SelectionPolicy(c.scheme.beta_percent)
         ),
         gap=lambda c, rich: closed_form.selection_gap(c.k, c.scheme.beta_percent) if rich else None,
@@ -186,12 +149,11 @@ SCHEMES = {
         reports_inactive=True,
     ),
     "mu_zf_hybrid": SchemeSpec(
-        lambda chan, svd, c, rho: mu_zf_hybrid(chan, svd),
-        lambda chan, svd, c, rho: mu_zf_hybrid_batch(chan, svd),
+        lambda chan, svd, c, rho: mu_zf_hybrid_designs(chan, svd),
         gap=lambda c, rich: closed_form.mu_zf_gap(c.k),
         multiuser=True,
     ),
-    "mu_zf_digital": SchemeSpec(None, None, multiuser=True),
+    "mu_zf_digital": SchemeSpec(None, multiuser=True),
 }
 
 
@@ -353,113 +315,82 @@ def _inactive_fraction(bf):
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Execute one Monte-Carlo trial on its own random stream."""
-    spec = config.scheme.spec
-    rng = SeededRng(config.master_seed, trial_index)
-    chan = draw_channel(config.channel, rng)
-    rho = 10.0 ** (config.rho_db / 10.0)
-    inactive = math.nan
-    try:
-        if spec.multiuser:
-            capacity = rate = sum_rate_mu(chan, mu_zf_digital(chan, config.k), rho).rate_bits
-            if spec.build is not None:
-                bf = spec.build(chan, channel_svd(chan, config.k), config, rho)
-                rate = sum_rate_mu(chan, bf, rho).rate_bits
-        else:
-            svd = channel_svd(chan, config.k)
-            capacity = capacity_p2p(svd.sigma, rho).rate_bits
-            bf = spec.build(chan, svd, config, rho)
-            rate = achievable_rate(chan, bf, rho).rate_bits
-            if spec.reports_inactive:
-                inactive = float(_inactive_fraction(bf))
-    except (
-        RankError,
-        DegenerateColumnError,
-        SingularMatrixError,
-        ConvergenceError,
-        np.linalg.LinAlgError,
-    ):
-        capacity = rate = math.nan
-    if not (math.isfinite(capacity) and math.isfinite(rate)):
-        return TrialRecord(trial_index, math.nan, math.nan, math.nan, math.nan, True)
-    return TrialRecord(trial_index, capacity, rate, capacity - rate, inactive, False)
+    """Execute one Monte-Carlo trial on its own random stream: the batch of one."""
+    return run_trials(config, [trial_index])[0]
 
 
-def _stacked_records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRecord]:
-    """The records of the trials ``indices``, from stacked draws, by trial
-    index; a trial that a stacked check flags has none.
+def _draws(model: ChannelModel, rngs: list[SeededRng]) -> ChannelRealization:
+    """The draws of the streams ``rngs`` as one stack."""
+    if model.kind == GEOMETRIC:
+        return draw_path_stack(model, rngs)
+    return ChannelRealization(model, h=np.array([draw_channel(model, r).h for r in rngs]))
 
-    The flags are the draws a builder or evaluator would refuse (rank below
-    k, a dead selection column, a condition number past COND_LIMIT) and a
-    zero or non-finite waterfill gain, capacity or rate.  A stacked LAPACK
-    call that fails, and a k above a geometric draw's path count, raise for
-    the whole batch.
+
+def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRecord]:
+    """The records of the trials ``indices`` that every stage keeps, by trial
+    index, from one stack of their draws.
+
+    A stage drops the draws it refuses: a rank below k, a dead selection
+    column, a condition number past COND_LIMIT, stream gains waterfilling
+    cannot take, and last a capacity or rate that is not finite.  A failed
+    stacked LAPACK call raises for the whole stack.
     """
     spec = config.scheme.spec
     rho = 10.0 ** (config.rho_db / 10.0)
-    rngs = [SeededRng(config.master_seed, i) for i in indices]
-    if config.channel.kind == GEOMETRIC:
-        chan = draw_path_stack(config.channel, rngs)
-    else:
-        chan = ChannelRealization(
-            config.channel, h=np.stack([draw_channel(config.channel, r).h for r in rngs])
-        )
+    chan = _draws(config.channel, [SeededRng(config.master_seed, i) for i in indices])
     rows = np.arange(len(indices))  # the batch positions still in the stack
     inactive = np.full(len(indices), math.nan)  # by batch position
     # Each stage keeps the rows it passes; a name whose arrays the later
     # stages do not read is dropped at once, to hold the batch's peak memory.
     if spec.multiuser:
-        baseline, ok = mu_zf_digital_batch(chan, config.k)
+        baseline, ok = mu_zf_digital_designs(chan, config.k)
         rows, chan = kept_rows(ok, rows, chan)
-        capacity = rate = sum_rate_mu_bits(chan, baseline, rho)
+        capacity = rate = mu_streams(chan, baseline, rho).sum(axis=-1)
         del baseline
-        if spec.batch is not None:
+        if spec.design is not None:
             svd, ok = channel_svds(chan, config.k)
-            rows, chan, capacity, u, sigma, v = kept_rows(
-                ok, rows, chan, capacity, svd.u, svd.sigma, svd.v
-            )
-            bf, ok = spec.batch(chan, SvdResult(u, sigma, v), config, rho)
-            del svd, u, sigma, v
+            rows, chan, capacity, svd = kept_rows(ok, rows, chan, capacity, svd)
+            bf, ok = spec.design(chan, svd, config, rho)
+            del svd
             rows, chan, capacity = kept_rows(ok, rows, chan, capacity)
-            rate = sum_rate_mu_bits(chan, bf, rho)
+            rate = mu_streams(chan, bf, rho).sum(axis=-1)
     else:
         svd, ok = channel_svds(chan, config.k)
-        rows, chan, u, sigma, v = kept_rows(ok, rows, chan, svd.u, svd.sigma, svd.v)
-        capacity = capacity_bits(sigma, rho)
-        bf, ok = spec.batch(chan, SvdResult(u, sigma, v), config, rho)
-        del svd, u, sigma, v
+        rows, chan, svd = kept_rows(ok, rows, chan, svd)
+        capacity = capacity_streams(svd.sigma, rho).sum(axis=-1)
+        bf, ok = spec.design(chan, svd, config, rho)
+        del svd
         rows, chan, capacity = kept_rows(ok, rows, chan, capacity)
         if spec.reports_inactive:
             inactive[rows] = _inactive_fraction(bf)
-        rate, ok = achievable_rate_bits(chan, bf, rho)
+        per, _, ok = p2p_streams(chan, bf, rho)
         rows, capacity = kept_rows(ok, rows, capacity)
+        rate = per.sum(axis=-1)
     out = {}
     for row, c, r in zip(rows.tolist(), capacity.tolist(), rate.tolist()):
         if math.isfinite(c) and math.isfinite(r):
             i, x = indices[row], float(inactive[row])
-            # no inactive share is math.nan itself, as in run_trial's records
+            # no inactive share is math.nan itself, whatever the batch
             out[i] = TrialRecord(i, c, r, c - r, math.nan if math.isnan(x) else x, False)
     return out
 
 
 def run_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
-    """The records of the trials ``indices``, equal to
-    ``[run_trial(config, i) for i in indices]`` and computed as one batch.
+    """The records of the trials ``indices``, computed as one batch.
 
-    Two or more draws are stacked (``_stacked_records``).  Each trial a
-    stacked check flags, every trial of a batch whose stacked LAPACK call
-    fails or whose k exceeds a geometric draw's rank, and every multiuser
-    trial on geometric draws (whose dense ``h`` a stack does not form) is
-    run by ``run_trial``.
+    A trial a stage refuses is recorded as degenerate.  When a stacked
+    LAPACK call of the batch fails, each trial is run again as a batch of
+    one, and a trial whose own call fails is excluded.
     """
     indices = list(indices)
-    done = {}
-    if len(indices) > 1 and not (config.scheme.spec.multiuser and config.channel.kind == GEOMETRIC):
-        try:
-            done = _stacked_records(config, indices)
-        except (RankError, ConvergenceError, np.linalg.LinAlgError):
-            done = {}
-    return [done[i] if i in done else run_trial(config, i) for i in indices]
+    try:
+        done = _records(config, indices)
+    except (ConvergenceError, SingularMatrixError, np.linalg.LinAlgError):
+        if len(indices) > 1:
+            return [r for i in indices for r in run_trials(config, [i])]
+        done = {}
+    nan = math.nan
+    return [done.get(i) or TrialRecord(i, nan, nan, nan, nan, True) for i in indices]
 
 
 def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:

@@ -74,6 +74,10 @@ class SvdResult:
     sigma: np.ndarray
     v: np.ndarray
 
+    def __getitem__(self, rows) -> SvdResult:
+        """The factors ``rows`` of a stack (``None``: a stack of one)."""
+        return SvdResult(self.u[rows], self.sigma[rows], self.v[rows])
+
 
 def require_truncation(m: int, shape: tuple[int, int]) -> None:
     """Raise DimensionError unless ``1 <= m <= min(shape)``."""
@@ -136,14 +140,13 @@ def _fix_gauge(u: np.ndarray, v: np.ndarray) -> None:
     """Rotate matching columns of ``u`` and ``v`` in place so each column's
     anchor entry of ``v`` is real and nonnegative (see ``SvdResult``); over
     the last two axes, so a stack is fixed matrix by matrix."""
-    mags = np.abs(v)
-    anchors = np.argmax(mags >= (1.0 - GAUGE_TIE) * mags.max(axis=-2, keepdims=True), axis=-2)
-    # One matrix indexes plainly: take_along_axis's set-up, twice per
-    # geometric trial, cost the geometric workload about 3% of its time.
-    if v.ndim == 2:
-        p = v[anchors, np.arange(v.shape[1])]
-    else:
-        p = np.take_along_axis(v, anchors[..., None, :], axis=-2)[..., 0, :]
+    # columns as rows: the reductions then run over contiguous memory
+    mags = np.abs(v).swapaxes(-1, -2).copy()
+    anchors = np.argmax(mags >= (1.0 - GAUGE_TIE) * mags.max(axis=-1, keepdims=True), axis=-1)
+    # one gather of every anchor by flat index, for a matrix or a stack
+    n, m = v.shape[-2:]
+    first = np.arange(0, v.size, n * m).reshape(anchors.shape[:-1] + (1,))
+    p = v.ravel()[first + anchors * m + np.arange(m)]
     # hypot, not np.abs: it rounds each magnitude exactly as scalar abs() does
     mag = np.hypot(p.real, p.imag)
     rot = np.divide(p, mag, out=np.ones_like(p), where=mag > 0.0).conjugate()
@@ -154,7 +157,7 @@ def _fix_gauge(u: np.ndarray, v: np.ndarray) -> None:
 def kept_rows(ok: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rows (first-axis entries) of each array where the mask ``ok`` is
     true: copies, or the arrays themselves when it keeps every row."""
-    if ok.all():
+    if np.count_nonzero(ok) == ok.size:  # quicker than ok.all() on a short mask
         return arrays
     return tuple(a[ok] for a in arrays)
 

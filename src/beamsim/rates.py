@@ -5,6 +5,12 @@ own matrices, so it cannot smuggle in extra transmit power; the
 log-det argument is whitened against the combiner's noise covariance.
 That argument is ``T T^H``, Hermitian by construction, and ``eigvalsh``
 reads one triangle of it, so every eigenvalue and log term is real.
+
+Each evaluator (``*_streams``) measures a stack of draws and designs at
+once and returns per-stream bits, one row per draw.  The single-draw
+functions (``capacity_p2p``, ``achievable_rate``, ``sum_rate_mu``) check
+their inputs, run the same evaluator on a stack of one and return a
+``RateReport``.
 """
 
 from __future__ import annotations
@@ -81,23 +87,18 @@ def _conditioned(cond) -> np.ndarray:
     return np.isfinite(cond) & (cond <= COND_LIMIT)
 
 
-def _checked_condition(a: np.ndarray, name: str) -> float:
-    """Condition number of ``a``; SingularMatrixError, naming ``name``, when it
-    is not finite or exceeds COND_LIMIT."""
-    cond = float(np.linalg.cond(a))
-    if not _conditioned(cond):
-        raise SingularMatrixError(f"{name} condition number {cond:.3e}")
-    return cond
-
-
 def _gamma(mat: np.ndarray) -> np.ndarray:
     """Normalization factor trace(M^H M) / K of a K-column precoder or
     combiner, or of each matrix of a stack."""
     return (adjoint(mat) @ mat).trace(axis1=-2, axis2=-1).real / mat.shape[-1]
 
 
-def _capacity_streams(sigma: np.ndarray, rho: float) -> np.ndarray:
-    """Per-stream capacity bits over the singular values along the last axis:
+def _report(per: np.ndarray, noise_cov_condition: float = 1.0) -> RateReport:
+    return RateReport(float(per.sum()), per, noise_cov_condition)
+
+
+def capacity_streams(sigma: np.ndarray, rho: float) -> np.ndarray:
+    """Per-stream capacity bits over each row of singular values:
     waterfilling over sigma^2."""
     gains = sigma**2
     return np.log2(1.0 + rho * waterfill(gains, rho) * gains)
@@ -106,17 +107,7 @@ def _capacity_streams(sigma: np.ndarray, rho: float) -> np.ndarray:
 def capacity_p2p(sigma: np.ndarray, rho: float) -> RateReport:
     """Point-to-point capacity over the channel's leading singular values
     ``sigma``, one stream each: waterfilling over sigma^2."""
-    per = _capacity_streams(sigma, rho)
-    return RateReport(
-        rate_bits=float(per.sum()),
-        per_stream=per,
-        noise_cov_condition=1.0,
-    )
-
-
-def capacity_bits(sigma: np.ndarray, rho: float) -> np.ndarray:
-    """``capacity_p2p(...).rate_bits`` of each row of a stack of singular values."""
-    return _capacity_streams(sigma, rho).sum(axis=-1)
+    return _report(capacity_streams(sigma[None], rho)[0])
 
 
 def _noise_covariance(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,75 +116,62 @@ def _noise_covariance(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (adjoint(w) @ w) / gamma_r[..., None, None], gamma_r
 
 
-def _whitened_streams(lchol, proj, power, gamma_t, gamma_r, rho: float) -> np.ndarray:
-    """Per-stream log2(1 + lambda) of the whitened effective channel, from the
-    Cholesky factor of Rn and the projection ``W^H H F``."""
-    m_eff = proj * np.sqrt(np.maximum(power, 0.0))[..., None, :]
-    scale = np.sqrt(rho / (gamma_t * gamma_r))
-    t = np.linalg.solve(lchol, m_eff) * scale[..., None, None]
-    lam = np.linalg.eigvalsh(t @ adjoint(t))[..., ::-1]
-    return np.log2(1.0 + np.maximum(lam, 0.0))
-
-
-def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) -> RateReport:
-    """Log-det rate of a point-to-point beamformer over the given channel.
+def p2p_streams(chan: ChannelRealization, bf: "HybridBeamformer", rho: float):
+    """Per-stream log-det bits of a stack of point-to-point designs over a
+    stack ``chan`` of draws, for the draws whose noise covariance is well
+    conditioned; with the condition numbers of all draws and that mask.
 
     Evaluates log2 det(I + rho/(Gt Gr) Rn^-1 W^H H F P F^H H^H W) with
     Rn = W^H W / Gr and both normalization factors derived from the
     supplied matrices.  ``W^H H F`` comes from ``chan.project``, so a
     geometric draw is evaluated from its path factors without forming H.
+    A noise covariance that Cholesky refuses raises SingularMatrixError
+    for the whole stack.
     """
-    if bf.w_rf is None or bf.w_b is None:
-        raise DimensionError("point-to-point rate needs receive-side matrices")
-    f = bf.f_rf @ bf.f_b
-    w = bf.w_rf @ bf.w_b
-    if chan.shape != (w.shape[0], f.shape[0]):
-        raise DimensionError(
-            f"channel {chan.shape} inconsistent with precoder {f.shape} / combiner {w.shape}"
-        )
-    k = f.shape[1]
-    if w.shape[1] != k or bf.power.shape != (k,):
-        raise DimensionError("stream counts of F, W and power allocation disagree")
-
+    f, w = bf.precoder(), bf.combiner()
     rn, gamma_r = _noise_covariance(w)
-    cond = _checked_condition(rn, "noise covariance")
+    cond = np.linalg.cond(rn)
+    ok = _conditioned(cond)
+    f, w, rn, gamma_r, power, chan = kept_rows(ok, f, w, rn, gamma_r, bf.power, chan)
     try:
         lchol = np.linalg.cholesky(rn)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("noise covariance is not positive definite") from exc
-
-    per = _whitened_streams(lchol, chan.project(w, f), bf.power, _gamma(f), gamma_r, rho)
-    return RateReport(
-        rate_bits=float(per.sum()),
-        per_stream=per,
-        noise_cov_condition=cond,
-    )
+    m_eff = chan.project(w, f) * np.sqrt(np.maximum(power, 0.0))[..., None, :]
+    scale = np.sqrt(rho / (_gamma(f) * gamma_r))
+    t = np.linalg.solve(lchol, m_eff) * scale[..., None, None]
+    lam = np.linalg.eigvalsh(t @ adjoint(t))[..., ::-1]
+    return np.log2(1.0 + np.maximum(lam, 0.0)), cond, ok
 
 
-def achievable_rate_bits(
-    chan: ChannelRealization, bf: "HybridBeamformer", rho: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``achievable_rate(...).rate_bits`` of a stack of point-to-point designs
-    over a stack ``chan`` of draws.
+def achievable_rate(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) -> RateReport:
+    """Log-det rate of a point-to-point beamformer over the given channel:
+    ``p2p_streams`` of the stack of one.  Raises SingularMatrixError for an
+    ill-conditioned or indefinite noise covariance."""
+    if bf.w_rf is None or bf.w_b is None:
+        raise DimensionError("point-to-point rate needs receive-side matrices")
+    f = (bf.f_rf.shape[0], bf.f_b.shape[1])
+    w = (bf.w_rf.shape[0], bf.w_b.shape[1])
+    if chan.shape != (w[0], f[0]):
+        raise DimensionError(f"channel {chan.shape} inconsistent with precoder {f} / combiner {w}")
+    k = f[1]
+    if w[1] != k or bf.power.shape != (k,):
+        raise DimensionError("stream counts of F, W and power allocation disagree")
+    per, cond, ok = p2p_streams(chan[None], bf[None], rho)
+    if not ok[0]:
+        raise SingularMatrixError(f"noise covariance condition number {cond[0]:.3e}")
+    return _report(per[0], float(cond[0]))
 
-    Returns the rates of the draws whose noise covariance is well
-    conditioned and that mask; ``achievable_rate`` raises
-    SingularMatrixError for the others.  A failed Cholesky factorization
-    raises LinAlgError for the whole stack.
+
+def mu_streams(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) -> np.ndarray:
+    """Per-user log2(1 + SINR) of a stack of multiuser designs over a stack
+    ``chan`` of draws, with per-user decoding and interference as noise.
+
+    The effective channel is E = H F / sqrt(Gt); user k sees
+    SINR_k = (rho/K) |E_kk|^2 / (1 + (rho/K) sum_{j != k} |E_kj|^2).
     """
-    f, w = bf.precoder(), bf.combiner()
-    rn, gamma_r = _noise_covariance(w)
-    ok = _conditioned(np.linalg.cond(rn))
-    f, w, rn, gamma_r, power, chan = kept_rows(ok, f, w, rn, gamma_r, bf.power, chan)
-    lchol = np.linalg.cholesky(rn)
-    per = _whitened_streams(lchol, chan.project(w, f), power, _gamma(f), gamma_r, rho)
-    return per.sum(axis=-1), ok
-
-
-def _mu_streams(h: np.ndarray, f: np.ndarray, rho: float) -> np.ndarray:
-    """Per-user log2(1 + SINR) of precoder ``f`` over ``h``, over the last two
-    axes."""
-    e2 = np.abs(h @ f) ** 2 / _gamma(f)[..., None, None]
+    f = bf.precoder()
+    e2 = np.abs(chan.h @ f) ** 2 / _gamma(f)[..., None, None]
     sig = e2.diagonal(axis1=-2, axis2=-1)
     interf = e2.sum(axis=-1) - sig
     scale = rho / f.shape[-1]
@@ -201,32 +179,16 @@ def _mu_streams(h: np.ndarray, f: np.ndarray, rho: float) -> np.ndarray:
 
 
 def sum_rate_mu(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) -> RateReport:
-    """Downlink sum rate with per-user decoding and interference as noise.
-
-    The effective channel is E = H F / sqrt(Gt); user k sees
-    SINR_k = (rho/K) |E_kk|^2 / (1 + (rho/K) sum_{j != k} |E_kj|^2).
-    """
+    """Downlink sum rate of a multiuser beamformer: ``mu_streams`` of the
+    stack of one."""
     if bf.w_rf is not None or bf.w_b is not None:
         raise DimensionError("multiuser sum rate expects no receive-side matrices")
-    h = chan.h
-    f = bf.f_rf @ bf.f_b
-    k = f.shape[1]
-    if h.shape[0] != k:
+    f = (bf.f_rf.shape[0], bf.f_b.shape[1])
+    k = f[1]
+    if chan.shape[0] != k:
         raise DimensionError(
-            f"{h.shape[0]} single-antenna users but {k} streams; need one stream per user"
+            f"{chan.shape[0]} single-antenna users but {k} streams; need one stream per user"
         )
-    if h.shape[1] != f.shape[0]:
-        raise DimensionError(f"channel {h.shape} inconsistent with precoder {f.shape}")
-
-    per = _mu_streams(h, f, rho)
-    return RateReport(
-        rate_bits=float(per.sum()),
-        per_stream=per,
-        noise_cov_condition=1.0,
-    )
-
-
-def sum_rate_mu_bits(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) -> np.ndarray:
-    """``sum_rate_mu(...).rate_bits`` of a stack of multiuser designs over a
-    stack ``chan`` of dense draws."""
-    return _mu_streams(chan.h, bf.precoder(), rho).sum(axis=-1)
+    if chan.shape[1] != f[0]:
+        raise DimensionError(f"channel {chan.shape} inconsistent with precoder {f}")
+    return _report(mu_streams(chan[None], bf[None], rho)[0])

@@ -30,6 +30,7 @@ from beamsim import (
     sum_rate_mu,
     thin_svd,
 )
+from beamsim import beamformers
 from beamsim.channel import ChannelRealization
 
 RHO = 10.0**3.4
@@ -342,6 +343,24 @@ def test_p2p_builders_reject_non_positive_rho(kind, rho):
     svd = channel_svd(chan, 4)
     with pytest.raises(ValueError, match="rho must be positive"):
         P2P_BUILDERS[kind](chan, svd, rho)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
+@pytest.mark.parametrize("kind", list(P2P_BUILDERS))
+def test_p2p_builders_raise_where_waterfilling_refuses_the_gains(kind, bad, monkeypatch):
+    # the single-draw form of a builder raises where its stack drops the draw
+    chan = rayleigh(16, 14, 0)
+    svd = channel_svd(chan, 4)
+    analog = mixed_beamformer(chan, svd, 4, RHO)
+    builders = {
+        **P2P_BUILDERS,
+        "quantized": lambda chan, svd, rho: quantize_rf(chan, analog, PhaseResolution(3), rho),
+    }
+    monkeypatch.setattr(
+        beamformers, "_stream_gains", lambda e, f, w: np.full(e.shape[:-1], bad)
+    )
+    with pytest.raises(ValueError, match="waterfilling needs finite stream gains"):
+        builders[kind](chan, svd, RHO)
 
 
 class TestCrossSchemeConsistency:

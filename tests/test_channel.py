@@ -209,12 +209,15 @@ class TestLazyDense:
         chan = draw_channel(ChannelModel(GEOMETRIC, 32, 32, l_paths=4), SeededRng(8, 5))
         real_qr, blocks = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda a: blocks.append(a) or real_qr(a))
+        # each call factors the draw's own blocks, as a stack of one
         first = channel_svd(chan, 2)
         assert len(blocks) == 2
-        assert blocks[0] is chan.factors[0] and blocks[1] is chan.factors[2]
+        assert np.shares_memory(blocks[0], chan.factors[0]) and blocks[0].shape == (1, 32, 4)
+        assert np.shares_memory(blocks[1], chan.factors[2]) and blocks[1].shape == (1, 32, 4)
         again = channel_svd(chan, 4)
         assert len(blocks) == 4
-        assert blocks[2] is chan.factors[0] and blocks[3] is chan.factors[2]
+        assert np.shares_memory(blocks[2], chan.factors[0])
+        assert np.shares_memory(blocks[3], chan.factors[2])
         assert np.array_equal(again.sigma[:2], first.sigma)
 
     def test_given_h_is_the_h_read(self):
@@ -337,10 +340,18 @@ class TestStackedDraws:
             for got, want in zip(stack.factors, one.factors):
                 assert got[t].tobytes() == want.tobytes()
 
-    def test_stack_of_path_draws_forms_no_dense_h(self):
-        stack = path_stack(ChannelModel(GEOMETRIC, 16, 16, l_paths=3))
-        with pytest.raises(ValueError, match="no dense h"):
-            stack.h
+    # n_t x n_r and L: the multiuser shapes (n_r users) and a square one
+    @pytest.mark.parametrize(
+        "n_t, n_r, l", [(16, 5, 5), (64, 4, 4), (64, 4, 2), (128, 8, 5), (16, 4, 3)]
+    )
+    def test_stacked_h_is_bitwise_each_draws_own(self, n_t, n_r, l):
+        model = ChannelModel(GEOMETRIC, n_t, n_r, l_paths=l)
+        for count in (1, 3, 32):
+            stack = path_stack(model, count=count, seed=count)
+            assert stack.h.shape == (count, n_r, n_t)
+            for t in range(count):
+                one = draw_channel(model, SeededRng(count, t))
+                assert stack.h[t].tobytes() == one.h.tobytes()
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_factors_equal_each_draw_alone(self, m):
@@ -369,8 +380,13 @@ class TestStackedDraws:
         assert ok.tolist() == [True, True, False, True, True, True]
         with pytest.raises(RankError):
             channel_svd(draw_channel(model, SeededRng(9, 2)), 5)
+        # more streams than paths: no draw passes, and no SVD runs
+        svds = []
+        monkeypatch.setattr(channel, "factored_svd", lambda *a: svds.append(a))
+        _, ok = channel_svds(stack, 6)
+        assert ok.tolist() == [False] * 6 and svds == []
         with pytest.raises(RankError, match="requested 6 streams"):
-            channel_svds(stack, 6)
+            channel_svd(draw_channel(model, SeededRng(9, 2)), 6)
 
     @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
     def test_projection_and_kept_rows_equal_each_draw(self, kind):

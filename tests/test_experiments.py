@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beamsim
+
 from beamsim import (
     ChannelModel,
     ChannelRealization,
@@ -24,7 +26,7 @@ from beamsim import (
     run_trial,
     run_trials,
 )
-from beamsim import channel, experiments, linalg, rates
+from beamsim import beamformers, channel, experiments, linalg
 from beamsim.configio import parse_config_text, serialize_config
 from beamsim.experiments import (
     RHO_DB_RANGE,
@@ -306,29 +308,29 @@ def geometric_config(scheme, n, l, k, trials=2):
 def dense_project(chan, w, f):
     """W^H H F through the formed dense h, as trials computed it before
     the path factors were used."""
-    return w.conj().T @ chan.h @ f
+    return linalg.adjoint(w) @ chan.h @ f
 
 
 class TestGeometricFromFactors:
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     def test_trial_forms_no_h_and_one_qr_per_block(self, scheme, monkeypatch):
         drawn, qrs = [], []
-        real_draw, real_qr = experiments.draw_channel, np.linalg.qr
+        real_draw, real_qr = experiments.draw_path_stack, np.linalg.qr
         monkeypatch.setattr(
-            experiments, "draw_channel", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
+            experiments, "draw_path_stack", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
         )
         monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or real_qr(a))
         rec = run_trial(geometric_config(scheme, 64, 5, 4), 0)
         assert not rec.degenerate
         assert "h" not in vars(drawn[0])
-        assert qrs == [(64, 5), (64, 5)]
+        assert qrs == [(1, 64, 5), (1, 64, 5)]
 
     def test_rank_starved_trial_forms_no_h_and_runs_no_svd(self, monkeypatch):
         # k > L is refused from the path count alone
         drawn, svds = [], []
-        real_draw, real_svd = experiments.draw_channel, linalg.thin_svd
+        real_draw, real_svd = experiments.draw_path_stack, linalg.thin_svd
         monkeypatch.setattr(
-            experiments, "draw_channel", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
+            experiments, "draw_path_stack", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
         )
         for module in (channel, linalg):
             monkeypatch.setattr(module, "thin_svd", lambda *a: svds.append(a) or real_svd(*a))
@@ -418,9 +420,9 @@ class TestDegenerateAccounting:
         assert res.summary.trial_count == 0
 
     def test_non_finite_capacity_excludes_trial(self, monkeypatch):
-        # the per-stream capacity both capacity_p2p and the stacked path run
+        # the per-stream capacity trials look up
         monkeypatch.setattr(
-            rates, "_capacity_streams", lambda sigma, rho: np.full(np.shape(sigma), math.inf)
+            experiments, "capacity_streams", lambda sigma, rho: np.full(np.shape(sigma), math.inf)
         )
         res = run_experiment(config(trials=5))
         assert res.summary.excluded_count == 5
@@ -531,28 +533,113 @@ BATCHED_POINTS = [
 
 
 def split_records(cfg, size: int) -> list[str]:
-    """The reprs of run_trials over the config's trials in batches of ``size``."""
+    """The reprs of run_trials over the config's trials in batches of
+    ``size``, called by its name in beamsim.experiments."""
     out = []
     for start in range(0, cfg.trials, size):
-        out += run_trials(cfg, range(start, min(start + size, cfg.trials)))
+        out += experiments.run_trials(cfg, range(start, min(start + size, cfg.trials)))
     return [repr(r) for r in out]
 
 
+def single_records(cfg) -> list[str]:
+    """The reprs of run_trial over the config's trials: batches of one."""
+    return [repr(run_trial(cfg, i)) for i in range(cfg.trials)]
+
+
+def assert_one_row_fails_and_reruns(cfg, monkeypatch):
+    """Make eigvalsh fail on the one matrix with the largest corner entry,
+    alone or in a stack: only that trial is excluded, in batches of 1, 3
+    and 12, and a stack that holds it runs again as batches of one."""
+    real, corners = np.linalg.eigvalsh, []
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: corners.extend(a[..., 0, 0].real) or real(a)
+    )
+    split_records(cfg, 1)
+    worst = max(corners)
+
+    def fail_on_one(a):
+        if (a[..., 0, 0].real >= worst).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
+    single = single_records(cfg)
+    (bad,) = [i for i, r in enumerate(single) if "degenerate=True" in r]
+    calls = record_calls(monkeypatch, "run_trials")
+    for size in (1, 3, 12):
+        calls.clear()
+        assert split_records(cfg, size) == single
+        # the batch that holds the failing row runs again row by row
+        expected = []
+        for start in range(0, 12, size):
+            batch = list(range(start, start + size))
+            expected.append(batch)
+            if size > 1 and bad in batch:
+                expected += [[i] for i in batch]
+        assert [list(c[1]) for c in calls] == expected
+
+
+# A trial's record does not depend on the batch it runs in: each test
+# compares batches of ``size`` with batches of one (run_trial).
 class TestBatchedTrials:
     @pytest.mark.parametrize("kind, n", BATCHED_POINTS, ids=lambda v: str(v))
     @pytest.mark.parametrize("size", [1, 3, 40], ids=["split1", "split3", "whole"])
     def test_batches_equal_run_trial(self, kind, n, size):
         cfg = batched_config(kind, n)
-        scalar = [repr(run_trial(cfg, i)) for i in range(cfg.trials)]
-        assert split_records(cfg, size) == scalar
+        assert split_records(cfg, size) == single_records(cfg)
+
+    def test_run_trial_is_the_batch_of_one(self, monkeypatch):
+        cfg = batched_config("svd_phase", 8, trials=3)
+        calls = record_calls(monkeypatch, "run_trials")
+        single = [experiments.run_trials(cfg, [i])[0] for i in range(3)]
+        assert [run_trial(cfg, i) for i in range(3)] == single
+        assert [list(c[1]) for c in calls] == [[0], [1], [2]] * 2
+        assert beamsim.run_trial is run_trial
 
     @pytest.mark.parametrize("size", [1, 3, 40], ids=["split1", "split3", "whole"])
     def test_excluded_trials_come_from_run_trial(self, size):
         # beta = 90 at n = 16 kills an RF column in about half the draws
         cfg = config(scheme=Scheme("selection", beta_percent=90.0), n=16, trials=40, seed=5)
-        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
-        assert 0 < sum(r.degenerate for r in scalar) < cfg.trials
-        assert split_records(cfg, size) == [repr(r) for r in scalar]
+        single = single_records(cfg)
+        assert 0 < sum("degenerate=True" in r for r in single) < cfg.trials
+        assert split_records(cfg, size) == single
+
+    @pytest.mark.parametrize("kind", [k for k in SCHEMES if not SCHEMES[k].multiuser])
+    @pytest.mark.parametrize("size", [1, 3, 12], ids=["split1", "split3", "whole"])
+    def test_a_zero_stream_gain_is_rated(self, kind, size, monkeypatch):
+        # waterfilling takes a zero gain beside positive ones
+        real = beamformers._stream_gains
+
+        def one_zero(e, f, w):
+            gains = real(e, f, w).copy()
+            gains[..., -1] = 0.0
+            return gains
+
+        monkeypatch.setattr(beamformers, "_stream_gains", one_zero)
+        cfg = batched_config(kind, 8, trials=12)
+        records = split_records(cfg, size)
+        assert records == single_records(cfg)
+        assert "degenerate=True" not in "".join(records)
+
+    @pytest.mark.parametrize("kind", [k for k in SCHEMES if not SCHEMES[k].multiuser])
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+    def test_gains_waterfilling_refuses_exclude_the_trial(self, kind, bad, monkeypatch):
+        # every gain zero, or one not finite: no trial aborts, each is excluded
+        real = beamformers._stream_gains
+
+        def spoiled(e, f, w):
+            gains = real(e, f, w).copy()
+            if bad == 0.0:
+                gains[...] = 0.0
+            else:
+                gains[..., 0] = bad
+            return gains
+
+        monkeypatch.setattr(beamformers, "_stream_gains", spoiled)
+        cfg = batched_config(kind, 8, trials=6)
+        records = run_trials(cfg, range(6))
+        assert all(r.degenerate and math.isnan(r.rate_bits) for r in records)
+        assert split_records(cfg, 3) == single_records(cfg) == [repr(r) for r in records]
 
     @pytest.mark.parametrize("kind", list(SCHEMES))
     @pytest.mark.parametrize("size", [1, 3, 12], ids=["split1", "split3", "whole"])
@@ -569,60 +656,46 @@ class TestBatchedTrials:
 
         monkeypatch.setattr(experiments, "draw_channel", draw)
         cfg = batched_config(kind, 64 if SCHEMES[kind].multiuser else 8, trials=12)
-        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
-        assert [r.degenerate for r in scalar] == [i % every == every // 2 for i in range(12)]
-        assert split_records(cfg, size) == [repr(r) for r in scalar]
+        single = single_records(cfg)
+        assert ["degenerate=True" in r for r in single] == [
+            i % every == every // 2 for i in range(12)
+        ]
+        assert split_records(cfg, size) == single
 
     @pytest.mark.parametrize("kind", [k for k in SCHEMES if not SCHEMES[k].multiuser])
     def test_eigvalsh_failing_on_one_row(self, kind, monkeypatch):
         # eigvalsh fails on the one matrix with the largest corner entry,
         # whether called on it alone or on a stack that holds it
         cfg = batched_config(kind, 8, trials=12)
-        real, corners = np.linalg.eigvalsh, []
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: corners.append(a[0, 0].real) or real(a)
-        )
-        for i in range(cfg.trials):
-            run_trial(cfg, i)
-        worst = max(corners)
-
-        def fail_on_one(a):
-            if (a[..., 0, 0].real >= worst).any():
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
-        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
-        assert sum(r.degenerate for r in scalar) == 1
-        for size in (1, 3, 12):
-            assert split_records(cfg, size) == [repr(r) for r in scalar]
+        assert_one_row_fails_and_reruns(cfg, monkeypatch)
 
     def test_geometric_batches_stack_and_equal_run_trial(self, monkeypatch):
         cfg = geometric_config(Scheme("svd_phase"), 16, 5, 4, trials=4)
-        calls = record_calls(monkeypatch, "run_trial")
+        stacks = record_calls(monkeypatch, "draw_path_stack")
         records = run_trials(cfg, range(4))
-        assert calls == []
-        assert [repr(r) for r in records] == [repr(run_trial(cfg, i)) for i in range(4)]
+        assert [len(c[1]) for c in stacks] == [4]
+        assert [repr(r) for r in records] == single_records(cfg)
 
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("size", [1, 3, 40], ids=["split1", "split3", "whole"])
-    def test_geometric_batches_equal_run_trial(self, scheme, n, size, monkeypatch):
+    def test_geometric_batches_equal_run_trial(self, scheme, n, size):
         cfg = geometric_config(scheme, n, 5, 4, trials=40)
-        scalar = [repr(run_trial(cfg, i)) for i in range(cfg.trials)]
-        assert "degenerate=True" not in "".join(scalar)
-        calls = record_calls(monkeypatch, "run_trial")
-        assert split_records(cfg, size) == scalar
-        # a batch of one runs run_trial; a larger one flags none of these draws
-        alone = [i for i in range(0, cfg.trials, size) if min(i + size, cfg.trials) == i + 1]
-        assert [c[1] for c in calls] == alone
+        single = single_records(cfg)
+        assert "degenerate=True" not in "".join(single)
+        assert split_records(cfg, size) == single
 
     def test_more_streams_than_paths_excluded_without_svd(self, monkeypatch):
+        # k = 4 > L = 2: each draw is made once, and nothing is factored
         cfg = geometric_config(Scheme("svd_phase"), 16, 2, 4, trials=6)
         calls = count_factorizations(monkeypatch)
+        drawn = []
+        real = channel.draw_paths
+        monkeypatch.setattr(channel, "draw_paths", lambda m, r: drawn.append(r) or real(m, r))
         records = run_trials(cfg, range(6))
         assert all(r.degenerate for r in records)
         assert calls == []
+        assert [r.stream_id for r in drawn] == list(range(6))
 
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     @pytest.mark.parametrize("size", [3, 12], ids=["split3", "whole"])
@@ -638,38 +711,17 @@ class TestBatchedTrials:
 
         monkeypatch.setattr(channel, "draw_paths", coincident)
         cfg = geometric_config(scheme, 16, 5, 5, trials=12)
-        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
-        assert [r.degenerate for r in scalar] == [i % 3 == 1 for i in range(12)]
-        calls = record_calls(monkeypatch, "run_trial")
-        assert split_records(cfg, size) == [repr(r) for r in scalar]
-        assert [c[1] for c in calls] == [i for i in range(12) if i % 3 == 1]
+        single = single_records(cfg)
+        assert ["degenerate=True" in r for r in single] == [i % 3 == 1 for i in range(12)]
+        # the rank mask drops them: no batch is run again
+        calls = record_calls(monkeypatch, "run_trials")
+        assert split_records(cfg, size) == single
+        assert len(calls) == 12 // size
 
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     def test_eigvalsh_failing_on_one_row_of_a_geometric_stack(self, scheme, monkeypatch):
         cfg = geometric_config(scheme, 16, 5, 4, trials=12)
-        real, corners = np.linalg.eigvalsh, []
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: corners.append(a[0, 0].real) or real(a)
-        )
-        for i in range(cfg.trials):
-            run_trial(cfg, i)
-        worst = max(corners)
-
-        def fail_on_one(a):
-            if (a[..., 0, 0].real >= worst).any():
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
-        scalar = [run_trial(cfg, i) for i in range(cfg.trials)]
-        (bad,) = [r.trial_index for r in scalar if r.degenerate]
-        for size in (1, 3, 12):
-            calls = record_calls(monkeypatch, "run_trial")
-            assert split_records(cfg, size) == [repr(r) for r in scalar]
-            # a batch of one runs run_trial; of the stacks, the one that holds
-            # the failing row falls back whole, and no other
-            fallback = [i for i in range(12) if size == 1 or i // size == bad // size]
-            assert [c[1] for c in calls] == fallback
+        assert_one_row_fails_and_reruns(cfg, monkeypatch)
 
     @pytest.mark.parametrize(
         "n, trials, sizes",
@@ -724,14 +776,14 @@ class TestBatchedTrials:
 # kind -> the builder names its trial looks up in beamsim.experiments; a
 # point-to-point kind's first name is the one given the trial's factors
 BUILDER_NAMES = {
-    "digital": ("digital_svd_beamformer",),
-    "svd_phase": ("mixed_beamformer",),
-    "double_rf": ("mixed_beamformer",),
-    "mixed": ("mixed_beamformer",),
-    "quantized": ("mixed_beamformer", "quantize_rf"),
-    "selection": ("select_phase_shifters",),
-    "mu_zf_hybrid": ("mu_zf_digital", "mu_zf_hybrid"),
-    "mu_zf_digital": ("mu_zf_digital",),
+    "digital": ("digital_designs",),
+    "svd_phase": ("mixed_designs",),
+    "double_rf": ("mixed_designs",),
+    "mixed": ("mixed_designs",),
+    "quantized": ("mixed_designs", "quantized_designs"),
+    "selection": ("selection_designs",),
+    "mu_zf_hybrid": ("mu_zf_digital_designs", "mu_zf_hybrid_designs"),
+    "mu_zf_digital": ("mu_zf_digital_designs",),
 }
 
 
@@ -748,7 +800,7 @@ class TestBuildersByName:
     def test_every_scheme_has_its_builders(self):
         assert set(BUILDER_NAMES) == set(SCHEMES)
 
-    # perfbench's tracer times the build layer by patching these names
+    # a patched builder name reaches every scheme that uses it
     @pytest.mark.parametrize("kind", list(SCHEMES))
     def test_patched_builder_names_run(self, kind, monkeypatch):
         calls = {name: record_calls(monkeypatch, name) for name in BUILDER_NAMES[kind]}
@@ -758,23 +810,23 @@ class TestBuildersByName:
 
     def test_mu_zf_digital_rates_its_design_once(self, monkeypatch):
         # its design is its own baseline: the capacity is also the rate
-        calls = record_calls(monkeypatch, "sum_rate_mu")
+        calls = record_calls(monkeypatch, "mu_streams")
         rec = run_trial(config(scheme=Scheme("mu_zf_digital"), trials=1), 0)
         assert len(calls) == 1
         assert rec.capacity_bits == rec.rate_bits and rec.gap_bits == 0.0
 
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     def test_capacity_and_design_share_one_svd(self, scheme, monkeypatch):
-        real_svd, made = experiments.channel_svd, []
+        real_svds, made = experiments.channel_svds, []
         monkeypatch.setattr(
-            experiments, "channel_svd", lambda *a: made.append(real_svd(*a)) or made[-1]
+            experiments, "channel_svds", lambda *a: made.append(real_svds(*a)) or made[-1]
         )
-        capacity = record_calls(monkeypatch, "capacity_p2p")
+        capacity = record_calls(monkeypatch, "capacity_streams")
         built = record_calls(monkeypatch, BUILDER_NAMES[scheme.kind][0])
         rec = run_trial(config(scheme=scheme, trials=1), 0)
         assert not rec.degenerate
         assert len(made) == len(capacity) == len(built) == 1
-        (svd,) = made
+        ((svd, _),) = made
         assert capacity[0][0] is svd.sigma
         assert built[0][1] is svd
 

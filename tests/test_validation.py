@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamsim.beamformers import _p2p_design
 from beamsim.experiments import DEFAULT_SEED
-from beamsim.linalg import SvdResult, thin_svd
-from beamsim import channel, validation
+from beamsim.linalg import SvdResult, adjoint, thin_svd
+from beamsim import beamformers, channel, validation
 
 
 @pytest.mark.parametrize("check", validation.DEFAULT_CHECKS, ids=lambda c: c.__name__)
@@ -21,27 +20,21 @@ def test_default_check_passes(check):
     assert result.passed, result.line()
 
 
-def faulty_quantize(chan, bf, res, rho):
+def faulty_snap(x, bits):
     """Rounds (-pi, pi] angles against the [0, 2pi) grid: phases in the
     negative half all collapse toward zero, a genuinely non-circular fault."""
-
-    def snap(x, bits):
-        step = 2 * math.pi / (1 << bits)
-        grid = step * np.arange(1 << bits)
-        ang = np.angle(x)
-        idx = np.argmin(np.abs(ang[..., None] - grid), axis=-1)
-        out = np.exp(1j * grid[idx])
-        out[x == 0] = 0
-        return out
-
-    f_rf = snap(bf.f_rf, res.bits)
-    w_rf = snap(bf.w_rf, res.bits)
-    return _p2p_design(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
+    step = 2 * math.pi / (1 << bits)
+    grid = step * np.arange(1 << bits)
+    ang = np.angle(x)
+    idx = np.argmin(np.abs(ang[..., None] - grid), axis=-1)
+    out = np.exp(1j * grid[idx])
+    out[x == 0] = 0
+    return out
 
 
 def test_quantization_bound_check_catches_injected_fault(monkeypatch):
     good = validation.check_quantization_bound(DEFAULT_SEED, trials=40)
-    monkeypatch.setattr(validation, "quantize_rf", faulty_quantize)
+    monkeypatch.setattr(beamformers, "_snap_phases", faulty_snap)
     bad = validation.check_quantization_bound(DEFAULT_SEED, trials=40)
     assert good.passed
     assert not bad.passed
@@ -50,7 +43,7 @@ def test_quantization_bound_check_catches_injected_fault(monkeypatch):
 def factored_svd_without_q(a_r, g, a_t, m):
     """Treats the steering blocks as orthonormal: no QR is taken, so the
     factors are never rotated by Q and the overlap between paths is ignored."""
-    core = thin_svd(np.diag(g), m)
+    core = thin_svd(g[..., None, :] * np.eye(g.shape[-1]), m)
     return SvdResult(u=a_r @ core.u, sigma=core.sigma, v=a_t @ core.v)
 
 
@@ -70,7 +63,7 @@ def project_without_gain(chan, w, f):
     if chan.factors is None:
         return real_project(chan, w, f)
     a_r, _, a_t = chan.factors
-    return (w.conj().T @ a_r) @ (a_t.conj().T @ f)
+    return (adjoint(w) @ a_r) @ (adjoint(a_t) @ f)
 
 
 def project_with_conjugate_gain(chan, w, f):
@@ -78,7 +71,7 @@ def project_with_conjugate_gain(chan, w, f):
     if chan.factors is None:
         return real_project(chan, w, f)
     a_r, g, a_t = chan.factors
-    return ((w.conj().T @ a_r) * g.conj()) @ (a_t.conj().T @ f)
+    return ((adjoint(w) @ a_r) * g.conj()[..., None, :]) @ (adjoint(a_t) @ f)
 
 
 @pytest.mark.parametrize("fault", [project_without_gain, project_with_conjugate_gain])
