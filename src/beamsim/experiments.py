@@ -5,9 +5,10 @@ trial_index), builds the configured beamformer and measures capacity and
 achieved rate.  Trials that cannot be completed (stream count above the
 channel rank, selection killing an RF column, a singular inversion,
 stream gains waterfilling cannot take, an SVD or eigensolver that does
-not converge, a capacity or rate that is not finite) are recorded as degenerate and excluded from the means but kept
-in the accounting, never silently dropped.  Summaries depend only on the
-config, not on worker count or scheduling.
+not converge, a capacity or rate that is not finite) are recorded as
+degenerate and excluded from the means but kept in the accounting,
+never silently dropped.  Summaries depend only on the config, not on
+worker count or scheduling.
 
 Trials run in batches (``run_trials``), and a single trial is a batch
 of one.  A batch's draws, dense (Rayleigh) or as path factors
@@ -319,13 +320,6 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     return run_trials(config, [trial_index])[0]
 
 
-def _draws(model: ChannelModel, rngs: list[SeededRng]) -> ChannelRealization:
-    """The draws of the streams ``rngs`` as one stack."""
-    if model.kind == GEOMETRIC:
-        return draw_path_stack(model, rngs)
-    return ChannelRealization(model, h=np.array([draw_channel(model, r).h for r in rngs]))
-
-
 def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRecord]:
     """The records of the trials ``indices`` that every stage keeps, by trial
     index, from one stack of their draws.
@@ -337,7 +331,13 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
     """
     spec = config.scheme.spec
     rho = 10.0 ** (config.rho_db / 10.0)
-    chan = _draws(config.channel, [SeededRng(config.master_seed, i) for i in indices])
+    rngs = [SeededRng(config.master_seed, i) for i in indices]
+    if config.channel.kind == GEOMETRIC:
+        chan = draw_path_stack(config.channel, rngs)
+    else:
+        chan = ChannelRealization(
+            config.channel, h=np.array([draw_channel(config.channel, r).h for r in rngs])
+        )
     rows = np.arange(len(indices))  # the batch positions still in the stack
     inactive = np.full(len(indices), math.nan)  # by batch position
     # Each stage keeps the rows it passes; a name whose arrays the later
