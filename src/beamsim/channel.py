@@ -18,6 +18,8 @@ from .linalg import (
     SeededRng,
     SvdResult,
     _complex_gaussian,
+    _complex_gaussians,
+    _restarted,
     adjoint,
     factored_svd,
     require_truncation,
@@ -167,7 +169,7 @@ def steering_block(phi: np.ndarray, n: int, spacing_over_wavelength: float = 0.5
 def draw_paths(model: ChannelModel, rng: SeededRng) -> tuple[np.ndarray, ...]:
     """One geometric draw's path gains and angles ``(beta, phi_t, phi_r)``
     from the stream ``rng``, sorted by descending |beta|."""
-    gen = rng.generator()
+    gen = _restarted(rng)
     l = model.l_paths
     beta = _complex_gaussian(gen, l)
     phi_t = gen.uniform(0.0, math.pi, l)
@@ -193,14 +195,20 @@ def draw_channel(model: ChannelModel, rng: SeededRng) -> ChannelRealization:
     formed only when read.
     """
     if model.kind == RAYLEIGH:
-        h = _complex_gaussian(rng.generator(), model.n_r * model.n_t)
-        return ChannelRealization(h=h.reshape(model.n_r, model.n_t), model=model)
+        return draw_rayleigh_stack(model, [rng])[0]
     beta, phi_t, phi_r = draw_paths(model, rng)
     paths = tuple(
         PathComponent(complex(b), float(pt), float(pr))
         for b, pt, pr in zip(beta, phi_t, phi_r)
     )
     return ChannelRealization(model, paths, _path_factors(model, beta, phi_t, phi_r), beta=beta)
+
+
+def draw_rayleigh_stack(model: ChannelModel, rngs) -> ChannelRealization:
+    """The Rayleigh draws of the streams ``rngs`` as one stack, each
+    draw's ``h`` bitwise the one ``draw_channel`` gives it."""
+    h = _complex_gaussians(rngs, model.n_r * model.n_t)
+    return ChannelRealization(model, h=h.reshape(len(rngs), model.n_r, model.n_t))
 
 
 def draw_path_stack(model: ChannelModel, rngs) -> ChannelRealization:

@@ -24,10 +24,8 @@ import multiprocessing
 import signal
 import threading
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -47,10 +45,9 @@ from .channel import (
     GEOMETRIC,
     RAYLEIGH,
     ChannelModel,
-    ChannelRealization,
     channel_svds,
-    draw_channel,
     draw_path_stack,
+    draw_rayleigh_stack,
 )
 from .errors import ConfigError, ConvergenceError, SingularMatrixError
 from .linalg import SeededRng, blas_thread_control, kept_rows
@@ -68,7 +65,7 @@ RHO_DB_RANGE = (-300.0, 300.0)
 # draws (and always one trial).  Dense matrices: 128 trials at n = 8, 2 at
 # n = 64 and one from n = 128, where a trial runs alone.  Five-path
 # factors: 6 trials at n = 128, 3 at n = 256, one at n = 512.  At n = 8 a
-# larger cap gains no speed and holds more working memory in each pool
+# larger cap gains no speed and holds more working memory in each
 # worker.
 BATCH_BYTES = 128 * 1024
 
@@ -252,8 +249,30 @@ class ExperimentConfig:
                 raise ConfigError("sweep values must be finite")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+def _same(a, b) -> bool:
+    """Equal, with NaN equal to NaN whatever object holds it."""
+    return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
+
+
+class _NanEqual:
+    """Equality for a frozen dataclass: two instances of one class are
+    equal when every field is, a NaN field equal to any NaN (a Python or a
+    numpy one, or one unpickled from a worker process)."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(a, b) for a, b in zip(self._fields(), other._fields()))
+
+    def __hash__(self):
+        return hash(tuple(None if v != v else v for v in self._fields()))
+
+
+@dataclass(frozen=True, eq=False)
+class TrialRecord(_NanEqual):
     trial_index: int
     capacity_bits: float
     rate_bits: float
@@ -262,18 +281,9 @@ class TrialRecord:
     degenerate: bool = False
 
 
-def _same(a, b) -> bool:
-    """Equal, with NaN equal to NaN whatever object holds it."""
-    return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
-
-
 @dataclass(frozen=True, eq=False)
-class SummaryStats:
-    """Per-config aggregates; std errors are std(ddof=1)/sqrt(count).
-
-    Two summaries are equal when every field is, a NaN field equal to any
-    NaN (a Python or a numpy one).
-    """
+class SummaryStats(_NanEqual):
+    """Per-config aggregates; std errors are std(ddof=1)/sqrt(count)."""
 
     trial_count: int
     excluded_count: int
@@ -286,17 +296,6 @@ class SummaryStats:
     mean_inactive: float
     se_inactive: float
     analytic_rate: float | None
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    def __eq__(self, other):
-        if not isinstance(other, SummaryStats):
-            return NotImplemented
-        return all(_same(a, b) for a, b in zip(self._fields(), other._fields()))
-
-    def __hash__(self):
-        return hash(tuple(None if v != v else v for v in self._fields()))
 
 
 @dataclass(frozen=True)
@@ -335,9 +334,7 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
     if config.channel.kind == GEOMETRIC:
         chan = draw_path_stack(config.channel, rngs)
     else:
-        chan = ChannelRealization(
-            config.channel, h=np.array([draw_channel(config.channel, r).h for r in rngs])
-        )
+        chan = draw_rayleigh_stack(config.channel, rngs)
     rows = np.arange(len(indices))  # the batch positions still in the stack
     inactive = np.full(len(indices), math.nan)  # by batch position
     # Each stage keeps the rows it passes; a name whose arrays the later
@@ -369,9 +366,8 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
     out = {}
     for row, c, r in zip(rows.tolist(), capacity.tolist(), rate.tolist()):
         if math.isfinite(c) and math.isfinite(r):
-            i, x = indices[row], float(inactive[row])
-            # no inactive share is math.nan itself, whatever the batch
-            out[i] = TrialRecord(i, c, r, c - r, math.nan if math.isnan(x) else x, False)
+            i = indices[row]
+            out[i] = TrialRecord(i, c, r, c - r, float(inactive[row]), False)
     return out
 
 
@@ -399,8 +395,8 @@ def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
     A batch holds at most ``BATCH_BYTES`` of stacked draws, and always one
     trial: n_r n_t complex entries per dense draw, (n_r + n_t) L per
     geometric draw's steering blocks.  The batch count is a multiple of
-    ``workers`` (up to one batch per trial), so a pool's workers get equal
-    shares.
+    ``workers`` (up to one batch per trial), so ``workers`` processes get
+    equal shares.
     """
     n_t, n_r, l_paths = config.channel.n_t, config.channel.n_r, config.channel.l_paths
     entries = n_r * n_t if l_paths is None else (n_r + n_t) * l_paths
@@ -461,12 +457,12 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> SummarySt
 def _sigint_held():
     """Hold SIGINT back for the duration, then deliver it.
 
-    A KeyboardInterrupt raised while a pool forks its workers, starts its
-    threads or shuts down can be lost in an at-fork hook or leave the pool
-    half built; held, the signal is delivered on exit, with the pool whole.
-    Processes forked meanwhile inherit the holding handler until their
-    initializer ignores SIGINT.  Off the main thread, which never runs
-    Python signal handlers, nothing is held.
+    A KeyboardInterrupt raised while the parent forks its workers or stops
+    and reaps them can be lost in an at-fork hook or leave a worker
+    unrecorded or unreaped; held, the signal is delivered on exit, with
+    every worker accounted for.  Processes forked meanwhile inherit the
+    holding handler until they ignore SIGINT.  Off the main thread, which
+    never runs Python signal handlers, nothing is held.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -486,7 +482,7 @@ def _one_blas_thread():
     """Run the body with this process's BLAS on one thread, then restore the
     previous count on every exit, an interrupt included.
 
-    Pool workers forked meanwhile inherit the single thread.  Setting the
+    Workers forked meanwhile inherit the single thread.  Setting the
     count inside a worker instead would start a fresh OpenBLAS helper thread
     there (OpenBLAS stops its threads at fork), which spins before it sleeps
     and competes with the workers for cores.  Without a known thread
@@ -506,56 +502,94 @@ def _one_blas_thread():
             set_threads(previous)
 
 
-def _init_worker() -> None:
-    """Pool-worker initializer: leave SIGINT to the parent, which cancels the
-    pool and exits.  The worker's single BLAS thread is inherited."""
+def _run_share(config: ExperimentConfig, batches) -> list[TrialRecord]:
+    return [r for batch in batches for r in run_trials(config, batch)]
+
+
+def _worker(send, config: ExperimentConfig, batches) -> None:
+    """A forked worker's body: run its share of the batches and send back
+    the records, or the exception that stopped it.  SIGINT is left to the
+    parent, which stops its workers; the single BLAS thread is inherited."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        result = _run_share(config, batches)
+    except BaseException as exc:  # re-raised in the parent
+        result = exc
+    send.send(result)
+
+
+def _fork_join(config: ExperimentConfig, shares: list) -> list[TrialRecord]:
+    """The records of every share: ``shares[0]`` run here, each other in a
+    process forked for it, whose records come back over a one-way pipe.
+
+    A worker's exception is raised here, as is a RuntimeError naming the
+    exit code of a worker that ended without sending its records.  On any
+    exit, an interrupt included, the workers still running are killed, and
+    every worker is reaped.
+    """
+    # fork, not the platform default: a spawn or forkserver start (the
+    # Linux default from Python 3.14) would not inherit the single thread
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        with _sigint_held():  # a worker holds SIGINT, too, until it ignores it
+            for share in shares[1:]:
+                recv, send = fork.Pipe(duplex=False)
+                proc = fork.Process(target=_worker, args=(send, config, share), daemon=True)
+                proc.start()
+                workers.append((proc, recv))
+                send.close()
+        records = _run_share(config, shares[0])
+        for proc, recv in workers:
+            try:
+                result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a trial worker exited with code {proc.exitcode} before sending its records"
+                ) from None
+            proc.join()
+            if isinstance(result, BaseException):
+                raise result
+            records += result
+        return records
+    finally:
+        with _sigint_held():
+            for proc, recv in workers:
+                if proc.exitcode is None:
+                    proc.kill()
+                proc.join()
+                recv.close()
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all trials of a single-point config; deterministic for fixed config.
 
-    The trials run in batches (``trial_batches``, ``run_trials``), which
-    fan out over ``workers`` processes, but never more than
-    ``config.trials``, when workers > 1, a pool task carrying about a
-    quarter of a worker's share of the batches; aggregation is ordered by
-    trial_index either way.  The parent sets its BLAS to one thread before
-    it forks the workers (by fork, whatever the platform's default start
-    method) and restores its count when the pool is done, so
-    each worker inherits one thread and ``workers`` processes keep to
-    ``workers`` cores; a serial run keeps the library's default.  Workers
-    ignore SIGINT: on an interrupt the parent cancels the batches not yet
-    started, waits for the running ones and re-raises ``KeyboardInterrupt``.
-    A trial's bits depend on its (master_seed, trial_index) and on the BLAS
-    thread count, not on the batch it ran in, so at large n a pool and a
+    The trials run in batches (``trial_batches``, ``run_trials``).  With
+    workers > 1 (but never more workers than ``config.trials``) the batches
+    are dealt into ``workers`` equal static shares: the parent forks
+    ``workers - 1`` processes (by fork, whatever the platform's default
+    start method), one per share, runs the first share itself and joins
+    them (``_fork_join``).  Aggregation is ordered by trial_index either
+    way.  The parent sets its BLAS to one thread before it forks and
+    restores its count when the point is done, so each worker inherits one
+    thread and ``workers`` processes keep to ``workers`` cores; a serial
+    run keeps the library's default.  Workers ignore SIGINT: on an
+    interrupt the parent kills and reaps them, without waiting for their
+    running batches, and re-raises ``KeyboardInterrupt``.  A trial's bits
+    depend on its (master_seed, trial_index) and on the BLAS thread count,
+    not on the batch or process it ran in, so at large n a pooled and a
     serial run can differ in the last bit (see README).
     """
     if config.sweep is not None:
         raise ConfigError("config still carries a sweep axis; expand_sweep() it first")
-    workers = min(workers, config.trials)  # a fork start launches every worker at once
-    batches = trial_batches(config, max(workers, 1))
-    if workers <= 1:
-        records = [r for batch in batches for r in run_trials(config, batch)]
+    workers = max(1, min(workers, config.trials))
+    batches = trial_batches(config, workers)
+    if workers == 1:
+        records = _run_share(config, batches)
     else:
-        # fork, not the platform default: a spawn or forkserver start (the
-        # Linux default from Python 3.14) would not inherit the single thread
-        fork = multiprocessing.get_context("fork")
-        with (
-            _one_blas_thread(),
-            ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker) as pool,
-        ):
-            try:
-                with _sigint_held():  # the first submit forks the workers
-                    results = pool.map(
-                        partial(run_trials, config),
-                        batches,
-                        chunksize=max(1, len(batches) // (4 * workers)),
-                    )
-                records = [r for batch in results for r in batch]
-            except KeyboardInterrupt:
-                with _sigint_held():
-                    pool.shutdown(cancel_futures=True)
-                raise
+        with _one_blas_thread():
+            records = _fork_join(config, [batches[j::workers] for j in range(workers)])
     records.sort(key=lambda r: r.trial_index)
     return ExperimentResult(config, summarize(config, records), tuple(records))
 

@@ -12,6 +12,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,16 +199,55 @@ def blas_thread_control():
     return None
 
 
+# one Philox per thread, restarted for each stream a draw reads
+_streams = threading.local()
+
+
+def _restarted(rng: SeededRng) -> np.random.Generator:
+    """This thread's generator, restarted at the origin of ``rng``'s stream.
+
+    Bitwise the stream ``rng.generator()`` gives, without building a
+    Philox (and the SeedSequence its constructor gathers): the state is set
+    to counter 0, the stream's key and an empty buffer.  The generator is
+    shared, so read it to the end of one draw before the next restart.
+    """
+    if not hasattr(_streams, "gen"):
+        _streams.gen = np.random.Generator(np.random.Philox(key=0))
+        _streams.state = _streams.gen.bit_generator.state
+    key = _streams.state["state"]["key"]
+    key[0], key[1] = rng.master_seed & _MASK64, rng.stream_id & _MASK64
+    _streams.gen.bit_generator.state = _streams.state
+    return _streams.gen
+
+
 def _complex_gaussian(gen: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` i.i.d. CN(0,1) samples from ``gen``: its next ``2 n`` standard
+    normals as (real, imag) pairs, scaled by 1/sqrt(2).
+
+    The scale multiplies by the reciprocal, as numpy's complex-by-real
+    division does; dividing by sqrt(2) would round some samples differently
+    and move the bits the record goldens pin.
+    """
     z = gen.standard_normal(2 * n)
-    return (z[0::2] + 1j * z[1::2]) / math.sqrt(2.0)
+    z *= _CN_SCALE
+    return z.view(complex)
+
+
+def _complex_gaussians(rngs, n: int) -> np.ndarray:
+    """``_complex_gaussian`` of ``n`` samples from the start of each stream
+    of ``rngs``, stacked as (len(rngs), n): each row bitwise its stream's."""
+    z = np.empty((len(rngs), 2 * n))
+    for rng, row in zip(rngs, z):
+        _restarted(rng).standard_normal(out=row)
+    z *= _CN_SCALE
+    return z.view(complex)
 
 
 def sample_complex_gaussian(rng: SeededRng, n: int) -> np.ndarray:
     """Draw ``n`` i.i.d. CN(0,1) samples (real/imag parts N(0, 1/2))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _complex_gaussian(rng.generator(), n)
+    return _complex_gaussians([rng], n)[0]
 
 
 def ks_statistic(samples, cdf) -> float:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from beamsim import (
     capacity_p2p,
     channel_svd,
     draw_channel,
+    sample_complex_gaussian,
     steering_vector,
     thin_svd,
 )
@@ -405,3 +407,84 @@ class TestStackedDraws:
         keep = np.array([True, False, True, True, False, True])
         kept = stack[keep]
         assert kept.project(w[keep], f[keep]).tobytes() == e[keep].tobytes()
+
+
+def fresh_gaussian(gen, n):
+    """CN(0,1) samples as drawn before streams were restarted: complex
+    pairs of a fresh generator's normals, divided by sqrt(2)."""
+    z = gen.standard_normal(2 * n)
+    return (z[0::2] + 1j * z[1::2]) / math.sqrt(2.0)
+
+
+def fresh_rayleigh_h(model, rng):
+    return fresh_gaussian(rng.generator(), model.n_r * model.n_t).reshape(model.n_r, model.n_t)
+
+
+def fresh_paths(model, rng):
+    gen = rng.generator()
+    beta = fresh_gaussian(gen, model.l_paths)
+    phi_t = gen.uniform(0.0, math.pi, model.l_paths)
+    phi_r = gen.uniform(0.0, math.pi, model.l_paths)
+    order = np.argsort(-np.abs(beta), kind="stable")
+    return beta[order], phi_t[order], phi_r[order]
+
+
+def as_bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestRestartedStreams:
+    """Draws read one restarted generator per thread; each is bitwise the
+    draw of a fresh generator on its stream."""
+
+    RAY = ChannelModel(RAYLEIGH, 8, 6)
+    GEO = ChannelModel(GEOMETRIC, 16, 12, l_paths=5)
+
+    def test_each_rayleigh_draw_of_a_stack_is_its_streams(self):
+        rngs = [SeededRng(31, t) for t in range(40)]
+        stack = channel.draw_rayleigh_stack(self.RAY, rngs)
+        assert stack.h.shape == (40, 6, 8)
+        for row, rng in zip(stack.h, rngs):
+            assert row.tobytes() == fresh_rayleigh_h(self.RAY, rng).tobytes()
+            assert row.tobytes() == draw_channel(self.RAY, rng).h.tobytes()
+
+    def test_path_draws_and_samples_are_their_streams(self):
+        for t in range(20):
+            rng = SeededRng(31, t)
+            assert as_bytes(draw_paths(self.GEO, rng)) == as_bytes(fresh_paths(self.GEO, rng))
+        z = sample_complex_gaussian(SeededRng(31, 3), 50)
+        assert z.tobytes() == fresh_gaussian(SeededRng(31, 3).generator(), 50).tobytes()
+
+    def test_a_public_generator_between_draws_changes_nothing(self):
+        # draws interleaved with a public generator's reads: neither moves
+        public, alone = SeededRng(5, 0).generator(), SeededRng(5, 0).generator()
+        for t in range(10):
+            rng = SeededRng(31, t)
+            assert public.standard_normal(3).tobytes() == alone.standard_normal(3).tobytes()
+            h = draw_channel(self.RAY, rng).h
+            assert public.uniform() == alone.uniform()
+            paths = draw_paths(self.GEO, rng)
+            assert h.tobytes() == fresh_rayleigh_h(self.RAY, rng).tobytes()
+            assert as_bytes(paths) == as_bytes(fresh_paths(self.GEO, rng))
+
+    def test_draws_from_two_threads_are_their_streams(self):
+        barrier = threading.Barrier(2, timeout=60.0)
+        wrong = []
+
+        def draw_many(seed):
+            barrier.wait()
+            for t in range(200):
+                rng = SeededRng(seed, t)
+                h = channel.draw_rayleigh_stack(self.RAY, [rng]).h[0]
+                if h.tobytes() != fresh_rayleigh_h(self.RAY, rng).tobytes():
+                    wrong.append(("rayleigh", seed, t))
+                if as_bytes(draw_paths(self.GEO, rng)) != as_bytes(fresh_paths(self.GEO, rng)):
+                    wrong.append(("paths", seed, t))
+
+        threads = [threading.Thread(target=draw_many, args=(seed,)) for seed in (40, 41)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

@@ -1,7 +1,9 @@
 """Harness: trial execution, aggregation, sweeps and figure presets."""
 
 import math
+import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -155,12 +157,37 @@ def _os_threads_batch(config, indices):
     return [TrialRecord(i, float(threads), 0.0, 0.0, math.nan) for i in indices]
 
 
+def _pid_batch(config, indices):
+    """Stand-in for run_trials that records the pid of the process it ran in."""
+    return [TrialRecord(i, float(os.getpid()), 0.0, 0.0, math.nan) for i in indices]
+
+
 def _failing_batch(config, indices):
     raise RuntimeError("stand-in trial failure")
 
 
 def _interrupted_batch(config, indices):
     raise KeyboardInterrupt
+
+
+# a worker that exits without its records is reported within this bound
+WORKER_EXIT_BOUND_S = 30.0
+
+
+def record_process_starts(monkeypatch, limit=None):
+    """Record the start method of every process started; fail before
+    starting more than ``limit``."""
+    methods = []
+    real = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        if limit is not None and len(methods) >= limit:
+            raise AssertionError(f"more than {limit} processes started")
+        methods.append(self._start_method)
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return methods
 
 
 @pytest.fixture
@@ -236,49 +263,50 @@ class TestPool:
 
     def test_pool_forks_whatever_the_default_start_method(self, monkeypatch):
         # only forked workers inherit the parent's single BLAS thread
-        methods = []
-
-        class RecordingPool(experiments.ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context=None, **kwargs):
-                methods.append(mp_context and mp_context.get_start_method())
-                super().__init__(max_workers, mp_context=mp_context, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        methods = record_process_starts(monkeypatch)
         run_experiment(config(trials=4), workers=2)
         assert methods == ["fork"]
 
     def test_pool_is_no_larger_than_the_point(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(experiments.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                if max_workers > 3:  # fail before forking a process per worker
-                    raise AssertionError(f"pool of {max_workers} workers for 3 trials")
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        # the parent runs a share itself: 3 trials start 2 processes
+        methods = record_process_starts(monkeypatch, limit=2)
         cfg = config(trials=3)
         pooled = run_experiment(cfg, workers=8)
-        assert sizes == [3]
+        assert len(methods) == 2
         serial = run_experiment(cfg, workers=1)
         assert [repr(r) for r in pooled.records] == [repr(r) for r in serial.records]
 
-    # n = 128 runs a trial per batch, and a task carries a quarter of a
-    # worker's share of them; n = 8 stacks 12 trials per batch, one a task
-    @pytest.mark.parametrize("n, chunks", [(128, [3]), (8, [1])])
-    def test_pool_task_carries_a_quarter_of_a_workers_batches(self, n, chunks, monkeypatch):
-        seen = []
-
-        class RecordingPool(experiments.ProcessPoolExecutor):
-            def map(self, fn, *iterables, chunksize=1, **kwargs):
-                seen.append(chunksize)
-                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # n = 128 runs a trial per batch, 12 batches a share; n = 8 stacks 12
+    # trials per batch, one batch a share
+    @pytest.mark.parametrize("n", [128, 8])
+    def test_pool_shares_are_equal(self, n, monkeypatch):
+        monkeypatch.setattr(experiments, "run_trials", _pid_batch)
         res = run_experiment(config(n=n, trials=24), workers=2)
-        assert seen == chunks
         assert [r.trial_index for r in res.records] == list(range(24))
+        pids = [r.capacity_bits for r in res.records]
+        assert sorted(pids.count(p) for p in set(pids)) == [12, 12]
+        assert float(os.getpid()) in pids  # the parent ran a share
+
+    def test_worker_exit_without_records_raises_and_reaps(self, monkeypatch):
+        parent = os.getpid()
+
+        def exiting_batch(config, indices):
+            if os.getpid() != parent:
+                os._exit(3)
+            return _pid_batch(config, indices)
+
+        monkeypatch.setattr(experiments, "run_trials", exiting_batch)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_experiment(config(trials=8), workers=3)
+        assert time.monotonic() - start < WORKER_EXIT_BOUND_S
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", ["svd_phase", "selection"])
+    def test_pooled_records_equal_serial_records(self, kind):
+        # selection records an inactive share, the others a NaN one
+        cfg = batched_config(kind, 8, trials=20)
+        assert run_experiment(cfg, 2).records == run_experiment(cfg, 1).records
 
 
 P2P_SCHEMES = [
@@ -511,7 +539,9 @@ class TestFactorOnce:
         gen = np.random.default_rng(1)
         h = np.outer(gen.standard_normal(16), gen.standard_normal(16)).astype(complex)
         monkeypatch.setattr(
-            experiments, "draw_channel", lambda model, rng: ChannelRealization(model, h=h)
+            experiments,
+            "draw_rayleigh_stack",
+            lambda model, rngs: ChannelRealization(model, h=np.array([h] * len(rngs))),
         )
         calls = count_factorizations(monkeypatch)
         rec = run_trial(config(scheme=scheme, trials=1), 0)
@@ -646,15 +676,16 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("every", [3, 1], ids=["third", "all"])
     def test_rank_one_draws_are_excluded(self, kind, size, every, monkeypatch):
         # every third (or every) trial draws a rank-1 channel
-        real_draw = experiments.draw_channel
+        real_draw = experiments.draw_rayleigh_stack
 
-        def draw(model, rng):
-            h = real_draw(model, rng).h
-            if rng.stream_id % every == every // 2:
-                h = np.outer(h[:, 0], h[0]) / abs(h[0, 0])
+        def draw(model, rngs):
+            h = real_draw(model, rngs).h
+            for row, rng in zip(h, rngs):
+                if rng.stream_id % every == every // 2:
+                    row[...] = np.outer(row[:, 0], row[0]) / abs(row[0, 0])
             return ChannelRealization(model, h=h)
 
-        monkeypatch.setattr(experiments, "draw_channel", draw)
+        monkeypatch.setattr(experiments, "draw_rayleigh_stack", draw)
         cfg = batched_config(kind, 64 if SCHEMES[kind].multiuser else 8, trials=12)
         single = single_records(cfg)
         assert ["degenerate=True" in r for r in single] == [
