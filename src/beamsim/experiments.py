@@ -543,12 +543,13 @@ def _fork_join(config: ExperimentConfig, shares: list) -> list[TrialRecord]:
         for proc, recv in workers:
             try:
                 result = recv.recv()
-            except EOFError:
-                proc.join()
+            except EOFError:  # the worker ended without sending
+                result = None
+            proc.join()
+            if result is None:
                 raise RuntimeError(
                     f"a trial worker exited with code {proc.exitcode} before sending its records"
-                ) from None
-            proc.join()
+                )
             if isinstance(result, BaseException):
                 raise result
             records += result
