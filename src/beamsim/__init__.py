@@ -1,23 +1,12 @@
 """Monte-Carlo simulator for SVD-phase hybrid beamforming on large arrays."""
 
-from .beamformers import (
-    HybridBeamformer,
-    PhaseResolution,
-    SelectionPolicy,
-    digital_svd_beamformer,
-    mixed_beamformer,
-    mu_zf_digital,
-    mu_zf_hybrid,
-    quantize_rf,
-    select_phase_shifters,
-)
+from .beamformers import HybridBeamformer, PhaseResolution, SelectionPolicy
 from .channel import (
     GEOMETRIC,
     RAYLEIGH,
     ChannelModel,
     ChannelRealization,
-    channel_svd,
-    draw_channel,
+    draw_channels,
     steering_vector,
 )
 from .closed_form import (
@@ -37,9 +26,7 @@ from .errors import (
     BeamsimError,
     ConfigError,
     ConvergenceError,
-    DegenerateColumnError,
     DimensionError,
-    RankError,
     SingularMatrixError,
 )
 from .experiments import (
@@ -63,12 +50,6 @@ from .linalg import (
     sample_complex_gaussian,
     thin_svd,
 )
-from .rates import (
-    RateReport,
-    achievable_rate,
-    capacity_p2p,
-    sum_rate_mu,
-    waterfill,
-)
+from .rates import RateReport, capacity_p2p, waterfill
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ Each builder (``*_designs``) designs a stack of draws (a stacked
 returns the designs of the draws it keeps and the mask of those draws:
 a draw it refuses (an RF column with every shifter off, an
 ill-conditioned inverse, no positive or a non-finite stream gain) is
-dropped, not raised.  The single-draw functions run the same builder on
-a stack of one and raise for a refused draw.
+dropped, not raised.  A caller with one draw passes its stack of one
+(``chan[None]``, ``svd[None]``).
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .closed_form import alpha_from_beta
-from .errors import DegenerateColumnError, DimensionError, SingularMatrixError
+from .errors import DimensionError
 from .linalg import SvdResult, adjoint, kept_rows
-from .rates import COND_LIMIT, _conditioned, _gamma, waterfill
+from .rates import _conditioned, _gamma, waterfill
+
 
 @dataclass(frozen=True)
 class PhaseResolution:
@@ -59,11 +59,10 @@ class HybridBeamformer:
 
     ``f_rf`` (n_t x m) and ``f_b`` (m x k) factor the precoder, with the
     receive side optional for multiuser downlink use.  ``power`` holds the
-    per-stream fractions of the unit budget.  ``digital`` flags
-    unconstrained designs whose ``f_rf`` entries are not unit modulus.
-    The normalization factors ``gamma_t``/``gamma_r`` are derived from the
-    matrices, so they stay right under ``dataclasses.replace``.  A
-    stack of designs carries a leading axis over its draws on each array.
+    per-stream fractions of the unit budget.  The normalization factors
+    ``gamma_t``/``gamma_r`` are derived from the matrices, so they stay
+    right under ``dataclasses.replace``.  A stack of designs carries a
+    leading axis over its draws on each array.
     """
 
     f_rf: np.ndarray
@@ -71,7 +70,6 @@ class HybridBeamformer:
     power: np.ndarray
     w_rf: np.ndarray | None = None
     w_b: np.ndarray | None = None
-    digital: bool = False
 
     def precoder(self) -> np.ndarray:
         return self.f_rf @ self.f_b
@@ -84,20 +82,19 @@ class HybridBeamformer:
     def __getitem__(self, rows) -> HybridBeamformer:
         """The designs ``rows`` of a stack (``None``: a stack of one)."""
         w_rf, w_b = (None if a is None else a[rows] for a in (self.w_rf, self.w_b))
-        return HybridBeamformer(
-            self.f_rf[rows], self.f_b[rows], self.power[rows], w_rf, w_b, self.digital
-        )
+        return HybridBeamformer(self.f_rf[rows], self.f_b[rows], self.power[rows], w_rf, w_b)
 
     @property
-    def gamma_t(self) -> float:
-        """trace(F^H F) / K."""
-        return float(_gamma(self.precoder()))
+    def gamma_t(self) -> np.ndarray:
+        """trace(F^H F) / K, one value per draw of a stack."""
+        return _gamma(self.precoder())
 
     @property
-    def gamma_r(self) -> float:
-        """trace(W^H W) / K, or 1.0 without a receive side."""
+    def gamma_r(self) -> np.ndarray:
+        """trace(W^H W) / K, or 1.0 without a receive side, one value per
+        draw of a stack."""
         w = self.combiner()
-        return 1.0 if w is None else float(_gamma(w))
+        return np.ones(self.f_rf.shape[:-2]) if w is None else _gamma(w)
 
 
 def _stream_gains(e: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -106,7 +103,7 @@ def _stream_gains(e: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.abs(e.diagonal(axis1=-2, axis2=-1)) ** 2
 
 
-def _p2p_designs(chan, f_rf, f_b, w_rf, w_b, rho, digital=False):
+def _p2p_designs(chan, f_rf, f_b, w_rf, w_b, rho):
     """Point-to-point designs with power waterfilled over |diag of the
     normalized effective channel|^2, for the draws whose gains waterfill
     takes (all finite, one positive), and that mask."""
@@ -116,7 +113,7 @@ def _p2p_designs(chan, f_rf, f_b, w_rf, w_b, rho, digital=False):
     top = gains.max(axis=-1)  # NaN where any gain is NaN
     ok = (top > 0.0) & (top < math.inf)
     f_rf, f_b, w_rf, w_b, gains = kept_rows(ok, f_rf, f_b, w_rf, w_b, gains)
-    return HybridBeamformer(f_rf, f_b, waterfill(gains, rho), w_rf, w_b, digital), ok
+    return HybridBeamformer(f_rf, f_b, waterfill(gains, rho), w_rf, w_b), ok
 
 
 def _within(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -126,26 +123,13 @@ def _within(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one(made, error: Exception) -> HybridBeamformer:
-    """The design of a stack of one, from a builder's ``(designs, mask)``;
-    ``error`` is raised where the builder refused the draw."""
-    bf, ok = made
-    if not ok[0]:
-        raise error
-    return bf[0]
-
-
-def _no_gain() -> ValueError:
-    return ValueError("waterfilling needs finite stream gains, one of them positive")
-
-
-def _svd_designs(chan, svd: SvdResult, side, rho, digital=False):
+def _svd_designs(chan, svd: SvdResult, side, rho):
     """Point-to-point designs from the factors of ``chan``: ``side`` maps the
     right singular vectors to the transmit (RF, baseband) pair, then the
     left ones to the receive pair."""
     f_rf, f_b = side(svd.v)
     w_rf, w_b = side(svd.u)
-    return _p2p_designs(chan, f_rf, f_b, w_rf, w_b, rho, digital)
+    return _p2p_designs(chan, f_rf, f_b, w_rf, w_b, rho)
 
 
 def _shared(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -166,14 +150,7 @@ def _digital_side(cols: np.ndarray):
 
 def digital_designs(chan, svd: SvdResult, rho: float):
     """Unconstrained SVD designs: F = V_{1:k}, W = U_{1:k}, capacity-achieving."""
-    return _svd_designs(chan, svd, _digital_side, rho, digital=True)
-
-
-def digital_svd_beamformer(
-    chan: ChannelRealization, svd: SvdResult, rho: float
-) -> HybridBeamformer:
-    """``digital_designs`` of one draw; ValueError where it refuses the draw."""
-    return _one(digital_designs(chan[None], svd[None], rho), _no_gain())
+    return _svd_designs(chan, svd, _digital_side, rho)
 
 
 def _phase_only(x: np.ndarray) -> np.ndarray:
@@ -244,13 +221,6 @@ def mixed_designs(chan, svd: SvdResult, m: int, rho: float):
     return _svd_designs(chan, svd, _mixed_side(svd, m), rho)
 
 
-def mixed_beamformer(
-    chan: ChannelRealization, svd: SvdResult, m: int, rho: float
-) -> HybridBeamformer:
-    """``mixed_designs`` of one draw; ValueError where it refuses the draw."""
-    return _one(mixed_designs(chan[None], svd[None], m, rho), _no_gain())
-
-
 def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
     """Round active entries to the closest grid phase by plain absolute
     difference over [0, 2pi).
@@ -275,32 +245,12 @@ def quantized_designs(chan, bf: HybridBeamformer, res: PhaseResolution, rho: flo
     return _p2p_designs(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
 
 
-def quantize_rf(
-    chan: ChannelRealization, bf: HybridBeamformer, res: PhaseResolution, rho: float
-) -> HybridBeamformer:
-    """``quantized_designs`` of one draw's design; ValueError where it
-    refuses the draw."""
-    if bf.digital:
-        raise ValueError("cannot quantize an unconstrained (digital) beamformer")
-    if bf.w_rf is None or bf.w_b is None:
-        raise DimensionError("quantize_rf supports point-to-point beamformers")
-    return _one(quantized_designs(chan[None], bf[None], res, rho), _no_gain())
-
-
 def _selection_rf(cols: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Phase-only RF with the shifters at or below ``alpha`` switched off, and
     whether every column keeps one on.  Over the last two axes."""
     keep = math.sqrt(cols.shape[-2]) * np.abs(cols) > alpha
     rf = np.where(keep, _phase_only(cols), 0.0)
     return rf, keep.any(axis=-2).all(axis=-1)
-
-
-def _selection_sides(svd: SvdResult, policy: SelectionPolicy):
-    """Both sides' phase-only RF with the weakest shifters switched off, and
-    whether every RF column of a draw keeps one on."""
-    alpha = alpha_from_beta(policy.beta_percent)
-    (f_rf, f_live), (w_rf, w_live) = _selection_rf(svd.v, alpha), _selection_rf(svd.u, alpha)
-    return f_rf, w_rf, f_live & w_live
 
 
 def selection_designs(chan, svd: SvdResult, rho: float, policy: SelectionPolicy):
@@ -311,32 +261,13 @@ def selection_designs(chan, svd: SvdResult, rho: float, policy: SelectionPolicy)
     the policy threshold, and likewise at the receiver with sqrt(n_r) |U|;
     normalization factors come from the actual masked matrices.
     """
-    f_rf, w_rf, live = _selection_sides(svd, policy)
+    alpha = alpha_from_beta(policy.beta_percent)
+    (f_rf, f_live), (w_rf, w_live) = _selection_rf(svd.v, alpha), _selection_rf(svd.u, alpha)
+    live = f_live & w_live
     chan, f_rf, w_rf = kept_rows(live, chan, f_rf, w_rf)
     eye = _eye(f_rf)
     bf, ok = _p2p_designs(chan, f_rf, eye, w_rf, eye, rho)
     return bf, _within(live, ok)
-
-
-def select_phase_shifters(
-    chan: ChannelRealization, svd: SvdResult, rho: float, policy: SelectionPolicy
-) -> HybridBeamformer:
-    """``selection_designs`` of one draw.  Raises DegenerateColumnError if
-    any RF column loses all its shifters, and ValueError where the stream
-    gains refuse the draw."""
-    f_rf, w_rf, live = _selection_sides(svd[None], policy)
-    if not live[0]:
-        raise DegenerateColumnError(f"beta={policy.beta_percent}% disabled an entire RF column")
-    eye = _eye(f_rf)
-    return _one(_p2p_designs(chan[None], f_rf, eye, w_rf, eye, rho), _no_gain())
-
-
-def _require_mu_shape(chan: ChannelRealization, k: int) -> None:
-    if chan.shape[0] != k:
-        raise DimensionError(
-            f"multiuser downlink needs n_r = k single-antenna users, "
-            f"got n_r={chan.shape[0]}, k={k}"
-        )
 
 
 def _inverses(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,10 +276,6 @@ def _inverses(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = _conditioned(np.linalg.cond(a))
     (a,) = kept_rows(ok, a)
     return np.linalg.inv(a), ok
-
-
-def _singular(name: str) -> SingularMatrixError:
-    return SingularMatrixError(f"{name} condition number is not finite or exceeds {COND_LIMIT:g}")
 
 
 def _equal_power(k: int, shape) -> np.ndarray:
@@ -369,13 +296,6 @@ def mu_zf_hybrid_designs(chan, svd: SvdResult):
     return HybridBeamformer(f_rf, f_b, _equal_power(f_b.shape[-1], f_b.shape[:-2])), ok
 
 
-def mu_zf_hybrid(chan: ChannelRealization, svd: SvdResult) -> HybridBeamformer:
-    """``mu_zf_hybrid_designs`` of one draw; SingularMatrixError where it
-    refuses the draw."""
-    _require_mu_shape(chan, svd.v.shape[1])
-    return _one(mu_zf_hybrid_designs(chan[None], svd[None]), _singular("H F_RF"))
-
-
 def mu_zf_digital_designs(chan, k: int):
     """Unconstrained zero-forcing, F = H^H (H H^H)^-1, of each draw: the
     digital baseline; an ill-conditioned H H^H drops its draw."""
@@ -383,11 +303,4 @@ def mu_zf_digital_designs(chan, k: int):
     gram_inv, ok = _inverses(h @ adjoint(h))
     (h,) = kept_rows(ok, h)
     f = adjoint(h) @ gram_inv
-    return HybridBeamformer(f, _eye(f), _equal_power(k, f.shape[:-2]), digital=True), ok
-
-
-def mu_zf_digital(chan: ChannelRealization, k: int) -> HybridBeamformer:
-    """``mu_zf_digital_designs`` of one draw; SingularMatrixError where it
-    refuses the draw."""
-    _require_mu_shape(chan, k)
-    return _one(mu_zf_digital_designs(chan[None], k), _singular("H H^H"))
+    return HybridBeamformer(f, _eye(f), _equal_power(k, f.shape[:-2])), ok

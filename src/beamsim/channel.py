@@ -1,8 +1,8 @@
 """Channel generation: i.i.d. Rayleigh fading and sparse multipath with ULA steering.
 
 Both models are normalized so E[||H||^2] = n_r * n_t.  A realization holds
-one draw or a stack of draws (a leading axis over them), and every
-function here takes either: a trial is a stack of one.
+one draw or a stack of draws (a leading axis over them).  Draws are made
+as a stack (``draw_channels``), and a trial is a stack of one.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, RankError
+from .errors import DimensionError
 from .linalg import (
     SeededRng,
     SvdResult,
@@ -61,22 +61,15 @@ class ChannelModel:
             raise ValueError("spacing_over_wavelength must be positive")
 
 
-@dataclass(frozen=True)
-class PathComponent:
-    beta: complex
-    phi_t: float
-    phi_r: float
-
-
 @dataclass(frozen=True, init=False)
 class ChannelRealization:
     """One channel draw, or a stack of draws of one model.
 
-    ``paths`` (one geometric draw only) are sorted by descending |beta|.
     ``factors`` (geometric only) holds the path structure the draw was
     built from, ``(a_r, g, a_t)`` with ``h = a_r diag(g) a_t^H``: the
     steering vectors as columns and ``g = sqrt(n_t n_r / L) beta``, with
-    the unscaled gains ``beta`` beside them.  A Rayleigh draw is given its
+    the unscaled gains ``beta`` beside them, sorted by descending |beta|
+    (``draw_paths``).  A Rayleigh draw is given its
     dense ``h``; a geometric draw forms ``h`` from its factors only when
     something reads it, and otherwise works through ``project`` in
     O(n L) per column.
@@ -84,17 +77,16 @@ class ChannelRealization:
     A stack carries a leading axis over its draws on ``h``, on each factor
     and on ``beta``; ``project`` and ``h`` work over it, and ``chan[rows]``
     keeps some of its draws (so ``kept_rows`` drops draws of a stack, and
-    ``chan[None]`` is the stack of one draw).  A stack has no ``paths``.
+    ``chan[None]`` is the stack of one draw).
     """
 
     model: ChannelModel
-    paths: tuple[PathComponent, ...] | None = None
     factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     beta: np.ndarray | None = None
 
-    def __init__(self, model: ChannelModel, paths=None, factors=None, h=None, beta=None):
+    def __init__(self, model: ChannelModel, factors=None, h=None, beta=None):
         # frozen, so the fields go straight into the instance dict
-        vars(self).update(model=model, paths=paths, factors=factors, beta=beta)
+        vars(self).update(model=model, factors=factors, beta=beta)
         if h is None:
             if factors is None or beta is None:
                 raise ValueError("a channel realization needs h or its path factors")
@@ -111,7 +103,7 @@ class ChannelRealization:
     @cached_property
     def h(self) -> np.ndarray:
         """The dense channel matrix: as given, or formed from the path factors."""
-        # the same operands and order draw_channel used before h was lazy,
+        # the same operands and order as the eager dense sum of the paths,
         # so the bits match; (a_r * g) @ a_t^H would round differently
         a_r, _, a_t = self.factors
         scale = math.sqrt(self.model.n_t * self.model.n_r / self.model.l_paths)
@@ -185,65 +177,42 @@ def _path_factors(model: ChannelModel, beta, phi_t, phi_r) -> tuple[np.ndarray, 
     return steering_block(phi_r, model.n_r, spacing), g, steering_block(phi_t, model.n_t, spacing)
 
 
-def draw_channel(model: ChannelModel, rng: SeededRng) -> ChannelRealization:
-    """Draw one channel realization from ``model`` using the given stream.
+def draw_channels(model: ChannelModel, rngs) -> ChannelRealization:
+    """The draws of ``model`` on the streams ``rngs``, as one stack.
 
     Rayleigh: every entry i.i.d. CN(0,1).  Geometric: l_paths outer
     products of receive/transmit steering vectors with CN(0,1) gains and
     departure/arrival angles uniform on [0, pi], scaled by
     sqrt(n_t n_r / l_paths), kept as path factors; the dense ``h`` is
-    formed only when read.
+    formed only when read.  Each draw is bitwise the same in any stack.
     """
     if model.kind == RAYLEIGH:
-        return draw_rayleigh_stack(model, [rng])[0]
-    beta, phi_t, phi_r = draw_paths(model, rng)
-    paths = tuple(
-        PathComponent(complex(b), float(pt), float(pr))
-        for b, pt, pr in zip(beta, phi_t, phi_r)
-    )
-    return ChannelRealization(model, paths, _path_factors(model, beta, phi_t, phi_r), beta=beta)
+        return draw_rayleigh_stack(model, rngs)
+    return draw_path_stack(model, rngs)
 
 
 def draw_rayleigh_stack(model: ChannelModel, rngs) -> ChannelRealization:
     """The Rayleigh draws of the streams ``rngs`` as one stack, each
-    draw's ``h`` bitwise the one ``draw_channel`` gives it."""
+    draw's ``h`` bitwise the one its stream gives it alone."""
     h = _complex_gaussians(rngs, model.n_r * model.n_t)
     return ChannelRealization(model, h=h.reshape(len(rngs), model.n_r, model.n_t))
 
 
 def draw_path_stack(model: ChannelModel, rngs) -> ChannelRealization:
     """The geometric draws of the streams ``rngs`` as one stack, each
-    draw's factors bitwise those ``draw_channel`` gives it: every draw's
+    draw's factors bitwise those its stream gives it alone: every draw's
     gains and angles come from its own stream (``draw_paths``), and one
     ``steering_block`` call per side makes the whole stack's columns."""
     beta, phi_t, phi_r = (np.array(a) for a in zip(*(draw_paths(model, r) for r in rngs)))
     return ChannelRealization(model, factors=_path_factors(model, beta, phi_t, phi_r), beta=beta)
 
 
-def channel_svd(chan: ChannelRealization, m: int) -> SvdResult:
-    """Rank-``m`` thin SVD of one draw: ``channel_svds`` of its stack of
-    one, the one place a factorization is picked and rank is decided.
-
-    Returns factors with ``m`` significant singular values or raises
-    RankError; ``m`` outside ``1..min(n_r, n_t)`` raises DimensionError.
-
-    Its ``u``, ``sigma`` and ``v`` are read-only, so the callers that
-    share one result (a capacity and a design) cannot change what the
-    other reads.
-    """
-    svd, ok = channel_svds(chan[None], m)
-    if not ok[0]:
-        raise RankError(f"requested {m} streams but effective rank is smaller")
-    svd = svd[0]
-    for a in (svd.u, svd.sigma, svd.v):
-        a.flags.writeable = False
-    return svd
-
-
 def channel_svds(chan: ChannelRealization, m: int) -> tuple[SvdResult, np.ndarray]:
     """The rank-``m`` thin SVD of a draw, or of each draw of a stack, and
     whether each draw has ``m`` significant singular values (sigma_m above
-    ``RANK_TOL`` sigma_1; ``channel_svd`` raises RankError for the others).
+    ``RANK_TOL`` sigma_1): the one place a factorization is picked and
+    rank is decided.  ``m`` outside ``1..min(n_r, n_t)`` raises
+    DimensionError.
 
     A Rayleigh draw takes the dense ``thin_svd``.  A geometric draw is
     factored from its path factors in O(n L^2) (``factored_svd``); its
@@ -251,6 +220,10 @@ def channel_svds(chan: ChannelRealization, m: int) -> tuple[SvdResult, np.ndarra
     draw passes, without an SVD or a formed ``h``.  A stack's factors are
     bitwise each draw's own, and a failed factorization raises
     ConvergenceError for all.
+
+    The ``u``, ``sigma`` and ``v`` returned are read-only, so the callers
+    that share them (a capacity and a design) cannot change what the
+    other reads.
     """
     if chan.factors is None:
         svd = thin_svd(chan.h, m)
@@ -262,4 +235,6 @@ def channel_svds(chan: ChannelRealization, m: int) -> tuple[SvdResult, np.ndarra
         else:  # rank at most L < m: zero factors, which no draw passes
             lead, (n_r, n_t) = g.shape[:-1], chan.shape
             svd = SvdResult(*(np.zeros(lead + s) for s in ((n_r, m), (m,), (n_t, m))))
+    for a in (svd.u, svd.sigma, svd.v):
+        a.flags.writeable = False
     return svd, svd.sigma[..., m - 1] > RANK_TOL * svd.sigma[..., 0]

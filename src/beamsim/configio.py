@@ -126,7 +126,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not a text file: {exc}") from exc
+    return parse_config_text(text)
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -13,14 +13,6 @@ class ConvergenceError(BeamsimError):
     """An iterative numerical routine failed to reach its tolerance."""
 
 
-class RankError(BeamsimError):
-    """More streams requested than the channel's effective rank supports."""
-
-
-class DegenerateColumnError(BeamsimError):
-    """Phase-shifter selection disabled an entire RF column."""
-
-
 class SingularMatrixError(BeamsimError):
     """A matrix that must be inverted is numerically singular."""
 

@@ -41,14 +41,7 @@ from .beamformers import (
     quantized_designs,
     selection_designs,
 )
-from .channel import (
-    GEOMETRIC,
-    RAYLEIGH,
-    ChannelModel,
-    channel_svds,
-    draw_path_stack,
-    draw_rayleigh_stack,
-)
+from .channel import GEOMETRIC, RAYLEIGH, ChannelModel, channel_svds, draw_channels
 from .errors import ConfigError, ConvergenceError, SingularMatrixError
 from .linalg import SeededRng, blas_thread_control, kept_rows
 
@@ -330,11 +323,7 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
     """
     spec = config.scheme.spec
     rho = 10.0 ** (config.rho_db / 10.0)
-    rngs = [SeededRng(config.master_seed, i) for i in indices]
-    if config.channel.kind == GEOMETRIC:
-        chan = draw_path_stack(config.channel, rngs)
-    else:
-        chan = draw_rayleigh_stack(config.channel, rngs)
+    chan = draw_channels(config.channel, [SeededRng(config.master_seed, i) for i in indices])
     rows = np.arange(len(indices))  # the batch positions still in the stack
     inactive = np.full(len(indices), math.nan)  # by batch position
     # Each stage keeps the rows it passes; a name whose arrays the later
@@ -360,7 +349,7 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
         rows, chan, capacity = kept_rows(ok, rows, chan, capacity)
         if spec.reports_inactive:
             inactive[rows] = _inactive_fraction(bf)
-        per, _, ok = p2p_streams(chan, bf, rho)
+        per, ok = p2p_streams(chan, bf, rho)
         rows, capacity = kept_rows(ok, rows, capacity)
         rate = per.sum(axis=-1)
     out = {}

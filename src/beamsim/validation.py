@@ -4,6 +4,11 @@ Each check exercises one invariant of the library with a fixed random
 seed and tolerances sized at five-plus standard errors, so a seed change
 must not flip any outcome.  The singular-value cross-check uses a cyclic
 Jacobi eigensolver written independently of the SVD path it verifies.
+
+The checks draw, factor, design and rate their trials as stacks, through
+the same functions a trial runs.  A draw that a stage refuses (a rank
+below k, or a rate the evaluator cannot take) fails the check; a design
+refusal is counted where a check says so.
 """
 
 from __future__ import annotations
@@ -14,13 +19,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import closed_form
-from .beamformers import PhaseResolution, mixed_beamformer, quantize_rf
+from .beamformers import PhaseResolution, _within, mixed_designs, quantized_designs
 from .channel import (
     GEOMETRIC,
     ChannelModel,
     ChannelRealization,
-    channel_svd,
-    draw_channel,
+    channel_svds,
+    draw_channels,
+    draw_paths,
     steering_vector,
 )
 from .configio import parse_config_text, serialize_config
@@ -35,13 +41,14 @@ from .experiments import (
 )
 from .linalg import (
     SeededRng,
+    kept_rows,
     ks_statistic,
     normal_cdf,
     rayleigh_cdf,
     sample_complex_gaussian,
     thin_svd,
 )
-from .rates import achievable_rate, capacity_p2p, waterfill
+from .rates import capacity_streams, p2p_streams, waterfill
 
 HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
@@ -101,6 +108,23 @@ def cyclic_jacobi_eigvalsh(a) -> np.ndarray:
     raise BeamsimError("Jacobi sweeps did not converge")
 
 
+def _draws(model: ChannelModel, seed: int, trials: int) -> ChannelRealization:
+    """The draws of ``model`` on the streams (seed, 0..trials - 1), as one stack."""
+    return draw_channels(model, [SeededRng(seed, t) for t in range(trials)])
+
+
+def _rates(chan: ChannelRealization, made, rho: float) -> np.ndarray:
+    """The sum rate of each draw of the stack ``chan`` under a builder's
+    ``(designs, mask)``: NaN where the builder or the rate evaluator
+    refused the draw, so that a check reading it fails."""
+    bf, ok = made
+    (kept,) = kept_rows(ok, chan)
+    per, rated = p2p_streams(kept, bf, rho)
+    out = np.full(ok.shape, math.nan)
+    out[np.flatnonzero(ok)[rated]] = per.sum(axis=-1)
+    return out
+
+
 def _random_complex(gen, rows, cols):
     return (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / math.sqrt(2.0)
 
@@ -152,23 +176,6 @@ def check_svd_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
         rel = np.abs(sv - oracle) / np.maximum(oracle, 1e-30)
         worst = max(worst, float(np.max(rel)))
     return CheckResult("svd_oracle", worst <= 1e-8, {"max_rel_err": worst, "tol": 1e-8})
-
-
-def check_erf(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Monotone, odd, bounded, saturating error function."""
-    grid = np.linspace(-6.0, 6.0, 10_000)
-    vals = np.array([math.erf(float(x)) for x in grid])
-    monotone = bool(np.all(np.diff(vals) >= 0.0))
-    odd = all(math.erf(-float(x)) == -math.erf(float(x)) for x in grid[::37])
-    bounded = bool(np.all(np.abs(vals) <= 1.0))
-    sat = abs(math.erf(6.0) - 1.0)
-    ref = abs(math.erf(1.0) - 0.8427007929497149)
-    passed = monotone and odd and bounded and sat <= 1e-7 and ref <= 1e-7
-    return CheckResult(
-        "erf_properties",
-        passed,
-        {"monotone": monotone, "odd": odd, "saturation_err": sat, "ref_err": ref},
-    )
 
 
 def check_gaussian_moments(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -230,29 +237,21 @@ def check_channel_generation(seed: int = DEFAULT_SEED) -> CheckResult:
         n = int(gen.integers(1, 200))
         worst_norm = max(worst_norm, abs(np.linalg.norm(steering_vector(phi, n)) - 1.0))
 
-    ray = _rayleigh(32)
-    pooled = []
-    for t in range(64):
-        pooled.append(np.abs(draw_channel(ray, SeededRng(seed, t)).h) ** 2)
-    energy = float(np.mean(pooled))
+    energy = float(np.mean(np.abs(_draws(_rayleigh(32), seed, 64).h) ** 2))
 
     geo1 = ChannelModel(GEOMETRIC, 16, 16, l_paths=1)
-    h1 = draw_channel(geo1, SeededRng(seed, 999)).h
+    h1 = draw_channels(geo1, [SeededRng(seed, 999)]).h[0]
     s = np.linalg.svd(h1, compute_uv=False)
     rank1 = s[1] <= 1e-8 * s[0]
 
     geo5 = ChannelModel(GEOMETRIC, 64, 64, l_paths=5)
-    norms = [
-        np.linalg.norm(draw_channel(geo5, SeededRng(seed, t)).h) ** 2 / (64 * 64)
-        for t in range(200)
-    ]
+    norms = [np.linalg.norm(h) ** 2 / (64 * 64) for h in _draws(geo5, seed, 200).h]
     geo_energy = float(np.mean(norms))
 
-    c1 = draw_channel(geo5, SeededRng(seed, 5))
-    c2 = draw_channel(geo5, SeededRng(seed, 5))
+    c1 = draw_channels(geo5, [SeededRng(seed, 5)])
+    c2 = draw_channels(geo5, [SeededRng(seed, 5)])
     deterministic = bool(np.array_equal(c1.h, c2.h))
-    betas = np.array([abs(p.beta) for p in c1.paths])
-    sorted_paths = bool(np.all(np.diff(betas) <= 0))
+    sorted_paths = bool(np.all(np.diff(np.abs(c1.beta[0])) <= 0))
 
     passed = (
         worst_norm <= 1e-12
@@ -276,24 +275,22 @@ def check_channel_generation(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def _pooled_v_amplitudes(n: int, k: int, trials: int, seed: int) -> np.ndarray:
-    model = _rayleigh(n)
-    out = []
-    for t in range(trials):
-        chan = draw_channel(model, SeededRng(seed, t))
-        out.append(math.sqrt(n) * np.abs(channel_svd(chan, k).v).ravel())
-    return np.concatenate(out)
+def _pooled_v_amplitudes(n: int, k: int, trials: int, seed: int) -> tuple[np.ndarray, bool]:
+    """sqrt(n) |V| of ``trials`` Rayleigh n x n draws' rank-k factors, and
+    whether every draw has rank k."""
+    svd, ranked = channel_svds(_draws(_rayleigh(n), seed, trials), k)
+    return math.sqrt(n) * np.abs(svd.v).ravel(), bool(ranked.all())
 
 
 def check_singular_vector_amplitude_law(
     seed: int = DEFAULT_SEED, n: int = 64, trials: int = 300, tol: float = 0.08
 ) -> CheckResult:
     """Scaled singular-vector amplitudes follow Rayleigh(1/sqrt(2))."""
-    samples = _pooled_v_amplitudes(n, 4, trials, seed + 4)
+    samples, ranked = _pooled_v_amplitudes(n, 4, trials, seed + 4)
     ks = ks_statistic(samples, rayleigh_cdf)
     return CheckResult(
         f"singular_vector_amplitude_law_n{n}",
-        ks <= tol,
+        ks <= tol and ranked,
         {"ks": ks, "tol": tol, "samples": samples.size},
     )
 
@@ -302,29 +299,34 @@ def check_steering_alignment(seed: int = DEFAULT_SEED) -> CheckResult:
     """Dominant singular vectors of a sparse channel align with its steering
     vectors once angles are two beamwidths apart and gains well separated."""
     n, l = 256, 3
+    model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
     sep = 4.0 / n
-    worst = 1.0
-    draws = 0
+    streams, angles = [], []
     attempts = 0
-    while draws < 20 and attempts < 4000:
+    while len(streams) < 20 and attempts < 4000:
         attempts += 1
         stream = SeededRng(seed + 6, attempts)
-        chan = draw_channel(ChannelModel(GEOMETRIC, n, n, l_paths=l), stream)
-        cos_t = np.array([math.cos(p.phi_t) for p in chan.paths])
-        cos_r = np.array([math.cos(p.phi_r) for p in chan.paths])
-        betas = np.array([abs(p.beta) for p in chan.paths])
+        beta, phi_t, phi_r = draw_paths(model, stream)
+        cos_t = np.array([math.cos(p) for p in phi_t])
+        cos_r = np.array([math.cos(p) for p in phi_r])
         if min(np.min(np.abs(np.subtract.outer(cos_t, cos_t))[np.triu_indices(l, 1)]),
                np.min(np.abs(np.subtract.outer(cos_r, cos_r))[np.triu_indices(l, 1)])) < sep:
             continue
         # near-tied gains make the descending-order matching ill-posed at finite n
+        betas = np.abs(beta)
         if np.any(betas[:-1] / betas[1:] < 1.3):
             continue
-        draws += 1
-        svd = channel_svd(chan, l)
-        for idx, p in enumerate(chan.paths):
-            a_t = steering_vector(p.phi_t, n)
-            worst = min(worst, abs(np.vdot(svd.v[:, idx], a_t)))
-    passed = draws == 20 and worst >= 0.95
+        streams.append(stream)
+        angles.append(phi_t)
+    draws = len(streams)
+    worst, ranked = 1.0, False
+    if draws == 20:
+        svd, ok = channel_svds(draw_channels(model, streams), l)
+        ranked = bool(ok.all())
+        for v, phi_t in zip(svd.v, angles):
+            for idx, phi in enumerate(phi_t):
+                worst = min(worst, abs(np.vdot(v[:, idx], steering_vector(float(phi), n))))
+    passed = ranked and worst >= 0.95
     return CheckResult(
         "steering_alignment",
         passed,
@@ -342,21 +344,24 @@ def check_geometric_factorization(seed: int = DEFAULT_SEED) -> CheckResult:
     worst_sigma = 0.0
     worst_misalign = 0.0
     draws = 0
+    ranked = True
     for n in (16, 64, 256):
         for l in (1, 2, 5):
             model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
-            for _ in range(4):
-                chan = draw_channel(model, SeededRng(seed + 17, draws))
-                draws += 1
-                dense = thin_svd(chan.h, l)
-                fast = channel_svd(chan, l)
+            chan = draw_channels(model, [SeededRng(seed + 17, draws + t) for t in range(4)])
+            draws += 4
+            dense = thin_svd(chan.h, l)
+            fast, ok = channel_svds(chan, l)
+            ranked = ranked and bool(ok.all())
+            for t in range(4):
+                d, f = dense[t], fast[t]
                 worst_sigma = max(
-                    worst_sigma, float(np.max(np.abs(fast.sigma - dense.sigma))) / dense.sigma[0]
+                    worst_sigma, float(np.max(np.abs(f.sigma - d.sigma))) / d.sigma[0]
                 )
-                for a, b in ((dense.u, fast.u), (dense.v, fast.v)):
+                for a, b in ((d.u, f.u), (d.v, f.v)):
                     align = float(np.min(np.abs(np.sum(a.conj() * b, axis=0))))
                     worst_misalign = max(worst_misalign, 1.0 - align)
-    passed = worst_sigma <= 1e-12 and worst_misalign <= 1e-12
+    passed = worst_sigma <= 1e-12 and worst_misalign <= 1e-12 and ranked
     return CheckResult(
         "geometric_factorization",
         passed,
@@ -386,39 +391,38 @@ def check_geometric_projection(seed: int = DEFAULT_SEED) -> CheckResult:
     empties a column) are counted as skipped.
     """
     rho = 10.0 ** 3.4
-    worst = 0.0
+    errors = []
     rates = skipped = draws = 0
+    ranked = True
     for n in (16, 64, 256):
         for l in (1, 2, 5):
             model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
-            for _ in range(2):
-                chan = draw_channel(model, SeededRng(seed + 19, draws))
-                draws += 1
-                dense = ChannelRealization(model=model, h=chan.h)
-                for k in sorted({1, l}):
-                    svd = channel_svd(chan, k)
-                    for scheme in _P2P_SCHEMES:
-                        lo, hi = scheme.spec.m_per_k
-                        config = ExperimentConfig(
-                            name="projection",
-                            channel=model,
-                            k=k,
-                            m=(lo * k + hi * k + 1) // 2,
-                            rho_db=34.0,
-                            scheme=scheme,
-                        )
-                        bf, ok = scheme.spec.design(chan[None], svd[None], config, rho)
-                        if not ok[0]:
-                            skipped += 1
-                            continue
-                        bf = bf[0]
-                        fast = achievable_rate(chan, bf, rho).rate_bits
-                        ref = achievable_rate(dense, bf, rho).rate_bits
-                        worst = max(worst, abs(fast - ref) / abs(ref))
-                        rates += 1
+            chan = draw_channels(model, [SeededRng(seed + 19, draws + t) for t in range(2)])
+            draws += 2
+            dense = ChannelRealization(model, h=chan.h)
+            for k in sorted({1, l}):
+                svd, ok = channel_svds(chan, k)
+                ranked = ranked and bool(ok.all())
+                for scheme in _P2P_SCHEMES:
+                    lo, hi = scheme.spec.m_per_k
+                    config = ExperimentConfig(
+                        name="projection",
+                        channel=model,
+                        k=k,
+                        m=(lo * k + hi * k + 1) // 2,
+                        rho_db=34.0,
+                        scheme=scheme,
+                    )
+                    made = scheme.spec.design(chan, svd, config, rho)
+                    ok = made[1]
+                    skipped += int(np.count_nonzero(~ok))
+                    rates += int(np.count_nonzero(ok))
+                    fast, ref = _rates(chan, made, rho)[ok], _rates(dense, made, rho)[ok]
+                    errors.append(np.abs(fast - ref) / np.abs(ref))
+    worst = float(np.max(np.concatenate(errors), initial=0.0))  # NaN for a NaN rate
     return CheckResult(
         "geometric_projection",
-        worst <= 1e-12,
+        worst <= 1e-12 and ranked,
         {"max_rel_rate_err": worst, "rates": rates, "skipped": skipped},
     )
 
@@ -433,12 +437,13 @@ def check_phase_matching(seed: int = DEFAULT_SEED) -> CheckResult:
     ok = True
     margin = math.inf
     for _ in range(5):
-        chan = draw_channel(_rayleigh(32), SeededRng(seed + 8, int(gen.integers(1 << 30))))
-        svd = channel_svd(chan, 4)
-        f_rf = np.exp(1j * np.angle(svd.v))
-        n = chan.h.shape[1]
+        chan = draw_channels(_rayleigh(32), [SeededRng(seed + 8, int(gen.integers(1 << 30)))])
+        svd, ranked = channel_svds(chan, 4)
+        ok = ok and bool(ranked[0])
+        f_rf = np.exp(1j * np.angle(svd.v[0]))
+        n = chan.shape[1]
         for k in range(4):
-            v = svd.v[:, k]
+            v = svd.v[0, :, k]
             f = f_rf[:, k]
             best = abs(np.vdot(v, f))
             dist = np.linalg.norm(f / math.sqrt(n) - v)
@@ -456,16 +461,20 @@ def check_gauge_invariance(seed: int = DEFAULT_SEED) -> CheckResult:
     gen = np.random.default_rng(seed + 9)
     worst = 0.0
     rho = 10.0 ** 3.4
+    ranked = True
     for _ in range(5):
-        chan = draw_channel(_rayleigh(24), SeededRng(seed + 10, int(gen.integers(1 << 30))))
-        svd = channel_svd(chan, 3)
+        chan = draw_channels(_rayleigh(24), [SeededRng(seed + 10, int(gen.integers(1 << 30)))])
+        svd, ok = channel_svds(chan, 3)
+        ranked = ranked and bool(ok[0])
         for m in (3, 6):
-            base = achievable_rate(chan, mixed_beamformer(chan, svd, m, rho), rho).rate_bits
+            base = _rates(chan, mixed_designs(chan, svd, m, rho), rho)[0]
             phases = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, 3))
             rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
-            bf_rot = mixed_beamformer(chan, rot, m, rho)
-            worst = max(worst, abs(achievable_rate(chan, bf_rot, rho).rate_bits - base))
-    return CheckResult("gauge_invariance", worst <= 1e-9, {"max_rate_delta": worst, "tol": 1e-9})
+            rotated = _rates(chan, mixed_designs(chan, rot, m, rho), rho)[0]
+            worst = float(np.maximum(worst, abs(rotated - base)))  # NaN stays NaN
+    return CheckResult(
+        "gauge_invariance", worst <= 1e-9 and ranked, {"max_rate_delta": worst, "tol": 1e-9}
+    )
 
 
 def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -473,14 +482,14 @@ def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
     concentrate at sqrt(pi)/2."""
     medians = {}
     diag_vals = []
+    ranked = True
     for n in (16, 64, 256):
         offs = []
-        trials = 20 if n == 256 else 60
-        for t in range(trials):
-            chan = draw_channel(_rayleigh(n), SeededRng(seed + 11 + n, t))
-            svd = channel_svd(chan, 4)
-            f_rf = np.exp(1j * np.angle(svd.v))
-            g = svd.v.conj().T @ f_rf / math.sqrt(n)
+        svd, ok = channel_svds(_draws(_rayleigh(n), seed + 11 + n, 20 if n == 256 else 60), 4)
+        ranked = ranked and bool(ok.all())
+        for v in svd.v:
+            f_rf = np.exp(1j * np.angle(v))
+            g = v.conj().T @ f_rf / math.sqrt(n)
             off = np.abs(g[~np.eye(4, dtype=bool)])
             offs.append(off)
             if n == 256:
@@ -488,7 +497,8 @@ def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
         medians[n] = float(np.median(np.concatenate(offs)))
     diag_mean = float(np.mean(np.concatenate(diag_vals)))
     passed = (
-        medians[16] > medians[64] > medians[256]
+        ranked
+        and medians[16] > medians[64] > medians[256]
         and medians[256] <= 0.15
         and abs(diag_mean - HALF_SQRT_PI) <= 0.05
     )
@@ -507,17 +517,17 @@ def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
 def check_quantization_bound(seed: int = DEFAULT_SEED, trials: int = 150) -> CheckResult:
     """Measured loss from digital grids stays below the closed-form bound."""
     rho = 10.0 ** 3.4
-    model = _rayleigh(64)
-    diffs = {bits: [] for bits in (2, 3, 4)}
-    for t in range(trials):
-        chan = draw_channel(model, SeededRng(seed + 12, t))
-        analog = mixed_beamformer(chan, channel_svd(chan, 4), 4, rho)
-        r_analog = achievable_rate(chan, analog, rho).rate_bits
-        for bits, out in diffs.items():
-            digital = quantize_rf(chan, analog, PhaseResolution(bits), rho)
-            out.append(r_analog - achievable_rate(chan, digital, rho).rate_bits)
-    gaps = {bits: float(np.mean(out)) for bits, out in diffs.items()}
-    passed = all(
+    chan = _draws(_rayleigh(64), seed + 12, trials)
+    svd, ranked = channel_svds(chan, 4)
+    analog, ok = mixed_designs(chan, svd, 4, rho)
+    r_analog = _rates(chan, (analog, ok), rho)
+    (kept,) = kept_rows(ok, chan)
+    gaps = {}
+    for bits in (2, 3, 4):
+        digital, snapped = quantized_designs(kept, analog, PhaseResolution(bits), rho)
+        r_digital = _rates(chan, (digital, _within(ok, snapped)), rho)
+        gaps[bits] = float(np.mean(r_analog - r_digital))
+    passed = bool(ranked.all()) and all(
         gaps[bits] <= closed_form.quant_gap_bound(4, bits) + 0.5 for bits in (2, 3, 4)
     )
     return CheckResult(
@@ -537,32 +547,33 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     eig_form = float(np.sum(np.log2(1.0 + np.maximum(np.linalg.eigvalsh(psd), 0.0))))
     det_vs_eig = abs(float(logdet) / math.log(2.0) - eig_form)
 
-    chan = draw_channel(_rayleigh(16), SeededRng(seed + 14, 0))
+    chan = _draws(_rayleigh(16), seed + 14, 1)
     rho = 10.0 ** 3.4
-    svd = channel_svd(chan, 4)
-    bf = mixed_beamformer(chan, svd, 4, rho)
-    base = achievable_rate(chan, bf, rho).rate_bits
+    svd, ranked = channel_svds(chan, 4)
+    bf, ok = mixed_designs(chan, svd, 4, rho)
+    base = _rates(chan, (bf, ok), rho)[0]
     scaled = replace(bf, f_rf=bf.f_rf * math.sqrt(2.0))
-    scale_delta = abs(achievable_rate(chan, scaled, rho).rate_bits - base)
+    scale_delta = float(abs(_rates(chan, (scaled, ok), rho)[0] - base))
 
     monotone = True
     prev = -math.inf
     for rho_db in range(0, 41, 5):
         r = 10.0 ** (rho_db / 10.0)
-        rate = achievable_rate(chan, mixed_beamformer(chan, svd, 4, r), r).rate_bits
-        monotone = monotone and rate >= prev - 1e-12
+        rate = _rates(chan, mixed_designs(chan, svd, 4, r), r)[0]
+        monotone = monotone and bool(rate >= prev - 1e-12)
         prev = rate
 
-    dominated = True
-    for m in (3, 6):  # phase-only and double-RF
-        for t in range(5):
-            c = draw_channel(_rayleigh(12), SeededRng(seed + 15, t))
-            svd = channel_svd(c, 3)
-            cap = capacity_p2p(svd.sigma, rho).rate_bits
-            rate = achievable_rate(c, mixed_beamformer(c, svd, m, rho), rho).rate_bits
-            dominated = dominated and rate <= cap + 1e-9
+    chan = _draws(_rayleigh(12), seed + 15, 5)
+    svd, ok = channel_svds(chan, 3)
+    ranked = ranked[0] and ok.all()
+    cap = capacity_streams(svd.sigma, rho).sum(axis=-1)
+    dominated = all(  # phase-only and double-RF
+        np.all(_rates(chan, mixed_designs(chan, svd, m, rho), rho) <= cap + 1e-9) for m in (3, 6)
+    )
 
-    passed = det_vs_eig <= 1e-8 and scale_delta <= 1e-9 and monotone and dominated
+    passed = (
+        bool(ranked) and det_vs_eig <= 1e-8 and scale_delta <= 1e-9 and monotone and dominated
+    )
     return CheckResult(
         "rate_evaluator",
         passed,
@@ -677,7 +688,6 @@ def check_gap_convergence(seed: int = DEFAULT_SEED, trials: int = 200) -> CheckR
 DEFAULT_CHECKS = (
     check_svd_factors,
     check_svd_oracle,
-    check_erf,
     check_gaussian_moments,
     check_waterfill_kkt,
     check_channel_generation,

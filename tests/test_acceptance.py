@@ -18,24 +18,25 @@ from beamsim import (
     PowerModelParams,
     RAYLEIGH,
     SeededRng,
-    achievable_rate,
-    channel_svd,
-    digital_svd_beamformer,
-    draw_channel,
-    mixed_beamformer,
-    mu_zf_digital,
-    mu_zf_hybrid,
+    draw_channels,
     quant_gap_bound,
     rf_power_consumption,
     run_experiment,
     Scheme,
     selection_gap,
-    sum_rate_mu,
     thin_svd,
 )
+from beamsim.beamformers import (
+    digital_designs,
+    mixed_designs,
+    mu_zf_digital_designs,
+    mu_zf_hybrid_designs,
+)
+from beamsim.channel import channel_svds
+from beamsim.rates import mu_streams
 from beamsim.cli import main as cli_main
 from beamsim.experiments import DEFAULT_SEED
-from beamsim.validation import check_quantization_bound, check_singular_vector_amplitude_law
+from beamsim.validation import _rates, check_quantization_bound, check_singular_vector_amplitude_law
 
 RHO_DB = 34.0
 RHO = 10.0**3.4  # == 10.0 ** (RHO_DB / 10.0), the linear SNR run_experiment uses
@@ -71,6 +72,21 @@ def mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+def stack(model, seed_offset: int, trials: int):
+    """The draws of streams (DEFAULT_SEED + seed_offset, 0..trials - 1), as one stack."""
+    return draw_channels(model, [SeededRng(DEFAULT_SEED + seed_offset, t) for t in range(trials)])
+
+
+def mu_rates(chan, made) -> np.ndarray:
+    """The multiuser sum rate of each draw of ``chan`` under a builder's
+    ``(designs, mask)``: NaN where the builder refused the draw, so that
+    the criterion fails (``validation._rates`` is the point-to-point form)."""
+    bf, ok = made
+    out = np.full(ok.shape, math.nan)
+    out[ok] = mu_streams(chan[ok], bf, RHO).sum(axis=-1)
+    return out
+
+
 def test_criterion_1_phase_only_gap_vs_array_size():
     start = time.monotonic()
     s64 = run_summary(ChannelModel(RAYLEIGH, 64, 64), Scheme("svd_phase"), 0)
@@ -89,20 +105,16 @@ def test_criterion_1_phase_only_gap_vs_array_size():
 
 def test_criterion_2_exact_factorization():
     start = time.monotonic()
-    model = ChannelModel(RAYLEIGH, 16, 16)
-    worst_rate = 0.0
-    worst_factor = 0.0
-    for t in range(100):
-        chan = draw_channel(model, SeededRng(DEFAULT_SEED + 1, t))
-        svd = channel_svd(chan, 4)
-        digital = achievable_rate(chan, digital_svd_beamformer(chan, svd, RHO), RHO).rate_bits
-        bf = mixed_beamformer(chan, svd, 8, RHO)
-        paired = achievable_rate(chan, bf, RHO).rate_bits
-        worst_rate = max(worst_rate, abs(paired - digital))
-        v = thin_svd(chan.h, 4).v
-        worst_factor = max(worst_factor, float(np.linalg.norm(bf.precoder() - v)))
+    chan = stack(ChannelModel(RAYLEIGH, 16, 16), 1, 100)
+    svd, ranked = channel_svds(chan, 4)
+    digital = _rates(chan, digital_designs(chan, svd, RHO), RHO)
+    bf, kept = made = mixed_designs(chan, svd, 8, RHO)
+    paired = _rates(chan, made, RHO)
+    worst_rate = float(np.max(np.abs(paired - digital)))  # NaN where a draw was refused
+    v = thin_svd(chan.h, 4).v[kept]
+    worst_factor = max(float(np.linalg.norm(f - w)) for f, w in zip(bf.precoder(), v))
     elapsed = time.monotonic() - start
-    ok = worst_rate <= 1e-9 and worst_factor <= 1e-10 and elapsed <= 60.0
+    ok = ranked.all() and worst_rate <= 1e-9 and worst_factor <= 1e-10 and elapsed <= 60.0
     report(
         "criterion-2 exact factorization",
         ok,
@@ -137,16 +149,14 @@ def test_criterion_4_quantization_losses():
 
 
 def test_criterion_5_multiuser_zero_forcing():
-    model = ChannelModel(RAYLEIGH, 64, 4)
-    gaps = []
-    gammas = []
-    for t in range(TRIALS):
-        chan = draw_channel(model, SeededRng(DEFAULT_SEED + 4, t))
-        zd = mu_zf_digital(chan, 4)
-        zh = mu_zf_hybrid(chan, channel_svd(chan, 4))
-        gaps.append(sum_rate_mu(chan, zd, RHO).rate_bits - sum_rate_mu(chan, zh, RHO).rate_bits)
-        gammas.append(zd.gamma_t)
-    mean_gap, se = mean_se(np.array(gaps))
+    chan = stack(ChannelModel(RAYLEIGH, 64, 4), 4, TRIALS)
+    svd, ranked = channel_svds(chan, 4)
+    zd, kept = digital = mu_zf_digital_designs(chan, 4)
+    hybrid = mu_rates(chan, mu_zf_hybrid_designs(chan, svd))
+    hybrid[~ranked] = math.nan
+    mean_gap, se = mean_se(mu_rates(chan, digital) - hybrid)
+    gammas = np.full(TRIALS, math.nan)  # NaN where a draw was refused
+    gammas[kept] = zd.gamma_t
     mean_gamma = float(np.mean(gammas))
     ok = abs(mean_gap - 1.4) <= 0.3 and abs(mean_gamma - 1 / 60) <= 0.1 / 60
     report(

@@ -15,11 +15,8 @@ from beamsim import (
     RAYLEIGH,
     ChannelModel,
     ChannelRealization,
-    RankError,
     SeededRng,
-    capacity_p2p,
-    channel_svd,
-    draw_channel,
+    draw_channels,
     sample_complex_gaussian,
     steering_vector,
     thin_svd,
@@ -27,6 +24,18 @@ from beamsim import (
 from beamsim.channel import channel_svds, draw_path_stack, draw_paths, steering_block
 from beamsim.errors import DimensionError
 from beamsim.linalg import factored_svd
+
+
+def draw(model, rng):
+    """The draw of ``model`` on the stream ``rng``, as a stack of one."""
+    return draw_channels(model, [rng])
+
+
+def svd_of(chan, m):
+    """The rank-m factors of a stack of one, which must have rank m."""
+    svd, ok = channel_svds(chan, m)
+    assert ok.tolist() == [True]
+    return svd[0]
 
 
 class TestSteeringVector:
@@ -96,64 +105,61 @@ class TestRayleighDraws:
     def test_entry_energy(self):
         # 64 trials x 32 x 32 entries: se of the mean ~0.004, band is >5 sigma
         model = ChannelModel(RAYLEIGH, 32, 32)
-        pooled = [np.abs(draw_channel(model, SeededRng(5, t)).h) ** 2 for t in range(64)]
-        assert 0.98 <= float(np.mean(pooled)) <= 1.02
+        pooled = draw_channels(model, [SeededRng(5, t) for t in range(64)]).h
+        assert 0.98 <= float(np.mean(np.abs(pooled) ** 2)) <= 1.02
 
     def test_shape_and_no_paths(self):
-        chan = draw_channel(ChannelModel(RAYLEIGH, 6, 3), SeededRng(5, 0))
-        assert chan.h.shape == (3, 6)
-        assert chan.paths is None
+        chan = draw(ChannelModel(RAYLEIGH, 6, 3), SeededRng(5, 0))
+        assert chan.h.shape == (1, 3, 6)
+        assert chan.factors is None and chan.beta is None
 
     def test_determinism(self):
         model = ChannelModel(RAYLEIGH, 16, 16)
-        a = draw_channel(model, SeededRng(5, 9)).h
-        b = draw_channel(model, SeededRng(5, 9)).h
+        a = draw(model, SeededRng(5, 9)).h
+        b = draw(model, SeededRng(5, 9)).h
         assert np.array_equal(a, b)
 
 
 class TestGeometricDraws:
     def test_single_path_rank_one(self):
-        chan = draw_channel(ChannelModel(GEOMETRIC, 16, 16, l_paths=1), SeededRng(5, 1))
-        s = np.linalg.svd(chan.h, compute_uv=False)
+        chan = draw(ChannelModel(GEOMETRIC, 16, 16, l_paths=1), SeededRng(5, 1))
+        s = np.linalg.svd(chan.h[0], compute_uv=False)
         assert s[1] <= 1e-8 * s[0]
 
     def test_energy_normalization(self):
         model = ChannelModel(GEOMETRIC, 64, 64, l_paths=5)
-        vals = [
-            np.linalg.norm(draw_channel(model, SeededRng(6, t)).h) ** 2 / 64**2
-            for t in range(500)
-        ]
+        stack = draw_channels(model, [SeededRng(6, t) for t in range(500)])
+        vals = [np.linalg.norm(h) ** 2 / 64**2 for h in stack.h]
         assert 0.9 <= float(np.mean(vals)) <= 1.1
 
     def test_paths_sorted_and_in_domain(self):
-        chan = draw_channel(ChannelModel(GEOMETRIC, 16, 16, l_paths=6), SeededRng(6, 3))
-        mags = [abs(p.beta) for p in chan.paths]
+        beta, phi_t, phi_r = draw_paths(ChannelModel(GEOMETRIC, 16, 16, l_paths=6), SeededRng(6, 3))
+        mags = np.abs(beta).tolist()
         assert mags == sorted(mags, reverse=True)
-        for p in chan.paths:
-            assert 0.0 <= p.phi_t <= math.pi and 0.0 <= p.phi_r <= math.pi
+        assert np.all((0.0 <= phi_t) & (phi_t <= math.pi) & (0.0 <= phi_r) & (phi_r <= math.pi))
 
     def test_matrix_matches_path_sum(self):
         model = ChannelModel(GEOMETRIC, 8, 12, l_paths=3)
-        chan = draw_channel(model, SeededRng(6, 4))
+        chan = draw(model, SeededRng(6, 4))
         h = np.zeros((12, 8), dtype=complex)
-        for p in chan.paths:
-            a_t = steering_vector(p.phi_t, 8)
-            a_r = steering_vector(p.phi_r, 12)
-            h += p.beta * np.outer(a_r, a_t.conj())
+        for beta, phi_t, phi_r in zip(*draw_paths(model, SeededRng(6, 4))):
+            a_t = steering_vector(phi_t, 8)
+            a_r = steering_vector(phi_r, 12)
+            h += beta * np.outer(a_r, a_t.conj())
         h *= math.sqrt(8 * 12 / 3)
-        np.testing.assert_allclose(chan.h, h, atol=1e-12)
+        np.testing.assert_allclose(chan.h[0], h, atol=1e-12)
 
     def test_determinism(self):
         model = ChannelModel(GEOMETRIC, 16, 16, l_paths=4)
-        a = draw_channel(model, SeededRng(6, 9))
-        b = draw_channel(model, SeededRng(6, 9))
+        a = draw(model, SeededRng(6, 9))
+        b = draw(model, SeededRng(6, 9))
         assert np.array_equal(a.h, b.h)
-        assert a.paths == b.paths
+        assert np.array_equal(a.beta, b.beta)
 
 
 def eager_geometric_h(model, rng):
-    """The dense matrix as draw_channel formed it eagerly before ``h``
-    became lazy: same stream, same operands, same order."""
+    """The dense matrix as a draw formed it eagerly before ``h`` became
+    lazy: same stream, same operands, same order."""
     gen = rng.generator()
     l = model.l_paths
     z = gen.standard_normal(2 * l)
@@ -173,15 +179,15 @@ class TestLazyDense:
     def test_formed_on_first_read_bitwise_as_eager(self, n_t, n_r, l):
         model = ChannelModel(GEOMETRIC, n_t, n_r, l_paths=l)
         for t in range(5):
-            chan = draw_channel(model, SeededRng(11, t))
+            chan = draw(model, SeededRng(11, t))
             assert "h" not in vars(chan)
             h = chan.h
-            assert np.array_equal(h, eager_geometric_h(model, SeededRng(11, t)))
-            assert chan.h is h and chan.shape == h.shape == (n_r, n_t)
+            assert np.array_equal(h[0], eager_geometric_h(model, SeededRng(11, t)))
+            assert chan.h is h and chan.shape == h.shape[1:] == (n_r, n_t)
 
     def test_rayleigh_draw_carries_its_h(self):
-        chan = draw_channel(ChannelModel(RAYLEIGH, 6, 3), SeededRng(5, 0))
-        assert vars(chan)["h"].shape == chan.shape == (3, 6)
+        chan = draw(ChannelModel(RAYLEIGH, 6, 3), SeededRng(5, 0))
+        assert vars(chan)["h"].shape[1:] == chan.shape == (3, 6)
 
     def test_needs_h_or_paths_of_its_shape(self):
         with pytest.raises(ValueError):
@@ -190,7 +196,7 @@ class TestLazyDense:
             ChannelRealization(h=np.ones((4, 3)), model=ChannelModel(RAYLEIGH, 4, 4))
 
     def test_rayleigh_project_is_the_dense_product_bitwise(self):
-        chan = draw_channel(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))
+        chan = draw(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))[0]
         gen = np.random.default_rng(3)
         w = gen.standard_normal((20, 4)) + 1j * gen.standard_normal((20, 4))
         f = gen.standard_normal((24, 4)) + 1j * gen.standard_normal((24, 4))
@@ -198,7 +204,7 @@ class TestLazyDense:
 
     @pytest.mark.parametrize("l", [1, 2, 5])
     def test_geometric_project_matches_formed_h(self, l):
-        chan = draw_channel(ChannelModel(GEOMETRIC, 48, 32, l_paths=l), SeededRng(8, l))
+        chan = draw(ChannelModel(GEOMETRIC, 48, 32, l_paths=l), SeededRng(8, l))[0]
         gen = np.random.default_rng(l)
         w = gen.standard_normal((32, 3)) + 1j * gen.standard_normal((32, 3))
         f = gen.standard_normal((48, 3)) + 1j * gen.standard_normal((48, 3))
@@ -208,15 +214,15 @@ class TestLazyDense:
         assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_one_qr_per_steering_block_per_factorization(self, monkeypatch):
-        chan = draw_channel(ChannelModel(GEOMETRIC, 32, 32, l_paths=4), SeededRng(8, 5))
+        chan = draw(ChannelModel(GEOMETRIC, 32, 32, l_paths=4), SeededRng(8, 5))
         real_qr, blocks = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda a: blocks.append(a) or real_qr(a))
         # each call factors the draw's own blocks, as a stack of one
-        first = channel_svd(chan, 2)
+        first = svd_of(chan, 2)
         assert len(blocks) == 2
         assert np.shares_memory(blocks[0], chan.factors[0]) and blocks[0].shape == (1, 32, 4)
         assert np.shares_memory(blocks[1], chan.factors[2]) and blocks[1].shape == (1, 32, 4)
-        again = channel_svd(chan, 4)
+        again = svd_of(chan, 4)
         assert len(blocks) == 4
         assert np.shares_memory(blocks[2], chan.factors[0])
         assert np.shares_memory(blocks[3], chan.factors[2])
@@ -230,18 +236,19 @@ class TestLazyDense:
     @pytest.mark.parametrize("name", ["model", "h"])
     def test_realization_is_frozen(self, kind, name):
         model = ChannelModel(kind, 8, 8, l_paths=3 if kind == GEOMETRIC else None)
-        chan = draw_channel(model, SeededRng(8, 6))
+        chan = draw(model, SeededRng(8, 6))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(chan, name, None)
 
 
 def paths_channel(n, phi_t, phi_r, beta):
-    """Geometric realization with chosen path angles and gains."""
+    """Geometric realization with chosen path angles and gains, as a stack of one."""
     model = ChannelModel(GEOMETRIC, n, n, l_paths=len(beta))
     a_t = np.column_stack([steering_vector(p, n) for p in phi_t])
     a_r = np.column_stack([steering_vector(p, n) for p in phi_r])
     g = math.sqrt(n * n / len(beta)) * np.asarray(beta, dtype=complex)
-    return ChannelRealization(h=(a_r * g) @ a_t.conj().T, model=model, factors=(a_r, g, a_t))
+    factors = (a_r[None], g[None], a_t[None])
+    return ChannelRealization(h=((a_r * g) @ a_t.conj().T)[None], model=model, factors=factors)
 
 
 def assert_same_svd(chan, m):
@@ -249,8 +256,8 @@ def assert_same_svd(chan, m):
     sigma_1 (the accuracy a backward-stable SVD guarantees for every
     singular value), each singular vector aligned to 1 - 1e-12, and, with
     the gauge fixed, the factors entrywise."""
-    dense = thin_svd(chan.h, m)
-    fast = channel_svd(chan, m)
+    dense = thin_svd(chan.h[0], m)
+    fast = svd_of(chan, m)
     assert fast.u.shape == dense.u.shape and fast.v.shape == dense.v.shape
     assert np.all(np.abs(fast.sigma - dense.sigma) <= 1e-12 * dense.sigma[0])
     for a, b in ((dense.u, fast.u), (dense.v, fast.v)):
@@ -265,54 +272,52 @@ class TestChannelSvd:
     def test_matches_dense_svd(self, n, l):
         model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
         for t in range(3):
-            chan = draw_channel(model, SeededRng(8, 100 * n + 10 * l + t))
+            chan = draw(model, SeededRng(8, 100 * n + 10 * l + t))
             for m in range(1, l + 1):
                 assert_same_svd(chan, m)
 
     def test_carries_path_factors(self):
         model = ChannelModel(GEOMETRIC, 8, 12, l_paths=3)
-        chan = draw_channel(model, SeededRng(6, 4))
+        chan = draw(model, SeededRng(6, 4))[0]
         a_r, g, a_t = chan.factors
         assert a_r.shape == (12, 3) and g.shape == (3,) and a_t.shape == (8, 3)
-        np.testing.assert_allclose(g, math.sqrt(8 * 12 / 3) * np.array([p.beta for p in chan.paths]))
+        np.testing.assert_allclose(g, math.sqrt(8 * 12 / 3) * draw_paths(model, SeededRng(6, 4))[0])
         np.testing.assert_allclose(chan.h, (a_r * g) @ a_t.conj().T, atol=1e-12)
-        assert draw_channel(ChannelModel(RAYLEIGH, 8, 8), SeededRng(6, 4)).factors is None
+        assert draw(ChannelModel(RAYLEIGH, 8, 8), SeededRng(6, 4)).factors is None
 
     def test_single_path_anchors_entry_zero(self):
-        chan = draw_channel(ChannelModel(GEOMETRIC, 64, 64, l_paths=1), SeededRng(8, 1))
-        for res in (assert_same_svd(chan, 1), thin_svd(chan.h, 1)):
+        chan = draw(ChannelModel(GEOMETRIC, 64, 64, l_paths=1), SeededRng(8, 1))
+        for res in (assert_same_svd(chan, 1), thin_svd(chan.h[0], 1)):
             assert res.v[0, 0].imag == 0.0 and res.v[0, 0].real > 0.0
 
     def test_shared_angle_drops_rank_and_still_agrees(self):
         # paths 0 and 1 share both angles, so three paths give rank 2
         chan = paths_channel(32, [0.7, 0.7, 2.1], [1.2, 1.2, 0.4], [1.0, 0.5j, 0.3])
-        s = np.linalg.svd(chan.h, compute_uv=False)
+        s = np.linalg.svd(chan.h[0], compute_uv=False)
         assert s[2] <= 1e-12 * s[0] < s[1]
         for m in (1, 2):
             assert_same_svd(chan, m)
-        with pytest.raises(RankError, match="requested 3 streams but effective rank is smaller"):
-            channel_svd(chan, 3)
+        assert channel_svds(chan, 3)[1].tolist() == [False]
 
     def test_more_streams_than_paths_raise_without_forming_h(self):
-        chan = draw_channel(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), SeededRng(8, 2))
-        with pytest.raises(RankError, match="requested 3 streams but effective rank is smaller"):
-            channel_svd(chan, 3)
-        with pytest.raises(RankError):
-            capacity_p2p(channel_svd(chan, 3).sigma, 100.0)
+        # refused by the rank mask, from the path count alone
+        chan = draw(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), SeededRng(8, 2))
+        svd, ok = channel_svds(chan, 3)
+        assert ok.tolist() == [False] and not svd.sigma.any()
         assert "h" not in vars(chan)
 
     @pytest.mark.parametrize("m", [0, 17])
     def test_out_of_range_m_is_a_dimension_error(self, m):
-        chan = draw_channel(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), SeededRng(8, 2))
+        chan = draw(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), SeededRng(8, 2))
         with pytest.raises(DimensionError, match=rf"m={m} outside 1\.\.min\(16, 16\)"):
-            channel_svd(chan, m)
+            channel_svds(chan, m)
         assert "h" not in vars(chan)
 
     @pytest.mark.parametrize("name", ["u", "sigma", "v"])
     @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
     def test_shared_factors_are_read_only(self, kind, name):
         model = ChannelModel(kind, 16, 16, l_paths=5 if kind == GEOMETRIC else None)
-        a = getattr(channel_svd(draw_channel(model, SeededRng(8, 3)), 2), name)
+        a = getattr(channel_svds(draw_channels(model, [SeededRng(8, t) for t in range(3)]), 2)[0], name)
         before = a.copy()
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -321,8 +326,8 @@ class TestChannelSvd:
         assert np.array_equal(a, before)
 
     def test_rayleigh_is_bitwise_dense(self):
-        chan = draw_channel(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))
-        dense, res = thin_svd(chan.h, 4), channel_svd(chan, 4)
+        chan = draw(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))
+        dense, res = thin_svd(chan.h[0], 4), svd_of(chan, 4)
         for name in ("u", "sigma", "v"):
             assert np.array_equal(getattr(res, name), getattr(dense, name))
 
@@ -338,7 +343,7 @@ class TestStackedDraws:
         stack = path_stack(model)
         assert [a.shape for a in stack.factors] == [(6, n_r, l), (6, l), (6, n_t, l)]
         for t in range(6):
-            one = draw_channel(model, SeededRng(9, t))
+            one = draw(model, SeededRng(9, t))[0]
             for got, want in zip(stack.factors, one.factors):
                 assert got[t].tobytes() == want.tobytes()
 
@@ -352,8 +357,20 @@ class TestStackedDraws:
             stack = path_stack(model, count=count, seed=count)
             assert stack.h.shape == (count, n_r, n_t)
             for t in range(count):
-                one = draw_channel(model, SeededRng(count, t))
-                assert stack.h[t].tobytes() == one.h.tobytes()
+                one = draw(model, SeededRng(count, t))
+                assert stack.h[t].tobytes() == one.h[0].tobytes()
+
+    @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
+    def test_draw_channels_picks_the_stack_of_its_kind(self, kind):
+        model = ChannelModel(kind, 12, 8, l_paths=3 if kind == GEOMETRIC else None)
+        rngs = [SeededRng(9, t) for t in range(4)]
+        stack = draw_channels(model, rngs)
+        if kind == RAYLEIGH:
+            assert stack.factors is None
+            assert stack.h.tobytes() == channel.draw_rayleigh_stack(model, rngs).h.tobytes()
+        else:
+            assert "h" not in vars(stack)
+            assert as_bytes(stack.factors) == as_bytes(path_stack(model, count=4).factors)
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_factors_equal_each_draw_alone(self, m):
@@ -361,7 +378,7 @@ class TestStackedDraws:
         stack = path_stack(model)
         res = factored_svd(*stack.factors, m)
         for t in range(6):
-            one = factored_svd(*draw_channel(model, SeededRng(9, t)).factors, m)
+            one = factored_svd(*draw(model, SeededRng(9, t))[0].factors, m)
             for got, want in ((res.u[t], one.u), (res.sigma[t], one.sigma), (res.v[t], one.v)):
                 assert got.tobytes() == want.tobytes()
 
@@ -380,20 +397,20 @@ class TestStackedDraws:
         stack = path_stack(model)
         _, ok = channel_svds(stack, 5)
         assert ok.tolist() == [True, True, False, True, True, True]
-        with pytest.raises(RankError):
-            channel_svd(draw_channel(model, SeededRng(9, 2)), 5)
+        # each draw's mask alone is its mask in the stack
+        alone = [channel_svds(draw(model, SeededRng(9, t)), 5)[1][0] for t in range(6)]
+        assert alone == ok.tolist()
         # more streams than paths: no draw passes, and no SVD runs
         svds = []
         monkeypatch.setattr(channel, "factored_svd", lambda *a: svds.append(a))
         _, ok = channel_svds(stack, 6)
         assert ok.tolist() == [False] * 6 and svds == []
-        with pytest.raises(RankError, match="requested 6 streams"):
-            channel_svd(draw_channel(model, SeededRng(9, 2)), 6)
+        assert channel_svds(draw(model, SeededRng(9, 2)), 6)[1].tolist() == [False]
 
     @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
     def test_projection_and_kept_rows_equal_each_draw(self, kind):
         model = ChannelModel(kind, 24, 20, l_paths=4 if kind == GEOMETRIC else None)
-        draws = [draw_channel(model, SeededRng(9, t)) for t in range(6)]
+        draws = [draw(model, SeededRng(9, t))[0] for t in range(6)]
         if kind == GEOMETRIC:
             stack = path_stack(model)
         else:
@@ -446,7 +463,7 @@ class TestRestartedStreams:
         assert stack.h.shape == (40, 6, 8)
         for row, rng in zip(stack.h, rngs):
             assert row.tobytes() == fresh_rayleigh_h(self.RAY, rng).tobytes()
-            assert row.tobytes() == draw_channel(self.RAY, rng).h.tobytes()
+            assert row.tobytes() == draw(self.RAY, rng).h[0].tobytes()
 
     def test_path_draws_and_samples_are_their_streams(self):
         for t in range(20):
@@ -461,7 +478,7 @@ class TestRestartedStreams:
         for t in range(10):
             rng = SeededRng(31, t)
             assert public.standard_normal(3).tobytes() == alone.standard_normal(3).tobytes()
-            h = draw_channel(self.RAY, rng).h
+            h = draw(self.RAY, rng).h[0]
             assert public.uniform() == alone.uniform()
             paths = draw_paths(self.GEO, rng)
             assert h.tobytes() == fresh_rayleigh_h(self.RAY, rng).tobytes()

@@ -269,6 +269,12 @@ class TestExitCodes:
         bad.write_text("[experiment]\nname = x\n")
         assert main(["run", str(bad)]) == 2
 
+    def test_undecodable_config_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"\xff\xfe[experiment]\n")
+        assert main(["run", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_missing_file_is_3(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.ini")]) == 3
 

@@ -343,9 +343,9 @@ class TestGeometricFromFactors:
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     def test_trial_forms_no_h_and_one_qr_per_block(self, scheme, monkeypatch):
         drawn, qrs = [], []
-        real_draw, real_qr = experiments.draw_path_stack, np.linalg.qr
+        real_draw, real_qr = channel.draw_path_stack, np.linalg.qr
         monkeypatch.setattr(
-            experiments, "draw_path_stack", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
+            channel, "draw_path_stack", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
         )
         monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or real_qr(a))
         rec = run_trial(geometric_config(scheme, 64, 5, 4), 0)
@@ -356,9 +356,9 @@ class TestGeometricFromFactors:
     def test_rank_starved_trial_forms_no_h_and_runs_no_svd(self, monkeypatch):
         # k > L is refused from the path count alone
         drawn, svds = [], []
-        real_draw, real_svd = experiments.draw_path_stack, linalg.thin_svd
+        real_draw, real_svd = channel.draw_path_stack, linalg.thin_svd
         monkeypatch.setattr(
-            experiments, "draw_path_stack", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
+            channel, "draw_path_stack", lambda *a: drawn.append(real_draw(*a)) or drawn[-1]
         )
         for module in (channel, linalg):
             monkeypatch.setattr(module, "thin_svd", lambda *a: svds.append(a) or real_svd(*a))
@@ -539,7 +539,7 @@ class TestFactorOnce:
         gen = np.random.default_rng(1)
         h = np.outer(gen.standard_normal(16), gen.standard_normal(16)).astype(complex)
         monkeypatch.setattr(
-            experiments,
+            channel,
             "draw_rayleigh_stack",
             lambda model, rngs: ChannelRealization(model, h=np.array([h] * len(rngs))),
         )
@@ -676,7 +676,7 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("every", [3, 1], ids=["third", "all"])
     def test_rank_one_draws_are_excluded(self, kind, size, every, monkeypatch):
         # every third (or every) trial draws a rank-1 channel
-        real_draw = experiments.draw_rayleigh_stack
+        real_draw = channel.draw_rayleigh_stack
 
         def draw(model, rngs):
             h = real_draw(model, rngs).h
@@ -685,7 +685,7 @@ class TestBatchedTrials:
                     row[...] = np.outer(row[:, 0], row[0]) / abs(row[0, 0])
             return ChannelRealization(model, h=h)
 
-        monkeypatch.setattr(experiments, "draw_rayleigh_stack", draw)
+        monkeypatch.setattr(channel, "draw_rayleigh_stack", draw)
         cfg = batched_config(kind, 64 if SCHEMES[kind].multiuser else 8, trials=12)
         single = single_records(cfg)
         assert ["degenerate=True" in r for r in single] == [
@@ -702,7 +702,8 @@ class TestBatchedTrials:
 
     def test_geometric_batches_stack_and_equal_run_trial(self, monkeypatch):
         cfg = geometric_config(Scheme("svd_phase"), 16, 5, 4, trials=4)
-        stacks = record_calls(monkeypatch, "draw_path_stack")
+        stacks, real = [], channel.draw_path_stack
+        monkeypatch.setattr(channel, "draw_path_stack", lambda *a: stacks.append(a) or real(*a))
         records = run_trials(cfg, range(4))
         assert [len(c[1]) for c in stacks] == [4]
         assert [repr(r) for r in records] == single_records(cfg)

@@ -100,7 +100,7 @@ def test_harness_determinism_catches_lossy_serializer(monkeypatch):
 @pytest.mark.parametrize(
     "check",
     [
-        validation.check_erf,
+        validation.check_svd_factors,
         validation.check_gaussian_moments,
         validation.check_waterfill_kkt,
         validation.check_phase_matching,
@@ -114,10 +114,10 @@ def test_outcomes_stable_under_seed_change(check):
 
 
 def test_report_lines_are_machine_readable():
-    res = validation.check_erf(DEFAULT_SEED)
+    res = validation.check_closed_form_web(DEFAULT_SEED)
     line = res.line()
     assert line.startswith("PASS ") or line.startswith("FAIL ")
-    assert "erf_properties" in line
+    assert "closed_form_web" in line
 
 
 def test_strict_checks_pass_at_reduced_scale():
