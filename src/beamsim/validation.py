@@ -38,6 +38,7 @@ from .experiments import (
     _rayleigh,
     result_row,
     run_experiment,
+    trial_batches,
 )
 from .linalg import (
     SeededRng,
@@ -111,6 +112,16 @@ def cyclic_jacobi_eigvalsh(a) -> np.ndarray:
 def _draws(model: ChannelModel, seed: int, trials: int) -> ChannelRealization:
     """The draws of ``model`` on the streams (seed, 0..trials - 1), as one stack."""
     return draw_channels(model, [SeededRng(seed, t) for t in range(trials)])
+
+
+def _factored_batches(n: int, k: int, trials: int, seed: int):
+    """The rank-k factors and rank mask of each batch of the Rayleigh n x n
+    draws on the streams (seed, 0..trials - 1), batched as a run of those
+    trials is (``trial_batches``): no stack holds more than BATCH_BYTES of
+    draws, so a large n does not stack every draw's full SVD at once."""
+    config = replace(_tiny_config(seed), channel=_rayleigh(n), trials=trials)
+    for batch in trial_batches(config):
+        yield channel_svds(draw_channels(config.channel, [SeededRng(seed, t) for t in batch]), k)
 
 
 def _rates(chan: ChannelRealization, made, rho: float) -> np.ndarray:
@@ -278,8 +289,9 @@ def check_channel_generation(seed: int = DEFAULT_SEED) -> CheckResult:
 def _pooled_v_amplitudes(n: int, k: int, trials: int, seed: int) -> tuple[np.ndarray, bool]:
     """sqrt(n) |V| of ``trials`` Rayleigh n x n draws' rank-k factors, and
     whether every draw has rank k."""
-    svd, ranked = channel_svds(_draws(_rayleigh(n), seed, trials), k)
-    return math.sqrt(n) * np.abs(svd.v).ravel(), bool(ranked.all())
+    factored = list(_factored_batches(n, k, trials, seed))
+    samples = np.concatenate([math.sqrt(n) * np.abs(svd.v).ravel() for svd, _ in factored])
+    return samples, all(ranked.all() for _, ranked in factored)
 
 
 def check_singular_vector_amplitude_law(
@@ -485,15 +497,15 @@ def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
     ranked = True
     for n in (16, 64, 256):
         offs = []
-        svd, ok = channel_svds(_draws(_rayleigh(n), seed + 11 + n, 20 if n == 256 else 60), 4)
-        ranked = ranked and bool(ok.all())
-        for v in svd.v:
-            f_rf = np.exp(1j * np.angle(v))
-            g = v.conj().T @ f_rf / math.sqrt(n)
-            off = np.abs(g[~np.eye(4, dtype=bool)])
-            offs.append(off)
-            if n == 256:
-                diag_vals.append(np.abs(np.diag(g)))
+        for svd, ok in _factored_batches(n, 4, 20 if n == 256 else 60, seed + 11 + n):
+            ranked = ranked and bool(ok.all())
+            for v in svd.v:
+                f_rf = np.exp(1j * np.angle(v))
+                g = v.conj().T @ f_rf / math.sqrt(n)
+                off = np.abs(g[~np.eye(4, dtype=bool)])
+                offs.append(off)
+                if n == 256:
+                    diag_vals.append(np.abs(np.diag(g)))
         medians[n] = float(np.median(np.concatenate(offs)))
     diag_mean = float(np.mean(np.concatenate(diag_vals)))
     passed = (

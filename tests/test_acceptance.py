@@ -112,7 +112,9 @@ def test_criterion_2_exact_factorization():
     paired = _rates(chan, made, RHO)
     worst_rate = float(np.max(np.abs(paired - digital)))  # NaN where a draw was refused
     v = thin_svd(chan.h, 4).v[kept]
-    worst_factor = max(float(np.linalg.norm(f - w)) for f, w in zip(bf.precoder(), v))
+    worst_factor = max(
+        (float(np.linalg.norm(f - w)) for f, w in zip(bf.precoder(), v)), default=math.nan
+    )
     elapsed = time.monotonic() - start
     ok = ranked.all() and worst_rate <= 1e-9 and worst_factor <= 1e-10 and elapsed <= 60.0
     report(

@@ -76,7 +76,8 @@ def rate(chan, bf, rho=RHO):
 
 
 def design_bytes(bf):
-    return [None if a is None else a.tobytes() for a in (bf.f_rf, bf.f_b, bf.power, bf.w_rf, bf.w_b)]
+    arrays = (bf.f_rf, bf.f_b, bf.power, bf.w_rf, bf.w_b)
+    return [None if a is None else a.tobytes() for a in arrays]
 
 
 def assert_kept_draws_bitwise_alone(chan, made, build):

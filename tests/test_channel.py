@@ -317,7 +317,8 @@ class TestChannelSvd:
     @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
     def test_shared_factors_are_read_only(self, kind, name):
         model = ChannelModel(kind, 16, 16, l_paths=5 if kind == GEOMETRIC else None)
-        a = getattr(channel_svds(draw_channels(model, [SeededRng(8, t) for t in range(3)]), 2)[0], name)
+        stack = draw_channels(model, [SeededRng(8, t) for t in range(3)])
+        a = getattr(channel_svds(stack, 2)[0], name)
         before = a.copy()
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
