@@ -22,13 +22,7 @@ from .closed_form import (
     truncated_rayleigh_mean,
 )
 from .configio import CSV_COLUMNS, parse_config, serialize_config, write_csv
-from .errors import (
-    BeamsimError,
-    ConfigError,
-    ConvergenceError,
-    DimensionError,
-    SingularMatrixError,
-)
+from .errors import BeamsimError, ConfigError, DimensionError
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,

@@ -177,15 +177,18 @@ def _path_factors(model: ChannelModel, beta, phi_t, phi_r) -> tuple[np.ndarray, 
     return steering_block(phi_r, model.n_r, spacing), g, steering_block(phi_t, model.n_t, spacing)
 
 
-def draw_channels(model: ChannelModel, rngs) -> ChannelRealization:
-    """The draws of ``model`` on the streams ``rngs``, as one stack.
+def draw_channels(model: ChannelModel, master_seed: int, streams) -> ChannelRealization:
+    """The draws of ``model`` on the streams ``(master_seed, s)``, one for
+    each stream id ``s`` of ``streams``, as one stack.
 
     Rayleigh: every entry i.i.d. CN(0,1).  Geometric: l_paths outer
     products of receive/transmit steering vectors with CN(0,1) gains and
     departure/arrival angles uniform on [0, pi], scaled by
     sqrt(n_t n_r / l_paths), kept as path factors; the dense ``h`` is
-    formed only when read.  Each draw is bitwise the same in any stack.
+    formed only when read.  Each draw is bitwise the same in any stack,
+    and the stream ids need not be consecutive.
     """
+    rngs = [SeededRng(master_seed, s) for s in streams]
     if model.kind == RAYLEIGH:
         return draw_rayleigh_stack(model, rngs)
     return draw_path_stack(model, rngs)
@@ -218,8 +221,8 @@ def channel_svds(chan: ChannelRealization, m: int) -> tuple[SvdResult, np.ndarra
     factored from its path factors in O(n L^2) (``factored_svd``); its
     rank is at most L, so for ``m > L`` it gets zero factors, which no
     draw passes, without an SVD or a formed ``h``.  A stack's factors are
-    bitwise each draw's own, and a failed factorization raises
-    ConvergenceError for all.
+    bitwise each draw's own, and a failed factorization raises numpy's
+    LinAlgError for all.
 
     The ``u``, ``sigma`` and ``v`` returned are read-only, so the callers
     that share them (a capacity and a design) cannot change what the

@@ -42,8 +42,8 @@ from .beamformers import (
     selection_designs,
 )
 from .channel import GEOMETRIC, RAYLEIGH, ChannelModel, channel_svds, draw_channels
-from .errors import ConfigError, ConvergenceError, SingularMatrixError
-from .linalg import SeededRng, blas_thread_control, kept_rows
+from .errors import ConfigError
+from .linalg import blas_thread_control, kept_rows
 
 # capacity_p2p is not called here; perfbench's tracer looks the name up
 from .rates import capacity_p2p, capacity_streams, mu_streams, p2p_streams  # noqa: F401
@@ -323,7 +323,7 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
     """
     spec = config.scheme.spec
     rho = 10.0 ** (config.rho_db / 10.0)
-    chan = draw_channels(config.channel, [SeededRng(config.master_seed, i) for i in indices])
+    chan = draw_channels(config.channel, config.master_seed, indices)
     rows = np.arange(len(indices))  # the batch positions still in the stack
     inactive = np.full(len(indices), math.nan)  # by batch position
     # Each stage keeps the rows it passes; a name whose arrays the later
@@ -370,7 +370,7 @@ def run_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
     indices = list(indices)
     try:
         done = _records(config, indices)
-    except (ConvergenceError, SingularMatrixError, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         if len(indices) > 1:
             return [r for i in indices for r in run_trials(config, [i])]
         done = {}
@@ -378,8 +378,9 @@ def run_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
     return [done.get(i) or TrialRecord(i, nan, nan, nan, nan, True) for i in indices]
 
 
-def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
-    """The config's trial indices in consecutive batches of near-equal size.
+def trial_batches(channel: ChannelModel, trials: int, workers: int = 1) -> list[range]:
+    """The trial indices ``0..trials - 1`` of draws of ``channel`` in
+    consecutive batches of near-equal size.
 
     A batch holds at most ``BATCH_BYTES`` of stacked draws, and always one
     trial: n_r n_t complex entries per dense draw, (n_r + n_t) L per
@@ -387,12 +388,12 @@ def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
     ``workers`` (up to one batch per trial), so ``workers`` processes get
     equal shares.
     """
-    n_t, n_r, l_paths = config.channel.n_t, config.channel.n_r, config.channel.l_paths
+    n_t, n_r, l_paths = channel.n_t, channel.n_r, channel.l_paths
     entries = n_r * n_t if l_paths is None else (n_r + n_t) * l_paths
     size = max(1, BATCH_BYTES // (np.dtype(complex).itemsize * entries))
-    count = -(-config.trials // size)
-    count = min(config.trials, -(-count // workers) * workers)
-    bounds = [config.trials * j // count for j in range(count + 1)]
+    count = -(-trials // size)
+    count = min(trials, -(-count // workers) * workers)
+    bounds = [trials * j // count for j in range(count + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -448,9 +449,10 @@ def _sigint_held():
 
     A KeyboardInterrupt raised while the parent forks its workers or stops
     and reaps them can be lost in an at-fork hook or leave a worker
-    unrecorded or unreaped; held, the signal is delivered on exit, with
-    every worker accounted for.  Processes forked meanwhile inherit the
-    holding handler until they ignore SIGINT.  Off the main thread, which
+    unrecorded or unreaped; held, the signal is delivered on every exit
+    (an exception leaving the body becomes the KeyboardInterrupt's
+    context), with every worker accounted for.  Processes forked
+    meanwhile inherit the holding handler until they ignore SIGINT.  Off the main thread, which
     never runs Python signal handlers, nothing is held.
     """
     if threading.current_thread() is not threading.main_thread():
@@ -462,8 +464,8 @@ def _sigint_held():
         yield
     finally:
         signal.signal(signal.SIGINT, previous)
-    if held:
-        signal.raise_signal(signal.SIGINT)
+        if held:  # delivered even while an exception leaves the body
+            signal.raise_signal(signal.SIGINT)
 
 
 @contextmanager
@@ -574,7 +576,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if config.sweep is not None:
         raise ConfigError("config still carries a sweep axis; expand_sweep() it first")
     workers = max(1, min(workers, config.trials))
-    batches = trial_batches(config, workers)
+    batches = trial_batches(config.channel, config.trials, workers)
     if workers == 1:
         records = _run_share(config, batches)
     else:

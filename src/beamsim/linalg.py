@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
+from .errors import DimensionError
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,6 +89,8 @@ def require_truncation(m: int, shape: tuple[int, int]) -> None:
 def thin_svd(a, m: int) -> SvdResult:
     """Rank-``m`` thin SVD of a complex matrix, or of each matrix of a stack.
 
+    An SVD that does not converge raises numpy's ``LinAlgError``.
+
     Parameters
     ----------
     a : array_like
@@ -106,10 +108,7 @@ def thin_svd(a, m: int) -> SvdResult:
     if not np.isfinite(a).all():
         raise ValueError("a contains non-finite entries")
     require_truncation(m, a.shape[-2:])
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
     u = u[..., :m].copy()
     s = s[..., :m].copy()
     v = adjoint(vh[..., :m, :]).copy()

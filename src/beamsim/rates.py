@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import ChannelRealization
-from .errors import SingularMatrixError
 from .linalg import adjoint, kept_rows
 
 if TYPE_CHECKING:
@@ -121,17 +120,14 @@ def p2p_streams(chan: ChannelRealization, bf: "HybridBeamformer", rho: float):
     Rn = W^H W / Gr and both normalization factors derived from the
     supplied matrices.  ``W^H H F`` comes from ``chan.project``, so a
     geometric draw is evaluated from its path factors without forming H.
-    A noise covariance that Cholesky refuses raises SingularMatrixError
+    A noise covariance that Cholesky refuses raises numpy's LinAlgError
     for the whole stack.
     """
     f, w = bf.precoder(), bf.combiner()
     rn, gamma_r = _noise_covariance(w)
     ok = _conditioned(np.linalg.cond(rn))
     f, w, rn, gamma_r, power, chan = kept_rows(ok, f, w, rn, gamma_r, bf.power, chan)
-    try:
-        lchol = np.linalg.cholesky(rn)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("noise covariance is not positive definite") from exc
+    lchol = np.linalg.cholesky(rn)
     m_eff = chan.project(w, f) * np.sqrt(np.maximum(power, 0.0))[..., None, :]
     scale = np.sqrt(rho / (_gamma(f) * gamma_r))
     t = np.linalg.solve(lchol, m_eff) * scale[..., None, None]

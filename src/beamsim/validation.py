@@ -109,19 +109,14 @@ def cyclic_jacobi_eigvalsh(a) -> np.ndarray:
     raise BeamsimError("Jacobi sweeps did not converge")
 
 
-def _draws(model: ChannelModel, seed: int, trials: int) -> ChannelRealization:
-    """The draws of ``model`` on the streams (seed, 0..trials - 1), as one stack."""
-    return draw_channels(model, [SeededRng(seed, t) for t in range(trials)])
-
-
 def _factored_batches(n: int, k: int, trials: int, seed: int):
     """The rank-k factors and rank mask of each batch of the Rayleigh n x n
     draws on the streams (seed, 0..trials - 1), batched as a run of those
     trials is (``trial_batches``): no stack holds more than BATCH_BYTES of
     draws, so a large n does not stack every draw's full SVD at once."""
-    config = replace(_tiny_config(seed), channel=_rayleigh(n), trials=trials)
-    for batch in trial_batches(config):
-        yield channel_svds(draw_channels(config.channel, [SeededRng(seed, t) for t in batch]), k)
+    model = _rayleigh(n)
+    for batch in trial_batches(model, trials):
+        yield channel_svds(draw_channels(model, seed, batch), k)
 
 
 def _rates(chan: ChannelRealization, made, rho: float) -> np.ndarray:
@@ -248,19 +243,19 @@ def check_channel_generation(seed: int = DEFAULT_SEED) -> CheckResult:
         n = int(gen.integers(1, 200))
         worst_norm = max(worst_norm, abs(np.linalg.norm(steering_vector(phi, n)) - 1.0))
 
-    energy = float(np.mean(np.abs(_draws(_rayleigh(32), seed, 64).h) ** 2))
+    energy = float(np.mean(np.abs(draw_channels(_rayleigh(32), seed, range(64)).h) ** 2))
 
     geo1 = ChannelModel(GEOMETRIC, 16, 16, l_paths=1)
-    h1 = draw_channels(geo1, [SeededRng(seed, 999)]).h[0]
+    h1 = draw_channels(geo1, seed, [999]).h[0]
     s = np.linalg.svd(h1, compute_uv=False)
     rank1 = s[1] <= 1e-8 * s[0]
 
     geo5 = ChannelModel(GEOMETRIC, 64, 64, l_paths=5)
-    norms = [np.linalg.norm(h) ** 2 / (64 * 64) for h in _draws(geo5, seed, 200).h]
+    norms = [np.linalg.norm(h) ** 2 / (64 * 64) for h in draw_channels(geo5, seed, range(200)).h]
     geo_energy = float(np.mean(norms))
 
-    c1 = draw_channels(geo5, [SeededRng(seed, 5)])
-    c2 = draw_channels(geo5, [SeededRng(seed, 5)])
+    c1 = draw_channels(geo5, seed, [5])
+    c2 = draw_channels(geo5, seed, [5])
     deterministic = bool(np.array_equal(c1.h, c2.h))
     sorted_paths = bool(np.all(np.diff(np.abs(c1.beta[0])) <= 0))
 
@@ -317,8 +312,7 @@ def check_steering_alignment(seed: int = DEFAULT_SEED) -> CheckResult:
     attempts = 0
     while len(streams) < 20 and attempts < 4000:
         attempts += 1
-        stream = SeededRng(seed + 6, attempts)
-        beta, phi_t, phi_r = draw_paths(model, stream)
+        beta, phi_t, phi_r = draw_paths(model, SeededRng(seed + 6, attempts))
         cos_t = np.array([math.cos(p) for p in phi_t])
         cos_r = np.array([math.cos(p) for p in phi_r])
         if min(np.min(np.abs(np.subtract.outer(cos_t, cos_t))[np.triu_indices(l, 1)]),
@@ -328,12 +322,12 @@ def check_steering_alignment(seed: int = DEFAULT_SEED) -> CheckResult:
         betas = np.abs(beta)
         if np.any(betas[:-1] / betas[1:] < 1.3):
             continue
-        streams.append(stream)
+        streams.append(attempts)
         angles.append(phi_t)
     draws = len(streams)
     worst, ranked = 1.0, False
     if draws == 20:
-        svd, ok = channel_svds(draw_channels(model, streams), l)
+        svd, ok = channel_svds(draw_channels(model, seed + 6, streams), l)
         ranked = bool(ok.all())
         for v, phi_t in zip(svd.v, angles):
             for idx, phi in enumerate(phi_t):
@@ -360,7 +354,7 @@ def check_geometric_factorization(seed: int = DEFAULT_SEED) -> CheckResult:
     for n in (16, 64, 256):
         for l in (1, 2, 5):
             model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
-            chan = draw_channels(model, [SeededRng(seed + 17, draws + t) for t in range(4)])
+            chan = draw_channels(model, seed + 17, range(draws, draws + 4))
             draws += 4
             dense = thin_svd(chan.h, l)
             fast, ok = channel_svds(chan, l)
@@ -409,7 +403,7 @@ def check_geometric_projection(seed: int = DEFAULT_SEED) -> CheckResult:
     for n in (16, 64, 256):
         for l in (1, 2, 5):
             model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
-            chan = draw_channels(model, [SeededRng(seed + 19, draws + t) for t in range(2)])
+            chan = draw_channels(model, seed + 19, range(draws, draws + 2))
             draws += 2
             dense = ChannelRealization(model, h=chan.h)
             for k in sorted({1, l}):
@@ -449,7 +443,7 @@ def check_phase_matching(seed: int = DEFAULT_SEED) -> CheckResult:
     ok = True
     margin = math.inf
     for _ in range(5):
-        chan = draw_channels(_rayleigh(32), [SeededRng(seed + 8, int(gen.integers(1 << 30)))])
+        chan = draw_channels(_rayleigh(32), seed + 8, [int(gen.integers(1 << 30))])
         svd, ranked = channel_svds(chan, 4)
         ok = ok and bool(ranked[0])
         f_rf = np.exp(1j * np.angle(svd.v[0]))
@@ -475,7 +469,7 @@ def check_gauge_invariance(seed: int = DEFAULT_SEED) -> CheckResult:
     rho = 10.0 ** 3.4
     ranked = True
     for _ in range(5):
-        chan = draw_channels(_rayleigh(24), [SeededRng(seed + 10, int(gen.integers(1 << 30)))])
+        chan = draw_channels(_rayleigh(24), seed + 10, [int(gen.integers(1 << 30))])
         svd, ok = channel_svds(chan, 3)
         ranked = ranked and bool(ok[0])
         for m in (3, 6):
@@ -529,7 +523,7 @@ def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
 def check_quantization_bound(seed: int = DEFAULT_SEED, trials: int = 150) -> CheckResult:
     """Measured loss from digital grids stays below the closed-form bound."""
     rho = 10.0 ** 3.4
-    chan = _draws(_rayleigh(64), seed + 12, trials)
+    chan = draw_channels(_rayleigh(64), seed + 12, range(trials))
     svd, ranked = channel_svds(chan, 4)
     analog, ok = mixed_designs(chan, svd, 4, rho)
     r_analog = _rates(chan, (analog, ok), rho)
@@ -559,7 +553,7 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     eig_form = float(np.sum(np.log2(1.0 + np.maximum(np.linalg.eigvalsh(psd), 0.0))))
     det_vs_eig = abs(float(logdet) / math.log(2.0) - eig_form)
 
-    chan = _draws(_rayleigh(16), seed + 14, 1)
+    chan = draw_channels(_rayleigh(16), seed + 14, [0])
     rho = 10.0 ** 3.4
     svd, ranked = channel_svds(chan, 4)
     bf, ok = mixed_designs(chan, svd, 4, rho)
@@ -575,7 +569,7 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
         monotone = monotone and bool(rate >= prev - 1e-12)
         prev = rate
 
-    chan = _draws(_rayleigh(12), seed + 15, 5)
+    chan = draw_channels(_rayleigh(12), seed + 15, range(5))
     svd, ok = channel_svds(chan, 3)
     ranked = ranked[0] and ok.all()
     cap = capacity_streams(svd.sigma, rho).sum(axis=-1)

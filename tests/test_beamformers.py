@@ -12,7 +12,6 @@ from beamsim import (
     GEOMETRIC,
     PhaseResolution,
     RAYLEIGH,
-    SeededRng,
     SelectionPolicy,
     capacity_p2p,
     draw_channels,
@@ -34,13 +33,9 @@ from beamsim.rates import mu_streams, p2p_streams
 RHO = 10.0**3.4
 
 
-def draws(model, seed, streams):
-    return draw_channels(model, [SeededRng(seed, s) for s in streams])
-
-
 def rayleigh(n, seed, stream=0):
     """One Rayleigh n x n draw, as a stack of one."""
-    return draws(ChannelModel(RAYLEIGH, n, n), seed, [stream])
+    return draw_channels(ChannelModel(RAYLEIGH, n, n), seed, [stream])
 
 
 def explicit(h):
@@ -109,7 +104,7 @@ def assert_invariants(bf, unit_modulus=True):
 
 class TestDigitalSvd:
     def test_rank1_geometric_uses_dominant_direction(self):
-        chan = draws(ChannelModel(GEOMETRIC, 16, 16, l_paths=1), 4, [0])
+        chan = draw_channels(ChannelModel(GEOMETRIC, 16, 16, l_paths=1), 4, [0])
         bf = one(digital_designs(chan, factors(chan, 1), RHO))
         v = thin_svd(chan.h[0], 1).v
         np.testing.assert_allclose(bf.precoder(), v, atol=1e-12)
@@ -123,7 +118,7 @@ class TestDigitalSvd:
 
     def test_rank_error_beyond_geometry(self):
         # two paths give rank 2: three streams are refused by the rank mask
-        chan = draws(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), 4, [1, 2])
+        chan = draw_channels(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), 4, [1, 2])
         _, ok = channel_svds(chan, 3)
         assert ok.tolist() == [False, False]
 
@@ -269,7 +264,7 @@ class TestSelection:
         assert np.array_equal(a.power, b.power)
 
     def test_half_off_fraction(self):
-        chan = draws(ChannelModel(RAYLEIGH, 64, 64), 7, range(500))
+        chan = draw_channels(ChannelModel(RAYLEIGH, 64, 64), 7, range(500))
         bf = kept(selection_designs(chan, factors(chan, 4), RHO, SelectionPolicy(50.0)))
         off = int(np.sum(bf.f_rf == 0)) + int(np.sum(bf.w_rf == 0))
         on = int(np.sum(bf.f_rf != 0)) + int(np.sum(bf.w_rf != 0))
@@ -294,7 +289,7 @@ class TestSelection:
 
 class TestMultiuserZf:
     def make_chan(self, seed, stream=0, n_t=32, k=4):
-        return draws(ChannelModel(RAYLEIGH, n_t, k), seed, [stream])
+        return draw_channels(ChannelModel(RAYLEIGH, n_t, k), seed, [stream])
 
     def test_hybrid_effective_channel_is_scaled_identity(self):
         chan = self.make_chan(8)
@@ -331,12 +326,13 @@ class TestMultiuserZf:
 
     def test_digital_gamma_matches_wishart_mean(self):
         # gamma_t has one value per draw of a stack
-        bf = kept(mu_zf_digital_designs(draws(ChannelModel(RAYLEIGH, 64, 4), 9, range(200)), 4))
+        chan = draw_channels(ChannelModel(RAYLEIGH, 64, 4), 9, range(200))
+        bf = kept(mu_zf_digital_designs(chan, 4))
         assert bf.gamma_t.shape == (200,)
         assert np.mean(bf.gamma_t) == pytest.approx(1 / 60, rel=0.1)
 
     def test_single_user_array_gain(self):
-        chan = draws(ChannelModel(RAYLEIGH, 64, 1), 10, range(200))
+        chan = draw_channels(ChannelModel(RAYLEIGH, 64, 1), 10, range(200))
         bf = kept(mu_zf_hybrid_designs(chan, factors(chan, 1)))
         rates = mu_streams(chan, bf, RHO).sum(axis=-1)
         predicted = math.log2(1 + RHO * (math.pi / 4) * 64)
@@ -355,7 +351,7 @@ class TestRefusalMasks:
     kept draw is bitwise what the stage gives it as a stack of one."""
 
     def test_rank_mask_keeps_the_other_draws_bitwise(self):
-        h = draws(ChannelModel(RAYLEIGH, 16, 16), 15, range(6)).h
+        h = draw_channels(ChannelModel(RAYLEIGH, 16, 16), 15, range(6)).h
         h[2] = np.outer(h[2][:, 0], h[2][0])  # rank one
         chan = explicit(h)
         svd, ok = channel_svds(chan, 4)
@@ -369,7 +365,7 @@ class TestRefusalMasks:
     def test_dead_column_mask_keeps_the_other_draws_bitwise(self):
         # an all-ones draw's singular vectors are flat at 1/4, every entry
         # below the 70% threshold, so its one RF column dies on both sides
-        h = draws(ChannelModel(RAYLEIGH, 16, 16), 15, range(6)).h
+        h = draw_channels(ChannelModel(RAYLEIGH, 16, 16), 15, range(6)).h
         h[3] = 1.0
         chan = explicit(h)
         policy = SelectionPolicy(70.0)
@@ -384,7 +380,7 @@ class TestRefusalMasks:
     @pytest.mark.parametrize("kind", ["digital", "hybrid"])
     def test_ill_conditioned_multiuser_draw_dropped(self, kind):
         # draw 1's two users share one channel row: H H^H and H F_RF are singular
-        h = draws(ChannelModel(RAYLEIGH, 32, 4), 16, range(5)).h
+        h = draw_channels(ChannelModel(RAYLEIGH, 32, 4), 16, range(5)).h
         h[1, 3] = h[1, 0]
         chan = explicit(h)
 
@@ -424,7 +420,7 @@ def test_p2p_builders_reject_non_positive_rho(kind, rho):
 def test_p2p_builders_raise_where_waterfilling_refuses_the_gains(kind, bad, monkeypatch):
     # waterfill raises for draw 2's spoiled gains; a builder drops that draw
     # instead, and keeps the others bitwise as they are alone
-    chan = draws(ChannelModel(RAYLEIGH, 16, 16), 14, range(5))
+    chan = draw_channels(ChannelModel(RAYLEIGH, 16, 16), 14, range(5))
     svd = factors(chan, 4)
     analog = kept(mixed_designs(chan, svd, 4, RHO))  # made before the gains are spoiled
 
@@ -455,7 +451,7 @@ class TestCrossSchemeConsistency:
     def test_quantization_bound_holds_on_means(self):
         from beamsim import quant_gap_bound
 
-        chan = draws(ChannelModel(RAYLEIGH, 64, 64), 12, range(60))
+        chan = draw_channels(ChannelModel(RAYLEIGH, 64, 64), 12, range(60))
         analog = kept(mixed_designs(chan, factors(chan, 4), 4, RHO))
         r_analog = p2p_streams(chan, analog, RHO)[0].sum(axis=-1)
         for bits in (2, 3, 4):

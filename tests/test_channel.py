@@ -21,14 +21,14 @@ from beamsim import (
     steering_vector,
     thin_svd,
 )
-from beamsim.channel import channel_svds, draw_path_stack, draw_paths, steering_block
+from beamsim.channel import channel_svds, draw_paths, steering_block
 from beamsim.errors import DimensionError
 from beamsim.linalg import factored_svd
 
 
-def draw(model, rng):
-    """The draw of ``model`` on the stream ``rng``, as a stack of one."""
-    return draw_channels(model, [rng])
+def draw(model, seed, stream):
+    """The draw of ``model`` on the stream ``(seed, stream)``, as a stack of one."""
+    return draw_channels(model, seed, [stream])
 
 
 def svd_of(chan, m):
@@ -105,30 +105,30 @@ class TestRayleighDraws:
     def test_entry_energy(self):
         # 64 trials x 32 x 32 entries: se of the mean ~0.004, band is >5 sigma
         model = ChannelModel(RAYLEIGH, 32, 32)
-        pooled = draw_channels(model, [SeededRng(5, t) for t in range(64)]).h
+        pooled = draw_channels(model, 5, range(64)).h
         assert 0.98 <= float(np.mean(np.abs(pooled) ** 2)) <= 1.02
 
     def test_shape_and_no_paths(self):
-        chan = draw(ChannelModel(RAYLEIGH, 6, 3), SeededRng(5, 0))
+        chan = draw(ChannelModel(RAYLEIGH, 6, 3), 5, 0)
         assert chan.h.shape == (1, 3, 6)
         assert chan.factors is None and chan.beta is None
 
     def test_determinism(self):
         model = ChannelModel(RAYLEIGH, 16, 16)
-        a = draw(model, SeededRng(5, 9)).h
-        b = draw(model, SeededRng(5, 9)).h
+        a = draw(model, 5, 9).h
+        b = draw(model, 5, 9).h
         assert np.array_equal(a, b)
 
 
 class TestGeometricDraws:
     def test_single_path_rank_one(self):
-        chan = draw(ChannelModel(GEOMETRIC, 16, 16, l_paths=1), SeededRng(5, 1))
+        chan = draw(ChannelModel(GEOMETRIC, 16, 16, l_paths=1), 5, 1)
         s = np.linalg.svd(chan.h[0], compute_uv=False)
         assert s[1] <= 1e-8 * s[0]
 
     def test_energy_normalization(self):
         model = ChannelModel(GEOMETRIC, 64, 64, l_paths=5)
-        stack = draw_channels(model, [SeededRng(6, t) for t in range(500)])
+        stack = draw_channels(model, 6, range(500))
         vals = [np.linalg.norm(h) ** 2 / 64**2 for h in stack.h]
         assert 0.9 <= float(np.mean(vals)) <= 1.1
 
@@ -140,7 +140,7 @@ class TestGeometricDraws:
 
     def test_matrix_matches_path_sum(self):
         model = ChannelModel(GEOMETRIC, 8, 12, l_paths=3)
-        chan = draw(model, SeededRng(6, 4))
+        chan = draw(model, 6, 4)
         h = np.zeros((12, 8), dtype=complex)
         for beta, phi_t, phi_r in zip(*draw_paths(model, SeededRng(6, 4))):
             a_t = steering_vector(phi_t, 8)
@@ -151,8 +151,8 @@ class TestGeometricDraws:
 
     def test_determinism(self):
         model = ChannelModel(GEOMETRIC, 16, 16, l_paths=4)
-        a = draw(model, SeededRng(6, 9))
-        b = draw(model, SeededRng(6, 9))
+        a = draw(model, 6, 9)
+        b = draw(model, 6, 9)
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.beta, b.beta)
 
@@ -179,14 +179,14 @@ class TestLazyDense:
     def test_formed_on_first_read_bitwise_as_eager(self, n_t, n_r, l):
         model = ChannelModel(GEOMETRIC, n_t, n_r, l_paths=l)
         for t in range(5):
-            chan = draw(model, SeededRng(11, t))
+            chan = draw(model, 11, t)
             assert "h" not in vars(chan)
             h = chan.h
             assert np.array_equal(h[0], eager_geometric_h(model, SeededRng(11, t)))
             assert chan.h is h and chan.shape == h.shape[1:] == (n_r, n_t)
 
     def test_rayleigh_draw_carries_its_h(self):
-        chan = draw(ChannelModel(RAYLEIGH, 6, 3), SeededRng(5, 0))
+        chan = draw(ChannelModel(RAYLEIGH, 6, 3), 5, 0)
         assert vars(chan)["h"].shape[1:] == chan.shape == (3, 6)
 
     def test_needs_h_or_paths_of_its_shape(self):
@@ -196,7 +196,7 @@ class TestLazyDense:
             ChannelRealization(h=np.ones((4, 3)), model=ChannelModel(RAYLEIGH, 4, 4))
 
     def test_rayleigh_project_is_the_dense_product_bitwise(self):
-        chan = draw(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))[0]
+        chan = draw(ChannelModel(RAYLEIGH, 24, 20), 8, 3)[0]
         gen = np.random.default_rng(3)
         w = gen.standard_normal((20, 4)) + 1j * gen.standard_normal((20, 4))
         f = gen.standard_normal((24, 4)) + 1j * gen.standard_normal((24, 4))
@@ -204,7 +204,7 @@ class TestLazyDense:
 
     @pytest.mark.parametrize("l", [1, 2, 5])
     def test_geometric_project_matches_formed_h(self, l):
-        chan = draw(ChannelModel(GEOMETRIC, 48, 32, l_paths=l), SeededRng(8, l))[0]
+        chan = draw(ChannelModel(GEOMETRIC, 48, 32, l_paths=l), 8, l)[0]
         gen = np.random.default_rng(l)
         w = gen.standard_normal((32, 3)) + 1j * gen.standard_normal((32, 3))
         f = gen.standard_normal((48, 3)) + 1j * gen.standard_normal((48, 3))
@@ -214,7 +214,7 @@ class TestLazyDense:
         assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_one_qr_per_steering_block_per_factorization(self, monkeypatch):
-        chan = draw(ChannelModel(GEOMETRIC, 32, 32, l_paths=4), SeededRng(8, 5))
+        chan = draw(ChannelModel(GEOMETRIC, 32, 32, l_paths=4), 8, 5)
         real_qr, blocks = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda a: blocks.append(a) or real_qr(a))
         # each call factors the draw's own blocks, as a stack of one
@@ -236,7 +236,7 @@ class TestLazyDense:
     @pytest.mark.parametrize("name", ["model", "h"])
     def test_realization_is_frozen(self, kind, name):
         model = ChannelModel(kind, 8, 8, l_paths=3 if kind == GEOMETRIC else None)
-        chan = draw(model, SeededRng(8, 6))
+        chan = draw(model, 8, 6)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(chan, name, None)
 
@@ -272,21 +272,21 @@ class TestChannelSvd:
     def test_matches_dense_svd(self, n, l):
         model = ChannelModel(GEOMETRIC, n, n, l_paths=l)
         for t in range(3):
-            chan = draw(model, SeededRng(8, 100 * n + 10 * l + t))
+            chan = draw(model, 8, 100 * n + 10 * l + t)
             for m in range(1, l + 1):
                 assert_same_svd(chan, m)
 
     def test_carries_path_factors(self):
         model = ChannelModel(GEOMETRIC, 8, 12, l_paths=3)
-        chan = draw(model, SeededRng(6, 4))[0]
+        chan = draw(model, 6, 4)[0]
         a_r, g, a_t = chan.factors
         assert a_r.shape == (12, 3) and g.shape == (3,) and a_t.shape == (8, 3)
         np.testing.assert_allclose(g, math.sqrt(8 * 12 / 3) * draw_paths(model, SeededRng(6, 4))[0])
         np.testing.assert_allclose(chan.h, (a_r * g) @ a_t.conj().T, atol=1e-12)
-        assert draw(ChannelModel(RAYLEIGH, 8, 8), SeededRng(6, 4)).factors is None
+        assert draw(ChannelModel(RAYLEIGH, 8, 8), 6, 4).factors is None
 
     def test_single_path_anchors_entry_zero(self):
-        chan = draw(ChannelModel(GEOMETRIC, 64, 64, l_paths=1), SeededRng(8, 1))
+        chan = draw(ChannelModel(GEOMETRIC, 64, 64, l_paths=1), 8, 1)
         for res in (assert_same_svd(chan, 1), thin_svd(chan.h[0], 1)):
             assert res.v[0, 0].imag == 0.0 and res.v[0, 0].real > 0.0
 
@@ -301,14 +301,14 @@ class TestChannelSvd:
 
     def test_more_streams_than_paths_raise_without_forming_h(self):
         # refused by the rank mask, from the path count alone
-        chan = draw(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), SeededRng(8, 2))
+        chan = draw(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), 8, 2)
         svd, ok = channel_svds(chan, 3)
         assert ok.tolist() == [False] and not svd.sigma.any()
         assert "h" not in vars(chan)
 
     @pytest.mark.parametrize("m", [0, 17])
     def test_out_of_range_m_is_a_dimension_error(self, m):
-        chan = draw(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), SeededRng(8, 2))
+        chan = draw(ChannelModel(GEOMETRIC, 16, 16, l_paths=2), 8, 2)
         with pytest.raises(DimensionError, match=rf"m={m} outside 1\.\.min\(16, 16\)"):
             channel_svds(chan, m)
         assert "h" not in vars(chan)
@@ -317,7 +317,7 @@ class TestChannelSvd:
     @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
     def test_shared_factors_are_read_only(self, kind, name):
         model = ChannelModel(kind, 16, 16, l_paths=5 if kind == GEOMETRIC else None)
-        stack = draw_channels(model, [SeededRng(8, t) for t in range(3)])
+        stack = draw_channels(model, 8, range(3))
         a = getattr(channel_svds(stack, 2)[0], name)
         before = a.copy()
         with pytest.raises(ValueError, match="read-only"):
@@ -327,14 +327,14 @@ class TestChannelSvd:
         assert np.array_equal(a, before)
 
     def test_rayleigh_is_bitwise_dense(self):
-        chan = draw(ChannelModel(RAYLEIGH, 24, 20), SeededRng(8, 3))
+        chan = draw(ChannelModel(RAYLEIGH, 24, 20), 8, 3)
         dense, res = thin_svd(chan.h[0], 4), svd_of(chan, 4)
         for name in ("u", "sigma", "v"):
             assert np.array_equal(getattr(res, name), getattr(dense, name))
 
 
 def path_stack(model, count=6, seed=9):
-    return draw_path_stack(model, [SeededRng(seed, t) for t in range(count)])
+    return draw_channels(model, seed, range(count))
 
 
 class TestStackedDraws:
@@ -344,7 +344,7 @@ class TestStackedDraws:
         stack = path_stack(model)
         assert [a.shape for a in stack.factors] == [(6, n_r, l), (6, l), (6, n_t, l)]
         for t in range(6):
-            one = draw(model, SeededRng(9, t))[0]
+            one = draw(model, 9, t)[0]
             for got, want in zip(stack.factors, one.factors):
                 assert got[t].tobytes() == want.tobytes()
 
@@ -358,20 +358,37 @@ class TestStackedDraws:
             stack = path_stack(model, count=count, seed=count)
             assert stack.h.shape == (count, n_r, n_t)
             for t in range(count):
-                one = draw(model, SeededRng(count, t))
+                one = draw(model, count, t)
                 assert stack.h[t].tobytes() == one.h[0].tobytes()
 
     @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
     def test_draw_channels_picks_the_stack_of_its_kind(self, kind):
         model = ChannelModel(kind, 12, 8, l_paths=3 if kind == GEOMETRIC else None)
+        stack = draw_channels(model, 9, range(4))
         rngs = [SeededRng(9, t) for t in range(4)]
-        stack = draw_channels(model, rngs)
         if kind == RAYLEIGH:
             assert stack.factors is None
             assert stack.h.tobytes() == channel.draw_rayleigh_stack(model, rngs).h.tobytes()
         else:
             assert "h" not in vars(stack)
-            assert as_bytes(stack.factors) == as_bytes(path_stack(model, count=4).factors)
+            want = channel.draw_path_stack(model, rngs).factors
+            assert as_bytes(stack.factors) == as_bytes(want)
+
+    @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
+    def test_non_consecutive_streams_draw_their_own(self, kind):
+        # stream ids out of order and far apart, as a check that draws
+        # random ids or skips rejected ones asks for
+        model = ChannelModel(kind, 12, 8, l_paths=3 if kind == GEOMETRIC else None)
+        streams = [7, 3, (1 << 30) - 1, 12]
+        stack = draw_channels(model, 9, streams)
+        for row, s in enumerate(streams):
+            if kind == RAYLEIGH:
+                want = fresh_rayleigh_h(model, SeededRng(9, s))
+                assert stack.h[row].tobytes() == want.tobytes()
+            else:
+                want = channel._path_factors(model, *fresh_paths(model, SeededRng(9, s)))
+                assert as_bytes(f[row] for f in stack.factors) == as_bytes(want)
+            assert stack[row].h.tobytes() == draw(model, 9, s).h[0].tobytes()
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_factors_equal_each_draw_alone(self, m):
@@ -379,7 +396,7 @@ class TestStackedDraws:
         stack = path_stack(model)
         res = factored_svd(*stack.factors, m)
         for t in range(6):
-            one = factored_svd(*draw(model, SeededRng(9, t))[0].factors, m)
+            one = factored_svd(*draw(model, 9, t)[0].factors, m)
             for got, want in ((res.u[t], one.u), (res.sigma[t], one.sigma), (res.v[t], one.v)):
                 assert got.tobytes() == want.tobytes()
 
@@ -399,19 +416,19 @@ class TestStackedDraws:
         _, ok = channel_svds(stack, 5)
         assert ok.tolist() == [True, True, False, True, True, True]
         # each draw's mask alone is its mask in the stack
-        alone = [channel_svds(draw(model, SeededRng(9, t)), 5)[1][0] for t in range(6)]
+        alone = [channel_svds(draw(model, 9, t), 5)[1][0] for t in range(6)]
         assert alone == ok.tolist()
         # more streams than paths: no draw passes, and no SVD runs
         svds = []
         monkeypatch.setattr(channel, "factored_svd", lambda *a: svds.append(a))
         _, ok = channel_svds(stack, 6)
         assert ok.tolist() == [False] * 6 and svds == []
-        assert channel_svds(draw(model, SeededRng(9, 2)), 6)[1].tolist() == [False]
+        assert channel_svds(draw(model, 9, 2), 6)[1].tolist() == [False]
 
     @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
     def test_projection_and_kept_rows_equal_each_draw(self, kind):
         model = ChannelModel(kind, 24, 20, l_paths=4 if kind == GEOMETRIC else None)
-        draws = [draw(model, SeededRng(9, t))[0] for t in range(6)]
+        draws = [draw(model, 9, t)[0] for t in range(6)]
         if kind == GEOMETRIC:
             stack = path_stack(model)
         else:
@@ -464,7 +481,7 @@ class TestRestartedStreams:
         assert stack.h.shape == (40, 6, 8)
         for row, rng in zip(stack.h, rngs):
             assert row.tobytes() == fresh_rayleigh_h(self.RAY, rng).tobytes()
-            assert row.tobytes() == draw(self.RAY, rng).h[0].tobytes()
+            assert row.tobytes() == draw(self.RAY, 31, rng.stream_id).h[0].tobytes()
 
     def test_path_draws_and_samples_are_their_streams(self):
         for t in range(20):
@@ -479,7 +496,7 @@ class TestRestartedStreams:
         for t in range(10):
             rng = SeededRng(31, t)
             assert public.standard_normal(3).tobytes() == alone.standard_normal(3).tobytes()
-            h = draw(self.RAY, rng).h[0]
+            h = draw(self.RAY, 31, t).h[0]
             assert public.uniform() == alone.uniform()
             paths = draw_paths(self.GEO, rng)
             assert h.tobytes() == fresh_rayleigh_h(self.RAY, rng).tobytes()

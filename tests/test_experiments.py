@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import signal
 import time
 from dataclasses import replace
 
@@ -287,6 +288,16 @@ class TestPool:
         assert sorted(pids.count(p) for p in set(pids)) == [12, 12]
         assert float(os.getpid()) in pids  # the parent ran a share
 
+    def test_held_sigint_is_delivered_when_the_body_raises(self):
+        # Ctrl-C while a failing fork is held back still interrupts
+        before = signal.getsignal(signal.SIGINT)
+        with pytest.raises(KeyboardInterrupt) as raised:
+            with experiments._sigint_held():
+                signal.raise_signal(signal.SIGINT)
+                raise OSError("fork failed")
+        assert isinstance(raised.value.__context__, OSError)
+        assert signal.getsignal(signal.SIGINT) is before
+
     def test_worker_exit_without_records_raises_and_reaps(self, monkeypatch):
         parent = os.getpid()
 
@@ -389,6 +400,23 @@ class TestGeometricFromFactors:
         assert sum(not r.degenerate for r in fast) >= 0.9 * len(fast)
 
 
+# the numpy.linalg calls a trial makes on its stack, whose failure reruns
+# the batch one trial at a time
+LAPACK_CALLS = ["svd", "qr", "cholesky", "solve", "eigvalsh", "inv"]
+
+
+def lapack_config(call: str, trials: int) -> ExperimentConfig:
+    """A config whose trials make the numpy.linalg ``call``: a Rayleigh
+    svd_phase trial factors (svd) and rates (cholesky, solve, eigvalsh),
+    a geometric one also QRs its steering blocks, and a zero-forcing one
+    inverts."""
+    if call == "qr":
+        return geometric_config(Scheme("svd_phase"), 16, 5, 4, trials=trials)
+    if call == "inv":
+        return config(scheme=Scheme("mu_zf_hybrid"), trials=trials)
+    return config(trials=trials)
+
+
 class TestDegenerateAccounting:
     def test_rank_starved_geometric_all_excluded(self):
         cfg = ExperimentConfig(
@@ -438,14 +466,16 @@ class TestDegenerateAccounting:
         else:
             assert all(math.isfinite(v) for v in values)
 
-    def test_svd_failure_excludes_trial(self, monkeypatch):
+    @pytest.mark.parametrize("call", LAPACK_CALLS)
+    def test_lapack_failure_excludes_trial(self, call, monkeypatch):
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError(f"{call} did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", fail)
-        res = run_experiment(config(trials=5))
+        monkeypatch.setattr(np.linalg, call, fail)
+        res = run_experiment(lapack_config(call, trials=5))
         assert res.summary.excluded_count == 5
         assert res.summary.trial_count == 0
+        assert all(r.degenerate and math.isnan(r.rate_bits) for r in res.records)
 
     def test_non_finite_capacity_excludes_trial(self, monkeypatch):
         # the per-stream capacity trials look up
@@ -455,15 +485,6 @@ class TestDegenerateAccounting:
         res = run_experiment(config(trials=5))
         assert res.summary.excluded_count == 5
         assert all(r.degenerate and math.isnan(r.capacity_bits) for r in res.records)
-
-    def test_eigvalsh_failure_excludes_trial(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        res = run_experiment(config(trials=5))
-        assert res.summary.excluded_count == 5
-        assert all(r.degenerate for r in res.records)
 
     def test_selection_records_inactive_fraction(self):
         res = run_experiment(config(scheme=Scheme("selection", beta_percent=25.0), n=64, trials=20))
@@ -576,23 +597,27 @@ def single_records(cfg) -> list[str]:
     return [repr(run_trial(cfg, i)) for i in range(cfg.trials)]
 
 
-def assert_one_row_fails_and_reruns(cfg, monkeypatch):
-    """Make eigvalsh fail on the one matrix with the largest corner entry,
-    alone or in a stack: only that trial is excluded, in batches of 1, 3
-    and 12, and a stack that holds it runs again as batches of one."""
-    real, corners = np.linalg.eigvalsh, []
-    monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda a: corners.extend(a[..., 0, 0].real) or real(a)
-    )
+def assert_one_row_fails_and_reruns(cfg, monkeypatch, call="eigvalsh"):
+    """Make the numpy.linalg ``call`` fail on the one matrix with the
+    largest bottom-left entry, alone or in a stack: only that trial is
+    excluded, in batches of 1, 3 and 12, and a stack that holds it runs
+    again as batches of one."""
+    real, corners = getattr(np.linalg, call), []
+
+    def recorded(a, *rest, **kw):
+        corners.extend(np.ravel(a[..., -1, 0].real))
+        return real(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, call, recorded)
     split_records(cfg, 1)
     worst = max(corners)
 
-    def fail_on_one(a):
-        if (a[..., 0, 0].real >= worst).any():
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
+    def fail_on_one(a, *rest, **kw):
+        if (a[..., -1, 0].real >= worst).any():
+            raise np.linalg.LinAlgError(f"{call} did not converge")
+        return real(a, *rest, **kw)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
+    monkeypatch.setattr(np.linalg, call, fail_on_one)
     single = single_records(cfg)
     (bad,) = [i for i, r in enumerate(single) if "degenerate=True" in r]
     calls = record_calls(monkeypatch, "run_trials")
@@ -755,6 +780,11 @@ class TestBatchedTrials:
         cfg = geometric_config(scheme, 16, 5, 4, trials=12)
         assert_one_row_fails_and_reruns(cfg, monkeypatch)
 
+    # eigvalsh fails on one row of every scheme's stacks above
+    @pytest.mark.parametrize("call", [c for c in LAPACK_CALLS if c != "eigvalsh"])
+    def test_lapack_call_failing_on_one_row(self, call, monkeypatch):
+        assert_one_row_fails_and_reruns(lapack_config(call, trials=12), monkeypatch, call)
+
     @pytest.mark.parametrize(
         "n, trials, sizes",
         [(128, 20, [5] * 4), (256, 10, [2, 3, 2, 3]), (512, 5, [1] * 5), (16, 60, [30, 30])],
@@ -764,7 +794,7 @@ class TestBatchedTrials:
         # 3 at n = 256, 51 at n = 16, and none beside another at n = 512
         for workers in (1, 2):
             cfg = geometric_config(Scheme("svd_phase"), n, 5, 4, trials=trials)
-            batches = experiments.trial_batches(cfg, workers)
+            batches = experiments.trial_batches(cfg.channel, trials, workers)
             assert [len(b) for b in batches] == sizes
             assert [i for b in batches for i in b] == list(range(trials))
 
@@ -779,7 +809,7 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("n", [128, 256, 512])
     def test_large_arrays_run_a_trial_per_batch(self, n):
         for workers in (1, 2):
-            batches = experiments.trial_batches(config(n=n, trials=5), workers)
+            batches = experiments.trial_batches(ChannelModel(RAYLEIGH, n, n), 5, workers)
             assert batches == [range(i, i + 1) for i in range(5)]
 
     @pytest.mark.parametrize(
@@ -796,11 +826,7 @@ class TestBatchedTrials:
         ],
     )
     def test_batches_split_trials_evenly_within_the_cap(self, n, n_r, trials, workers, sizes):
-        scheme = Scheme("mu_zf_digital") if n_r != n else Scheme("svd_phase")
-        cfg = ExperimentConfig(
-            "t", ChannelModel(RAYLEIGH, n, n_r), 4, 4, 34.0, scheme, trials=trials
-        )
-        batches = experiments.trial_batches(cfg, workers)
+        batches = experiments.trial_batches(ChannelModel(RAYLEIGH, n, n_r), trials, workers)
         assert [len(b) for b in batches] == sizes
         assert [i for b in batches for i in b] == list(range(trials))
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamsim import (
-    ConvergenceError,
     DimensionError,
     SeededRng,
     ks_statistic,
@@ -117,10 +116,15 @@ class TestThinSvd:
         with pytest.raises(ValueError):
             thin_svd(a, 2)
 
-    def test_convergence_error_type_exists(self):
-        # LAPACK essentially never fails on finite input; the error type is
-        # part of the contract and must wrap LinAlgError when it does.
-        assert issubclass(ConvergenceError, Exception)
+    def test_failed_svd_raises_numpys_linalg_error(self, monkeypatch):
+        # LAPACK essentially never fails on finite input; when it does, the
+        # error a trial's batch reruns on passes through unchanged
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            thin_svd(np.eye(3), 2)
 
 
 class TestErf:

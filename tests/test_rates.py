@@ -12,7 +12,6 @@ from beamsim import (
     ChannelModel,
     HybridBeamformer,
     RAYLEIGH,
-    SeededRng,
     capacity_p2p,
     draw_channels,
     waterfill,
@@ -34,7 +33,7 @@ def explicit_channel(h):
 
 
 def rayleigh(n_t, n_r, seed, streams):
-    return draw_channels(ChannelModel(RAYLEIGH, n_t, n_r), [SeededRng(seed, s) for s in streams])
+    return draw_channels(ChannelModel(RAYLEIGH, n_t, n_r), seed, streams)
 
 
 def factors(chan, k):
