@@ -38,7 +38,9 @@ class ChannelModel:
     """Declarative channel description.
 
     ``l_paths`` is required for (and restricted to) the geometric model;
-    ``spacing_over_wavelength`` is the ULA element spacing d/lambda.
+    ``spacing_over_wavelength`` is the ULA element spacing d/lambda, which
+    must be positive with 2 pi d max(n_t, n_r) finite: that bounds the
+    largest steering phase, so every array response is finite.
     """
 
     kind: str
@@ -57,8 +59,9 @@ class ChannelModel:
                 raise ValueError("geometric model needs 1 <= l_paths <= min(n_t, n_r)")
         elif self.l_paths is not None:
             raise ValueError("l_paths only applies to the geometric model")
-        if not self.spacing_over_wavelength > 0.0:
-            raise ValueError("spacing_over_wavelength must be positive")
+        d = self.spacing_over_wavelength
+        if not (d > 0.0 and math.isfinite(2.0 * math.pi * d * max(self.n_t, self.n_r))):
+            raise ValueError("spacing_over_wavelength must be > 0 with 2 pi d max(n_t, n_r) finite")
 
 
 @dataclass(frozen=True, init=False)
@@ -134,24 +137,23 @@ class ChannelRealization:
 
 
 def steering_vector(phi: float, n: int, spacing_over_wavelength: float = 0.5) -> np.ndarray:
-    """ULA array response toward angle ``phi`` in [0, pi], unit Euclidean norm.
-
-    Entry i is exp(j 2 pi (d/lambda) i cos(phi)) / sqrt(n).
-    """
+    """ULA array response toward angle ``phi`` in [0, pi], unit Euclidean norm:
+    the one column of ``steering_block`` at that angle."""
     if not 0.0 <= phi <= math.pi:
         raise ValueError(f"phi={phi} outside [0, pi]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = np.arange(n)
-    return np.exp(2j * math.pi * spacing_over_wavelength * math.cos(phi) * idx) / math.sqrt(n)
+    return steering_block(np.array([phi]), n, spacing_over_wavelength)[:, 0]
 
 
 def steering_block(phi: np.ndarray, n: int, spacing_over_wavelength: float = 0.5) -> np.ndarray:
-    """The steering vectors toward the angles ``phi`` (..., L) as columns,
-    (..., n, L): column j bitwise ``steering_vector(phi[..., j], n, ...)``.
+    """The ULA array responses toward the angles ``phi`` (..., L) as
+    columns, (..., n, L), each of unit Euclidean norm.
 
-    Each angle's phase step is formed as there, with ``math.cos``, and one
-    broadcast ``np.exp`` makes every column.  Angles are not range-checked.
+    Entry i of the column at angle p is exp(j 2 pi (d/lambda) i cos(p)) /
+    sqrt(n).  Each angle's phase step is formed with ``math.cos``, and one
+    broadcast ``np.exp`` makes every column, so a column is bitwise the
+    same in any block.  Angles are not range-checked.
     """
     step = [2j * math.pi * spacing_over_wavelength * math.cos(p) for p in phi.ravel()]
     step = np.array(step).reshape(phi.shape)

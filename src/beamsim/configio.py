@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import contextlib
 import csv
-import math
 import os
 from pathlib import Path
 
@@ -27,13 +26,6 @@ from .experiments import (
 )
 
 
-def _number(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
 def number_list(raw: str) -> tuple[float, ...]:
     """A comma-separated list of numbers, as ``[sweep] values`` takes it."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
@@ -45,13 +37,14 @@ def number_list(raw: str) -> tuple[float, ...]:
 _REQUIRED = object()
 
 # section -> (key, converter, default or _REQUIRED) for each key, in file
-# order; keys are named as the fields of the object the section describes
+# order; keys are named as the fields of the object the section describes,
+# and that object rejects a value out of its range (a non-finite one too)
 _SECTIONS = {
     "experiment": (
         ("name", str, _REQUIRED),
         ("k", int, _REQUIRED),
         ("m", int, _REQUIRED),
-        ("rho_db", _number, _REQUIRED),
+        ("rho_db", float, _REQUIRED),
         ("trials", int, DEFAULT_TRIALS),
         ("master_seed", int, DEFAULT_SEED),
     ),
@@ -60,9 +53,9 @@ _SECTIONS = {
         ("n_t", int, _REQUIRED),
         ("n_r", int, _REQUIRED),
         ("l_paths", int, None),
-        ("spacing_over_wavelength", _number, 0.5),
+        ("spacing_over_wavelength", float, 0.5),
     ),
-    "scheme": (("kind", str, _REQUIRED), ("bits", int, None), ("beta_percent", _number, None)),
+    "scheme": (("kind", str, _REQUIRED), ("bits", int, None), ("beta_percent", float, None)),
     "sweep": (("param", str, _REQUIRED), ("values", number_list, _REQUIRED)),
 }
 

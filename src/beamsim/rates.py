@@ -105,12 +105,6 @@ def capacity_p2p(sigma: np.ndarray, rho: float) -> RateReport:
     return RateReport(float(per.sum()), per)
 
 
-def _noise_covariance(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Rn, Gr)``: the combiner's noise covariance W^H W / Gr and Gr."""
-    gamma_r = _gamma(w)
-    return (adjoint(w) @ w) / gamma_r[..., None, None], gamma_r
-
-
 def p2p_streams(chan: ChannelRealization, bf: "HybridBeamformer", rho: float):
     """Per-stream log-det bits of a stack of point-to-point designs over a
     stack ``chan`` of draws, for the draws whose noise covariance is well
@@ -124,7 +118,9 @@ def p2p_streams(chan: ChannelRealization, bf: "HybridBeamformer", rho: float):
     for the whole stack.
     """
     f, w = bf.precoder(), bf.combiner()
-    rn, gamma_r = _noise_covariance(w)
+    gram = adjoint(w) @ w  # W^H W, whose trace / K is Gr
+    gamma_r = gram.trace(axis1=-2, axis2=-1).real / w.shape[-1]
+    rn = gram / gamma_r[..., None, None]
     ok = _conditioned(np.linalg.cond(rn))
     f, w, rn, gamma_r, power, chan = kept_rows(ok, f, w, rn, gamma_r, bf.power, chan)
     lchol = np.linalg.cholesky(rn)

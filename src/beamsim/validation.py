@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import closed_form
-from .beamformers import PhaseResolution, _within, mixed_designs, quantized_designs
+from .beamformers import mixed_designs
 from .channel import (
     GEOMETRIC,
     ChannelModel,
@@ -521,18 +521,19 @@ def check_effective_diagonality(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def check_quantization_bound(seed: int = DEFAULT_SEED, trials: int = 150) -> CheckResult:
-    """Measured loss from digital grids stays below the closed-form bound."""
+    """Measured loss from digital grids stays below the closed-form bound:
+    the runner's svd_phase and quantized designs, on one stack of draws."""
     rho = 10.0 ** 3.4
-    chan = draw_channels(_rayleigh(64), seed + 12, range(trials))
+    model = _rayleigh(64)
+    chan = draw_channels(model, seed + 12, range(trials))
     svd, ranked = channel_svds(chan, 4)
-    analog, ok = mixed_designs(chan, svd, 4, rho)
-    r_analog = _rates(chan, (analog, ok), rho)
-    (kept,) = kept_rows(ok, chan)
-    gaps = {}
-    for bits in (2, 3, 4):
-        digital, snapped = quantized_designs(kept, analog, PhaseResolution(bits), rho)
-        r_digital = _rates(chan, (digital, _within(ok, snapped)), rho)
-        gaps[bits] = float(np.mean(r_analog - r_digital))
+
+    def rates(scheme: Scheme) -> np.ndarray:
+        config = ExperimentConfig("quantization", model, 4, 4, 34.0, scheme)
+        return _rates(chan, scheme.spec.design(chan, svd, config, rho), rho)
+
+    r_analog = rates(Scheme("svd_phase"))
+    gaps = {b: float(np.mean(r_analog - rates(Scheme("quantized", bits=b)))) for b in (2, 3, 4)}
     passed = bool(ranked.all()) and all(
         gaps[bits] <= closed_form.quant_gap_bound(4, bits) + 0.5 for bits in (2, 3, 4)
     )

@@ -15,8 +15,11 @@ from beamsim import (
     RAYLEIGH,
     ChannelModel,
     ChannelRealization,
+    ExperimentConfig,
+    Scheme,
     SeededRng,
     draw_channels,
+    run_experiment,
     sample_complex_gaussian,
     steering_vector,
     thin_svd,
@@ -99,6 +102,21 @@ class TestChannelModel:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ChannelModel("rician", 4, 4)
+
+    @pytest.mark.parametrize("kind,l_paths", [(RAYLEIGH, None), (GEOMETRIC, 5)])
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan, 1e308, 0.0, -0.5])
+    def test_spacing_bounds_the_steering_phase(self, kind, l_paths, spacing):
+        # 2 pi d max(n_t, n_r) must be finite: at n = 16 it overflows at 1e308
+        with pytest.raises(ValueError, match="spacing_over_wavelength"):
+            ChannelModel(kind, 16, 16, l_paths=l_paths, spacing_over_wavelength=spacing)
+
+    def test_largest_accepted_spacing_runs(self):
+        model = ChannelModel(GEOMETRIC, 16, 16, l_paths=5, spacing_over_wavelength=1e306)
+        a_r, _, a_t = draw(model, 3, 0).factors
+        assert np.isfinite(a_r).all() and np.isfinite(a_t).all()
+        config = ExperimentConfig("wide", model, 4, 4, 34.0, Scheme("svd_phase"), trials=4)
+        summary = run_experiment(config).summary
+        assert summary.excluded_count == 0 and summary.trial_count == 4
 
 
 class TestRayleighDraws:

@@ -43,6 +43,13 @@ def config_file(tmp_path):
     return path
 
 
+def cli_env():
+    """The environment of a ``python -m beamsim.cli`` process that imports
+    the beamsim under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def read_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
@@ -159,13 +166,11 @@ class TestPooledInterrupt:
         out = tmp_path / "f.csv"
         argv = ["sweep", str(path), "--param", "n", "--values", "8,64,64"]
         argv += ["--workers", "2", "--out", str(out)]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.Popen(
             [sys.executable, "-m", "beamsim.cli", *argv],
             stderr=subprocess.PIPE,
             text=True,
-            env=env,
+            env=cli_env(),
             start_new_session=True,
         )
         yield proc, out
@@ -274,6 +279,22 @@ class TestExitCodes:
         bad.write_bytes(b"\xff\xfe[experiment]\n")
         assert main(["run", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_spacing_with_an_infinite_steering_phase_is_2(self, tmp_path):
+        # 2 pi d n overflows at d = 1e308, n = 16: the channel refuses it as
+        # a config error before any draw, and the process prints no traceback
+        path = tmp_path / "wide.ini"
+        geometric = "kind = geometric\nn_t = 16\nn_r = 16\nl_paths = 5\nspacing_over_wavelength = 1e308\n"
+        path.write_text(GOOD.replace("kind = rayleigh\nn_t = 8\nn_r = 8\n", geometric))
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamsim.cli", "run", str(path)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: channel: spacing_over_wavelength")
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_is_3(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.ini")]) == 3

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamsim.experiments import DEFAULT_SEED
+from beamsim.experiments import DEFAULT_SEED, ExperimentConfig, Scheme, _rayleigh, run_experiment
 from beamsim.linalg import SvdResult, adjoint, thin_svd
 from beamsim import beamformers, channel, validation
 
@@ -38,6 +38,25 @@ def test_quantization_bound_check_catches_injected_fault(monkeypatch):
     bad = validation.check_quantization_bound(DEFAULT_SEED, trials=40)
     assert good.passed
     assert not bad.passed
+
+
+def test_quantization_check_measures_the_runners_pipeline():
+    # each gap is, bitwise, the mean over the runner's records of the same
+    # draws of svd_phase's rate minus quantized(b)'s
+    measured = validation.check_quantization_bound(DEFAULT_SEED, trials=40).measured
+
+    def rates(scheme):
+        config = ExperimentConfig(
+            "q", _rayleigh(64), 4, 4, 34.0, scheme, trials=40, master_seed=DEFAULT_SEED + 12
+        )
+        records = run_experiment(config).records
+        assert not any(r.degenerate for r in records)
+        return np.array([r.rate_bits for r in records])
+
+    analog = rates(Scheme("svd_phase"))
+    for b in (2, 3, 4):
+        want = float(np.mean(analog - rates(Scheme("quantized", bits=b))))
+        assert measured[f"mean_gap_b{b}"] == want, b
 
 
 def factored_svd_without_q(a_r, g, a_t, m):
