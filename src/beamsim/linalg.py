@@ -2,8 +2,9 @@
 
 Everything downstream (channel draws, beamformer construction, rate
 evaluation) is built on the primitives here: a gauge-fixed thin SVD,
-counter-based random streams, a handle on the BLAS thread count, and the
-CDFs and KS distance that sampled laws are checked with.
+counter-based random streams, a handle on numpy's OpenBLAS (its thread
+count and its rank-k SVD driver), and the CDFs and KS distance that
+sampled laws are checked with.
 """
 
 from __future__ import annotations
@@ -27,6 +28,21 @@ _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+
+# numpy's bundled OpenBLAS exports LAPACKE with 64-bit integers; this driver
+# computes a subset of the singular triplets
+_GESVDX_SYMBOL = "scipy_LAPACKE_zgesvdx64_"
+_LAPACK_COL_MAJOR = 102
+
+# thin_svd computes only the leading m triplets (zgesvdx) of a matrix whose
+# smaller side n is at least RANK_K_MIN and RANK_K_RATIO m, and runs a full
+# zgesdd otherwise.  Measured per matrix (2 vCPUs, OpenBLAS 0.3.31): at
+# m = 4 zgesvdx ties at n = 32, wins from n = 48-64 (2.1x at n = 512) and
+# loses on thin shapes (a 4 x 64 matrix: 0.4x); at n = 128 it wins up to
+# m = 16 and loses from m = 32, at n = 256 it breaks even at m = 64.  Every
+# record golden stops at n = 64, so the route starts at n = 128
+RANK_K_MIN = 128
+RANK_K_RATIO = 8
 
 # the Rayleigh scale of |z| and the standard deviation of Re z, z ~ CN(0, 1)
 _CN_SCALE = 1.0 / math.sqrt(2.0)
@@ -89,7 +105,16 @@ def require_truncation(m: int, shape: tuple[int, int]) -> None:
 def thin_svd(a, m: int) -> SvdResult:
     """Rank-``m`` thin SVD of a complex matrix, or of each matrix of a stack.
 
-    An SVD that does not converge raises numpy's ``LinAlgError``.
+    A matrix whose smaller side n is at least ``RANK_K_MIN`` and
+    ``RANK_K_RATIO * m`` gets only its leading ``m`` triplets, from LAPACK
+    ``zgesvdx`` in the OpenBLAS numpy has loaded, one call per matrix.
+    It still reduces the matrix to bidiagonal form, but it forms ``m``
+    singular vectors a side instead of n (2.1x faster at n = 512, m = 4;
+    see ``RANK_K_MIN``).  Any other matrix,
+    and every matrix where that library or symbol is missing, runs
+    ``np.linalg.svd`` (``zgesdd``) and keeps the leading ``m``.  The two
+    drivers agree to rounding, not bitwise.  An SVD that does not converge
+    raises numpy's ``LinAlgError``.
 
     Parameters
     ----------
@@ -108,12 +133,44 @@ def thin_svd(a, m: int) -> SvdResult:
     if not np.isfinite(a).all():
         raise ValueError("a contains non-finite entries")
     require_truncation(m, a.shape[-2:])
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    u = u[..., :m].copy()
-    s = s[..., :m].copy()
-    v = adjoint(vh[..., :m, :]).copy()
+    n = min(a.shape[-2:])
+    gesvdx = _gesvdx() if n >= max(RANK_K_MIN, RANK_K_RATIO * m) else None
+    if gesvdx is None:
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        u = u[..., :m].copy()
+        s = s[..., :m].copy()
+        v = adjoint(vh[..., :m, :]).copy()
+    else:
+        u, s, v = _leading_triplets(gesvdx, a, m)
     _fix_gauge(u, v)
     return SvdResult(u=u, sigma=s, v=v)
+
+
+def _leading_triplets(gesvdx, a: np.ndarray, m: int):
+    """``(u, sigma, v)`` of the leading ``m`` singular triplets of each
+    matrix of ``a``, one ``zgesvdx`` call per matrix, so a stack's factors
+    are bitwise each matrix's own.  A call that reports failure raises
+    numpy's ``LinAlgError``."""
+    lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
+    u = np.empty(lead + (rows, m), dtype=complex)
+    s = np.empty(lead + (m,))
+    v = np.empty(lead + (cols, m), dtype=complex)
+    found, sigma = np.zeros(1, dtype=np.int64), np.empty(min(rows, cols))
+    superb = np.empty(12 * min(rows, cols), dtype=np.int64)
+    u_one = np.empty((rows, m), dtype=complex, order="F")
+    for i in np.ndindex(lead):
+        # LAPACK reads column-major storage and overwrites its input, so it
+        # gets a column-major copy; V^H (m x cols) is written column-major
+        # into v's rows, which are then conjugated in place
+        info = gesvdx(
+            _LAPACK_COL_MAJOR, b"V", b"V", b"I", rows, cols, np.array(a[i], order="F"), rows,
+            0.0, 0.0, 1, m, found, sigma, u_one, rows, v[i].T, m, superb,
+        )
+        if info != 0 or found[0] != m:
+            raise np.linalg.LinAlgError(f"zgesvdx failed (info={info})")
+        u[i], s[i] = u_one, sigma[:m]
+    np.conjugate(v, out=v)
+    return u, s, v
 
 
 def factored_svd(a_r, g, a_t, m: int) -> SvdResult:
@@ -168,15 +225,15 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def blas_thread_control():
-    """``(set_threads, get_threads)`` of the OpenBLAS numpy has loaded, or None.
+def _openblas():
+    """The OpenBLAS numpy has loaded, as a ctypes handle, or None.
 
     The library is found among the shared objects mapped into this process
-    (``/proc/self/maps``) and opened with ``RTLD_NOLOAD``, so the handle is
-    the copy numpy calls and nothing new is loaded.  None when there is no
-    ``/proc`` or no known entry point (MKL, Accelerate, another layout).
-    Resolved on the first call and cached, so processes forked afterwards
-    inherit the handle.
+    (``/proc/self/maps``): the first that exports a known thread-count
+    pair.  It is opened with ``RTLD_NOLOAD``, so the handle is the copy
+    numpy calls and nothing new is loaded.  None when there is no ``/proc``
+    or no such library (MKL, Accelerate, another layout).  Resolved on the
+    first call and cached, so processes forked afterwards inherit it.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -189,13 +246,51 @@ def blas_thread_control():
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         except OSError:
             continue
-        for set_name, get_name in _BLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return set_threads, get_threads
+        if _thread_symbols(lib) is not None:
+            return lib
     return None
+
+
+def _thread_symbols(lib):
+    """The first ``(set, get)`` name pair of ``_BLAS_THREAD_SYMBOLS`` that
+    ``lib`` exports, or None."""
+    return next((pair for pair in _BLAS_THREAD_SYMBOLS if all(hasattr(lib, n) for n in pair)), None)
+
+
+@functools.cache
+def blas_thread_control():
+    """``(set_threads, get_threads)`` of the OpenBLAS numpy has loaded
+    (``_openblas``), or None where it is not found."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    set_threads, get_threads = (getattr(lib, name) for name in _thread_symbols(lib))
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return set_threads, get_threads
+
+
+@functools.cache
+def _gesvdx():
+    """LAPACKE ``zgesvdx`` of the OpenBLAS numpy has loaded (``_openblas``),
+    or None where the library or the symbol is missing.  It runs in that
+    library's thread pool, the one ``blas_thread_control`` sets."""
+    lib = _openblas()
+    gesvdx = getattr(lib, _GESVDX_SYMBOL, None) if lib is not None else None
+    if gesvdx is None:
+        return None
+    i64, char = ctypes.c_int64, ctypes.c_char
+    matrix = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
+    gesvdx.argtypes = [
+        ctypes.c_int, char, char, char, i64, i64, matrix, i64,  # layout, jobs, range, a
+        ctypes.c_double, ctypes.c_double, i64, i64,  # vl, vu, il, iu
+        np.ctypeslib.ndpointer(np.int64, ndim=1),  # ns
+        np.ctypeslib.ndpointer(np.float64, ndim=1),  # s
+        matrix, i64, matrix, i64,  # u, ldu, vt, ldvt
+        np.ctypeslib.ndpointer(np.int64, ndim=1),  # superb
+    ]
+    gesvdx.restype = i64
+    return gesvdx
 
 
 # one Philox per thread, restarted for each stream a draw reads

@@ -80,3 +80,21 @@ def test_environment_records_whether_bytecode_is_written(tmp_path, monkeypatch, 
     environment = bench_pairs.recorded_environment(tmp_path, "fanout", 2)
     assert environment["python_dont_write_bytecode"] is recorded
     assert environment["nproc"] == 2 and environment["blas"] is None
+
+
+def test_workload_entry_reports_each_sides_fastest_run(monkeypatch):
+    rates = {"parent": iter([10.0, 12.0, 11.0]), "change": iter([20.0, 19.0, 25.0])}
+
+    def run_once(tree, workload, seed=None, trace=0):
+        metrics = {"trials_per_s": next(rates[tree]), "setup_s": 0.5}
+        return {"seed": 2, "correct": True, "failed": 0,
+                "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    trees = {side: side for side in bench_pairs.SIDES}
+    entry = bench_pairs.bench_workload(trees, "large_rayleigh", None, 3, ("trials_per_s", "setup_s"))
+    assert entry["parent"]["trials_per_s"]["fastest"] == 12.0
+    assert entry["change"]["trials_per_s"]["fastest"] == 25.0
+    assert entry["parent"]["trials_per_s"]["median"] == 11.0
+    assert "fastest" not in entry["parent"]["setup_s"]
+    assert entry["trials_per_s_change_won_pairs"] == 3

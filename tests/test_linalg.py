@@ -15,6 +15,9 @@ from beamsim import (
     sample_complex_gaussian,
     thin_svd,
 )
+from beamsim import experiments, linalg
+from beamsim.channel import RANK_TOL, RAYLEIGH, ChannelModel, ChannelRealization, channel_svds
+from beamsim.experiments import ExperimentConfig, Scheme
 from beamsim.linalg import normal_cdf
 
 from oracles import erf_series, singular_values_via_gram
@@ -125,6 +128,127 @@ class TestThinSvd:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             thin_svd(np.eye(3), 2)
+
+
+def full_svd_factors(a, m):
+    """The leading ``m`` factors of ``np.linalg.svd``, gauge-fixed as
+    thin_svd fixes them: its full-SVD route, written out."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    u, s, v = u[..., :m].copy(), s[..., :m].copy(), vh[..., :m, :].conj().swapaxes(-1, -2).copy()
+    linalg._fix_gauge(u, v)
+    return u, s, v
+
+
+def recorded_gesvdx(monkeypatch, fail_on=None):
+    """Wrap the zgesvdx binding so each call records its input matrix (a
+    column-major copy) and, where ``fail_on(a)`` holds, reports info = 1
+    instead of calling LAPACK."""
+    inputs = []
+
+    def binding(*args):
+        inputs.append(args[6].copy())
+        if fail_on is not None and fail_on(args[6]):
+            return 1
+        return GESVDX(*args)
+
+    monkeypatch.setattr(linalg, "_gesvdx", lambda: binding)
+    return inputs
+
+
+GESVDX = linalg._gesvdx()
+needs_gesvdx = pytest.mark.skipif(GESVDX is None, reason="numpy's OpenBLAS exports no scipy_LAPACKE_zgesvdx64_"
+)
+
+
+# thin_svd at or above RANK_K_MIN computes only the leading m triplets (zgesvdx)
+@needs_gesvdx
+class TestRankKRoute:
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_agrees_with_full_svd(self, n, monkeypatch):
+        a = random_complex(np.random.default_rng(n), n, n)
+        inputs = recorded_gesvdx(monkeypatch)
+        res = thin_svd(a, 4)
+        assert len(inputs) == 1 and np.array_equal(inputs[0], a)
+        u, s, v = full_svd_factors(a, 4)
+        np.testing.assert_allclose(res.sigma, s, rtol=1e-13, atol=0)
+        assert np.max(np.abs(res.u - u)) <= 1e-12
+        assert np.max(np.abs(res.v - v)) <= 1e-12
+        for x in (res.u, res.sigma, res.v):
+            assert x.flags.c_contiguous
+
+    def test_route_starts_at_its_threshold(self, monkeypatch):
+        gen = np.random.default_rng(9)
+        inputs = recorded_gesvdx(monkeypatch)
+        below = random_complex(gen, linalg.RANK_K_MIN - 1, 2 * linalg.RANK_K_MIN)
+        res = thin_svd(below, 4)
+        assert inputs == []
+        for got, want in zip((res.u, res.sigma, res.v), full_svd_factors(below, 4)):
+            assert got.tobytes() == want.tobytes()
+        square = random_complex(gen, linalg.RANK_K_MIN, linalg.RANK_K_MIN + 3)
+        thin_svd(square, linalg.RANK_K_MIN // linalg.RANK_K_RATIO)
+        assert len(inputs) == 1
+        # more triplets than that a side: the full SVD is cheaper
+        thin_svd(square, linalg.RANK_K_MIN // linalg.RANK_K_RATIO + 1)
+        assert len(inputs) == 1
+
+    def test_stack_factors_equal_each_matrix_alone(self):
+        gen = np.random.default_rng(12)
+        stack = np.stack([random_complex(gen, 128, 128) for _ in range(3)]).reshape(3, 1, 128, 128)
+        res = thin_svd(stack, 4)
+        assert res.u.shape == (3, 1, 128, 4)
+        for i in range(3):
+            one = thin_svd(stack[i, 0], 4)
+            for got, want in ((res.u[i, 0], one.u), (res.sigma[i, 0], one.sigma), (res.v[i, 0], one.v)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_rank_deficient_draw_factors_and_is_refused(self):
+        gen = np.random.default_rng(3)
+        h = random_complex(gen, 128, 3) @ random_complex(gen, 3, 128)
+        chan = ChannelRealization(ChannelModel(RAYLEIGH, 128, 128), h=h[None])
+        svd, ok = channel_svds(chan, 4)
+        assert np.all(np.isfinite(svd.sigma)) and svd.sigma.shape == (1, 4)
+        assert svd.sigma[0, 3] <= RANK_TOL * svd.sigma[0, 0]
+        assert ok.tolist() == [False]
+        # the three significant triplets still factor h's range
+        u, s, v = svd.u[0, :, :3], svd.sigma[0, :3], svd.v[0, :, :3]
+        assert np.linalg.norm(h - (u * s) @ v.conj().T) <= 1e-12 * np.linalg.norm(h)
+
+    def test_missing_symbol_runs_the_full_svd(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas", lambda: object())
+        assert linalg._gesvdx.__wrapped__() is None
+        monkeypatch.setattr(linalg, "_gesvdx", lambda: None)
+        gen = np.random.default_rng(4)
+        stack = np.stack([random_complex(gen, 128, 128) for _ in range(2)])
+        res = thin_svd(stack, 4)
+        for got, want in zip((res.u, res.sigma, res.v), full_svd_factors(stack, 4)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_failure_raises_numpys_linalg_error(self, monkeypatch):
+        recorded_gesvdx(monkeypatch, fail_on=lambda a: True)
+        with pytest.raises(np.linalg.LinAlgError, match="zgesvdx"):
+            thin_svd(np.eye(128), 4)
+
+    def test_failure_reruns_the_batch_one_trial_at_a_time(self, monkeypatch):
+        cfg = ExperimentConfig(
+            name="rank_k", channel=ChannelModel(RAYLEIGH, 128, 128), k=4, m=4,
+            rho_db=20.0, scheme=Scheme("svd_phase"), trials=3, master_seed=5,
+        )
+        alone = [experiments.run_trials(cfg, [i])[0] for i in range(3)]
+        bad = recorded_gesvdx(monkeypatch)
+        experiments.run_trials(cfg, [1])
+        inputs = recorded_gesvdx(monkeypatch, fail_on=lambda a: np.array_equal(a, bad[0]))
+        calls = []
+        real = experiments.run_trials
+        monkeypatch.setattr(
+            experiments, "run_trials", lambda c, idx: calls.append(list(idx)) or real(c, idx)
+        )
+        records = experiments.run_trials(cfg, [0, 1, 2])
+        assert calls == [[0, 1, 2], [0], [1], [2]]
+        # the stack stopped at its failing matrix; each rerun factored its own
+        assert len(inputs) == 2 + 3
+        assert records[1].degenerate and math.isnan(records[1].rate_bits)
+        assert [repr(records[i]) for i in (0, 2)] == [repr(alone[i]) for i in (0, 2)]
+        assert not alone[1].degenerate
 
 
 class TestErf:
