@@ -110,11 +110,10 @@ def thin_svd(a, m: int) -> SvdResult:
     ``zgesvdx`` in the OpenBLAS numpy has loaded, one call per matrix.
     It still reduces the matrix to bidiagonal form, but it forms ``m``
     singular vectors a side instead of n (2.1x faster at n = 512, m = 4;
-    see ``RANK_K_MIN``).  Any other matrix,
-    and every matrix where that library or symbol is missing, runs
-    ``np.linalg.svd`` (``zgesdd``) and keeps the leading ``m``.  The two
-    drivers agree to rounding, not bitwise.  An SVD that does not converge
-    raises numpy's ``LinAlgError``.
+    see ``RANK_K_MIN``).  Any other matrix, and every matrix where that
+    library or symbol is missing, runs ``np.linalg.svd`` (``zgesdd``) and
+    keeps the leading ``m``.  The two drivers agree to rounding, not
+    bitwise.  An SVD that does not converge raises numpy's ``LinAlgError``.
 
     Parameters
     ----------

@@ -139,6 +139,12 @@ def full_svd_factors(a, m):
     return u, s, v
 
 
+GESVDX = linalg._gesvdx()
+needs_gesvdx = pytest.mark.skipif(
+    GESVDX is None, reason="numpy's OpenBLAS exports no scipy_LAPACKE_zgesvdx64_"
+)
+
+
 def recorded_gesvdx(monkeypatch, fail_on=None):
     """Wrap the zgesvdx binding so each call records its input matrix (a
     column-major copy) and, where ``fail_on(a)`` holds, reports info = 1
@@ -153,11 +159,6 @@ def recorded_gesvdx(monkeypatch, fail_on=None):
 
     monkeypatch.setattr(linalg, "_gesvdx", lambda: binding)
     return inputs
-
-
-GESVDX = linalg._gesvdx()
-needs_gesvdx = pytest.mark.skipif(GESVDX is None, reason="numpy's OpenBLAS exports no scipy_LAPACKE_zgesvdx64_"
-)
 
 
 # thin_svd at or above RANK_K_MIN computes only the leading m triplets (zgesvdx)
