@@ -3,8 +3,8 @@
 Everything downstream (channel draws, beamformer construction, rate
 evaluation) is built on the primitives here: a gauge-fixed thin SVD,
 counter-based random streams, a handle on numpy's OpenBLAS (its thread
-count and its rank-k SVD driver), and the CDFs and KS distance that
-sampled laws are checked with.
+count, and the Gram-matrix product and eigensolver of the rank-k SVD
+route), and the CDFs and KS distance that sampled laws are checked with.
 """
 
 from __future__ import annotations
@@ -29,20 +29,27 @@ _BLAS_THREAD_SYMBOLS = (
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
-# numpy's bundled OpenBLAS exports LAPACKE with 64-bit integers; this driver
-# computes a subset of the singular triplets
-_GESVDX_SYMBOL = "scipy_LAPACKE_zgesvdx64_"
-_LAPACK_COL_MAJOR = 102
+# numpy's bundled OpenBLAS exports CBLAS and LAPACKE with 64-bit integers:
+# a Hermitian rank-k update (the Gram matrix) and a subset eigensolver
+_HERK_SYMBOL = "scipy_cblas_zherk64_"
+_HEEVR_SYMBOL = "scipy_LAPACKE_zheevr64_"
+_COL_MAJOR, _UPPER, _NO_TRANS, _CONJ_TRANS = 102, 121, 111, 113
 
-# thin_svd computes only the leading m triplets (zgesvdx) of a matrix whose
-# smaller side n is at least RANK_K_MIN and RANK_K_RATIO m, and runs a full
-# zgesdd otherwise.  Measured per matrix (2 vCPUs, OpenBLAS 0.3.31): at
-# m = 4 zgesvdx ties at n = 32, wins from n = 48-64 (2.1x at n = 512) and
-# loses on thin shapes (a 4 x 64 matrix: 0.4x); at n = 128 it wins up to
-# m = 16 and loses from m = 32, at n = 256 it breaks even at m = 64.  Every
-# record golden stops at n = 64, so the route starts at n = 128
+# thin_svd computes only the leading m triplets (Gram + zheevr) of a matrix
+# whose smaller side n is at least RANK_K_MIN and RANK_K_RATIO m, and runs a
+# full zgesdd otherwise.  Measured per matrix (2 vCPUs, OpenBLAS 0.3.31;
+# README "Library layout"): at m = 4 the Gram route takes 3.0, 16 and 75 ms
+# at n = 128, 256 and 512 against zgesdd's 10, 42 and 209 ms, and it still
+# wins at m = n / 8 (and at m = n / 4).  Every record golden stops at
+# n = 64, so the route starts at n = 128
 RANK_K_MIN = 128
 RANK_K_RATIO = 8
+
+# the Gram matrix squares the condition number: a matrix whose m-th
+# eigenvalue of it is at most GRAM_FLOOR times the largest (sigma_m /
+# sigma_1 <= 1e-6) is factored by the full SVD, which resolves sigma down
+# to channel.RANK_TOL
+GRAM_FLOOR = 1e-12
 
 # the Rayleigh scale of |z| and the standard deviation of Re z, z ~ CN(0, 1)
 _CN_SCALE = 1.0 / math.sqrt(2.0)
@@ -106,14 +113,19 @@ def thin_svd(a, m: int) -> SvdResult:
     """Rank-``m`` thin SVD of a complex matrix, or of each matrix of a stack.
 
     A matrix whose smaller side n is at least ``RANK_K_MIN`` and
-    ``RANK_K_RATIO * m`` gets only its leading ``m`` triplets, from LAPACK
-    ``zgesvdx`` in the OpenBLAS numpy has loaded, one call per matrix.
-    It still reduces the matrix to bidiagonal form, but it forms ``m``
-    singular vectors a side instead of n (2.1x faster at n = 512, m = 4;
-    see ``RANK_K_MIN``).  Any other matrix, and every matrix where that
-    library or symbol is missing, runs ``np.linalg.svd`` (``zgesdd``) and
-    keeps the leading ``m``.  The two drivers agree to rounding, not
-    bitwise.  An SVD that does not converge raises numpy's ``LinAlgError``.
+    ``RANK_K_RATIO * m`` gets only its leading ``m`` triplets, from its
+    n x n Gram matrix (H^H H, or H H^H for a wide H): one ``zherk`` forms
+    it and ``zheevr`` computes its top ``m`` eigenpairs, in the OpenBLAS
+    numpy has loaded, one call each per matrix.  sigma is the square root
+    of an eigenvalue, and the other side's vectors are H v / sigma (or
+    H^H u / sigma).  That is 2.8x faster than ``zgesdd`` at n = 512, m = 4
+    (see ``RANK_K_MIN``).  The Gram matrix squares the condition number,
+    so a matrix with sigma_m / sigma_1 at or below about 1e-6
+    (``GRAM_FLOOR`` on the eigenvalues) is factored by ``np.linalg.svd``
+    instead.  Any other matrix, and every matrix where that library or a
+    symbol is missing, runs ``np.linalg.svd`` (``zgesdd``) and keeps the
+    leading ``m``.  The two routes agree to rounding, not bitwise.  An SVD
+    or eigensolver that does not converge raises numpy's ``LinAlgError``.
 
     Parameters
     ----------
@@ -133,42 +145,67 @@ def thin_svd(a, m: int) -> SvdResult:
         raise ValueError("a contains non-finite entries")
     require_truncation(m, a.shape[-2:])
     n = min(a.shape[-2:])
-    gesvdx = _gesvdx() if n >= max(RANK_K_MIN, RANK_K_RATIO * m) else None
-    if gesvdx is None:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-        u = u[..., :m].copy()
-        s = s[..., :m].copy()
-        v = adjoint(vh[..., :m, :]).copy()
+    drivers = _gram_drivers() if n >= max(RANK_K_MIN, RANK_K_RATIO * m) else None
+    if drivers is None:
+        u, s, v = _full_triplets(a, m)
     else:
-        u, s, v = _leading_triplets(gesvdx, a, m)
+        u, s, v = _gram_triplets(drivers, a, m)
     _fix_gauge(u, v)
     return SvdResult(u=u, sigma=s, v=v)
 
 
-def _leading_triplets(gesvdx, a: np.ndarray, m: int):
+def _full_triplets(a: np.ndarray, m: int):
+    """``(u, sigma, v)`` of the leading ``m`` triplets of each matrix of
+    ``a`` from ``np.linalg.svd`` (``zgesdd``), as fresh C-ordered arrays."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return u[..., :m].copy(), s[..., :m].copy(), adjoint(vh[..., :m, :]).copy()
+
+
+def _gram_triplets(drivers, a: np.ndarray, m: int):
     """``(u, sigma, v)`` of the leading ``m`` singular triplets of each
-    matrix of ``a``, one ``zgesvdx`` call per matrix, so a stack's factors
-    are bitwise each matrix's own.  A call that reports failure raises
-    numpy's ``LinAlgError``."""
+    matrix of ``a`` from its Gram matrix, one ``zherk`` and one ``zheevr``
+    call per matrix, so a stack's factors are bitwise each matrix's own.
+    A matrix past ``GRAM_FLOOR`` gets ``_full_triplets`` of its own.  An
+    eigensolver call that reports failure raises numpy's ``LinAlgError``."""
+    herk, heevr = drivers
     lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
+    n, wide = min(rows, cols), rows < cols
     u = np.empty(lead + (rows, m), dtype=complex)
     s = np.empty(lead + (m,))
     v = np.empty(lead + (cols, m), dtype=complex)
-    found, sigma = np.zeros(1, dtype=np.int64), np.empty(min(rows, cols))
-    superb = np.empty(12 * min(rows, cols), dtype=np.int64)
-    u_one = np.empty((rows, m), dtype=complex, order="F")
+    # the one n x n buffer: zherk writes its upper triangle, zheevr reads
+    # that and overwrites it
+    gram = np.empty((n, n), dtype=complex, order="F")
+    found, lam = np.zeros(1, dtype=np.int64), np.empty(n)
+    z = np.empty((n, m), dtype=complex, order="F")
+    isuppz = np.empty(2 * m, dtype=np.int64)
     for i in np.ndindex(lead):
-        # LAPACK reads column-major storage and overwrites its input, so it
-        # gets a column-major copy; V^H (m x cols) is written column-major
-        # into v's rows, which are then conjugated in place
-        info = gesvdx(
-            _LAPACK_COL_MAJOR, b"V", b"V", b"I", rows, cols, np.array(a[i], order="F"), rows,
-            0.0, 0.0, 1, m, found, sigma, u_one, rows, v[i].T, m, superb,
+        h = np.ascontiguousarray(a[i])
+        # h read column-major is h^T, so NoTrans (tall) gives h^T conj(h)
+        # and ConjTrans (wide) conj(h) h^T: conj(G) either way, with no
+        # conjugated copy of h; its eigenvectors are conj of G's
+        trans = _CONJ_TRANS if wide else _NO_TRANS
+        herk(_COL_MAJOR, _UPPER, trans, n, max(rows, cols), 1.0, h, cols, 0.0, gram, n)
+        info = heevr(
+            _COL_MAJOR, b"V", b"I", b"U", n, gram, n, 0.0, 0.0, n - m + 1, n, 0.0,
+            found, lam, z, n, isuppz,
         )
         if info != 0 or found[0] != m:
-            raise np.linalg.LinAlgError(f"zgesvdx failed (info={info})")
-        u[i], s[i] = u_one, sigma[:m]
-    np.conjugate(v, out=v)
+            raise np.linalg.LinAlgError(f"zheevr failed (info={info})")
+        # eigenvalues ascend: the leading triplets are the last m, reversed
+        top = lam[m - 1::-1]
+        if not top[-1] > GRAM_FLOOR * top[0]:
+            u[i], s[i], v[i] = _full_triplets(a[i], m)
+            continue
+        sigma = np.sqrt(top)
+        z_top = z[:, ::-1]
+        if wide:
+            u[i] = z_top.conj()
+            v[i] = (h.T @ z_top).conj() / sigma  # h^H u / sigma
+        else:
+            v[i] = z_top.conj()
+            u[i] = h @ v[i] / sigma
+        s[i] = sigma
     return u, s, v
 
 
@@ -270,26 +307,32 @@ def blas_thread_control():
 
 
 @functools.cache
-def _gesvdx():
-    """LAPACKE ``zgesvdx`` of the OpenBLAS numpy has loaded (``_openblas``),
-    or None where the library or the symbol is missing.  It runs in that
-    library's thread pool, the one ``blas_thread_control`` sets."""
+def _gram_drivers():
+    """``(zherk, zheevr)`` of the OpenBLAS numpy has loaded (``_openblas``),
+    or None where the library or either symbol is missing.  Both run in
+    that library's thread pool, the one ``blas_thread_control`` sets."""
     lib = _openblas()
-    gesvdx = getattr(lib, _GESVDX_SYMBOL, None) if lib is not None else None
-    if gesvdx is None:
+    herk, heevr = (getattr(lib, name, None) for name in (_HERK_SYMBOL, _HEEVR_SYMBOL))
+    if herk is None or heevr is None:
         return None
-    i64, char = ctypes.c_int64, ctypes.c_char
-    matrix = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
-    gesvdx.argtypes = [
-        ctypes.c_int, char, char, char, i64, i64, matrix, i64,  # layout, jobs, range, a
-        ctypes.c_double, ctypes.c_double, i64, i64,  # vl, vu, il, iu
-        np.ctypeslib.ndpointer(np.int64, ndim=1),  # ns
-        np.ctypeslib.ndpointer(np.float64, ndim=1),  # s
-        matrix, i64, matrix, i64,  # u, ldu, vt, ldvt
-        np.ctypeslib.ndpointer(np.int64, ndim=1),  # superb
+    i64, char, dbl = ctypes.c_int64, ctypes.c_char, ctypes.c_double
+    column_major = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
+    herk.argtypes = [
+        ctypes.c_int, ctypes.c_int, ctypes.c_int, i64, i64, dbl,  # order, uplo, trans, n, k, alpha
+        np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="C_CONTIGUOUS"), i64,  # a, lda
+        dbl, column_major, i64,  # beta, c, ldc
     ]
-    gesvdx.restype = i64
-    return gesvdx
+    herk.restype = None
+    heevr.argtypes = [
+        ctypes.c_int, char, char, char, i64, column_major, i64,  # layout, jobz, range, uplo, a
+        dbl, dbl, i64, i64, dbl,  # vl, vu, il, iu, abstol
+        np.ctypeslib.ndpointer(np.int64, ndim=1),  # m
+        np.ctypeslib.ndpointer(np.float64, ndim=1),  # w
+        column_major, i64,  # z, ldz
+        np.ctypeslib.ndpointer(np.int64, ndim=1),  # isuppz
+    ]
+    heevr.restype = i64
+    return herk, heevr
 
 
 # one Philox per thread, restarted for each stream a draw reads

@@ -1,6 +1,8 @@
 """Numerics layer: thin SVD, erf, seeded sampling, KS statistic."""
 
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -139,35 +141,57 @@ def full_svd_factors(a, m):
     return u, s, v
 
 
-GESVDX = linalg._gesvdx()
-needs_gesvdx = pytest.mark.skipif(
-    GESVDX is None, reason="numpy's OpenBLAS exports no scipy_LAPACKE_zgesvdx64_"
+DRIVERS = linalg._gram_drivers()
+needs_gram_drivers = pytest.mark.skipif(
+    DRIVERS is None,
+    reason="numpy's OpenBLAS exports no scipy_cblas_zherk64_ or scipy_LAPACKE_zheevr64_",
 )
 
 
-def recorded_gesvdx(monkeypatch, fail_on=None):
-    """Wrap the zgesvdx binding so each call records its input matrix (a
-    column-major copy) and, where ``fail_on(a)`` holds, reports info = 1
-    instead of calling LAPACK."""
+def recorded_gram(monkeypatch, fail_on=None):
+    """Wrap the zherk and zheevr bindings so each zherk call records its
+    input matrix and, where ``fail_on(h)`` holds for that input, the
+    zheevr call after it reports info = 1 instead of calling LAPACK."""
+    herk, heevr = DRIVERS
     inputs = []
 
-    def binding(*args):
+    def recording_herk(*args):
         inputs.append(args[6].copy())
-        if fail_on is not None and fail_on(args[6]):
-            return 1
-        return GESVDX(*args)
+        herk(*args)
 
-    monkeypatch.setattr(linalg, "_gesvdx", lambda: binding)
+    def failing_heevr(*args):
+        if fail_on is not None and fail_on(inputs[-1]):
+            return 1
+        return heevr(*args)
+
+    monkeypatch.setattr(linalg, "_gram_drivers", lambda: (recording_herk, failing_heevr))
     return inputs
 
 
-# thin_svd at or above RANK_K_MIN computes only the leading m triplets (zgesvdx)
-@needs_gesvdx
+def spectrum(gen, sigma, n):
+    """An n x n matrix with singular values ``sigma`` (descending) and
+    random unitary singular vectors."""
+    q_u, _ = np.linalg.qr(random_complex(gen, n, n))
+    q_v, _ = np.linalg.qr(random_complex(gen, n, n))
+    return (q_u * sigma) @ q_v.conj().T
+
+
+# thin_svd at or above RANK_K_MIN computes only the leading m triplets,
+# from the Gram matrix (zherk + zheevr)
+@needs_gram_drivers
 class TestRankKRoute:
-    @pytest.mark.parametrize("n", [128, 256])
-    def test_agrees_with_full_svd(self, n, monkeypatch):
-        a = random_complex(np.random.default_rng(n), n, n)
-        inputs = recorded_gesvdx(monkeypatch)
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param((128, 128), id="128"),
+            pytest.param((256, 256), id="256"),
+            pytest.param((256, 128), id="256x128"),
+            pytest.param((128, 256), id="128x256"),
+        ],
+    )
+    def test_agrees_with_full_svd(self, shape, monkeypatch):
+        a = random_complex(np.random.default_rng(shape), *shape)
+        inputs = recorded_gram(monkeypatch)
         res = thin_svd(a, 4)
         assert len(inputs) == 1 and np.array_equal(inputs[0], a)
         u, s, v = full_svd_factors(a, 4)
@@ -179,7 +203,7 @@ class TestRankKRoute:
 
     def test_route_starts_at_its_threshold(self, monkeypatch):
         gen = np.random.default_rng(9)
-        inputs = recorded_gesvdx(monkeypatch)
+        inputs = recorded_gram(monkeypatch)
         below = random_complex(gen, linalg.RANK_K_MIN - 1, 2 * linalg.RANK_K_MIN)
         res = thin_svd(below, 4)
         assert inputs == []
@@ -202,9 +226,16 @@ class TestRankKRoute:
             for got, want in ((res.u[i, 0], one.u), (res.sigma[i, 0], one.sigma), (res.v[i, 0], one.v)):
                 assert got.tobytes() == want.tobytes()
 
-    def test_rank_deficient_draw_factors_and_is_refused(self):
+    def test_rank_deficient_draw_factors_and_is_refused(self, monkeypatch):
         gen = np.random.default_rng(3)
         h = random_complex(gen, 128, 3) @ random_complex(gen, 3, 128)
+        # the Gram route is taken, sees lambda_4 <= GRAM_FLOOR lambda_1 and
+        # hands the matrix to the full SVD
+        inputs = recorded_gram(monkeypatch)
+        res = thin_svd(h, 4)
+        assert len(inputs) == 1
+        for got, want in zip((res.u, res.sigma, res.v), full_svd_factors(h, 4)):
+            assert got.tobytes() == want.tobytes()
         chan = ChannelRealization(ChannelModel(RAYLEIGH, 128, 128), h=h[None])
         svd, ok = channel_svds(chan, 4)
         assert np.all(np.isfinite(svd.sigma)) and svd.sigma.shape == (1, 4)
@@ -214,10 +245,32 @@ class TestRankKRoute:
         u, s, v = svd.u[0, :, :3], svd.sigma[0, :3], svd.v[0, :, :3]
         assert np.linalg.norm(h - (u * s) @ v.conj().T) <= 1e-12 * np.linalg.norm(h)
 
+    def test_ill_conditioned_draw_falls_back_and_is_kept(self, monkeypatch):
+        # sigma_4 / sigma_1 = 1e-7: past the Gram route's floor (lambda ratio
+        # 1e-14 <= 1e-12) but above channel.RANK_TOL, so the full SVD factors
+        # it and the draw is kept
+        gen = np.random.default_rng(8)
+        sigma = np.concatenate([[1.0, 0.9, 0.8, 1e-7], np.geomspace(1e-8, 1e-10, 124)])
+        h = spectrum(gen, sigma, 128)
+        inputs = recorded_gram(monkeypatch)
+        res = thin_svd(h, 4)
+        assert len(inputs) == 1
+        for got, want in zip((res.u, res.sigma, res.v), full_svd_factors(h, 4)):
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(res.sigma, sigma[:4], rtol=1e-6)
+        chan = ChannelRealization(ChannelModel(RAYLEIGH, 128, 128), h=h[None])
+        assert channel_svds(chan, 4)[1].tolist() == [True]
+
     def test_missing_symbol_runs_the_full_svd(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_openblas", lambda: object())
-        assert linalg._gesvdx.__wrapped__() is None
-        monkeypatch.setattr(linalg, "_gesvdx", lambda: None)
+        lib = linalg._openblas()
+        symbols = (linalg._HERK_SYMBOL, linalg._HEEVR_SYMBOL)
+        for present in symbols:
+            only = types.SimpleNamespace(**{present: getattr(lib, present)})
+            monkeypatch.setattr(linalg, "_openblas", lambda: only)
+            assert linalg._gram_drivers.__wrapped__() is None
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        assert linalg._gram_drivers.__wrapped__() is None
+        monkeypatch.setattr(linalg, "_gram_drivers", lambda: None)
         gen = np.random.default_rng(4)
         stack = np.stack([random_complex(gen, 128, 128) for _ in range(2)])
         res = thin_svd(stack, 4)
@@ -225,9 +278,22 @@ class TestRankKRoute:
             assert got.tobytes() == want.tobytes()
 
     def test_failure_raises_numpys_linalg_error(self, monkeypatch):
-        recorded_gesvdx(monkeypatch, fail_on=lambda a: True)
-        with pytest.raises(np.linalg.LinAlgError, match="zgesvdx"):
+        recorded_gram(monkeypatch, fail_on=lambda a: True)
+        with pytest.raises(np.linalg.LinAlgError, match="zheevr"):
             thin_svd(np.eye(128), 4)
+
+    def test_allocates_one_gram_buffer(self):
+        # the route's one n x n temporary is the Gram matrix: forming it with
+        # adjoint(h) @ h, or copying h column-major, would add more
+        h = random_complex(np.random.default_rng(6), 512, 512)
+        thin_svd(h, 4)
+        tracemalloc.start()
+        try:
+            thin_svd(h, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * h.nbytes
 
     def test_failure_reruns_the_batch_one_trial_at_a_time(self, monkeypatch):
         cfg = ExperimentConfig(
@@ -235,9 +301,9 @@ class TestRankKRoute:
             rho_db=20.0, scheme=Scheme("svd_phase"), trials=3, master_seed=5,
         )
         alone = [experiments.run_trials(cfg, [i])[0] for i in range(3)]
-        bad = recorded_gesvdx(monkeypatch)
+        bad = recorded_gram(monkeypatch)
         experiments.run_trials(cfg, [1])
-        inputs = recorded_gesvdx(monkeypatch, fail_on=lambda a: np.array_equal(a, bad[0]))
+        inputs = recorded_gram(monkeypatch, fail_on=lambda a: np.array_equal(a, bad[0]))
         calls = []
         real = experiments.run_trials
         monkeypatch.setattr(
