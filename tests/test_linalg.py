@@ -263,8 +263,7 @@ class TestRankKRoute:
 
     def test_missing_symbol_runs_the_full_svd(self, monkeypatch):
         lib = linalg._openblas()
-        symbols = (linalg._HERK_SYMBOL, linalg._HEEVR_SYMBOL)
-        for present in symbols:
+        for present in (linalg._HERK_SYMBOL, linalg._HEEVR_SYMBOL):
             only = types.SimpleNamespace(**{present: getattr(lib, present)})
             monkeypatch.setattr(linalg, "_openblas", lambda: only)
             assert linalg._gram_drivers.__wrapped__() is None
