@@ -222,8 +222,8 @@ def mixed_designs(chan, svd: SvdResult, m: int, rho: float):
 
 
 def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
-    """Round active entries to the closest grid phase by plain absolute
-    difference over [0, 2pi).
+    """Unit-modulus entries with the phases of ``x`` rounded to the closest
+    grid phase by plain absolute difference over [0, 2pi).
 
     The grid is {0, 2pi/2^bits, ..., (2^bits - 1) 2pi/2^bits}; phases past
     the last point round down to it rather than wrapping to 0, and
@@ -232,17 +232,14 @@ def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
     step = 2.0 * math.pi / (1 << bits)
     ang = np.mod(np.angle(x), 2.0 * math.pi)
     idx = np.minimum(np.ceil(ang / step - 0.5), (1 << bits) - 1)
-    out = np.exp(1j * step * idx)
-    out[x == 0] = 0.0
-    return out
+    return np.exp(1j * step * idx)
 
 
-def quantized_designs(chan, bf: HybridBeamformer, res: PhaseResolution, rho: float):
-    """The stacked designs ``bf`` with every active RF phase replaced by its
-    nearest digital grid point, re-waterfilled over the resulting gains."""
-    f_rf = _snap_phases(bf.f_rf, res.bits)
-    w_rf = _snap_phases(bf.w_rf, res.bits)
-    return _p2p_designs(chan, f_rf, bf.f_b, w_rf, bf.w_b, rho)
+def quantized_designs(chan, svd: SvdResult, res: PhaseResolution, rho: float):
+    """Phase-only designs (``mixed_designs`` at m = k) from the factors
+    ``svd`` of ``chan``, with every RF phase rounded to its nearest digital
+    grid point: the snapped columns, baseband identity."""
+    return _svd_designs(chan, svd, lambda cols: (_snap_phases(cols, res.bits), _eye(cols)), rho)
 
 
 def _selection_rf(cols: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +275,8 @@ def _inverses(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.inv(a), ok
 
 
-def _equal_power(k: int, shape) -> np.ndarray:
-    return np.full(shape + (k,), 1.0 / k)
+def _equal_power(f: np.ndarray) -> np.ndarray:
+    return np.full(f.shape[:-2] + f.shape[-1:], 1.0 / f.shape[-1])
 
 
 def mu_zf_hybrid_designs(chan, svd: SvdResult):
@@ -293,14 +290,14 @@ def mu_zf_hybrid_designs(chan, svd: SvdResult):
     f_rf = _phase_only(svd.v)
     f_b, ok = _inverses(chan.h @ f_rf)
     (f_rf,) = kept_rows(ok, f_rf)
-    return HybridBeamformer(f_rf, f_b, _equal_power(f_b.shape[-1], f_b.shape[:-2])), ok
+    return HybridBeamformer(f_rf, f_b, _equal_power(f_b)), ok
 
 
-def mu_zf_digital_designs(chan, k: int):
+def mu_zf_digital_designs(chan):
     """Unconstrained zero-forcing, F = H^H (H H^H)^-1, of each draw: the
     digital baseline; an ill-conditioned H H^H drops its draw."""
     h = chan.h
     gram_inv, ok = _inverses(h @ adjoint(h))
     (h,) = kept_rows(ok, h)
     f = adjoint(h) @ gram_inv
-    return HybridBeamformer(f, _eye(f), _equal_power(k, f.shape[:-2])), ok
+    return HybridBeamformer(f, _eye(f), _equal_power(f)), ok

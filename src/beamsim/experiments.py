@@ -33,7 +33,6 @@ from . import closed_form
 from .beamformers import (
     PhaseResolution,
     SelectionPolicy,
-    _within,
     digital_designs,
     mixed_designs,
     mu_zf_digital_designs,
@@ -46,7 +45,7 @@ from .errors import ConfigError
 from .linalg import blas_thread_control, kept_rows
 
 # capacity_p2p is not called here; perfbench's tracer looks the name up
-from .rates import capacity_p2p, capacity_streams, mu_streams, p2p_streams  # noqa: F401
+from .rates import capacity_p2p, capacity_streams, mu_streams, p2p_rates  # noqa: F401
 
 DEFAULT_SEED = 123456789
 DEFAULT_TRIALS = 500
@@ -73,7 +72,7 @@ class SchemeSpec:
     predicts the scheme's capacity gap on a Rayleigh (rich) or geometric
     channel, or None.  Multiuser designs are measured with ``mu_streams``
     against the digital ZF design (whose ``design`` is None and which
-    factors nothing), the rest with ``p2p_streams`` against
+    factors nothing), the rest with ``p2p_rates`` against
     ``capacity_streams`` over the same ``svd.sigma``.  Every ``design``
     calls its builders by module global name at call time, so patching a
     name here reaches every scheme that uses it.  ``param`` names the
@@ -97,13 +96,6 @@ def _mixed(chan, svd, c: ExperimentConfig, rho: float):
     return mixed_designs(chan, svd, c.m, rho)
 
 
-def _quantized(chan, svd, c: ExperimentConfig, rho: float):
-    bf, ok = _mixed(chan, svd, c, rho)
-    (chan,) = kept_rows(ok, chan)
-    bf, snapped = quantized_designs(chan, bf, PhaseResolution(c.scheme.bits), rho)
-    return bf, _within(ok, snapped)
-
-
 def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
     bound = closed_form.quant_gap_bound(config.k, config.scheme.bits)
     return None if math.isinf(bound) else base + bound
@@ -123,7 +115,9 @@ SCHEMES = {
         m_per_k=(1, 2),
     ),
     "quantized": SchemeSpec(
-        _quantized,
+        lambda chan, svd, c, rho: quantized_designs(
+            chan, svd, PhaseResolution(c.scheme.bits), rho
+        ),
         gap=lambda c, rich: _quant_gap(c, closed_form.svd_phase_gap(c.k) if rich else 0.0),
         param="bits",
         check=PhaseResolution,
@@ -326,10 +320,12 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
     chan = draw_channels(config.channel, config.master_seed, indices)
     rows = np.arange(len(indices))  # the batch positions still in the stack
     inactive = np.full(len(indices), math.nan)  # by batch position
-    # Each stage keeps the rows it passes; a name whose arrays the later
-    # stages do not read is dropped at once, to hold the batch's peak memory.
+    # Each stage keeps the rows it passes (p2p_rates instead rates a refused
+    # draw NaN, which the finiteness test drops); a name whose arrays the
+    # later stages do not read is dropped at once, to hold the batch's peak
+    # memory.
     if spec.multiuser:
-        baseline, ok = mu_zf_digital_designs(chan, config.k)
+        baseline, ok = mu_zf_digital_designs(chan)
         rows, chan = kept_rows(ok, rows, chan)
         capacity = rate = mu_streams(chan, baseline, rho).sum(axis=-1)
         del baseline
@@ -344,14 +340,11 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
         svd, ok = channel_svds(chan, config.k)
         rows, chan, svd = kept_rows(ok, rows, chan, svd)
         capacity = capacity_streams(svd.sigma, rho).sum(axis=-1)
-        bf, ok = spec.design(chan, svd, config, rho)
+        bf, ok = made = spec.design(chan, svd, config, rho)
         del svd
-        rows, chan, capacity = kept_rows(ok, rows, chan, capacity)
         if spec.reports_inactive:
-            inactive[rows] = _inactive_fraction(bf)
-        per, ok = p2p_streams(chan, bf, rho)
-        rows, capacity = kept_rows(ok, rows, capacity)
-        rate = per.sum(axis=-1)
+            inactive[rows[ok]] = _inactive_fraction(bf)
+        rate = p2p_rates(chan, made, rho)
     out = {}
     for row, c, r in zip(rows.tolist(), capacity.tolist(), rate.tolist()):
         if math.isfinite(c) and math.isfinite(r):

@@ -47,9 +47,11 @@ RANK_K_RATIO = 8
 
 # the Gram matrix squares the condition number: a matrix whose m-th
 # eigenvalue of it is at most GRAM_FLOOR times the largest (sigma_m /
-# sigma_1 <= 1e-6) is factored by the full SVD, which resolves sigma down
-# to channel.RANK_TOL
-GRAM_FLOOR = 1e-12
+# sigma_1 <= 1e-4) is factored by the full SVD, which resolves sigma down
+# to channel.RANK_TOL.  On a 128 x 128 draw with sigma_4 / sigma_1 = 1.01e-6
+# the Gram route's sigma_4 was off by 1.1e-5 relative and its u orthonormal
+# only to 2.2e-5; at a ratio of 1e-4, to 2e-9 and 4e-9
+GRAM_FLOOR = 1e-8
 
 # the Rayleigh scale of |z| and the standard deviation of Re z, z ~ CN(0, 1)
 _CN_SCALE = 1.0 / math.sqrt(2.0)
@@ -120,7 +122,7 @@ def thin_svd(a, m: int) -> SvdResult:
     of an eigenvalue, and the other side's vectors are H v / sigma (or
     H^H u / sigma).  That is 2.8x faster than ``zgesdd`` at n = 512, m = 4
     (see ``RANK_K_MIN``).  The Gram matrix squares the condition number,
-    so a matrix with sigma_m / sigma_1 at or below about 1e-6
+    so a matrix with sigma_m / sigma_1 at or below 1e-4
     (``GRAM_FLOOR`` on the eigenvalues) is factored by ``np.linalg.svd``
     instead.  Any other matrix, and every matrix where that library or a
     symbol is missing, runs ``np.linalg.svd`` (``zgesdd``) and keeps the

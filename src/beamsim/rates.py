@@ -131,6 +131,18 @@ def p2p_streams(chan: ChannelRealization, bf: "HybridBeamformer", rho: float):
     return np.log2(1.0 + np.maximum(lam, 0.0)), ok
 
 
+def p2p_rates(chan: ChannelRealization, made, rho: float) -> np.ndarray:
+    """The sum rate of each draw of the stack ``chan`` under a builder's
+    ``(designs, mask)``: NaN where the builder or ``p2p_streams`` refused
+    the draw."""
+    bf, ok = made
+    (kept,) = kept_rows(ok, chan)
+    per, rated = p2p_streams(kept, bf, rho)
+    out = np.full(ok.shape, math.nan)
+    out[np.flatnonzero(ok)[rated]] = per.sum(axis=-1)
+    return out
+
+
 def mu_streams(chan: ChannelRealization, bf: "HybridBeamformer", rho: float) -> np.ndarray:
     """Per-user log2(1 + SINR) of a stack of multiuser designs over a stack
     ``chan`` of draws, with per-user decoding and interference as noise.

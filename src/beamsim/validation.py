@@ -42,14 +42,13 @@ from .experiments import (
 )
 from .linalg import (
     SeededRng,
-    kept_rows,
     ks_statistic,
     normal_cdf,
     rayleigh_cdf,
     sample_complex_gaussian,
     thin_svd,
 )
-from .rates import capacity_streams, p2p_streams, waterfill
+from .rates import capacity_streams, p2p_rates, waterfill
 
 HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
@@ -117,18 +116,6 @@ def _factored_batches(n: int, k: int, trials: int, seed: int):
     model = _rayleigh(n)
     for batch in trial_batches(model, trials):
         yield channel_svds(draw_channels(model, seed, batch), k)
-
-
-def _rates(chan: ChannelRealization, made, rho: float) -> np.ndarray:
-    """The sum rate of each draw of the stack ``chan`` under a builder's
-    ``(designs, mask)``: NaN where the builder or the rate evaluator
-    refused the draw, so that a check reading it fails."""
-    bf, ok = made
-    (kept,) = kept_rows(ok, chan)
-    per, rated = p2p_streams(kept, bf, rho)
-    out = np.full(ok.shape, math.nan)
-    out[np.flatnonzero(ok)[rated]] = per.sum(axis=-1)
-    return out
 
 
 def _random_complex(gen, rows, cols):
@@ -423,7 +410,7 @@ def check_geometric_projection(seed: int = DEFAULT_SEED) -> CheckResult:
                     ok = made[1]
                     skipped += int(np.count_nonzero(~ok))
                     rates += int(np.count_nonzero(ok))
-                    fast, ref = _rates(chan, made, rho)[ok], _rates(dense, made, rho)[ok]
+                    fast, ref = p2p_rates(chan, made, rho)[ok], p2p_rates(dense, made, rho)[ok]
                     errors.append(np.abs(fast - ref) / np.abs(ref))
     worst = float(np.max(np.concatenate(errors), initial=0.0))  # NaN for a NaN rate
     return CheckResult(
@@ -473,10 +460,10 @@ def check_gauge_invariance(seed: int = DEFAULT_SEED) -> CheckResult:
         svd, ok = channel_svds(chan, 3)
         ranked = ranked and bool(ok[0])
         for m in (3, 6):
-            base = _rates(chan, mixed_designs(chan, svd, m, rho), rho)[0]
+            base = p2p_rates(chan, mixed_designs(chan, svd, m, rho), rho)[0]
             phases = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, 3))
             rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
-            rotated = _rates(chan, mixed_designs(chan, rot, m, rho), rho)[0]
+            rotated = p2p_rates(chan, mixed_designs(chan, rot, m, rho), rho)[0]
             worst = float(np.maximum(worst, abs(rotated - base)))  # NaN stays NaN
     return CheckResult(
         "gauge_invariance", worst <= 1e-9 and ranked, {"max_rate_delta": worst, "tol": 1e-9}
@@ -530,7 +517,7 @@ def check_quantization_bound(seed: int = DEFAULT_SEED, trials: int = 150) -> Che
 
     def rates(scheme: Scheme) -> np.ndarray:
         config = ExperimentConfig("quantization", model, 4, 4, 34.0, scheme)
-        return _rates(chan, scheme.spec.design(chan, svd, config, rho), rho)
+        return p2p_rates(chan, scheme.spec.design(chan, svd, config, rho), rho)
 
     r_analog = rates(Scheme("svd_phase"))
     gaps = {b: float(np.mean(r_analog - rates(Scheme("quantized", bits=b)))) for b in (2, 3, 4)}
@@ -558,15 +545,15 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     rho = 10.0 ** 3.4
     svd, ranked = channel_svds(chan, 4)
     bf, ok = mixed_designs(chan, svd, 4, rho)
-    base = _rates(chan, (bf, ok), rho)[0]
+    base = p2p_rates(chan, (bf, ok), rho)[0]
     scaled = replace(bf, f_rf=bf.f_rf * math.sqrt(2.0))
-    scale_delta = float(abs(_rates(chan, (scaled, ok), rho)[0] - base))
+    scale_delta = float(abs(p2p_rates(chan, (scaled, ok), rho)[0] - base))
 
     monotone = True
     prev = -math.inf
     for rho_db in range(0, 41, 5):
         r = 10.0 ** (rho_db / 10.0)
-        rate = _rates(chan, mixed_designs(chan, svd, 4, r), r)[0]
+        rate = p2p_rates(chan, mixed_designs(chan, svd, 4, r), r)[0]
         monotone = monotone and bool(rate >= prev - 1e-12)
         prev = rate
 
@@ -575,7 +562,7 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     ranked = ranked[0] and ok.all()
     cap = capacity_streams(svd.sigma, rho).sum(axis=-1)
     dominated = all(  # phase-only and double-RF
-        np.all(_rates(chan, mixed_designs(chan, svd, m, rho), rho) <= cap + 1e-9) for m in (3, 6)
+        np.all(p2p_rates(chan, mixed_designs(chan, svd, m, rho), rho) <= cap + 1e-9) for m in (3, 6)
     )
 
     passed = (

@@ -29,7 +29,8 @@ from beamsim.beamformers import digital_designs, mixed_designs, mu_zf_digital_de
 from beamsim.channel import channel_svds
 from beamsim.cli import main as cli_main
 from beamsim.experiments import DEFAULT_SEED
-from beamsim.validation import _rates, check_quantization_bound, check_singular_vector_amplitude_law
+from beamsim.rates import p2p_rates
+from beamsim.validation import check_quantization_bound, check_singular_vector_amplitude_law
 
 RHO_DB = 34.0
 RHO = 10.0**3.4  # == 10.0 ** (RHO_DB / 10.0), the linear SNR run_experiment uses
@@ -81,9 +82,9 @@ def test_criterion_2_exact_factorization():
     start = time.monotonic()
     chan = draw_channels(ChannelModel(RAYLEIGH, 16, 16), DEFAULT_SEED + 1, range(100))
     svd, ranked = channel_svds(chan, 4)
-    digital = _rates(chan, digital_designs(chan, svd, RHO), RHO)
+    digital = p2p_rates(chan, digital_designs(chan, svd, RHO), RHO)
     bf, kept = made = mixed_designs(chan, svd, 8, RHO)
-    paired = _rates(chan, made, RHO)
+    paired = p2p_rates(chan, made, RHO)
     worst_rate = float(np.max(np.abs(paired - digital)))  # NaN where a draw was refused
     v = thin_svd(chan.h, 4).v[kept]
     worst_factor = max(
@@ -129,7 +130,7 @@ def test_criterion_5_multiuser_zero_forcing():
     model = ChannelModel(RAYLEIGH, 64, 4)
     summary = run_summary(model, Scheme("mu_zf_hybrid"), 4)
     mean_gap, se = summary.mean_gap, summary.se_gap
-    zd, kept = mu_zf_digital_designs(draw_channels(model, DEFAULT_SEED + 4, range(TRIALS)), 4)
+    zd, kept = mu_zf_digital_designs(draw_channels(model, DEFAULT_SEED + 4, range(TRIALS)))
     gammas = np.full(TRIALS, math.nan)  # NaN where a draw was refused
     gammas[kept] = zd.gamma_t
     mean_gamma = float(np.mean(gammas))

@@ -226,8 +226,7 @@ class TestQuantize:
 
     def test_grid_membership(self):
         chan = rayleigh(16, 6, 0)
-        analog = kept(mixed_designs(chan, factors(chan, 4), 4, RHO))
-        bf = one(quantized_designs(chan, analog, PhaseResolution(3), RHO))
+        bf = one(quantized_designs(chan, factors(chan, 4), PhaseResolution(3), RHO))
         step = 2 * math.pi / 8
         ang = np.mod(np.angle(bf.f_rf), 2 * math.pi)
         assert np.allclose(np.mod(ang / step, 1.0), 0.0, atol=1e-9) or np.allclose(
@@ -237,15 +236,10 @@ class TestQuantize:
 
     def test_fine_grid_matches_analog(self):
         chan = rayleigh(16, 6, 1)
-        analog = kept(mixed_designs(chan, factors(chan, 4), 4, RHO))
-        fine = one(quantized_designs(chan, analog, PhaseResolution(14), RHO))
+        svd = factors(chan, 4)
+        analog = kept(mixed_designs(chan, svd, 4, RHO))
+        fine = one(quantized_designs(chan, svd, PhaseResolution(14), RHO))
         assert abs(rate(chan, analog[0]) - rate(chan, fine)) <= 1e-3
-
-    def test_inactive_entries_stay_off(self):
-        chan = rayleigh(32, 6, 2)
-        sel = kept(selection_designs(chan, factors(chan, 4), RHO, SelectionPolicy(25.0)))
-        q = kept(quantized_designs(chan, sel, PhaseResolution(2), RHO))
-        assert np.array_equal(q.f_rf == 0, sel.f_rf == 0)
 
     @pytest.mark.parametrize("bits", [0, 17])
     def test_resolution_bit_range(self, bits):
@@ -313,21 +307,21 @@ class TestMultiuserZf:
 
     def test_digital_effective_channel_is_identity(self):
         chan = self.make_chan(8, 2)
-        bf = one(mu_zf_digital_designs(chan, 4))
+        bf = one(mu_zf_digital_designs(chan))
         e = chan.h[0] @ bf.precoder()
         np.testing.assert_allclose(e, np.eye(4), atol=1e-10)
 
     def test_unitary_channel(self):
         gen = np.random.default_rng(5)
         q, _ = np.linalg.qr(gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)))
-        bf = one(mu_zf_digital_designs(explicit([q]), 4))
+        bf = one(mu_zf_digital_designs(explicit([q])))
         np.testing.assert_allclose(bf.precoder(), q.conj().T, atol=1e-10)
         assert bf.gamma_t == pytest.approx(1.0, rel=1e-10)
 
     def test_digital_gamma_matches_wishart_mean(self):
         # gamma_t has one value per draw of a stack
         chan = draw_channels(ChannelModel(RAYLEIGH, 64, 4), 9, range(200))
-        bf = kept(mu_zf_digital_designs(chan, 4))
+        bf = kept(mu_zf_digital_designs(chan))
         assert bf.gamma_t.shape == (200,)
         assert np.mean(bf.gamma_t) == pytest.approx(1 / 60, rel=0.1)
 
@@ -343,7 +337,7 @@ class TestMultiuserZf:
         svd, ranked = channel_svds(chan, 4)
         assert ranked.tolist() == [False]
         assert mu_zf_hybrid_designs(chan, svd)[1].tolist() == [False]
-        assert mu_zf_digital_designs(chan, 4)[1].tolist() == [False]
+        assert mu_zf_digital_designs(chan)[1].tolist() == [False]
 
 
 class TestRefusalMasks:
@@ -386,7 +380,7 @@ class TestRefusalMasks:
 
         def build(c):
             if kind == "digital":
-                return mu_zf_digital_designs(c, 4)
+                return mu_zf_digital_designs(c)
             return mu_zf_hybrid_designs(c, channel_svds(c, 4)[0])
 
         made = build(chan)
@@ -401,9 +395,7 @@ P2P_BUILDERS = {
     "mixed": lambda chan, svd, rho: mixed_designs(chan, svd, 6, rho),
     "double_rf": lambda chan, svd, rho: mixed_designs(chan, svd, 8, rho),
     "selection": lambda chan, svd, rho: selection_designs(chan, svd, rho, SelectionPolicy(25.0)),
-    "quantized": lambda chan, svd, rho: quantized_designs(
-        chan, kept(mixed_designs(chan, svd, 4, RHO)), PhaseResolution(3), rho
-    ),
+    "quantized": lambda chan, svd, rho: quantized_designs(chan, svd, PhaseResolution(3), rho),
 }
 
 
@@ -422,11 +414,8 @@ def test_p2p_builders_raise_where_waterfilling_refuses_the_gains(kind, bad, monk
     # instead, and keeps the others bitwise as they are alone
     chan = draw_channels(ChannelModel(RAYLEIGH, 16, 16), 14, range(5))
     svd = factors(chan, 4)
-    analog = kept(mixed_designs(chan, svd, 4, RHO))  # made before the gains are spoiled
 
     def build(rows):
-        if kind == "quantized":
-            return quantized_designs(chan[rows], analog[rows], PhaseResolution(3), RHO)
         return P2P_BUILDERS[kind](chan[rows], svd[rows], RHO)
 
     alone = [kept(build([t])) for t in range(5)]
@@ -452,10 +441,11 @@ class TestCrossSchemeConsistency:
         from beamsim import quant_gap_bound
 
         chan = draw_channels(ChannelModel(RAYLEIGH, 64, 64), 12, range(60))
-        analog = kept(mixed_designs(chan, factors(chan, 4), 4, RHO))
+        svd = factors(chan, 4)
+        analog = kept(mixed_designs(chan, svd, 4, RHO))
         r_analog = p2p_streams(chan, analog, RHO)[0].sum(axis=-1)
         for bits in (2, 3, 4):
-            digital = kept(quantized_designs(chan, analog, PhaseResolution(bits), RHO))
+            digital = kept(quantized_designs(chan, svd, PhaseResolution(bits), RHO))
             per, ok = p2p_streams(chan, digital, RHO)
             assert ok.all()
             assert np.mean(r_analog - per.sum(axis=-1)) <= quant_gap_bound(4, bits) + 0.5

@@ -313,6 +313,21 @@ class TestPool:
         assert time.monotonic() - start < WORKER_EXIT_BOUND_S
         assert multiprocessing.active_children() == []
 
+    def test_worker_exception_reaches_the_parent(self, monkeypatch):
+        # the parent's own share succeeds, so only a worker's pickled
+        # exception can end the point
+        parent = os.getpid()
+
+        def failing_in_workers(config, indices):
+            if os.getpid() != parent:
+                raise ValueError("worker share failed")
+            return _pid_batch(config, indices)
+
+        monkeypatch.setattr(experiments, "run_trials", failing_in_workers)
+        with pytest.raises(ValueError, match="^worker share failed$"):
+            run_experiment(config(trials=8), workers=2)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("kind", ["svd_phase", "selection"])
     def test_pooled_records_equal_serial_records(self, kind):
         # selection records an inactive share, the others a NaN one
@@ -838,7 +853,7 @@ BUILDER_NAMES = {
     "svd_phase": ("mixed_designs",),
     "double_rf": ("mixed_designs",),
     "mixed": ("mixed_designs",),
-    "quantized": ("mixed_designs", "quantized_designs"),
+    "quantized": ("quantized_designs",),
     "selection": ("selection_designs",),
     "mu_zf_hybrid": ("mu_zf_digital_designs", "mu_zf_hybrid_designs"),
     "mu_zf_digital": ("mu_zf_digital_designs",),
@@ -872,6 +887,16 @@ class TestBuildersByName:
         rec = run_trial(config(scheme=Scheme("mu_zf_digital"), trials=1), 0)
         assert len(calls) == 1
         assert rec.capacity_bits == rec.rate_bits and rec.gap_bits == 0.0
+
+    def test_quantized_design_waterfills_once(self, monkeypatch):
+        # the snapped phases are designed straight from the factors, with
+        # no phase-only design waterfilled first
+        calls = []
+        real = beamformers._stream_gains
+        monkeypatch.setattr(beamformers, "_stream_gains", lambda *a: calls.append(a) or real(*a))
+        rec = run_trial(config(scheme=Scheme("quantized", bits=2), trials=1), 0)
+        assert not rec.degenerate
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     def test_capacity_and_design_share_one_svd(self, scheme, monkeypatch):

@@ -246,20 +246,23 @@ class TestRankKRoute:
         assert np.linalg.norm(h - (u * s) @ v.conj().T) <= 1e-12 * np.linalg.norm(h)
 
     def test_ill_conditioned_draw_falls_back_and_is_kept(self, monkeypatch):
-        # sigma_4 / sigma_1 = 1e-7: past the Gram route's floor (lambda ratio
-        # 1e-14 <= 1e-12) but above channel.RANK_TOL, so the full SVD factors
-        # it and the draw is kept
-        gen = np.random.default_rng(8)
-        sigma = np.concatenate([[1.0, 0.9, 0.8, 1e-7], np.geomspace(1e-8, 1e-10, 124)])
-        h = spectrum(gen, sigma, 128)
+        # sigma_4 / sigma_1 past the Gram route's floor (a lambda ratio of
+        # 1e-14 or 1.02e-12, at most 1e-8) but above channel.RANK_TOL, so the
+        # full SVD factors it and the draw is kept; at 1.01e-6 the Gram
+        # route's sigma_4 would be off by 1.1e-5 relative
         inputs = recorded_gram(monkeypatch)
-        res = thin_svd(h, 4)
-        assert len(inputs) == 1
-        for got, want in zip((res.u, res.sigma, res.v), full_svd_factors(h, 4)):
-            assert got.tobytes() == want.tobytes()
-        np.testing.assert_allclose(res.sigma, sigma[:4], rtol=1e-6)
-        chan = ChannelRealization(ChannelModel(RAYLEIGH, 128, 128), h=h[None])
-        assert channel_svds(chan, 4)[1].tolist() == [True]
+        for sigma_4 in (1e-7, 1.01e-6):
+            gen = np.random.default_rng(8)
+            sigma = np.concatenate([[1.0, 0.9, 0.8, sigma_4], np.geomspace(1e-8, 1e-10, 124)])
+            h = spectrum(gen, sigma, 128)
+            inputs.clear()
+            res = thin_svd(h, 4)
+            assert len(inputs) == 1
+            for got, want in zip((res.u, res.sigma, res.v), full_svd_factors(h, 4)):
+                assert got.tobytes() == want.tobytes(), sigma_4
+            np.testing.assert_allclose(res.sigma, sigma[:4], rtol=1e-6)
+            chan = ChannelRealization(ChannelModel(RAYLEIGH, 128, 128), h=h[None])
+            assert channel_svds(chan, 4)[1].tolist() == [True]
 
     def test_missing_symbol_runs_the_full_svd(self, monkeypatch):
         lib = linalg._openblas()

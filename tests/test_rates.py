@@ -18,6 +18,7 @@ from beamsim import (
 )
 from beamsim.beamformers import digital_designs, mixed_designs, mu_zf_digital_designs
 from beamsim.channel import ChannelRealization, channel_svds
+from beamsim import rates
 from beamsim.rates import capacity_streams, mu_streams, p2p_streams
 
 from oracles import sum_rate_scalar_loop, waterfill_loop
@@ -209,6 +210,19 @@ class TestAchievableRate:
             assert alone_ok.tolist() == [True]
             assert per[row].tobytes() == alone[0].tobytes()
 
+    def test_refused_draws_rate_nan(self):
+        # the builder refuses draw 0 and the evaluator draw 2 (its combiner
+        # repeats a column); the others keep their evaluator sums bitwise
+        chan = rayleigh(8, 8, 2, range(6, 10))
+        bf = kept(digital_designs(chan, factors(chan, 2), RHO_34DB))
+        w = bf.w_rf.copy()
+        w[2, :, 1] = w[2, :, 0]
+        built = np.array([False, True, True, True])
+        rate = rates.p2p_rates(chan, (replace(bf, w_rf=w)[built], built), RHO_34DB)
+        assert np.isnan(rate).tolist() == [True, False, True, False]
+        want = p2p_streams(chan[[1, 3]], bf[[1, 3]], RHO_34DB)[0].sum(axis=-1)
+        assert rate[[1, 3]].tobytes() == want.tobytes()
+
     def test_gap_matches_direct_formula(self):
         # rate of the unconstrained design equals sum log2(1 + rho p sigma^2)
         chan = rayleigh(16, 16, 2, [5])
@@ -231,7 +245,7 @@ def mu_design(f):
 class TestSumRateMu:
     def test_exact_zf_closed_form(self):
         chan = rayleigh(32, 4, 3, [0])
-        bf = kept(mu_zf_digital_designs(chan, 4))
+        bf = kept(mu_zf_digital_designs(chan))
         rate = mu_streams(chan, bf, RHO_34DB).sum(axis=-1)
         expected = 4 * math.log2(1 + RHO_34DB / (4 * bf.gamma_t[0]))
         assert rate[0] == pytest.approx(expected, abs=1e-9)

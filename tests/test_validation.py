@@ -27,9 +27,7 @@ def faulty_snap(x, bits):
     grid = step * np.arange(1 << bits)
     ang = np.angle(x)
     idx = np.argmin(np.abs(ang[..., None] - grid), axis=-1)
-    out = np.exp(1j * grid[idx])
-    out[x == 0] = 0
-    return out
+    return np.exp(1j * grid[idx])
 
 
 def test_quantization_bound_check_catches_injected_fault(monkeypatch):
