@@ -13,10 +13,13 @@ for ``--extra-seed`` runs).  Each workload ``BENCHMARK.json`` declares
 gets 10 pairs; pairs alternate which side runs first (parent first in even
 pairs) so that drift in the host's speed falls on both sides.  Each
 end-to-end metric it declares is summarised by its median and inclusive
-quartiles over the runs, and the pairs the change won on ``trials_per_s``
-are counted.  Each side's fastest ``trials_per_s`` run is reported beside
-its median: the host's speed drifts for minutes at a time, and the
-fastest run is the one least slowed by it.  The result is written to
+quartiles over the runs, and judged against its bound: the change's
+``change_vs_parent`` is the relative change of the median, signed by the
+metric's ``better`` so that positive means worse, and ``within_bound``
+says whether it is at most the bound.  The pairs the change won on
+``trials_per_s`` are counted.  Each side's fastest ``trials_per_s`` run
+is reported beside its median: the host's speed drifts for minutes at a
+time, and the fastest run is the one least slowed by it.  The result is written to
 ``BENCH_<label>.json`` at the repository root.  Standard library only.
 """
 
@@ -49,6 +52,12 @@ def benchmark_names(root: Path) -> tuple[tuple[str, ...], tuple[str, ...]]:
     )
 
 
+def end_to_end_specs(root: Path) -> list[dict]:
+    """The end-to-end metrics ``root/BENCHMARK.json`` declares, each with
+    its ``better`` and ``bound``."""
+    return json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+
+
 def summarize(runs: list[float]) -> dict:
     """Median and inclusive quartiles of ``runs``, which are kept in order."""
     if len(runs) == 1:
@@ -61,6 +70,24 @@ def summarize(runs: list[float]) -> dict:
 def pairs_won(parent: list[float], change: list[float]) -> int:
     """Pairs in which the change's trials/s beat the parent's."""
     return sum(c > p for p, c in zip(parent, change, strict=True))
+
+
+def change_vs_parent(parent: float, change: float, better: str) -> float:
+    """The relative change from the parent's median to the change's, signed
+    so that positive means worse (``better`` is "higher" or "lower")."""
+    relative = (change - parent) / parent
+    return round(relative if better == "lower" else -relative, 4)
+
+
+def judge(entry: dict, specs: list[dict]) -> None:
+    """Write ``change_vs_parent`` and ``within_bound`` beside the change's
+    median of each metric of ``specs`` in a workload ``entry``."""
+    for spec in specs:
+        change = entry["change"][spec["name"]]
+        parent = entry["parent"][spec["name"]]["median"]
+        worse = change_vs_parent(parent, change["median"], spec["better"])
+        change["change_vs_parent"] = worse
+        change["within_bound"] = worse <= spec["bound"]
 
 
 def pair_order(index: int) -> tuple[str, str]:
@@ -164,6 +191,9 @@ def main(argv=None) -> int:
     workloads = {w: bench_workload(trees, w, None, PAIRS, end_to_end) for w in names}
     for workload, seed, pairs in args.extra_seed:
         workloads[f"{workload}_seed{seed}"] = bench_workload(trees, workload, seed, pairs, end_to_end)
+    specs = end_to_end_specs(ROOT)
+    for entry in workloads.values():
+        judge(entry, specs)
 
     bench = {
         "label": args.label,

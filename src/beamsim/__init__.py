@@ -1,6 +1,6 @@
 """Monte-Carlo simulator for SVD-phase hybrid beamforming on large arrays."""
 
-from .beamformers import HybridBeamformer, PhaseResolution, SelectionPolicy
+from .beamformers import HybridBeamformer, phase_step
 from .channel import (
     GEOMETRIC,
     RAYLEIGH,
@@ -37,7 +37,6 @@ from .experiments import (
     run_trials,
 )
 from .linalg import (
-    SeededRng,
     SvdResult,
     ks_statistic,
     rayleigh_cdf,

@@ -32,28 +32,6 @@ from .rates import _conditioned, _gamma, waterfill
 
 
 @dataclass(frozen=True)
-class PhaseResolution:
-    """Digital phase shifters on a grid of 2**bits phases."""
-
-    bits: int
-
-    def __post_init__(self):
-        if not 1 <= self.bits <= 16:
-            raise ValueError("digital resolution needs 1 <= bits <= 16")
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    """Turn off the weakest ``beta_percent`` of phase shifters on average."""
-
-    beta_percent: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta_percent < 100.0:
-            raise ValueError("beta_percent must lie in [0, 100)")
-
-
-@dataclass(frozen=True)
 class HybridBeamformer:
     """A complete transmit/receive beamforming configuration.
 
@@ -221,6 +199,14 @@ def mixed_designs(chan, svd: SvdResult, m: int, rho: float):
     return _svd_designs(chan, svd, _mixed_side(svd, m), rho)
 
 
+def phase_step(bits: int) -> float:
+    """The step 2 pi / 2^bits of a grid of ``bits``-bit digital phase
+    shifters; bits outside 1..16 raise ValueError."""
+    if not 1 <= bits <= 16:
+        raise ValueError("digital resolution needs 1 <= bits <= 16")
+    return 2.0 * math.pi / (1 << bits)
+
+
 def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
     """Unit-modulus entries with the phases of ``x`` rounded to the closest
     grid phase by plain absolute difference over [0, 2pi).
@@ -229,17 +215,17 @@ def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
     the last point round down to it rather than wrapping to 0, and
     half-step ties go to the smaller grid angle.
     """
-    step = 2.0 * math.pi / (1 << bits)
+    step = phase_step(bits)
     ang = np.mod(np.angle(x), 2.0 * math.pi)
     idx = np.minimum(np.ceil(ang / step - 0.5), (1 << bits) - 1)
     return np.exp(1j * step * idx)
 
 
-def quantized_designs(chan, svd: SvdResult, res: PhaseResolution, rho: float):
+def quantized_designs(chan, svd: SvdResult, bits: int, rho: float):
     """Phase-only designs (``mixed_designs`` at m = k) from the factors
-    ``svd`` of ``chan``, with every RF phase rounded to its nearest digital
-    grid point: the snapped columns, baseband identity."""
-    return _svd_designs(chan, svd, lambda cols: (_snap_phases(cols, res.bits), _eye(cols)), rho)
+    ``svd`` of ``chan``, with every RF phase rounded to its nearest point
+    of the ``bits``-bit grid: the snapped columns, baseband identity."""
+    return _svd_designs(chan, svd, lambda cols: (_snap_phases(cols, bits), _eye(cols)), rho)
 
 
 def _selection_rf(cols: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -250,15 +236,17 @@ def _selection_rf(cols: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     return rf, keep.any(axis=-2).all(axis=-1)
 
 
-def selection_designs(chan, svd: SvdResult, rho: float, policy: SelectionPolicy):
+def selection_designs(chan, svd: SvdResult, beta_percent: float, rho: float):
     """Phase-only designs from the factors ``svd`` of ``chan``, with the
-    weakest shifters switched off; a draw with a dead RF column is dropped.
+    weakest ``beta_percent`` of shifters switched off on average; a draw
+    with a dead RF column is dropped.
 
     A transmit shifter stays active only where sqrt(n_t) |V_entry| exceeds
-    the policy threshold, and likewise at the receiver with sqrt(n_r) |U|;
-    normalization factors come from the actual masked matrices.
+    the threshold ``alpha_from_beta(beta_percent)``, and likewise at the
+    receiver with sqrt(n_r) |U|; normalization factors come from the
+    actual masked matrices.
     """
-    alpha = alpha_from_beta(policy.beta_percent)
+    alpha = alpha_from_beta(beta_percent)
     (f_rf, f_live), (w_rf, w_live) = _selection_rf(svd.v, alpha), _selection_rf(svd.u, alpha)
     live = f_live & w_live
     chan, f_rf, w_rf = kept_rows(live, chan, f_rf, w_rf)

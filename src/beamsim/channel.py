@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import (
-    SeededRng,
     SvdResult,
     _complex_gaussian,
     _complex_gaussians,
@@ -160,10 +159,10 @@ def steering_block(phi: np.ndarray, n: int, spacing_over_wavelength: float = 0.5
     return np.exp(step[..., None, :] * np.arange(n)[:, None]) / math.sqrt(n)
 
 
-def draw_paths(model: ChannelModel, rng: SeededRng) -> tuple[np.ndarray, ...]:
+def draw_paths(model: ChannelModel, master_seed: int, stream: int) -> tuple[np.ndarray, ...]:
     """One geometric draw's path gains and angles ``(beta, phi_t, phi_r)``
-    from the stream ``rng``, sorted by descending |beta|."""
-    gen = _restarted(rng)
+    from the stream ``(master_seed, stream)``, sorted by descending |beta|."""
+    gen = _restarted(master_seed, stream)
     l = model.l_paths
     beta = _complex_gaussian(gen, l)
     phi_t = gen.uniform(0.0, math.pi, l)
@@ -190,25 +189,26 @@ def draw_channels(model: ChannelModel, master_seed: int, streams) -> ChannelReal
     formed only when read.  Each draw is bitwise the same in any stack,
     and the stream ids need not be consecutive.
     """
-    rngs = [SeededRng(master_seed, s) for s in streams]
     if model.kind == RAYLEIGH:
-        return draw_rayleigh_stack(model, rngs)
-    return draw_path_stack(model, rngs)
+        return draw_rayleigh_stack(model, master_seed, streams)
+    return draw_path_stack(model, master_seed, streams)
 
 
-def draw_rayleigh_stack(model: ChannelModel, rngs) -> ChannelRealization:
-    """The Rayleigh draws of the streams ``rngs`` as one stack, each
-    draw's ``h`` bitwise the one its stream gives it alone."""
-    h = _complex_gaussians(rngs, model.n_r * model.n_t)
-    return ChannelRealization(model, h=h.reshape(len(rngs), model.n_r, model.n_t))
+def draw_rayleigh_stack(model: ChannelModel, master_seed: int, streams) -> ChannelRealization:
+    """The Rayleigh draws of the streams ``(master_seed, s)`` as one stack,
+    each draw's ``h`` bitwise the one its stream gives it alone."""
+    h = _complex_gaussians(master_seed, streams, model.n_r * model.n_t)
+    return ChannelRealization(model, h=h.reshape(len(streams), model.n_r, model.n_t))
 
 
-def draw_path_stack(model: ChannelModel, rngs) -> ChannelRealization:
-    """The geometric draws of the streams ``rngs`` as one stack, each
-    draw's factors bitwise those its stream gives it alone: every draw's
-    gains and angles come from its own stream (``draw_paths``), and one
-    ``steering_block`` call per side makes the whole stack's columns."""
-    beta, phi_t, phi_r = (np.array(a) for a in zip(*(draw_paths(model, r) for r in rngs)))
+def draw_path_stack(model: ChannelModel, master_seed: int, streams) -> ChannelRealization:
+    """The geometric draws of the streams ``(master_seed, s)`` as one
+    stack, each draw's factors bitwise those its stream gives it alone:
+    every draw's gains and angles come from its own stream
+    (``draw_paths``), and one ``steering_block`` call per side makes the
+    whole stack's columns."""
+    paths = (draw_paths(model, master_seed, s) for s in streams)
+    beta, phi_t, phi_r = (np.array(a) for a in zip(*paths))
     return ChannelRealization(model, factors=_path_factors(model, beta, phi_t, phi_r), beta=beta)
 
 

@@ -31,12 +31,11 @@ import numpy as np
 
 from . import closed_form
 from .beamformers import (
-    PhaseResolution,
-    SelectionPolicy,
     digital_designs,
     mixed_designs,
     mu_zf_digital_designs,
     mu_zf_hybrid_designs,
+    phase_step,
     quantized_designs,
     selection_designs,
 )
@@ -115,21 +114,17 @@ SCHEMES = {
         m_per_k=(1, 2),
     ),
     "quantized": SchemeSpec(
-        lambda chan, svd, c, rho: quantized_designs(
-            chan, svd, PhaseResolution(c.scheme.bits), rho
-        ),
+        lambda chan, svd, c, rho: quantized_designs(chan, svd, c.scheme.bits, rho),
         gap=lambda c, rich: _quant_gap(c, closed_form.svd_phase_gap(c.k) if rich else 0.0),
         param="bits",
-        check=PhaseResolution,
+        check=phase_step,
         label="quantized(b={bits})",
     ),
     "selection": SchemeSpec(
-        lambda chan, svd, c, rho: selection_designs(
-            chan, svd, rho, SelectionPolicy(c.scheme.beta_percent)
-        ),
+        lambda chan, svd, c, rho: selection_designs(chan, svd, c.scheme.beta_percent, rho),
         gap=lambda c, rich: closed_form.selection_gap(c.k, c.scheme.beta_percent) if rich else None,
         param="beta_percent",
-        check=SelectionPolicy,
+        check=closed_form.alpha_from_beta,
         label="selection(beta={beta_percent:g})",
         reports_inactive=True,
     ),

@@ -62,27 +62,6 @@ GAUGE_TIE = 1e-9
 
 
 @dataclass(frozen=True)
-class SeededRng:
-    """Value-type handle on a counter-based random stream.
-
-    Identical (master_seed, stream_id) pairs reproduce identical sample
-    sequences on any platform, and distinct stream_ids give statistically
-    independent streams.  Each ``generator()`` call restarts the stream
-    from its origin, so a SeededRng can be shared freely between workers;
-    give each task its own ``stream_id`` instead of sharing generator state.
-    """
-
-    master_seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
-        )
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
 class SvdResult:
     """Truncated SVD factors with singular values in descending order.
 
@@ -341,19 +320,22 @@ def _gram_drivers():
 _streams = threading.local()
 
 
-def _restarted(rng: SeededRng) -> np.random.Generator:
-    """This thread's generator, restarted at the origin of ``rng``'s stream.
+def _restarted(master_seed: int, stream: int) -> np.random.Generator:
+    """This thread's generator, restarted at the origin of the stream
+    ``(master_seed, stream)``: the one place a stream is keyed.
 
-    Bitwise the stream ``rng.generator()`` gives, without building a
-    Philox (and the SeedSequence its constructor gathers): the state is set
-    to counter 0, the stream's key and an empty buffer.  The generator is
-    shared, so read it to the end of one draw before the next restart.
+    The Philox key is ``[master_seed, stream]``, each mod 2^64, so a
+    negative seed names its residue's stream.  Bitwise a fresh Philox with
+    that key, without building one (and the SeedSequence its constructor
+    gathers): the state is set to counter 0, the key and an empty buffer.
+    The generator is shared, so read it to the end of one draw before the
+    next restart.
     """
     if not hasattr(_streams, "gen"):
         _streams.gen = np.random.Generator(np.random.Philox(key=0))
         _streams.state = _streams.gen.bit_generator.state
     key = _streams.state["state"]["key"]
-    key[0], key[1] = rng.master_seed & _MASK64, rng.stream_id & _MASK64
+    key[0], key[1] = master_seed & _MASK64, stream & _MASK64
     _streams.gen.bit_generator.state = _streams.state
     return _streams.gen
 
@@ -371,21 +353,23 @@ def _complex_gaussian(gen: np.random.Generator, n: int) -> np.ndarray:
     return z.view(complex)
 
 
-def _complex_gaussians(rngs, n: int) -> np.ndarray:
+def _complex_gaussians(master_seed: int, streams, n: int) -> np.ndarray:
     """``_complex_gaussian`` of ``n`` samples from the start of each stream
-    of ``rngs``, stacked as (len(rngs), n): each row bitwise its stream's."""
-    z = np.empty((len(rngs), 2 * n))
-    for rng, row in zip(rngs, z):
-        _restarted(rng).standard_normal(out=row)
+    ``(master_seed, s)`` of ``streams``, stacked as (len(streams), n): each
+    row bitwise its stream's."""
+    z = np.empty((len(streams), 2 * n))
+    for stream, row in zip(streams, z):
+        _restarted(master_seed, stream).standard_normal(out=row)
     z *= _CN_SCALE
     return z.view(complex)
 
 
-def sample_complex_gaussian(rng: SeededRng, n: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. CN(0,1) samples (real/imag parts N(0, 1/2))."""
+def sample_complex_gaussian(master_seed: int, stream: int, n: int) -> np.ndarray:
+    """Draw ``n`` i.i.d. CN(0,1) samples (real/imag parts N(0, 1/2)) from
+    the stream ``(master_seed, stream)``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _complex_gaussians([rng], n)[0]
+    return _complex_gaussians(master_seed, [stream], n)[0]
 
 
 def ks_statistic(samples, cdf) -> float:

@@ -41,7 +41,6 @@ from .experiments import (
     trial_batches,
 )
 from .linalg import (
-    SeededRng,
     ks_statistic,
     normal_cdf,
     rayleigh_cdf,
@@ -173,11 +172,11 @@ def check_svd_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_gaussian_moments(seed: int = DEFAULT_SEED) -> CheckResult:
     """CN(0,1) sampler moments and distribution shape."""
-    z = sample_complex_gaussian(SeededRng(seed, 17), 100_000)
+    z = sample_complex_gaussian(seed, 17, 100_000)
     mean_sq = float(np.mean(np.abs(z) ** 2))
     mean_abs = float(np.mean(np.abs(z)))
     ks_real = ks_statistic(z.real, normal_cdf)
-    again = sample_complex_gaussian(SeededRng(seed, 17), 100_000)
+    again = sample_complex_gaussian(seed, 17, 100_000)
     reproducible = bool(np.array_equal(z, again))
     passed = (
         0.99 <= mean_sq <= 1.01
@@ -299,7 +298,7 @@ def check_steering_alignment(seed: int = DEFAULT_SEED) -> CheckResult:
     attempts = 0
     while len(streams) < 20 and attempts < 4000:
         attempts += 1
-        beta, phi_t, phi_r = draw_paths(model, SeededRng(seed + 6, attempts))
+        beta, phi_t, phi_r = draw_paths(model, seed + 6, attempts)
         cos_t = np.array([math.cos(p) for p in phi_t])
         cos_r = np.array([math.cos(p) for p in phi_r])
         if min(np.min(np.abs(np.subtract.outer(cos_t, cos_t))[np.triu_indices(l, 1)]),

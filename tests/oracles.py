@@ -6,7 +6,9 @@ the thresholded-Rayleigh mean from adaptive quadrature, multiuser SINRs
 from a scalar-by-scalar loop, waterfilling from a descending search over
 one gain vector, and singular values from cyclic Jacobi
 eigenvalues of the Gram matrix (that solver never calls LAPACK, and
-test_validation pins it against numpy.linalg.eigvalsh).
+test_validation pins it against numpy.linalg.eigvalsh).  Random draws
+are checked against a fresh Philox generator per stream, read the way
+draws were read before the library restarted one generator per thread.
 """
 
 import math
@@ -88,3 +90,34 @@ def singular_values_via_gram(a: np.ndarray) -> np.ndarray:
     gram = a.conj().T @ a
     lam = cyclic_jacobi_eigvalsh(gram)
     return np.sqrt(np.maximum(lam, 0.0))
+
+
+def fresh_generator(master_seed: int, stream: int) -> np.random.Generator:
+    """A new Philox generator keyed ``[master_seed, stream]``; both must lie
+    in [0, 2^64), so the key is given, not reduced."""
+    key = np.array([master_seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def fresh_gaussian(gen: np.random.Generator, n: int) -> np.ndarray:
+    """CN(0,1) samples as complex pairs of ``gen``'s next ``2 n`` normals,
+    divided by sqrt(2)."""
+    z = gen.standard_normal(2 * n)
+    return (z[0::2] + 1j * z[1::2]) / math.sqrt(2.0)
+
+
+def fresh_rayleigh_h(model, master_seed: int, stream: int) -> np.ndarray:
+    """The Rayleigh draw of ``model`` on the stream ``(master_seed, stream)``."""
+    gen = fresh_generator(master_seed, stream)
+    return fresh_gaussian(gen, model.n_r * model.n_t).reshape(model.n_r, model.n_t)
+
+
+def fresh_paths(model, master_seed: int, stream: int):
+    """The geometric draw's ``(beta, phi_t, phi_r)`` on the stream
+    ``(master_seed, stream)``, sorted by descending |beta|."""
+    gen = fresh_generator(master_seed, stream)
+    beta = fresh_gaussian(gen, model.l_paths)
+    phi_t = gen.uniform(0.0, math.pi, model.l_paths)
+    phi_r = gen.uniform(0.0, math.pi, model.l_paths)
+    order = np.argsort(-np.abs(beta), kind="stable")
+    return beta[order], phi_t[order], phi_r[order]

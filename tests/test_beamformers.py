@@ -10,9 +10,7 @@ from beamsim import (
     ChannelModel,
     DimensionError,
     GEOMETRIC,
-    PhaseResolution,
     RAYLEIGH,
-    SelectionPolicy,
     capacity_p2p,
     draw_channels,
     thin_svd,
@@ -24,6 +22,7 @@ from beamsim.beamformers import (
     mixed_designs,
     mu_zf_digital_designs,
     mu_zf_hybrid_designs,
+    phase_step,
     quantized_designs,
     selection_designs,
 )
@@ -226,7 +225,7 @@ class TestQuantize:
 
     def test_grid_membership(self):
         chan = rayleigh(16, 6, 0)
-        bf = one(quantized_designs(chan, factors(chan, 4), PhaseResolution(3), RHO))
+        bf = one(quantized_designs(chan, factors(chan, 4), 3, RHO))
         step = 2 * math.pi / 8
         ang = np.mod(np.angle(bf.f_rf), 2 * math.pi)
         assert np.allclose(np.mod(ang / step, 1.0), 0.0, atol=1e-9) or np.allclose(
@@ -238,20 +237,26 @@ class TestQuantize:
         chan = rayleigh(16, 6, 1)
         svd = factors(chan, 4)
         analog = kept(mixed_designs(chan, svd, 4, RHO))
-        fine = one(quantized_designs(chan, svd, PhaseResolution(14), RHO))
+        fine = one(quantized_designs(chan, svd, 14, RHO))
         assert abs(rate(chan, analog[0]) - rate(chan, fine)) <= 1e-3
 
     @pytest.mark.parametrize("bits", [0, 17])
     def test_resolution_bit_range(self, bits):
-        with pytest.raises(ValueError):
-            PhaseResolution(bits)
+        chan = rayleigh(16, 6, 1)
+        svd = factors(chan, 4)
+        for build in (lambda: phase_step(bits), lambda: quantized_designs(chan, svd, bits, RHO)):
+            with pytest.raises(ValueError, match=r"^digital resolution needs 1 <= bits <= 16$"):
+                build()
+
+    def test_phase_step_is_the_grid_step(self):
+        assert [phase_step(b) for b in (1, 3, 16)] == [math.pi, math.pi / 4, 2 * math.pi / 65536]
 
 
 class TestSelection:
     def test_beta_zero_identical_to_phase_only(self):
         chan = rayleigh(32, 7, 0)
         svd = factors(chan, 4)
-        a = kept(selection_designs(chan, svd, RHO, SelectionPolicy(0.0)))
+        a = kept(selection_designs(chan, svd, 0.0, RHO))
         b = kept(mixed_designs(chan, svd, 4, RHO))
         assert np.array_equal(a.f_rf, b.f_rf)
         assert np.array_equal(a.w_rf, b.w_rf)
@@ -259,7 +264,7 @@ class TestSelection:
 
     def test_half_off_fraction(self):
         chan = draw_channels(ChannelModel(RAYLEIGH, 64, 64), 7, range(500))
-        bf = kept(selection_designs(chan, factors(chan, 4), RHO, SelectionPolicy(50.0)))
+        bf = kept(selection_designs(chan, factors(chan, 4), 50.0, RHO))
         off = int(np.sum(bf.f_rf == 0)) + int(np.sum(bf.w_rf == 0))
         on = int(np.sum(bf.f_rf != 0)) + int(np.sum(bf.w_rf != 0))
         frac = off / (off + on)
@@ -267,7 +272,7 @@ class TestSelection:
 
     def test_gamma_tracks_live_shifters(self):
         chan = rayleigh(32, 7, 1)
-        bf = one(selection_designs(chan, factors(chan, 4), RHO, SelectionPolicy(30.0)))
+        bf = one(selection_designs(chan, factors(chan, 4), 30.0, RHO))
         assert_invariants(bf)
         # normalization reflects the actual number of live shifters and is
         # derived again when a matrix is replaced
@@ -277,7 +282,7 @@ class TestSelection:
     def test_degenerate_column_error(self):
         # a 1 x 1 channel's one shifter per side falls below the 70% threshold
         chan = explicit([[[1.3 + 0.4j]]])
-        bf, ok = selection_designs(chan, factors(chan, 1), RHO, SelectionPolicy(70.0))
+        bf, ok = selection_designs(chan, factors(chan, 1), 70.0, RHO)
         assert ok.tolist() == [False] and bf.f_rf.shape == (0, 1, 1)
 
 
@@ -362,10 +367,8 @@ class TestRefusalMasks:
         h = draw_channels(ChannelModel(RAYLEIGH, 16, 16), 15, range(6)).h
         h[3] = 1.0
         chan = explicit(h)
-        policy = SelectionPolicy(70.0)
-
         def build(c):
-            return selection_designs(c, factors(c, 1), RHO, policy)
+            return selection_designs(c, factors(c, 1), 70.0, RHO)
 
         made = build(chan)
         assert made[1].tolist() == [True, True, True, False, True, True]
@@ -394,8 +397,8 @@ P2P_BUILDERS = {
     "phase_only": lambda chan, svd, rho: mixed_designs(chan, svd, 4, rho),
     "mixed": lambda chan, svd, rho: mixed_designs(chan, svd, 6, rho),
     "double_rf": lambda chan, svd, rho: mixed_designs(chan, svd, 8, rho),
-    "selection": lambda chan, svd, rho: selection_designs(chan, svd, rho, SelectionPolicy(25.0)),
-    "quantized": lambda chan, svd, rho: quantized_designs(chan, svd, PhaseResolution(3), rho),
+    "selection": lambda chan, svd, rho: selection_designs(chan, svd, 25.0, rho),
+    "quantized": lambda chan, svd, rho: quantized_designs(chan, svd, 3, rho),
 }
 
 
@@ -445,7 +448,7 @@ class TestCrossSchemeConsistency:
         analog = kept(mixed_designs(chan, svd, 4, RHO))
         r_analog = p2p_streams(chan, analog, RHO)[0].sum(axis=-1)
         for bits in (2, 3, 4):
-            digital = kept(quantized_designs(chan, svd, PhaseResolution(bits), RHO))
+            digital = kept(quantized_designs(chan, svd, bits, RHO))
             per, ok = p2p_streams(chan, digital, RHO)
             assert ok.all()
             assert np.mean(r_analog - per.sum(axis=-1)) <= quant_gap_bound(4, bits) + 0.5

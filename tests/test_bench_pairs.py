@@ -98,3 +98,30 @@ def test_workload_entry_reports_each_sides_fastest_run(monkeypatch):
     assert entry["parent"]["trials_per_s"]["median"] == 11.0
     assert "fastest" not in entry["parent"]["setup_s"]
     assert entry["trials_per_s_change_won_pairs"] == 3
+
+
+def test_change_vs_parent_is_signed_so_positive_is_worse():
+    assert bench_pairs.change_vs_parent(52.50, 52.78, "lower") == 0.0053
+    assert bench_pairs.change_vs_parent(100.0, 70.0, "higher") == 0.3
+    assert bench_pairs.change_vs_parent(100.0, 110.0, "higher") == -0.1
+
+
+def test_each_metric_is_judged_against_its_bound():
+    specs = bench_pairs.end_to_end_specs(SCRIPT.parent.parent)
+    assert {s["name"]: (s["better"], s["bound"]) for s in specs}["peak_rss_mb"] == ("lower", 0.05)
+    entry = {
+        "parent": {"peak_rss_mb": {"median": 52.50}, "trials_per_s": {"median": 100.0}},
+        "change": {"peak_rss_mb": {"median": 52.78}, "trials_per_s": {"median": 70.0}},
+    }
+    bounds = [
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+        {"name": "trials_per_s", "better": "higher", "bound": 0.25},
+    ]
+    bench_pairs.judge(entry, bounds)
+    assert entry["change"]["peak_rss_mb"] == {
+        "median": 52.78, "change_vs_parent": 0.0053, "within_bound": True
+    }
+    assert entry["change"]["trials_per_s"] == {
+        "median": 70.0, "change_vs_parent": 0.3, "within_bound": False
+    }
+    assert entry["parent"]["peak_rss_mb"] == {"median": 52.50}

@@ -17,7 +17,6 @@ from beamsim import (
     ChannelRealization,
     ExperimentConfig,
     Scheme,
-    SeededRng,
     draw_channels,
     run_experiment,
     sample_complex_gaussian,
@@ -27,6 +26,8 @@ from beamsim import (
 from beamsim.channel import channel_svds, draw_paths, steering_block
 from beamsim.errors import DimensionError
 from beamsim.linalg import factored_svd
+
+from oracles import fresh_gaussian, fresh_generator, fresh_paths, fresh_rayleigh_h
 
 
 def draw(model, seed, stream):
@@ -151,7 +152,7 @@ class TestGeometricDraws:
         assert 0.9 <= float(np.mean(vals)) <= 1.1
 
     def test_paths_sorted_and_in_domain(self):
-        beta, phi_t, phi_r = draw_paths(ChannelModel(GEOMETRIC, 16, 16, l_paths=6), SeededRng(6, 3))
+        beta, phi_t, phi_r = draw_paths(ChannelModel(GEOMETRIC, 16, 16, l_paths=6), 6, 3)
         mags = np.abs(beta).tolist()
         assert mags == sorted(mags, reverse=True)
         assert np.all((0.0 <= phi_t) & (phi_t <= math.pi) & (0.0 <= phi_r) & (phi_r <= math.pi))
@@ -160,7 +161,7 @@ class TestGeometricDraws:
         model = ChannelModel(GEOMETRIC, 8, 12, l_paths=3)
         chan = draw(model, 6, 4)
         h = np.zeros((12, 8), dtype=complex)
-        for beta, phi_t, phi_r in zip(*draw_paths(model, SeededRng(6, 4))):
+        for beta, phi_t, phi_r in zip(*draw_paths(model, 6, 4)):
             a_t = steering_vector(phi_t, 8)
             a_r = steering_vector(phi_r, 12)
             h += beta * np.outer(a_r, a_t.conj())
@@ -175,10 +176,10 @@ class TestGeometricDraws:
         assert np.array_equal(a.beta, b.beta)
 
 
-def eager_geometric_h(model, rng):
+def eager_geometric_h(model, master_seed, stream):
     """The dense matrix as a draw formed it eagerly before ``h`` became
     lazy: same stream, same operands, same order."""
-    gen = rng.generator()
+    gen = fresh_generator(master_seed, stream)
     l = model.l_paths
     z = gen.standard_normal(2 * l)
     beta = (z[0::2] + 1j * z[1::2]) / math.sqrt(2.0)
@@ -200,7 +201,7 @@ class TestLazyDense:
             chan = draw(model, 11, t)
             assert "h" not in vars(chan)
             h = chan.h
-            assert np.array_equal(h[0], eager_geometric_h(model, SeededRng(11, t)))
+            assert np.array_equal(h[0], eager_geometric_h(model, 11, t))
             assert chan.h is h and chan.shape == h.shape[1:] == (n_r, n_t)
 
     def test_rayleigh_draw_carries_its_h(self):
@@ -299,7 +300,7 @@ class TestChannelSvd:
         chan = draw(model, 6, 4)[0]
         a_r, g, a_t = chan.factors
         assert a_r.shape == (12, 3) and g.shape == (3,) and a_t.shape == (8, 3)
-        np.testing.assert_allclose(g, math.sqrt(8 * 12 / 3) * draw_paths(model, SeededRng(6, 4))[0])
+        np.testing.assert_allclose(g, math.sqrt(8 * 12 / 3) * draw_paths(model, 6, 4)[0])
         np.testing.assert_allclose(chan.h, (a_r * g) @ a_t.conj().T, atol=1e-12)
         assert draw(ChannelModel(RAYLEIGH, 8, 8), 6, 4).factors is None
 
@@ -383,13 +384,12 @@ class TestStackedDraws:
     def test_draw_channels_picks_the_stack_of_its_kind(self, kind):
         model = ChannelModel(kind, 12, 8, l_paths=3 if kind == GEOMETRIC else None)
         stack = draw_channels(model, 9, range(4))
-        rngs = [SeededRng(9, t) for t in range(4)]
         if kind == RAYLEIGH:
             assert stack.factors is None
-            assert stack.h.tobytes() == channel.draw_rayleigh_stack(model, rngs).h.tobytes()
+            assert stack.h.tobytes() == channel.draw_rayleigh_stack(model, 9, range(4)).h.tobytes()
         else:
             assert "h" not in vars(stack)
-            want = channel.draw_path_stack(model, rngs).factors
+            want = channel.draw_path_stack(model, 9, range(4)).factors
             assert as_bytes(stack.factors) == as_bytes(want)
 
     @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
@@ -401,10 +401,10 @@ class TestStackedDraws:
         stack = draw_channels(model, 9, streams)
         for row, s in enumerate(streams):
             if kind == RAYLEIGH:
-                want = fresh_rayleigh_h(model, SeededRng(9, s))
+                want = fresh_rayleigh_h(model, 9, s)
                 assert stack.h[row].tobytes() == want.tobytes()
             else:
-                want = channel._path_factors(model, *fresh_paths(model, SeededRng(9, s)))
+                want = channel._path_factors(model, *fresh_paths(model, 9, s))
                 assert as_bytes(f[row] for f in stack.factors) == as_bytes(want)
             assert stack[row].h.tobytes() == draw(model, 9, s).h[0].tobytes()
 
@@ -423,9 +423,9 @@ class TestStackedDraws:
         model = ChannelModel(GEOMETRIC, 16, 16, l_paths=5)
         real = draw_paths
 
-        def coincident(model, rng):
-            beta, phi_t, phi_r = real(model, rng)
-            if rng.stream_id == 2:
+        def coincident(model, master_seed, stream):
+            beta, phi_t, phi_r = real(model, master_seed, stream)
+            if stream == 2:
                 phi_t[1], phi_r[1] = phi_t[0], phi_r[0]
             return beta, phi_t, phi_r
 
@@ -462,26 +462,6 @@ class TestStackedDraws:
         assert kept.project(w[keep], f[keep]).tobytes() == e[keep].tobytes()
 
 
-def fresh_gaussian(gen, n):
-    """CN(0,1) samples as drawn before streams were restarted: complex
-    pairs of a fresh generator's normals, divided by sqrt(2)."""
-    z = gen.standard_normal(2 * n)
-    return (z[0::2] + 1j * z[1::2]) / math.sqrt(2.0)
-
-
-def fresh_rayleigh_h(model, rng):
-    return fresh_gaussian(rng.generator(), model.n_r * model.n_t).reshape(model.n_r, model.n_t)
-
-
-def fresh_paths(model, rng):
-    gen = rng.generator()
-    beta = fresh_gaussian(gen, model.l_paths)
-    phi_t = gen.uniform(0.0, math.pi, model.l_paths)
-    phi_r = gen.uniform(0.0, math.pi, model.l_paths)
-    order = np.argsort(-np.abs(beta), kind="stable")
-    return beta[order], phi_t[order], phi_r[order]
-
-
 def as_bytes(arrays):
     return [a.tobytes() for a in arrays]
 
@@ -494,31 +474,42 @@ class TestRestartedStreams:
     GEO = ChannelModel(GEOMETRIC, 16, 12, l_paths=5)
 
     def test_each_rayleigh_draw_of_a_stack_is_its_streams(self):
-        rngs = [SeededRng(31, t) for t in range(40)]
-        stack = channel.draw_rayleigh_stack(self.RAY, rngs)
+        stack = channel.draw_rayleigh_stack(self.RAY, 31, range(40))
         assert stack.h.shape == (40, 6, 8)
-        for row, rng in zip(stack.h, rngs):
-            assert row.tobytes() == fresh_rayleigh_h(self.RAY, rng).tobytes()
-            assert row.tobytes() == draw(self.RAY, 31, rng.stream_id).h[0].tobytes()
+        for t, row in enumerate(stack.h):
+            assert row.tobytes() == fresh_rayleigh_h(self.RAY, 31, t).tobytes()
+            assert row.tobytes() == draw(self.RAY, 31, t).h[0].tobytes()
 
     def test_path_draws_and_samples_are_their_streams(self):
         for t in range(20):
-            rng = SeededRng(31, t)
-            assert as_bytes(draw_paths(self.GEO, rng)) == as_bytes(fresh_paths(self.GEO, rng))
-        z = sample_complex_gaussian(SeededRng(31, 3), 50)
-        assert z.tobytes() == fresh_gaussian(SeededRng(31, 3).generator(), 50).tobytes()
+            assert as_bytes(draw_paths(self.GEO, 31, t)) == as_bytes(fresh_paths(self.GEO, 31, t))
+        z = sample_complex_gaussian(31, 3, 50)
+        assert z.tobytes() == fresh_gaussian(fresh_generator(31, 3), 50).tobytes()
 
     def test_a_public_generator_between_draws_changes_nothing(self):
-        # draws interleaved with a public generator's reads: neither moves
-        public, alone = SeededRng(5, 0).generator(), SeededRng(5, 0).generator()
+        # draws interleaved with a caller's own generator's reads: neither moves
+        public, alone = fresh_generator(5, 0), fresh_generator(5, 0)
         for t in range(10):
-            rng = SeededRng(31, t)
             assert public.standard_normal(3).tobytes() == alone.standard_normal(3).tobytes()
             h = draw(self.RAY, 31, t).h[0]
             assert public.uniform() == alone.uniform()
-            paths = draw_paths(self.GEO, rng)
-            assert h.tobytes() == fresh_rayleigh_h(self.RAY, rng).tobytes()
-            assert as_bytes(paths) == as_bytes(fresh_paths(self.GEO, rng))
+            paths = draw_paths(self.GEO, 31, t)
+            assert h.tobytes() == fresh_rayleigh_h(self.RAY, 31, t).tobytes()
+            assert as_bytes(paths) == as_bytes(fresh_paths(self.GEO, 31, t))
+
+    @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
+    def test_seed_and_stream_are_keyed_mod_2_64(self, kind):
+        # a negative seed (the CLI takes one) names its residue's stream
+        model = self.RAY if kind == RAYLEIGH else self.GEO
+        stacks = [draw_channels(model, -1, [2**64 + 3]), draw_channels(model, 2**64 - 1, [3])]
+        if kind == RAYLEIGH:
+            want = [fresh_rayleigh_h(model, 2**64 - 1, 3).tobytes()]
+            got = [[stack.h[0].tobytes()] for stack in stacks]
+        else:
+            beta, phi_t, phi_r = fresh_paths(model, 2**64 - 1, 3)
+            want = as_bytes(channel._path_factors(model, beta, phi_t, phi_r)) + [beta.tobytes()]
+            got = [as_bytes(f[0] for f in (*stack.factors, stack.beta)) for stack in stacks]
+        assert got == [want, want]
 
     def test_draws_from_two_threads_are_their_streams(self):
         barrier = threading.Barrier(2, timeout=60.0)
@@ -527,11 +518,11 @@ class TestRestartedStreams:
         def draw_many(seed):
             barrier.wait()
             for t in range(200):
-                rng = SeededRng(seed, t)
-                h = channel.draw_rayleigh_stack(self.RAY, [rng]).h[0]
-                if h.tobytes() != fresh_rayleigh_h(self.RAY, rng).tobytes():
+                h = channel.draw_rayleigh_stack(self.RAY, seed, [t]).h[0]
+                if h.tobytes() != fresh_rayleigh_h(self.RAY, seed, t).tobytes():
                     wrong.append(("rayleigh", seed, t))
-                if as_bytes(draw_paths(self.GEO, rng)) != as_bytes(fresh_paths(self.GEO, rng)):
+                paths = draw_paths(self.GEO, seed, t)
+                if as_bytes(paths) != as_bytes(fresh_paths(self.GEO, seed, t)):
                     wrong.append(("paths", seed, t))
 
         threads = [threading.Thread(target=draw_many, args=(seed,)) for seed in (40, 41)]

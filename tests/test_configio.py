@@ -173,6 +173,10 @@ class TestSerialize:
         )
 
 
+def _scheme_of(scheme):
+    return lambda: parse_config_text(BASIC.replace("kind = svd_phase", scheme))
+
+
 def _sweep_of(text, scheme="kind = svd_phase"):
     return lambda: expand_sweep(parse_config_text(BASIC.replace("kind = svd_phase", scheme) + text))
 
@@ -221,6 +225,18 @@ def _sweep_of(text, scheme="kind = svd_phase"):
             "cannot sweep beta_percent = 100: beta_percent must lie in [0, 100)",
         ),
         (
+            _scheme_of("kind = quantized\nbits = 17"),
+            "scheme: digital resolution needs 1 <= bits <= 16",
+        ),
+        (
+            _scheme_of("kind = quantized\nbits = 0"),
+            "scheme: digital resolution needs 1 <= bits <= 16",
+        ),
+        (
+            _scheme_of("kind = selection\nbeta_percent = 100"),
+            "scheme: beta_percent must lie in [0, 100)",
+        ),
+        (
             lambda: figure_preset("fig99"),
             "unknown figure id 'fig99'; choose from ('fig2', 'fig3', 'fig4', 'fig7', 'fig8',"
             " 'fig9', 'fig10')",
@@ -236,6 +252,9 @@ def _sweep_of(text, scheme="kind = svd_phase"):
         "unknown_sweep_param",
         "ambiguous_k_sweep",
         "sweep_value_out_of_domain",
+        "bits_17",
+        "bits_0",
+        "beta_100",
         "unknown_figure",
     ],
 )

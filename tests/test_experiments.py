@@ -577,7 +577,7 @@ class TestFactorOnce:
         monkeypatch.setattr(
             channel,
             "draw_rayleigh_stack",
-            lambda model, rngs: ChannelRealization(model, h=np.array([h] * len(rngs))),
+            lambda model, seed, streams: ChannelRealization(model, h=np.array([h] * len(streams))),
         )
         calls = count_factorizations(monkeypatch)
         rec = run_trial(config(scheme=scheme, trials=1), 0)
@@ -718,10 +718,10 @@ class TestBatchedTrials:
         # every third (or every) trial draws a rank-1 channel
         real_draw = channel.draw_rayleigh_stack
 
-        def draw(model, rngs):
-            h = real_draw(model, rngs).h
-            for row, rng in zip(h, rngs):
-                if rng.stream_id % every == every // 2:
+        def draw(model, master_seed, streams):
+            h = real_draw(model, master_seed, streams).h
+            for row, stream in zip(h, streams):
+                if stream % every == every // 2:
                     row[...] = np.outer(row[:, 0], row[0]) / abs(row[0, 0])
             return ChannelRealization(model, h=h)
 
@@ -745,7 +745,7 @@ class TestBatchedTrials:
         stacks, real = [], channel.draw_path_stack
         monkeypatch.setattr(channel, "draw_path_stack", lambda *a: stacks.append(a) or real(*a))
         records = run_trials(cfg, range(4))
-        assert [len(c[1]) for c in stacks] == [4]
+        assert [list(c[2]) for c in stacks] == [[0, 1, 2, 3]]
         assert [repr(r) for r in records] == single_records(cfg)
 
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
@@ -763,11 +763,13 @@ class TestBatchedTrials:
         calls = count_factorizations(monkeypatch)
         drawn = []
         real = channel.draw_paths
-        monkeypatch.setattr(channel, "draw_paths", lambda m, r: drawn.append(r) or real(m, r))
+        monkeypatch.setattr(
+            channel, "draw_paths", lambda m, seed, s: drawn.append(s) or real(m, seed, s)
+        )
         records = run_trials(cfg, range(6))
         assert all(r.degenerate for r in records)
         assert calls == []
-        assert [r.stream_id for r in drawn] == list(range(6))
+        assert drawn == list(range(6))
 
     @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
     @pytest.mark.parametrize("size", [3, 12], ids=["split3", "whole"])
@@ -775,9 +777,9 @@ class TestBatchedTrials:
         # every third draw's second path coincides with its first: rank 4 < k = 5
         real = channel.draw_paths
 
-        def coincident(model, rng):
-            beta, phi_t, phi_r = real(model, rng)
-            if rng.stream_id % 3 == 1:
+        def coincident(model, master_seed, stream):
+            beta, phi_t, phi_r = real(model, master_seed, stream)
+            if stream % 3 == 1:
                 phi_t[1], phi_r[1] = phi_t[0], phi_r[0]
             return beta, phi_t, phi_r
 
