@@ -180,7 +180,7 @@ def _path_factors(model: ChannelModel, beta, phi_t, phi_r) -> tuple[np.ndarray, 
 
 def draw_channels(model: ChannelModel, master_seed: int, streams) -> ChannelRealization:
     """The draws of ``model`` on the streams ``(master_seed, s)``, one for
-    each stream id ``s`` of ``streams``, as one stack.
+    each stream id ``s`` of the sequence ``streams``, as one stack.
 
     Rayleigh: every entry i.i.d. CN(0,1).  Geometric: l_paths outer
     products of receive/transmit steering vectors with CN(0,1) gains and

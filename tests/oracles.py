@@ -7,8 +7,8 @@ from a scalar-by-scalar loop, waterfilling from a descending search over
 one gain vector, and singular values from cyclic Jacobi
 eigenvalues of the Gram matrix (that solver never calls LAPACK, and
 test_validation pins it against numpy.linalg.eigvalsh).  Random draws
-are checked against a fresh Philox generator per stream, read the way
-draws were read before the library restarted one generator per thread.
+come from a new Philox generator per stream, which the library's one
+restarted generator per thread must match bitwise.
 """
 
 import math
