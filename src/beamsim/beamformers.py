@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import alpha_from_beta
+from .closed_form import alpha_from_beta, phase_step
 from .errors import DimensionError
 from .linalg import SvdResult, adjoint, kept_rows
 from .rates import _conditioned, _gamma, waterfill
@@ -197,14 +197,6 @@ def mixed_designs(chan, svd: SvdResult, m: int, rho: float):
     and meets the digital rate.
     """
     return _svd_designs(chan, svd, _mixed_side(svd, m), rho)
-
-
-def phase_step(bits: int) -> float:
-    """The step 2 pi / 2^bits of a grid of ``bits``-bit digital phase
-    shifters; bits outside 1..16 raise ValueError."""
-    if not 1 <= bits <= 16:
-        raise ValueError("digital resolution needs 1 <= bits <= 16")
-    return 2.0 * math.pi / (1 << bits)
 
 
 def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:

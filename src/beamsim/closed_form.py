@@ -31,20 +31,27 @@ def mixed_gap(k: int, m: int) -> float:
     return -2.0 * (2 * k - m) * _LOG2_QUARTER_PI
 
 
+def phase_step(bits: int) -> float:
+    """The step 2 pi / 2^bits of a grid of ``bits``-bit digital phase
+    shifters; bits outside 1..16 raise ValueError."""
+    if not 1 <= bits <= 16:
+        raise ValueError("digital resolution needs 1 <= bits <= 16")
+    return 2.0 * math.pi / (1 << bits)
+
+
 def quant_gap_bound(k: int, bits: int) -> float:
     """Upper bound on the extra loss from bits-wide phase grids.
 
-    Returns -k log2(cos^4(2 pi / 2^(bits+1))); infinite at bits = 1 where
-    the worst-case rounding error reaches pi/2 and the cosine bound
-    degenerates.
+    Returns -k log2(cos^4(phase_step(bits) / 2)), a half-step error on
+    every phase; infinite at bits = 1 where that error reaches pi/2 and
+    the cosine bound degenerates.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    half_step = phase_step(bits) / 2.0
     if bits == 1:
         return math.inf
-    return -k * math.log2(math.cos(2.0 * math.pi / 2 ** (bits + 1)) ** 4)
+    return -k * math.log2(math.cos(half_step) ** 4)
 
 
 def mu_zf_gap(k: int) -> float:

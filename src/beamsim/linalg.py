@@ -37,12 +37,13 @@ _COL_MAJOR, _UPPER, _NO_TRANS, _CONJ_TRANS = 102, 121, 111, 113
 
 # thin_svd computes only the leading m triplets (Gram + zheevr) of a matrix
 # whose smaller side n is at least RANK_K_MIN and RANK_K_RATIO m, and runs a
-# full zgesdd otherwise.  Measured per matrix (2 vCPUs, OpenBLAS 0.3.31;
-# README "Library layout"): at m = 4 the Gram route takes 3.0, 16 and 75 ms
-# at n = 128, 256 and 512 against zgesdd's 10, 42 and 209 ms, and it still
-# wins at m = n / 8 (and at m = n / 4).  Every record golden stops at
-# n = 64, so the route starts at n = 128
-RANK_K_MIN = 128
+# full zgesdd otherwise.  Measured per matrix (2 vCPUs, OpenBLAS 0.3.31, one
+# BLAS thread; README "Library layout"): at m = 4 the Gram route takes 0.17,
+# 0.30 and 0.81 ms at n = 32, 48 and 64 against zgesdd's 0.22, 0.62 and 1.7
+# ms, and 3.0, 16 and 75 ms at n = 128, 256 and 512 against 10, 42 and 209
+# ms (default threads); it still wins at m = n / 8 (and at m = n / 4).  At
+# n = 16 it loses (0.094 against 0.062 ms), so the route starts at n = 32
+RANK_K_MIN = 32
 RANK_K_RATIO = 8
 
 # the Gram matrix squares the condition number: a matrix whose m-th
@@ -72,7 +73,9 @@ class SvdResult:
     reproducible.  The anchor is the first entry whose magnitude lies
     within a relative ``GAUGE_TIE`` of the column's largest, so a column
     of equal magnitudes (a steering vector) anchors on entry 0 whatever
-    rounding the factorization left behind.
+    rounding the factorization left behind.  A matrix factored by the
+    Gram route of ``thin_svd`` has each anchor exactly real; elsewhere
+    the anchor keeps an imaginary rounding residue of about 1e-17.
     """
 
     u: np.ndarray
@@ -105,8 +108,10 @@ def thin_svd(a, m: int) -> SvdResult:
     (``GRAM_FLOOR`` on the eigenvalues) is factored by ``np.linalg.svd``
     instead.  Any other matrix, and every matrix where that library or a
     symbol is missing, runs ``np.linalg.svd`` (``zgesdd``) and keeps the
-    leading ``m``.  The two routes agree to rounding, not bitwise.  An SVD
-    or eigensolver that does not converge raises numpy's ``LinAlgError``.
+    leading ``m``.  The two routes agree to rounding, not bitwise, and
+    only the Gram route writes each gauge anchor of ``v`` as an exact
+    real number (see ``_fix_gauge``).  An SVD or eigensolver that does
+    not converge raises numpy's ``LinAlgError``.
 
     Parameters
     ----------
@@ -128,10 +133,10 @@ def thin_svd(a, m: int) -> SvdResult:
     n = min(a.shape[-2:])
     drivers = _gram_drivers() if n >= max(RANK_K_MIN, RANK_K_RATIO * m) else None
     if drivers is None:
-        u, s, v = _full_triplets(a, m)
+        (u, s, v), exact = _full_triplets(a, m), False
     else:
-        u, s, v = _gram_triplets(drivers, a, m)
-    _fix_gauge(u, v)
+        u, s, v, exact = _gram_triplets(drivers, a, m)
+    _fix_gauge(u, v, exact)
     return SvdResult(u=u, sigma=s, v=v)
 
 
@@ -143,10 +148,11 @@ def _full_triplets(a: np.ndarray, m: int):
 
 
 def _gram_triplets(drivers, a: np.ndarray, m: int):
-    """``(u, sigma, v)`` of the leading ``m`` singular triplets of each
-    matrix of ``a`` from its Gram matrix, one ``zherk`` and one ``zheevr``
-    call per matrix, so a stack's factors are bitwise each matrix's own.
-    A matrix past ``GRAM_FLOOR`` gets ``_full_triplets`` of its own.  An
+    """``(u, sigma, v, gram_route)`` with the leading ``m`` singular triplets of
+    each matrix of ``a`` from its Gram matrix, one ``zherk`` and one
+    ``zheevr`` call per matrix, so a stack's factors are bitwise each
+    matrix's own.  A matrix past ``GRAM_FLOOR`` gets ``_full_triplets`` of
+    its own, and ``gram_route`` (a bool per matrix) is false for it alone.  An
     eigensolver call that reports failure raises numpy's ``LinAlgError``."""
     herk, heevr = drivers
     lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
@@ -154,6 +160,7 @@ def _gram_triplets(drivers, a: np.ndarray, m: int):
     u = np.empty(lead + (rows, m), dtype=complex)
     s = np.empty(lead + (m,))
     v = np.empty(lead + (cols, m), dtype=complex)
+    gram_route = np.ones(lead, dtype=bool)
     # the one n x n buffer: zherk writes its upper triangle, zheevr reads
     # that and overwrites it
     gram = np.empty((n, n), dtype=complex, order="F")
@@ -177,6 +184,7 @@ def _gram_triplets(drivers, a: np.ndarray, m: int):
         top = lam[m - 1::-1]
         if not top[-1] > GRAM_FLOOR * top[0]:
             u[i], s[i], v[i] = _full_triplets(a[i], m)
+            gram_route[i] = False
             continue
         sigma = np.sqrt(top)
         z_top = z[:, ::-1]
@@ -187,7 +195,7 @@ def _gram_triplets(drivers, a: np.ndarray, m: int):
             v[i] = z_top.conj()
             u[i] = h @ v[i] / sigma
         s[i] = sigma
-    return u, s, v
+    return u, s, v, gram_route
 
 
 def factored_svd(a_r, g, a_t, m: int) -> SvdResult:
@@ -210,22 +218,32 @@ def factored_svd(a_r, g, a_t, m: int) -> SvdResult:
     return SvdResult(u=u, sigma=core.sigma, v=v)
 
 
-def _fix_gauge(u: np.ndarray, v: np.ndarray) -> None:
+def _fix_gauge(u: np.ndarray, v: np.ndarray, exact=False) -> None:
     """Rotate matching columns of ``u`` and ``v`` in place so each column's
     anchor entry of ``v`` is real and nonnegative (see ``SvdResult``); over
-    the last two axes, so a stack is fixed matrix by matrix."""
+    the last two axes, so a stack is fixed matrix by matrix.
+
+    The rotation leaves an anchor an imaginary residue of either sign, about
+    1e-17, which decides where a quantizer snaps it.  Where ``exact`` (one
+    bool, or one per matrix of a stack) holds, each anchor of that matrix
+    is then written as its magnitude, so its imaginary part is exactly 0.
+    """
     # columns as rows: the reductions then run over contiguous memory
     mags = np.abs(v).swapaxes(-1, -2).copy()
     anchors = np.argmax(mags >= (1.0 - GAUGE_TIE) * mags.max(axis=-1, keepdims=True), axis=-1)
     # one gather of every anchor by flat index, for a matrix or a stack
     n, m = v.shape[-2:]
     first = np.arange(0, v.size, n * m).reshape(anchors.shape[:-1] + (1,))
-    p = v.ravel()[first + anchors * m + np.arange(m)]
+    at = first + anchors * m + np.arange(m)
+    p = v.ravel()[at]
     # hypot, not np.abs: it rounds each magnitude exactly as scalar abs() does
     mag = np.hypot(p.real, p.imag)
     rot = np.divide(p, mag, out=np.ones_like(p), where=mag > 0.0).conjugate()
     v *= rot[..., None, :]
     u *= rot[..., None, :]
+    if np.any(exact):
+        exact = np.broadcast_to(exact, anchors.shape[:-1])
+        v.put(at[exact], mag[exact])
 
 
 def kept_rows(ok: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -115,13 +115,17 @@ def p2p_streams(chan: ChannelRealization, bf: "HybridBeamformer", rho: float):
     supplied matrices.  ``W^H H F`` comes from ``chan.project``, so a
     geometric draw is evaluated from its path factors without forming H.
     A noise covariance that Cholesky refuses raises numpy's LinAlgError
-    for the whole stack.
+    for the whole stack.  Rn is Hermitian positive semidefinite, so its
+    condition number is the ratio of its extreme eigenvalues, read with
+    ``eigvalsh`` rather than a second SVD; a draw whose smallest is not
+    positive is refused.
     """
     f, w = bf.precoder(), bf.combiner()
     gram = adjoint(w) @ w  # W^H W, whose trace / K is Gr
     gamma_r = gram.trace(axis1=-2, axis2=-1).real / w.shape[-1]
     rn = gram / gamma_r[..., None, None]
-    ok = _conditioned(np.linalg.cond(rn))
+    lam_rn = np.linalg.eigvalsh(rn)
+    ok = (lam_rn[..., 0] > 0.0) & (lam_rn[..., -1] <= COND_LIMIT * lam_rn[..., 0])
     f, w, rn, gamma_r, power, chan = kept_rows(ok, f, w, rn, gamma_r, bf.power, chan)
     lchol = np.linalg.cholesky(rn)
     m_eff = chan.project(w, f) * np.sqrt(np.maximum(power, 0.0))[..., None, :]

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import beamsim
+from beamsim import beamformers, closed_form
 from beamsim import (
     DimensionError,
     PowerModelParams,
@@ -70,6 +72,19 @@ class TestQuantGapBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             quant_gap_bound(4, 0)
+
+    @pytest.mark.parametrize("bits", [0, 17])
+    def test_bits_range_is_phase_steps(self, bits):
+        with pytest.raises(ValueError, match=r"^digital resolution needs 1 <= bits <= 16$"):
+            quant_gap_bound(4, bits)
+
+    def test_half_step_is_the_old_formula_bitwise(self):
+        for bits in range(2, 17):
+            half_step = 2.0 * math.pi / 2 ** (bits + 1)
+            assert quant_gap_bound(4, bits) == -4 * math.log2(math.cos(half_step) ** 4)
+
+    def test_phase_step_has_one_owner(self):
+        assert beamsim.phase_step is beamformers.phase_step is closed_form.phase_step
 
 
 class TestMultiuserGap:

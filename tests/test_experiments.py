@@ -32,6 +32,7 @@ from beamsim import (
 from beamsim import beamformers, channel, experiments, linalg
 from beamsim.configio import parse_config_text, serialize_config
 from beamsim.experiments import (
+    DEFAULT_SEED,
     RHO_DB_RANGE,
     SCHEMES,
     SummaryStats,
@@ -60,6 +61,19 @@ def config(
         master_seed=seed,
         **kw,
     )
+
+
+# kind -> (scheme, CSV label, valid m range at k = 4)
+SPEC_CASES = {
+    "digital": (Scheme("digital"), "digital", (4, 4)),
+    "svd_phase": (Scheme("svd_phase"), "svd_phase", (4, 4)),
+    "double_rf": (Scheme("double_rf"), "double_rf", (8, 8)),
+    "mixed": (Scheme("mixed"), "mixed", (4, 8)),
+    "quantized": (Scheme("quantized", bits=2), "quantized(b=2)", (4, 4)),
+    "selection": (Scheme("selection", beta_percent=25.0), "selection(beta=25)", (4, 4)),
+    "mu_zf_hybrid": (Scheme("mu_zf_hybrid"), "mu_zf_hybrid", (4, 4)),
+    "mu_zf_digital": (Scheme("mu_zf_digital"), "mu_zf_digital", (4, 4)),
+}
 
 
 class TestConfigValidation:
@@ -328,6 +342,28 @@ class TestPool:
             run_experiment(config(trials=8), workers=2)
         assert multiprocessing.active_children() == []
 
+    # serially OpenBLAS runs its own threads from n = 64, and the Gram
+    # route (n >= 32) writes every anchor it factors exactly, so a quantized
+    # design does not snap on the sign of a rounding residue
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("kind", list(SPEC_CASES))
+    def test_pooled_records_equal_serial_for_every_scheme(self, kind, n):
+        scheme, _, (lo, hi) = SPEC_CASES[kind]
+        cfg = config(scheme=scheme, n=n, m=(lo + hi) // 2, trials=6, seed=DEFAULT_SEED)
+        serial = run_experiment(cfg, workers=1)
+        pooled = run_experiment(cfg, workers=2)
+        assert [repr(r) for r in pooled.records] == [repr(r) for r in serial.records]
+
+    # at n = 512 the two runs' BLAS thread counts still move the last bits
+    # of the factors, which no longer decide a snapped phase: before the
+    # anchors were written exactly, b = 1 records differed by up to 0.16 bits
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_pooled_quantized_rates_equal_serial_at_n512(self, bits):
+        cfg = config(scheme=Scheme("quantized", bits=bits), n=512, trials=6, seed=DEFAULT_SEED)
+        serial = [r.rate_bits for r in run_experiment(cfg, workers=1).records]
+        pooled = [r.rate_bits for r in run_experiment(cfg, workers=2).records]
+        np.testing.assert_allclose(pooled, serial, rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("kind", ["svd_phase", "selection"])
     def test_pooled_records_equal_serial_records(self, kind):
         # selection records an inactive share, the others a NaN one
@@ -504,19 +540,6 @@ class TestDegenerateAccounting:
     def test_selection_records_inactive_fraction(self):
         res = run_experiment(config(scheme=Scheme("selection", beta_percent=25.0), n=64, trials=20))
         assert 0.15 <= res.summary.mean_inactive <= 0.35
-
-
-# kind -> (scheme, CSV label, valid m range at k = 4)
-SPEC_CASES = {
-    "digital": (Scheme("digital"), "digital", (4, 4)),
-    "svd_phase": (Scheme("svd_phase"), "svd_phase", (4, 4)),
-    "double_rf": (Scheme("double_rf"), "double_rf", (8, 8)),
-    "mixed": (Scheme("mixed"), "mixed", (4, 8)),
-    "quantized": (Scheme("quantized", bits=2), "quantized(b=2)", (4, 4)),
-    "selection": (Scheme("selection", beta_percent=25.0), "selection(beta=25)", (4, 4)),
-    "mu_zf_hybrid": (Scheme("mu_zf_hybrid"), "mu_zf_hybrid", (4, 4)),
-    "mu_zf_digital": (Scheme("mu_zf_digital"), "mu_zf_digital", (4, 4)),
-}
 
 
 class TestSchemeTable:

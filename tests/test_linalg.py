@@ -182,8 +182,12 @@ class TestRankKRoute:
     @pytest.mark.parametrize(
         "shape",
         [
+            pytest.param((32, 32), id="32"),
+            pytest.param((64, 64), id="64"),
             pytest.param((128, 128), id="128"),
             pytest.param((256, 256), id="256"),
+            pytest.param((96, 32), id="96x32"),
+            pytest.param((64, 256), id="64x256"),
             pytest.param((256, 128), id="256x128"),
             pytest.param((128, 256), id="128x256"),
         ],
@@ -262,6 +266,69 @@ class TestRankKRoute:
             np.testing.assert_allclose(res.sigma, sigma[:4], rtol=1e-6)
             chan = ChannelRealization(ChannelModel(RAYLEIGH, 128, 128), h=h[None])
             assert channel_svds(chan, 4)[1].tolist() == [True]
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_rank_deficient_small_draw_falls_back_bitwise(self, n, monkeypatch):
+        gen = np.random.default_rng(n)
+        h = random_complex(gen, n, 3) @ random_complex(gen, 3, n)
+        inputs = recorded_gram(monkeypatch)
+        res = thin_svd(h, 4)
+        assert len(inputs) == 1
+        for got, want in zip((res.u, res.sigma, res.v), full_svd_factors(h, 4)):
+            assert got.tobytes() == want.tobytes()
+        chan = ChannelRealization(ChannelModel(RAYLEIGH, n, n), h=h[None])
+        assert channel_svds(chan, 4)[1].tolist() == [False]
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_ill_conditioned_small_draw_falls_back_and_is_kept(self, n, monkeypatch):
+        inputs = recorded_gram(monkeypatch)
+        for sigma_4 in (1e-7, 1.01e-6):
+            gen = np.random.default_rng(n)
+            sigma = np.concatenate([[1.0, 0.9, 0.8, sigma_4], np.geomspace(1e-8, 1e-10, n - 4)])
+            h = spectrum(gen, sigma, n)
+            inputs.clear()
+            res = thin_svd(h, 4)
+            assert len(inputs) == 1
+            for got, want in zip((res.u, res.sigma, res.v), full_svd_factors(h, 4)):
+                assert got.tobytes() == want.tobytes(), sigma_4
+            chan = ChannelRealization(ChannelModel(RAYLEIGH, n, n), h=h[None])
+            assert channel_svds(chan, 4)[1].tolist() == [True]
+
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (64, 32), (32, 128)], ids=str)
+    def test_gram_anchors_are_exactly_real(self, shape, monkeypatch):
+        # the rotation alone leaves each anchor an imaginary residue of
+        # either sign; the route writes it as its magnitude.  Matrix 1 of
+        # the stack has rank 3, so it falls back and keeps the full SVD's
+        # rotated anchors, bitwise
+        gen = np.random.default_rng(shape)
+        rows, cols = shape
+        stack = np.stack([random_complex(gen, rows, cols) for _ in range(6)])
+        stack[1] = random_complex(gen, rows, 3) @ random_complex(gen, 3, cols)
+        inputs = recorded_gram(monkeypatch)
+        res = thin_svd(stack, 4)
+        assert len(inputs) == 6
+        mags = np.abs(res.v)
+        first = np.argmax(mags >= (1.0 - linalg.GAUGE_TIE) * mags.max(axis=-2, keepdims=True), axis=-2)
+        anchors = np.take_along_axis(res.v, first[:, None, :], axis=-2)[:, 0]
+        gram = np.arange(6) != 1
+        assert np.all(anchors[gram].imag == 0.0) and np.all(anchors[gram].real > 0.0)
+        for got, want in zip((res.u[1], res.sigma[1], res.v[1]), full_svd_factors(stack[1], 4)):
+            assert got.tobytes() == want.tobytes()
+
+    # at small n the route's n-sized vectors and fixed costs are a large
+    # share of one n x n buffer, so the bound is looser: a second n x n
+    # temporary would still cross it
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_allocates_one_gram_buffer_at_small_n(self, n):
+        h = random_complex(np.random.default_rng(n), n, n)
+        thin_svd(h, 1)
+        tracemalloc.start()
+        try:
+            thin_svd(h, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * h.nbytes
 
     def test_missing_symbol_runs_the_full_svd(self, monkeypatch):
         lib = linalg._openblas()
