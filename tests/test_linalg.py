@@ -308,7 +308,8 @@ class TestRankKRoute:
         res = thin_svd(stack, 4)
         assert len(inputs) == 6
         mags = np.abs(res.v)
-        first = np.argmax(mags >= (1.0 - linalg.GAUGE_TIE) * mags.max(axis=-2, keepdims=True), axis=-2)
+        tied = mags >= (1.0 - linalg.GAUGE_TIE) * mags.max(axis=-2, keepdims=True)
+        first = np.argmax(tied, axis=-2)
         anchors = np.take_along_axis(res.v, first[:, None, :], axis=-2)[:, 0]
         gram = np.arange(6) != 1
         assert np.all(anchors[gram].imag == 0.0) and np.all(anchors[gram].real > 0.0)

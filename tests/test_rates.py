@@ -18,7 +18,7 @@ from beamsim import (
 )
 from beamsim.beamformers import digital_designs, mixed_designs, mu_zf_digital_designs
 from beamsim.channel import ChannelRealization, channel_svds
-from beamsim import rates
+from beamsim import linalg, rates
 from beamsim.rates import capacity_streams, mu_streams, p2p_streams
 
 from oracles import sum_rate_scalar_loop, waterfill_loop
@@ -209,6 +209,20 @@ class TestAchievableRate:
             alone, alone_ok = p2p_streams(chan[[t]], broken[[t]], RHO_34DB)
             assert alone_ok.tolist() == [True]
             assert per[row].tobytes() == alone[0].tobytes()
+
+    def test_condition_gate_reads_eigenvalues_as_cond_reads_singular_values(self):
+        # Rn is diagonal in the combiner's orthonormal basis, with condition
+        # number (d_max / d_min)^2 either side of COND_LIMIT = 1e12; its
+        # smallest eigenvalue is resolved only to about 2e-4 relative there
+        chan = rayleigh(8, 8, 2, range(6, 9))
+        bf = kept(digital_designs(chan, factors(chan, 2), RHO_34DB))
+        ratios = np.array([1e11, 1e13, 1.0])
+        w = bf.w_rf * np.stack([np.ones(3), 1 / np.sqrt(ratios)], axis=-1)[:, None, :]
+        scaled = replace(bf, w_rf=w)
+        _, ok = p2p_streams(chan, scaled, RHO_34DB)
+        assert ok.tolist() == [True, False, True]
+        rn = linalg.adjoint(scaled.combiner()) @ scaled.combiner()
+        assert ok.tolist() == rates._conditioned(np.linalg.cond(rn)).tolist()
 
     def test_refused_draws_rate_nan(self):
         # the builder refuses draw 0 and the evaluator draw 2 (its combiner
