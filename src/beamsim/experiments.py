@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import signal
 import threading
 from collections.abc import Callable
@@ -485,61 +486,110 @@ def _run_share(config: ExperimentConfig, batches) -> list[TrialRecord]:
     return [r for batch in batches for r in run_trials(config, batch)]
 
 
-def _worker(send, config: ExperimentConfig, batches) -> None:
-    """A forked worker's body: run its share of the batches and send back
-    the records, or the exception that stopped it.  SIGINT is left to the
-    parent, which stops its workers; the single BLAS thread is inherited."""
+# The pool: a (process, pipe end) pair per worker, in fork order.  The
+# first pooled point forks it and every later one reuses it; the lock keeps
+# one pooled point at a time in it.
+_workers: list = []
+_pool_lock = threading.RLock()
+
+
+def _serve(conn, parent_end) -> None:
+    """A pooled worker's body: run each ``(config, share)`` it receives and
+    send back the records, or the exception that stopped them, until EOF.
+    Its copy of the parent's pipe end is closed, so the parent's exit ends
+    it.  SIGINT is left to the parent, which stops its workers; the single
+    BLAS thread is inherited."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        result = _run_share(config, batches)
-    except BaseException as exc:  # re-raised in the parent
-        result = exc
-    send.send(result)
+    parent_end.close()
+    while True:
+        try:
+            config, share = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = _run_share(config, share)
+        except BaseException as exc:  # re-raised in the parent
+            result = exc
+        conn.send(result)
 
 
-def _fork_join(config: ExperimentConfig, shares: list) -> list[TrialRecord]:
-    """The records of every share: ``shares[0]`` run here, each other in a
-    process forked for it, whose records come back over a one-way pipe.
+def _forget_workers() -> None:
+    """In any forked child: drop the parent's pool and close this copy of
+    its pipe ends, so a pooled point here forks workers of its own."""
+    global _pool_lock
+    _pool_lock = threading.RLock()
+    for proc, conn in _workers:
+        conn.close()
+        # an os.fork()ed child would otherwise count the parent's workers
+        # among its own, and terminate them when it exits
+        multiprocessing.process._children.discard(proc)
+    _workers.clear()
 
-    A worker's exception is raised here, as is a RuntimeError naming the
-    exit code of a worker that ended without sending its records.  On any
-    exit, an interrupt included, the workers still running are killed, and
-    every worker is reaped.
-    """
+
+os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _close_workers(kill: bool = False) -> None:
+    """Reap every pooled worker, each ended by the EOF of its pipe or, with
+    ``kill``, killed first (a running share is not waited for)."""
+    with _pool_lock, _sigint_held():
+        while _workers:
+            proc, conn = _workers.pop()
+            conn.close()
+            if kill and proc.exitcode is None:
+                proc.kill()
+            proc.join()
+
+
+def _pool(count: int) -> list:
+    """The first ``count`` pooled workers, forking those missing.  A pool
+    with a dead worker is killed and forked afresh."""
+    if not all(proc.is_alive() for proc, _ in _workers):
+        _close_workers(kill=True)
     # fork, not the platform default: a spawn or forkserver start (the
     # Linux default from Python 3.14) would not inherit the single thread
     fork = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        with _sigint_held():  # a worker holds SIGINT, too, until it ignores it
-            for share in shares[1:]:
-                recv, send = fork.Pipe(duplex=False)
-                proc = fork.Process(target=_worker, args=(send, config, share), daemon=True)
-                proc.start()
-                workers.append((proc, recv))
-                send.close()
-        records = _run_share(config, shares[0])
-        for proc, recv in workers:
-            try:
-                result = recv.recv()
-            except EOFError:  # the worker ended without sending
-                result = None
-            proc.join()
-            if result is None:
-                raise RuntimeError(
-                    f"a trial worker exited with code {proc.exitcode} before sending its records"
-                )
-            if isinstance(result, BaseException):
-                raise result
-            records += result
-        return records
-    finally:
-        with _sigint_held():
-            for proc, recv in workers:
-                if proc.exitcode is None:
-                    proc.kill()
-                proc.join()
-                recv.close()
+    with _sigint_held():  # a worker holds SIGINT, too, until it ignores it
+        while len(_workers) < count:
+            conn, child_end = fork.Pipe()
+            proc = fork.Process(target=_serve, args=(child_end, conn), daemon=True)
+            proc.start()
+            _workers.append((proc, conn))
+            child_end.close()
+    return _workers[:count]
+
+
+def _pooled(config: ExperimentConfig, shares: list) -> list[TrialRecord]:
+    """The records of every share: ``shares[0]`` run here, each other by a
+    pooled worker, whose records come back over its pipe.
+
+    A worker's exception is raised here, as is a RuntimeError naming the
+    exit code of a worker that ended without sending its records.  On any
+    such exit, an interrupt included, the whole pool is killed and reaped,
+    and the next pooled point forks afresh.
+    """
+    with _pool_lock, _one_blas_thread():
+        try:
+            workers = _pool(len(shares) - 1)
+            for (_, conn), share in zip(workers, shares[1:]):
+                conn.send((config, share))
+            records = _run_share(config, shares[0])
+            for proc, conn in workers:
+                try:
+                    result = conn.recv()
+                except EOFError:  # the worker ended without sending
+                    proc.join()
+                    raise RuntimeError(
+                        f"a trial worker exited with code {proc.exitcode}"
+                        " before sending its records"
+                    ) from None
+                if isinstance(result, BaseException):
+                    raise result
+                records += result
+            return records
+        except BaseException:
+            _close_workers(kill=True)
+            raise
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -568,8 +618,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if workers == 1:
         records = _run_share(config, batches)
     else:
-        with _one_blas_thread():
-            records = _fork_join(config, [batches[j::workers] for j in range(workers)])
+        records = _pooled(config, [batches[j::workers] for j in range(workers)])
     records.sort(key=lambda r: r.trial_index)
     return ExperimentResult(config, summarize(config, records), tuple(records))
 

@@ -167,16 +167,19 @@ def _gram_triplets(drivers, a: np.ndarray, m: int):
     found, lam = np.zeros(1, dtype=np.int64), np.empty(n)
     z = np.empty((n, m), dtype=complex, order="F")
     isuppz = np.empty(2 * m, dtype=np.int64)
+    # the buffers go by raw address, computed once: an ndpointer check of
+    # each per call would cost about a tenth of an n = 64 matrix
+    gram_p, found_p, lam_p, z_p, isuppz_p = (x.ctypes.data for x in (gram, found, lam, z, isuppz))
     for i in np.ndindex(lead):
         h = np.ascontiguousarray(a[i])
         # h read column-major is h^T, so NoTrans (tall) gives h^T conj(h)
         # and ConjTrans (wide) conj(h) h^T: conj(G) either way, with no
         # conjugated copy of h; its eigenvectors are conj of G's
         trans = _CONJ_TRANS if wide else _NO_TRANS
-        herk(_COL_MAJOR, _UPPER, trans, n, max(rows, cols), 1.0, h, cols, 0.0, gram, n)
+        herk(_COL_MAJOR, _UPPER, trans, n, max(rows, cols), 1.0, h, cols, 0.0, gram_p, n)
         info = heevr(
-            _COL_MAJOR, b"V", b"I", b"U", n, gram, n, 0.0, 0.0, n - m + 1, n, 0.0,
-            found, lam, z, n, isuppz,
+            _COL_MAJOR, b"V", b"I", b"U", n, gram_p, n, 0.0, 0.0, n - m + 1, n, 0.0,
+            found_p, lam_p, z_p, n, isuppz_p,
         )
         if info != 0 or found[0] != m:
             raise np.linalg.LinAlgError(f"zheevr failed (info={info})")
@@ -314,21 +317,19 @@ def _gram_drivers():
     herk, heevr = (getattr(lib, name, None) for name in (_HERK_SYMBOL, _HEEVR_SYMBOL))
     if herk is None or heevr is None:
         return None
-    i64, char, dbl = ctypes.c_int64, ctypes.c_char, ctypes.c_double
-    column_major = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
+    # the input a is checked as a C-ordered complex matrix; every other
+    # array is a buffer of _gram_triplets' own, passed by address
+    i64, char, dbl, addr = ctypes.c_int64, ctypes.c_char, ctypes.c_double, ctypes.c_void_p
     herk.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_int, i64, i64, dbl,  # order, uplo, trans, n, k, alpha
         np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="C_CONTIGUOUS"), i64,  # a, lda
-        dbl, column_major, i64,  # beta, c, ldc
+        dbl, addr, i64,  # beta, c, ldc
     ]
     herk.restype = None
     heevr.argtypes = [
-        ctypes.c_int, char, char, char, i64, column_major, i64,  # layout, jobz, range, uplo, a
+        ctypes.c_int, char, char, char, i64, addr, i64,  # layout, jobz, range, uplo, a, lda
         dbl, dbl, i64, i64, dbl,  # vl, vu, il, iu, abstol
-        np.ctypeslib.ndpointer(np.int64, ndim=1),  # m
-        np.ctypeslib.ndpointer(np.float64, ndim=1),  # w
-        column_major, i64,  # z, ldz
-        np.ctypeslib.ndpointer(np.int64, ndim=1),  # isuppz
+        addr, addr, addr, i64, addr,  # m, w, z, ldz, isuppz
     ]
     heevr.restype = i64
     return herk, heevr

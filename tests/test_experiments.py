@@ -4,6 +4,9 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -369,6 +372,170 @@ class TestPool:
         # selection records an inactive share, the others a NaN one
         cfg = batched_config(kind, 8, trials=20)
         assert run_experiment(cfg, 2).records == run_experiment(cfg, 1).records
+
+    # geometric draws factor on the zgesdd route (the L x L core), whose
+    # anchors keep a rounding residue; 12 trials are two batches of 6
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_pooled_geometric_quantized_records_equal_serial(self, bits):
+        cfg = geometric_config(Scheme("quantized", bits=bits), 128, 5, 4, trials=12)
+        serial = run_experiment(cfg, workers=1)
+        pooled = run_experiment(cfg, workers=2)
+        assert [repr(r) for r in pooled.records] == [repr(r) for r in serial.records]
+
+
+def worker_pids() -> list[int]:
+    return [proc.pid for proc, _ in experiments._workers]
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def serial_reprs(cfg) -> list[str]:
+    return [repr(r) for r in run_experiment(cfg, workers=1).records]
+
+
+def pooled_reprs(cfg, workers=2) -> list[str]:
+    return [repr(r) for r in run_experiment(cfg, workers=workers).records]
+
+
+class TestPoolLifetime:
+    """The pool is forked by the first pooled point, reused by the later
+    ones, and killed and forked afresh after a point that fails."""
+
+    def test_points_reuse_the_pool_and_grow_it(self, monkeypatch):
+        methods = record_process_starts(monkeypatch)
+        first = config(trials=8)
+        second = config(scheme=Scheme("selection", beta_percent=25.0), n=64, trials=6)
+        pooled = [pooled_reprs(first), pooled_reprs(second)]
+        assert methods == ["fork"]
+        pids = worker_pids()
+        assert pooled == [serial_reprs(first), serial_reprs(second)]
+        # a point on more workers forks only the ones missing, and one on
+        # fewer uses the first
+        assert pooled_reprs(first, workers=3) == pooled[0]
+        assert methods == ["fork"] * 2 and worker_pids()[:1] == pids
+        assert pooled_reprs(second) == pooled[1]
+        assert len(methods) == 2
+
+    @pytest.mark.parametrize(
+        "raised", [RuntimeError, ValueError, KeyboardInterrupt],
+        ids=["failing_trial", "worker_exception", "interrupt"],
+    )
+    def test_failed_point_reaps_the_pool_and_the_next_forks_afresh(self, raised, monkeypatch):
+        cfg = config(trials=8)
+        before = pooled_reprs(cfg)
+        parent = os.getpid()
+
+        def batch(config, indices):
+            if raised is RuntimeError:
+                return _failing_batch(config, indices)
+            if raised is KeyboardInterrupt:
+                return _interrupted_batch(config, indices)
+            if os.getpid() != parent:  # only a worker's exception ends the point
+                raise ValueError("worker share failed")
+            return _pid_batch(config, indices)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(experiments, "run_trials", batch)
+            # the old pool's run_trials is not patched: fork one that is
+            experiments._close_workers()
+            with pytest.raises(raised):
+                run_experiment(cfg, workers=2)
+        assert multiprocessing.active_children() == [] and worker_pids() == []
+        methods = record_process_starts(monkeypatch)
+        assert pooled_reprs(cfg) == before == serial_reprs(cfg)
+        assert methods == ["fork"]
+
+    def test_killed_worker_is_replaced_between_points(self, monkeypatch):
+        cfg = config(trials=12)
+        pooled_reprs(cfg, workers=3)
+        (dead, _), (alive, _) = experiments._workers
+        os.kill(dead.pid, signal.SIGKILL)
+        dead.join()
+        methods = record_process_starts(monkeypatch)
+        assert pooled_reprs(cfg, workers=3) == serial_reprs(cfg)
+        # the pool with a dead worker was replaced whole
+        assert methods == ["fork"] * 2
+        assert not {dead.pid, alive.pid} & set(worker_pids())
+        assert not alive.is_alive()
+
+    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
+    def test_no_worker_outlives_its_process(self, ending):
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("no /proc to look processes up in")
+        end = "os.kill(os.getpid(), signal.SIGKILL)" if ending == "sigkill" else "pass"
+        script = (
+            "import os, signal\n"
+            "from beamsim import ChannelModel, ExperimentConfig, Scheme, experiments\n"
+            "channel = ChannelModel('rayleigh', 16, 16)\n"
+            "cfg = ExperimentConfig('t', channel, 4, 4, 34.0, Scheme('svd_phase'), trials=6)\n"
+            "experiments.run_experiment(cfg, workers=3)\n"
+            "print(*(proc.pid for proc, _ in experiments._workers), flush=True)\n"
+            f"{end}\n"
+        )
+        src = os.path.dirname(os.path.dirname(beamsim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=WORKER_EXIT_BOUND_S,
+        )
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == 2, proc.stderr
+        # a killed parent's workers end at the EOF of their pipes
+        deadline = time.monotonic() + WORKER_EXIT_BOUND_S
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(running, pids))
+
+    def test_forked_child_runs_a_pool_of_its_own(self, monkeypatch):
+        cfg = config(trials=8)
+        expected = pooled_reprs(cfg)
+        parent_pids = worker_pids()
+        read, write = os.pipe()
+        child = os.fork()
+        if child == 0:  # the child: report, reap its pool and leave at once
+            code = 1
+            try:
+                reprs = pooled_reprs(cfg)
+                os.write(write, repr((reprs, worker_pids())).encode())
+                experiments._close_workers()
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        with os.fdopen(read) as pipe:
+            reprs, child_pids = eval(pipe.read())
+        assert os.waitpid(child, 0)[1] == 0
+        assert reprs == expected
+        assert len(child_pids) == 1 and child_pids != parent_pids
+        # the parent's pool is untouched by the child
+        methods = record_process_starts(monkeypatch)
+        assert pooled_reprs(cfg) == expected and worker_pids() == parent_pids
+        assert methods == []
+
+    def test_threads_run_pooled_points_at_once(self):
+        configs = [config(trials=8), config(scheme=Scheme("mu_zf_hybrid"), n=64, trials=6)]
+        results = {}
+        start = threading.Barrier(len(configs))
+
+        def run(cfg):
+            start.wait()
+            results[cfg.scheme.kind] = [pooled_reprs(cfg) for _ in range(3)]
+
+        threads = [threading.Thread(target=run, args=(cfg,), daemon=True) for cfg in configs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(WORKER_EXIT_BOUND_S)
+            assert not thread.is_alive()  # two points on one pool's pipes can deadlock
+        for cfg in configs:
+            assert results[cfg.scheme.kind] == [serial_reprs(cfg)] * 3
 
 
 P2P_SCHEMES = [
