@@ -10,7 +10,7 @@ output, no stale ``perfbench/out``), and every run is
 ``perfbench/run.py --workload W`` in a fresh process from that export, at
 perfbench's own run length and default seed (``--seed N`` is passed only
 for ``--extra-seed`` runs).  Each workload ``BENCHMARK.json`` declares
-gets 10 pairs; pairs alternate which side runs first (parent first in even
+gets ``--pairs`` pairs (10 by default); pairs alternate which side runs first (parent first in even
 pairs) so that drift in the host's speed falls on both sides.  Each
 end-to-end metric it declares is summarised by its median and inclusive
 quartiles over the runs, and judged against its bound: the change's
@@ -178,6 +178,7 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", nargs="*", default=[], metavar="WORKLOAD",
                     help="workloads to run once per side with --trace 1")
     ap.add_argument("--workdir", type=Path, required=True, help="empty scratch directory for the exports")
+    ap.add_argument("--pairs", type=int, default=PAIRS, help="alternating pairs per workload")
     args = ap.parse_args(argv)
 
     shas = {
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
     trees = {side: export(ROOT, shas[side], args.workdir / side) for side in SIDES}
 
     names, end_to_end = benchmark_names(ROOT)
-    workloads = {w: bench_workload(trees, w, None, PAIRS, end_to_end) for w in names}
+    workloads = {w: bench_workload(trees, w, None, args.pairs, end_to_end) for w in names}
     for workload, seed, pairs in args.extra_seed:
         workloads[f"{workload}_seed{seed}"] = bench_workload(trees, workload, seed, pairs, end_to_end)
     specs = end_to_end_specs(ROOT)
