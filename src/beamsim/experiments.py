@@ -597,19 +597,31 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 
     The trials run in batches (``trial_batches``, ``run_trials``).  With
     workers > 1 (but never more workers than ``config.trials``) the batches
-    are dealt into ``workers`` equal static shares: the parent forks
-    ``workers - 1`` processes (by fork, whatever the platform's default
-    start method), one per share, runs the first share itself and joins
-    them (``_fork_join``).  Aggregation is ordered by trial_index either
-    way.  The parent sets its BLAS to one thread before it forks and
-    restores its count when the point is done, so each worker inherits one
-    thread and ``workers`` processes keep to ``workers`` cores; a serial
-    run keeps the library's default.  Workers ignore SIGINT: on an
-    interrupt the parent kills and reaps them, without waiting for their
-    running batches, and re-raises ``KeyboardInterrupt``.  A trial's bits
-    depend on its (master_seed, trial_index) and on the BLAS thread count,
-    not on the batch or process it ran in, so at large n a pooled and a
-    serial run can differ in the last bit (see README).
+    are dealt into ``workers`` equal static shares: the parent runs the
+    first share itself and sends each other one to a pooled worker
+    (``_pooled``).  Aggregation is ordered by trial_index either way.
+
+    The pool is forked (by fork, whatever the platform's default start
+    method) by the first pooled point and reused by every later one in
+    the process; a point that needs more workers forks only those
+    missing, and one that needs fewer uses the first.  An idle worker
+    costs one Python process, most of whose pages it shares with the
+    parent.  A lock runs one pooled point at a time on the pool, and a
+    forked child forgets its parent's pool and forks its own.  The
+    parent sets its BLAS to one thread for each pooled point and restores
+    its count when the point is done, so each worker inherits one thread
+    and ``workers`` processes keep to ``workers`` cores; a serial run
+    keeps the library's default.  When a point raises, is interrupted or
+    loses a worker, and when a worker is found dead before a point, the
+    whole pool is killed and reaped, and the next pooled point forks
+    afresh.  Workers ignore SIGINT: on an interrupt the parent kills them
+    without waiting for their running batches and re-raises
+    ``KeyboardInterrupt``.  The workers are daemons, reaped when the
+    interpreter exits, and each ends when the parent's end of its pipe
+    closes, so none outlives the parent.  A trial's bits depend on its
+    (master_seed, trial_index) and on the BLAS thread count, not on the
+    batch or process it ran in, so at large n a pooled and a serial run
+    can differ in the last bit (see README).
     """
     if config.sweep is not None:
         raise ConfigError("config still carries a sweep axis; expand_sweep() it first")

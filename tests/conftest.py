@@ -18,7 +18,7 @@ def fresh_trial_workers():
 
 
 @pytest.fixture(scope="session", autouse=True)
-def no_trial_worker_outlives_the_session():
+def no_trial_worker_left_at_the_end():
     yield
     assert experiments._workers == []
     assert multiprocessing.active_children() == []

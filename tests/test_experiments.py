@@ -188,6 +188,14 @@ def _interrupted_batch(config, indices):
     raise KeyboardInterrupt
 
 
+def _failing_in_workers(config, indices):
+    """Stand-in for run_trials that fails in a pool worker only, so only a
+    worker's exception can end the point."""
+    if multiprocessing.parent_process() is not None:
+        raise ValueError("worker share failed")
+    return _pid_batch(config, indices)
+
+
 # a worker that exits without its records is reported within this bound
 WORKER_EXIT_BOUND_S = 30.0
 
@@ -424,23 +432,19 @@ class TestPoolLifetime:
         assert len(methods) == 2
 
     @pytest.mark.parametrize(
-        "raised", [RuntimeError, ValueError, KeyboardInterrupt],
+        "batch, raised",
+        [
+            (_failing_batch, RuntimeError),
+            (_failing_in_workers, ValueError),
+            (_interrupted_batch, KeyboardInterrupt),
+        ],
         ids=["failing_trial", "worker_exception", "interrupt"],
     )
-    def test_failed_point_reaps_the_pool_and_the_next_forks_afresh(self, raised, monkeypatch):
+    def test_failed_point_reaps_the_pool_and_the_next_forks_afresh(
+        self, batch, raised, monkeypatch
+    ):
         cfg = config(trials=8)
         before = pooled_reprs(cfg)
-        parent = os.getpid()
-
-        def batch(config, indices):
-            if raised is RuntimeError:
-                return _failing_batch(config, indices)
-            if raised is KeyboardInterrupt:
-                return _interrupted_batch(config, indices)
-            if os.getpid() != parent:  # only a worker's exception ends the point
-                raise ValueError("worker share failed")
-            return _pid_batch(config, indices)
-
         with monkeypatch.context() as patched:
             patched.setattr(experiments, "run_trials", batch)
             # the old pool's run_trials is not patched: fork one that is
@@ -520,7 +524,12 @@ class TestPoolLifetime:
         assert methods == []
 
     def test_threads_run_pooled_points_at_once(self):
-        configs = [config(trials=8), config(scheme=Scheme("mu_zf_hybrid"), n=64, trials=6)]
+        # more threads than the pool has workers, switching often
+        configs = [
+            config(trials=8),
+            config(scheme=Scheme("mu_zf_hybrid"), n=64, trials=6),
+            config(scheme=Scheme("digital"), n=8, trials=9),
+        ]
         results = {}
         start = threading.Barrier(len(configs))
 
@@ -529,11 +538,16 @@ class TestPoolLifetime:
             results[cfg.scheme.kind] = [pooled_reprs(cfg) for _ in range(3)]
 
         threads = [threading.Thread(target=run, args=(cfg,), daemon=True) for cfg in configs]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(WORKER_EXIT_BOUND_S)
-            assert not thread.is_alive()  # two points on one pool's pipes can deadlock
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(WORKER_EXIT_BOUND_S)
+                assert not thread.is_alive()  # two points on one pool's pipes can deadlock
+        finally:
+            sys.setswitchinterval(interval)
         for cfg in configs:
             assert results[cfg.scheme.kind] == [serial_reprs(cfg)] * 3
 
