@@ -5,17 +5,18 @@ channel: the phase-only design copies the phases of the singular vectors,
 the double-chain design splits each singular-vector entry across two unit-
 modulus shifters so the pair sums back exactly, and the selection design
 zeroes shifters whose singular-vector entry falls below a threshold.
-Power allocations are always waterfilled over the per-stream gains of the
-actual (finite-size) effective channel, not the asymptotic values.
+A design is only its matrices.  Its rater allots the power:
+``rates.p2p_streams`` waterfills it over the per-stream gains of the
+actual (finite-size) effective channel, and ``rates.mu_streams`` splits
+it evenly over the users.
 
-Each builder (``*_designs``) designs a stack of draws (a stacked
-``ChannelRealization``) at once from their stacked factors
-(``channel.channel_svds``), and never factors the channel itself.  It
+Each builder (``*_designs``) designs a stack of draws at once from their
+stacked factors (``channel.channel_svds``), and never factors the
+channel itself; a point-to-point builder reads only the factors.  It
 returns the designs of the draws it keeps and the mask of those draws:
 a draw it refuses (an RF column with every shifter off, an
-ill-conditioned inverse, no positive or a non-finite stream gain) is
-dropped, not raised.  A caller with one draw passes its stack of one
-(``chan[None]``, ``svd[None]``).
+ill-conditioned inverse) is dropped, not raised.  A caller with one draw
+passes its stack of one (``chan[None]``, ``svd[None]``).
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import alpha_from_beta, phase_step
-from .errors import DimensionError
+from .closed_form import _paired_streams, alpha_from_beta, phase_step
 from .linalg import SvdResult, adjoint, kept_rows
-from .rates import _conditioned, _gamma, waterfill
+from .rates import _conditioned, _gamma
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,14 @@ class HybridBeamformer:
     """A complete transmit/receive beamforming configuration.
 
     ``f_rf`` (n_t x m) and ``f_b`` (m x k) factor the precoder, with the
-    receive side optional for multiuser downlink use.  ``power`` holds the
-    per-stream fractions of the unit budget.  The normalization factors
-    ``gamma_t``/``gamma_r`` are derived from the matrices, so they stay
-    right under ``dataclasses.replace``.  A stack of designs carries a
-    leading axis over its draws on each array.
+    receive side optional for multiuser downlink use.  The normalization
+    factors ``gamma_t``/``gamma_r`` are derived from the matrices, so they
+    stay right under ``dataclasses.replace``.  A stack of designs carries
+    a leading axis over its draws on each array.
     """
 
     f_rf: np.ndarray
     f_b: np.ndarray
-    power: np.ndarray
     w_rf: np.ndarray | None = None
     w_b: np.ndarray | None = None
 
@@ -60,7 +58,7 @@ class HybridBeamformer:
     def __getitem__(self, rows) -> HybridBeamformer:
         """The designs ``rows`` of a stack (``None``: a stack of one)."""
         w_rf, w_b = (None if a is None else a[rows] for a in (self.w_rf, self.w_b))
-        return HybridBeamformer(self.f_rf[rows], self.f_b[rows], self.power[rows], w_rf, w_b)
+        return HybridBeamformer(self.f_rf[rows], self.f_b[rows], w_rf, w_b)
 
     @property
     def gamma_t(self) -> np.ndarray:
@@ -75,39 +73,13 @@ class HybridBeamformer:
         return np.ones(self.f_rf.shape[:-2]) if w is None else _gamma(w)
 
 
-def _stream_gains(e: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|diag of the normalized effective channel|^2, from ``e = W^H H F``."""
-    e = e / np.sqrt(_gamma(f) * _gamma(w))[..., None, None]
-    return np.abs(e.diagonal(axis1=-2, axis2=-1)) ** 2
-
-
-def _p2p_designs(chan, f_rf, f_b, w_rf, w_b, rho):
-    """Point-to-point designs with power waterfilled over |diag of the
-    normalized effective channel|^2, for the draws whose gains waterfill
-    takes (all finite, one positive), and that mask."""
-    f = f_rf @ f_b
-    w = w_rf @ w_b
-    gains = _stream_gains(chan.project(w, f), f, w)
-    top = gains.max(axis=-1)  # NaN where any gain is NaN
-    ok = (top > 0.0) & (top < math.inf)
-    f_rf, f_b, w_rf, w_b, gains = kept_rows(ok, f_rf, f_b, w_rf, w_b, gains)
-    return HybridBeamformer(f_rf, f_b, waterfill(gains, rho), w_rf, w_b), ok
-
-
-def _within(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """The mask over all draws of ``inner``, a mask over the draws ``outer`` kept."""
-    out = outer.copy()
-    out[outer] = inner
-    return out
-
-
-def _svd_designs(chan, svd: SvdResult, side, rho):
-    """Point-to-point designs from the factors of ``chan``: ``side`` maps the
-    right singular vectors to the transmit (RF, baseband) pair, then the
-    left ones to the receive pair."""
+def _svd_designs(svd: SvdResult, side):
+    """Point-to-point designs of every draw of the factors ``svd``:
+    ``side`` maps the right singular vectors to the transmit (RF, baseband)
+    pair, then the left ones to the receive pair."""
     f_rf, f_b = side(svd.v)
     w_rf, w_b = side(svd.u)
-    return _p2p_designs(chan, f_rf, f_b, w_rf, w_b, rho)
+    return HybridBeamformer(f_rf, f_b, w_rf, w_b), np.ones(svd.v.shape[:-2], dtype=bool)
 
 
 def _shared(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -126,9 +98,9 @@ def _digital_side(cols: np.ndarray):
     return cols, _eye(cols)
 
 
-def digital_designs(chan, svd: SvdResult, rho: float):
+def digital_designs(svd: SvdResult):
     """Unconstrained SVD designs: F = V_{1:k}, W = U_{1:k}, capacity-achieving."""
-    return _svd_designs(chan, svd, _digital_side, rho)
+    return _svd_designs(svd, _digital_side)
 
 
 def _phase_only(x: np.ndarray) -> np.ndarray:
@@ -178,16 +150,9 @@ def _mixed_rf(cols: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return rf, _shared(mixer, cols)
 
 
-def _mixed_side(svd: SvdResult, m: int):
-    k = svd.v.shape[-1]
-    if not k <= m <= 2 * k:
-        raise DimensionError(f"need k <= m <= 2k, got k={k}, m={m}")
-    return lambda cols: _mixed_rf(cols, m - k)
-
-
-def mixed_designs(chan, svd: SvdResult, m: int, rho: float):
+def mixed_designs(svd: SvdResult, m: int):
     """Hybrid designs for k <= m <= 2k RF chains per side, from the rank-k
-    factors ``svd`` of ``chan``.
+    factors ``svd``.
 
     The strongest m - k streams each use a two-shifter pair that
     reproduces the singular-vector column exactly; the remaining 2k - m
@@ -196,7 +161,8 @@ def mixed_designs(chan, svd: SvdResult, m: int, rho: float):
     entry, baseband identity), and m = 2k factors the SVD precoder exactly
     and meets the digital rate.
     """
-    return _svd_designs(chan, svd, _mixed_side(svd, m), rho)
+    n_pairs = _paired_streams(svd.v.shape[-1], m)
+    return _svd_designs(svd, lambda cols: _mixed_rf(cols, n_pairs))
 
 
 def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
@@ -213,11 +179,11 @@ def _snap_phases(x: np.ndarray, bits: int) -> np.ndarray:
     return np.exp(1j * step * idx)
 
 
-def quantized_designs(chan, svd: SvdResult, bits: int, rho: float):
+def quantized_designs(svd: SvdResult, bits: int):
     """Phase-only designs (``mixed_designs`` at m = k) from the factors
-    ``svd`` of ``chan``, with every RF phase rounded to its nearest point
-    of the ``bits``-bit grid: the snapped columns, baseband identity."""
-    return _svd_designs(chan, svd, lambda cols: (_snap_phases(cols, bits), _eye(cols)), rho)
+    ``svd``, with every RF phase rounded to its nearest point of the
+    ``bits``-bit grid: the snapped columns, baseband identity."""
+    return _svd_designs(svd, lambda cols: (_snap_phases(cols, bits), _eye(cols)))
 
 
 def _selection_rf(cols: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +194,8 @@ def _selection_rf(cols: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     return rf, keep.any(axis=-2).all(axis=-1)
 
 
-def selection_designs(chan, svd: SvdResult, beta_percent: float, rho: float):
-    """Phase-only designs from the factors ``svd`` of ``chan``, with the
+def selection_designs(svd: SvdResult, beta_percent: float):
+    """Phase-only designs from the factors ``svd``, with the
     weakest ``beta_percent`` of shifters switched off on average; a draw
     with a dead RF column is dropped.
 
@@ -241,10 +207,9 @@ def selection_designs(chan, svd: SvdResult, beta_percent: float, rho: float):
     alpha = alpha_from_beta(beta_percent)
     (f_rf, f_live), (w_rf, w_live) = _selection_rf(svd.v, alpha), _selection_rf(svd.u, alpha)
     live = f_live & w_live
-    chan, f_rf, w_rf = kept_rows(live, chan, f_rf, w_rf)
+    f_rf, w_rf = kept_rows(live, f_rf, w_rf)
     eye = _eye(f_rf)
-    bf, ok = _p2p_designs(chan, f_rf, eye, w_rf, eye, rho)
-    return bf, _within(live, ok)
+    return HybridBeamformer(f_rf, eye, w_rf, eye), live
 
 
 def _inverses(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +218,6 @@ def _inverses(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = _conditioned(np.linalg.cond(a))
     (a,) = kept_rows(ok, a)
     return np.linalg.inv(a), ok
-
-
-def _equal_power(f: np.ndarray) -> np.ndarray:
-    return np.full(f.shape[:-2] + f.shape[-1:], 1.0 / f.shape[-1])
 
 
 def mu_zf_hybrid_designs(chan, svd: SvdResult):
@@ -270,7 +231,7 @@ def mu_zf_hybrid_designs(chan, svd: SvdResult):
     f_rf = _phase_only(svd.v)
     f_b, ok = _inverses(chan.h @ f_rf)
     (f_rf,) = kept_rows(ok, f_rf)
-    return HybridBeamformer(f_rf, f_b, _equal_power(f_b)), ok
+    return HybridBeamformer(f_rf, f_b), ok
 
 
 def mu_zf_digital_designs(chan):
@@ -280,4 +241,4 @@ def mu_zf_digital_designs(chan):
     gram_inv, ok = _inverses(h @ adjoint(h))
     (h,) = kept_rows(ok, h)
     f = adjoint(h) @ gram_inv
-    return HybridBeamformer(f, _eye(f), _equal_power(f)), ok
+    return HybridBeamformer(f, _eye(f)), ok

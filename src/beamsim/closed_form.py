@@ -15,20 +15,30 @@ from .errors import DimensionError
 _LOG2_QUARTER_PI = math.log2(math.pi / 4.0)
 
 
-def svd_phase_gap(k: int) -> float:
-    """Capacity minus the phase-only hybrid rate: -2k log2(pi/4) bits/s/Hz."""
+def _need_streams(k: int) -> None:
+    """Raise ValueError unless there is at least one stream."""
     if k < 1:
         raise ValueError("k must be >= 1")
+
+
+def _paired_streams(k: int, m: int) -> int:
+    """The m - k streams of k that get a two-shifter pair from m RF chains;
+    DimensionError outside k <= m <= 2k."""
+    if not k <= m <= 2 * k:
+        raise DimensionError(f"need k <= m <= 2k, got k={k}, m={m}")
+    return m - k
+
+
+def svd_phase_gap(k: int) -> float:
+    """Capacity minus the phase-only hybrid rate: -2k log2(pi/4) bits/s/Hz."""
+    _need_streams(k)
     return -2.0 * k * _LOG2_QUARTER_PI
 
 
 def mixed_gap(k: int, m: int) -> float:
     """Gap with m RF chains, k <= m <= 2k: -2(2k - m) log2(pi/4)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not k <= m <= 2 * k:
-        raise DimensionError(f"need k <= m <= 2k, got k={k}, m={m}")
-    return -2.0 * (2 * k - m) * _LOG2_QUARTER_PI
+    _need_streams(k)
+    return -2.0 * (k - _paired_streams(k, m)) * _LOG2_QUARTER_PI
 
 
 def phase_step(bits: int) -> float:
@@ -46,8 +56,7 @@ def quant_gap_bound(k: int, bits: int) -> float:
     every phase; infinite at bits = 1 where that error reaches pi/2 and
     the cosine bound degenerates.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _need_streams(k)
     half_step = phase_step(bits) / 2.0
     if bits == 1:
         return math.inf
@@ -60,8 +69,7 @@ def mu_zf_gap(k: int) -> float:
     Half the point-to-point gap, since only the transmitter carries an RF
     beamformer in the downlink.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _need_streams(k)
     return -k * _LOG2_QUARTER_PI
 
 
@@ -89,8 +97,7 @@ def selection_gap(k: int, beta_percent: float) -> float:
     2k log2(1 - beta) - 4k log2(E[thresholded amplitude]); beta = 0
     recovers svd_phase_gap(k) exactly.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _need_streams(k)
     alpha = alpha_from_beta(beta_percent)
     frac_on = 1.0 - beta_percent / 100.0
     return 2.0 * k * math.log2(frac_on) - 4.0 * k * math.log2(truncated_rayleigh_mean(alpha))

@@ -66,9 +66,10 @@ BATCH_BYTES = 128 * 1024
 class SchemeSpec:
     """What the runner knows about one beamforming scheme.
 
-    ``design(chan, svd, config, rho)`` designs a stack of draws from their
+    ``design(chan, svd, config)`` designs a stack of draws from their
     stacked factors ``svd, _ = channel_svds(chan, config.k)``, and returns
-    the designs of the draws it keeps and that mask.  ``gap(config, rich)``
+    the designs of the draws it keeps and that mask; a design is only its
+    matrices, and its rater allots the power.  ``gap(config, rich)``
     predicts the scheme's capacity gap on a Rayleigh (rich) or geometric
     channel, or None.  Multiuser designs are measured with ``mu_streams``
     against the digital ZF design (whose ``design`` is None and which
@@ -91,9 +92,9 @@ class SchemeSpec:
     reports_inactive: bool = False
 
 
-def _mixed(chan, svd, c: ExperimentConfig, rho: float):
+def _mixed(chan, svd, c: ExperimentConfig):
     """The svd_phase (m = k), double_rf (m = 2k) and mixed designs."""
-    return mixed_designs(chan, svd, c.m, rho)
+    return mixed_designs(svd, c.m)
 
 
 def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
@@ -103,7 +104,7 @@ def _quant_gap(config: ExperimentConfig, base: float) -> float | None:
 
 # kind -> spec: the one place that tells the schemes apart.
 SCHEMES = {
-    "digital": SchemeSpec(lambda chan, svd, c, rho: digital_designs(chan, svd, rho)),
+    "digital": SchemeSpec(lambda chan, svd, c: digital_designs(svd)),
     "svd_phase": SchemeSpec(
         _mixed,
         gap=lambda c, rich: closed_form.svd_phase_gap(c.k) if rich else 0.0,
@@ -115,14 +116,14 @@ SCHEMES = {
         m_per_k=(1, 2),
     ),
     "quantized": SchemeSpec(
-        lambda chan, svd, c, rho: quantized_designs(chan, svd, c.scheme.bits, rho),
+        lambda chan, svd, c: quantized_designs(svd, c.scheme.bits),
         gap=lambda c, rich: _quant_gap(c, closed_form.svd_phase_gap(c.k) if rich else 0.0),
         param="bits",
         check=phase_step,
         label="quantized(b={bits})",
     ),
     "selection": SchemeSpec(
-        lambda chan, svd, c, rho: selection_designs(chan, svd, c.scheme.beta_percent, rho),
+        lambda chan, svd, c: selection_designs(svd, c.scheme.beta_percent),
         gap=lambda c, rich: closed_form.selection_gap(c.k, c.scheme.beta_percent) if rich else None,
         param="beta_percent",
         check=closed_form.alpha_from_beta,
@@ -130,7 +131,7 @@ SCHEMES = {
         reports_inactive=True,
     ),
     "mu_zf_hybrid": SchemeSpec(
-        lambda chan, svd, c, rho: mu_zf_hybrid_designs(chan, svd),
+        lambda chan, svd, c: mu_zf_hybrid_designs(chan, svd),
         gap=lambda c, rich: closed_form.mu_zf_gap(c.k),
         multiuser=True,
     ),
@@ -307,9 +308,10 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
     index, from one stack of their draws.
 
     A stage drops the draws it refuses: a rank below k, a dead selection
-    column, a condition number past COND_LIMIT, stream gains waterfilling
-    cannot take, and last a capacity or rate that is not finite.  A failed
-    stacked LAPACK call raises for the whole stack.
+    column, a zero-forcing inverse past COND_LIMIT, stream gains
+    waterfilling cannot take, a noise covariance past COND_LIMIT, and last
+    a capacity or rate that is not finite.  A failed stacked LAPACK call
+    raises for the whole stack.
     """
     spec = config.scheme.spec
     rho = 10.0 ** (config.rho_db / 10.0)
@@ -328,7 +330,7 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
         if spec.design is not None:
             svd, ok = channel_svds(chan, config.k)
             rows, chan, capacity, svd = kept_rows(ok, rows, chan, capacity, svd)
-            bf, ok = spec.design(chan, svd, config, rho)
+            bf, ok = spec.design(chan, svd, config)
             del svd
             rows, chan, capacity = kept_rows(ok, rows, chan, capacity)
             rate = mu_streams(chan, bf, rho).sum(axis=-1)
@@ -336,7 +338,7 @@ def _records(config: ExperimentConfig, indices: list[int]) -> dict[int, TrialRec
         svd, ok = channel_svds(chan, config.k)
         rows, chan, svd = kept_rows(ok, rows, chan, svd)
         capacity = capacity_streams(svd.sigma, rho).sum(axis=-1)
-        bf, ok = made = spec.design(chan, svd, config, rho)
+        bf, ok = made = spec.design(chan, svd, config)
         del svd
         if spec.reports_inactive:
             inactive[rows[ok]] = _inactive_fraction(bf)

@@ -7,7 +7,10 @@ That argument is ``T T^H``, Hermitian by construction, and ``eigvalsh``
 reads one triangle of it, so every eigenvalue and log term is real.
 
 Each evaluator (``*_streams``) measures a stack of draws and designs at
-once and returns per-stream bits, one row per draw.
+once and returns per-stream bits, one row per draw.  A design is only its
+matrices, so the evaluator allots its power: ``p2p_streams`` waterfills
+over the stream gains of the effective channel it rates, and
+``mu_streams`` splits the budget evenly over the users.
 """
 
 from __future__ import annotations
@@ -105,31 +108,47 @@ def capacity_p2p(sigma: np.ndarray, rho: float) -> RateReport:
     return RateReport(float(per.sum()), per)
 
 
+def _stream_gains(e: np.ndarray, gamma_t: np.ndarray, gamma_r: np.ndarray) -> np.ndarray:
+    """|diag of the normalized effective channel|^2, from ``e = W^H H F``."""
+    e = e / np.sqrt(gamma_t * gamma_r)[..., None, None]
+    return np.abs(e.diagonal(axis1=-2, axis2=-1)) ** 2
+
+
 def p2p_streams(chan: ChannelRealization, bf: "HybridBeamformer", rho: float):
     """Per-stream log-det bits of a stack of point-to-point designs over a
-    stack ``chan`` of draws, for the draws whose noise covariance is well
-    conditioned, and that mask.
+    stack ``chan`` of draws, for the draws it rates, and that mask.
 
-    Evaluates log2 det(I + rho/(Gt Gr) Rn^-1 W^H H F P F^H H^H W) with
-    Rn = W^H W / Gr and both normalization factors derived from the
-    supplied matrices.  ``W^H H F`` comes from ``chan.project``, so a
-    geometric draw is evaluated from its path factors without forming H.
-    A noise covariance that Cholesky refuses raises numpy's LinAlgError
-    for the whole stack.  Rn is Hermitian positive semidefinite, so its
-    condition number is the ratio of its extreme eigenvalues, read with
-    ``eigvalsh`` rather than a second SVD; a draw whose smallest is not
-    positive is refused.
+    Evaluates log2 det(I + rho/(Gt Gr) Rn^-1 E P E^H) with E = W^H H F,
+    Rn = W^H W / Gr, both normalization factors derived from the supplied
+    matrices, and P waterfilled over the stream gains ``_stream_gains``.
+    E comes from ``chan.project`` once, so a geometric draw is evaluated
+    from its path factors without forming H.  A draw is refused when
+    waterfilling cannot take its gains (none positive, or one not finite),
+    then when Rn is ill-conditioned: Rn is Hermitian positive
+    semidefinite, so its condition number is the ratio of its extreme
+    eigenvalues, read with ``eigvalsh``, and a draw whose smallest is not
+    positive is refused.  A noise covariance that Cholesky refuses raises
+    numpy's LinAlgError for the whole stack, and a ``rho`` that is not
+    positive raises ValueError.
     """
     f, w = bf.precoder(), bf.combiner()
+    e = chan.project(w, f)
     gram = adjoint(w) @ w  # W^H W, whose trace / K is Gr
+    gamma_t = _gamma(f)
     gamma_r = gram.trace(axis1=-2, axis2=-1).real / w.shape[-1]
+    gains = _stream_gains(e, gamma_t, gamma_r)
+    top = gains.max(axis=-1)  # NaN where any gain is NaN
+    ok = (top > 0.0) & (top < math.inf)
+    e, gram, gamma_t, gamma_r, gains = kept_rows(ok, e, gram, gamma_t, gamma_r, gains)
     rn = gram / gamma_r[..., None, None]
     lam_rn = np.linalg.eigvalsh(rn)
-    ok = (lam_rn[..., 0] > 0.0) & (lam_rn[..., -1] <= COND_LIMIT * lam_rn[..., 0])
-    f, w, rn, gamma_r, power, chan = kept_rows(ok, f, w, rn, gamma_r, bf.power, chan)
+    conditioned = (lam_rn[..., 0] > 0.0) & (lam_rn[..., -1] <= COND_LIMIT * lam_rn[..., 0])
+    e, rn, gamma_t, gamma_r, gains = kept_rows(conditioned, e, rn, gamma_t, gamma_r, gains)
+    ok[ok] = conditioned
+    power = waterfill(gains, rho)
     lchol = np.linalg.cholesky(rn)
-    m_eff = chan.project(w, f) * np.sqrt(np.maximum(power, 0.0))[..., None, :]
-    scale = np.sqrt(rho / (_gamma(f) * gamma_r))
+    m_eff = e * np.sqrt(np.maximum(power, 0.0))[..., None, :]
+    scale = np.sqrt(rho / (gamma_t * gamma_r))
     t = np.linalg.solve(lchol, m_eff) * scale[..., None, None]
     lam = np.linalg.eigvalsh(t @ adjoint(t))[..., ::-1]
     return np.log2(1.0 + np.maximum(lam, 0.0)), ok

@@ -405,7 +405,7 @@ def check_geometric_projection(seed: int = DEFAULT_SEED) -> CheckResult:
                         rho_db=34.0,
                         scheme=scheme,
                     )
-                    made = scheme.spec.design(chan, svd, config, rho)
+                    made = scheme.spec.design(chan, svd, config)
                     ok = made[1]
                     skipped += int(np.count_nonzero(~ok))
                     rates += int(np.count_nonzero(ok))
@@ -459,10 +459,10 @@ def check_gauge_invariance(seed: int = DEFAULT_SEED) -> CheckResult:
         svd, ok = channel_svds(chan, 3)
         ranked = ranked and bool(ok[0])
         for m in (3, 6):
-            base = p2p_rates(chan, mixed_designs(chan, svd, m, rho), rho)[0]
+            base = p2p_rates(chan, mixed_designs(svd, m), rho)[0]
             phases = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, 3))
             rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
-            rotated = p2p_rates(chan, mixed_designs(chan, rot, m, rho), rho)[0]
+            rotated = p2p_rates(chan, mixed_designs(rot, m), rho)[0]
             worst = float(np.maximum(worst, abs(rotated - base)))  # NaN stays NaN
     return CheckResult(
         "gauge_invariance", worst <= 1e-9 and ranked, {"max_rate_delta": worst, "tol": 1e-9}
@@ -516,7 +516,7 @@ def check_quantization_bound(seed: int = DEFAULT_SEED, trials: int = 150) -> Che
 
     def rates(scheme: Scheme) -> np.ndarray:
         config = ExperimentConfig("quantization", model, 4, 4, 34.0, scheme)
-        return p2p_rates(chan, scheme.spec.design(chan, svd, config, rho), rho)
+        return p2p_rates(chan, scheme.spec.design(chan, svd, config), rho)
 
     r_analog = rates(Scheme("svd_phase"))
     gaps = {b: float(np.mean(r_analog - rates(Scheme("quantized", bits=b)))) for b in (2, 3, 4)}
@@ -543,7 +543,7 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     chan = draw_channels(_rayleigh(16), seed + 14, [0])
     rho = 10.0 ** 3.4
     svd, ranked = channel_svds(chan, 4)
-    bf, ok = mixed_designs(chan, svd, 4, rho)
+    bf, ok = mixed_designs(svd, 4)
     base = p2p_rates(chan, (bf, ok), rho)[0]
     scaled = replace(bf, f_rf=bf.f_rf * math.sqrt(2.0))
     scale_delta = float(abs(p2p_rates(chan, (scaled, ok), rho)[0] - base))
@@ -552,7 +552,7 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     prev = -math.inf
     for rho_db in range(0, 41, 5):
         r = 10.0 ** (rho_db / 10.0)
-        rate = p2p_rates(chan, mixed_designs(chan, svd, 4, r), r)[0]
+        rate = p2p_rates(chan, mixed_designs(svd, 4), r)[0]
         monotone = monotone and bool(rate >= prev - 1e-12)
         prev = rate
 
@@ -561,7 +561,7 @@ def check_rate_evaluator(seed: int = DEFAULT_SEED) -> CheckResult:
     ranked = ranked[0] and ok.all()
     cap = capacity_streams(svd.sigma, rho).sum(axis=-1)
     dominated = all(  # phase-only and double-RF
-        np.all(p2p_rates(chan, mixed_designs(chan, svd, m, rho), rho) <= cap + 1e-9) for m in (3, 6)
+        np.all(p2p_rates(chan, mixed_designs(svd, m), rho) <= cap + 1e-9) for m in (3, 6)
     )
 
     passed = (

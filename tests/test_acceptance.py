@@ -82,8 +82,8 @@ def test_criterion_2_exact_factorization():
     start = time.monotonic()
     chan = draw_channels(ChannelModel(RAYLEIGH, 16, 16), DEFAULT_SEED + 1, range(100))
     svd, ranked = channel_svds(chan, 4)
-    digital = p2p_rates(chan, digital_designs(chan, svd, RHO), RHO)
-    bf, kept = made = mixed_designs(chan, svd, 8, RHO)
+    digital = p2p_rates(chan, digital_designs(svd), RHO)
+    bf, kept = made = mixed_designs(svd, 8)
     paired = p2p_rates(chan, made, RHO)
     worst_rate = float(np.max(np.abs(paired - digital)))  # NaN where a draw was refused
     v = thin_svd(chan.h, 4).v[kept]

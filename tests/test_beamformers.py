@@ -16,7 +16,7 @@ from beamsim import (
     thin_svd,
     waterfill,
 )
-from beamsim import beamformers
+from beamsim import rates
 from beamsim.beamformers import (
     digital_designs,
     mixed_designs,
@@ -27,7 +27,7 @@ from beamsim.beamformers import (
     selection_designs,
 )
 from beamsim.channel import ChannelRealization, channel_svds
-from beamsim.rates import mu_streams, p2p_streams
+from beamsim.rates import mu_streams, p2p_rates, p2p_streams
 
 RHO = 10.0**3.4
 
@@ -70,7 +70,7 @@ def rate(chan, bf, rho=RHO):
 
 
 def design_bytes(bf):
-    arrays = (bf.f_rf, bf.f_b, bf.power, bf.w_rf, bf.w_b)
+    arrays = (bf.f_rf, bf.f_b, bf.w_rf, bf.w_b)
     return [None if a is None else a.tobytes() for a in arrays]
 
 
@@ -89,8 +89,6 @@ def assert_invariants(bf, unit_modulus=True):
         active = bf.f_rf != 0
         assert np.all(np.abs(np.abs(bf.f_rf[active]) - 1.0) <= 1e-12)
         assert np.all(bf.f_rf[~active] == 0.0)
-    assert np.all(bf.power >= 0.0)
-    assert bf.power.sum() <= 1.0 + 1e-12
     f = bf.precoder()
     k = f.shape[1]
     recomputed = float(np.trace(f.conj().T @ f).real) / k
@@ -104,13 +102,13 @@ def assert_invariants(bf, unit_modulus=True):
 class TestDigitalSvd:
     def test_rank1_geometric_uses_dominant_direction(self):
         chan = draw_channels(ChannelModel(GEOMETRIC, 16, 16, l_paths=1), 4, [0])
-        bf = one(digital_designs(chan, factors(chan, 1), RHO))
+        bf = one(digital_designs(factors(chan, 1)))
         v = thin_svd(chan.h[0], 1).v
         np.testing.assert_allclose(bf.precoder(), v, atol=1e-12)
 
     def test_gamma_is_one(self):
         chan = rayleigh(16, 4, 1)
-        bf = one(digital_designs(chan, factors(chan, 4), RHO))
+        bf = one(digital_designs(factors(chan, 4)))
         assert bf.gamma_t == pytest.approx(1.0, abs=1e-12)
         assert bf.gamma_r == pytest.approx(1.0, abs=1e-12)
         assert_invariants(bf, unit_modulus=False)
@@ -125,12 +123,12 @@ class TestDigitalSvd:
 class TestSvdPhase:
     def test_positive_real_column_gives_ones(self):
         chan = explicit([np.diag([3.0, 2.0, 1.0])])
-        bf = one(mixed_designs(chan, factors(chan, 2), 2, RHO))
+        bf = one(mixed_designs(factors(chan, 2), 2))
         np.testing.assert_allclose(bf.f_rf, np.ones((3, 2)), atol=1e-12)
 
     def test_structure(self):
         chan = rayleigh(16, 4, 2)
-        bf = one(mixed_designs(chan, factors(chan, 4), 4, RHO))
+        bf = one(mixed_designs(factors(chan, 4), 4))
         assert bf.f_rf.shape == (16, 4)
         np.testing.assert_allclose(bf.f_b, np.eye(4), atol=0)
         assert bf.gamma_t == pytest.approx(16.0, rel=1e-12)
@@ -140,7 +138,7 @@ class TestSvdPhase:
     def test_phase_matching_beats_random_candidates(self):
         chan = rayleigh(24, 4, 3)
         svd = thin_svd(chan.h[0], 3)
-        f_rf = one(mixed_designs(chan, factors(chan, 3), 3, RHO)).f_rf
+        f_rf = one(mixed_designs(factors(chan, 3), 3)).f_rf
         gen = np.random.default_rng(0)
         for k in range(3):
             v = svd.v[:, k]
@@ -150,21 +148,21 @@ class TestSvdPhase:
 
     def test_gauge_invariance_of_rate(self):
         chan = rayleigh(20, 4, 4)
-        base = rate(chan, one(mixed_designs(chan, factors(chan, 3), 3, RHO)))
+        base = rate(chan, one(mixed_designs(factors(chan, 3), 3)))
         # rotating each singular-vector column by a unit phase shifts every
         # shifter by a stream-constant phase and leaves the rate unchanged
         svd = thin_svd(chan.h, 3)
         gen = np.random.default_rng(1)
         phases = np.exp(1j * gen.uniform(0, 2 * math.pi, 3))
         rot = replace(svd, u=svd.u * phases, v=svd.v * phases)
-        bf = one(mixed_designs(chan, rot, 3, RHO))
+        bf = one(mixed_designs(rot, 3))
         assert rate(chan, bf) == pytest.approx(base, abs=1e-9)
 
 
 class TestDoubleRf:
     def test_unit_magnitude_entry_collapses_pair(self):
         chan = explicit([[[2.0 * np.exp(0.7j)]]])
-        bf = one(mixed_designs(chan, factors(chan, 1), 2, RHO))
+        bf = one(mixed_designs(factors(chan, 1), 2))
         # |V| = 1 so both shifters carry the same phase and the pair
         # reproduces the entry exactly
         assert bf.f_rf[0, 0] == pytest.approx(bf.f_rf[0, 1], abs=1e-12)
@@ -173,7 +171,7 @@ class TestDoubleRf:
 
     def test_exact_factorization(self):
         chan = rayleigh(16, 5, 0)
-        bf = one(mixed_designs(chan, factors(chan, 2), 4, RHO))
+        bf = one(mixed_designs(factors(chan, 2), 4))
         v = thin_svd(chan.h[0], 2).v
         assert np.linalg.norm(bf.precoder() - v) <= 1e-10
         assert bf.gamma_t == pytest.approx(1.0, rel=1e-12)
@@ -182,15 +180,15 @@ class TestDoubleRf:
     def test_rate_equals_digital(self):
         chan = rayleigh(16, 5, 1)
         svd = factors(chan, 4)
-        r_dig = rate(chan, one(digital_designs(chan, svd, RHO)))
-        r_dbl = rate(chan, one(mixed_designs(chan, svd, 8, RHO)))
+        r_dig = rate(chan, one(digital_designs(svd)))
+        r_dbl = rate(chan, one(mixed_designs(svd, 8)))
         assert r_dbl == pytest.approx(r_dig, abs=1e-9)
 
 
 class TestMixed:
     def test_block_structure(self):
         chan = rayleigh(16, 5, 4)
-        bf = one(mixed_designs(chan, factors(chan, 3), 5, RHO))
+        bf = one(mixed_designs(factors(chan, 3), 5))
         assert bf.f_rf.shape == (16, 5)
         assert bf.f_b.shape == (5, 3)
         # paired streams use rows (0,1) and (2,3); the last stream row 4
@@ -208,7 +206,7 @@ class TestMixed:
     def test_dimension_error(self, m):
         chan = rayleigh(16, 5, 5)
         with pytest.raises(DimensionError):
-            mixed_designs(chan, factors(chan, 3), m, RHO)
+            mixed_designs(factors(chan, 3), m)
 
 
 class TestQuantize:
@@ -225,7 +223,7 @@ class TestQuantize:
 
     def test_grid_membership(self):
         chan = rayleigh(16, 6, 0)
-        bf = one(quantized_designs(chan, factors(chan, 4), 3, RHO))
+        bf = one(quantized_designs(factors(chan, 4), 3))
         step = 2 * math.pi / 8
         ang = np.mod(np.angle(bf.f_rf), 2 * math.pi)
         assert np.allclose(np.mod(ang / step, 1.0), 0.0, atol=1e-9) or np.allclose(
@@ -236,15 +234,15 @@ class TestQuantize:
     def test_fine_grid_matches_analog(self):
         chan = rayleigh(16, 6, 1)
         svd = factors(chan, 4)
-        analog = kept(mixed_designs(chan, svd, 4, RHO))
-        fine = one(quantized_designs(chan, svd, 14, RHO))
+        analog = kept(mixed_designs(svd, 4))
+        fine = one(quantized_designs(svd, 14))
         assert abs(rate(chan, analog[0]) - rate(chan, fine)) <= 1e-3
 
     @pytest.mark.parametrize("bits", [0, 17])
     def test_resolution_bit_range(self, bits):
         chan = rayleigh(16, 6, 1)
         svd = factors(chan, 4)
-        for build in (lambda: phase_step(bits), lambda: quantized_designs(chan, svd, bits, RHO)):
+        for build in (lambda: phase_step(bits), lambda: quantized_designs(svd, bits)):
             with pytest.raises(ValueError, match=r"^digital resolution needs 1 <= bits <= 16$"):
                 build()
 
@@ -256,15 +254,13 @@ class TestSelection:
     def test_beta_zero_identical_to_phase_only(self):
         chan = rayleigh(32, 7, 0)
         svd = factors(chan, 4)
-        a = kept(selection_designs(chan, svd, 0.0, RHO))
-        b = kept(mixed_designs(chan, svd, 4, RHO))
-        assert np.array_equal(a.f_rf, b.f_rf)
-        assert np.array_equal(a.w_rf, b.w_rf)
-        assert np.array_equal(a.power, b.power)
+        a = kept(selection_designs(svd, 0.0))
+        b = kept(mixed_designs(svd, 4))
+        assert design_bytes(a) == design_bytes(b)
 
     def test_half_off_fraction(self):
         chan = draw_channels(ChannelModel(RAYLEIGH, 64, 64), 7, range(500))
-        bf = kept(selection_designs(chan, factors(chan, 4), 50.0, RHO))
+        bf = kept(selection_designs(factors(chan, 4), 50.0))
         off = int(np.sum(bf.f_rf == 0)) + int(np.sum(bf.w_rf == 0))
         on = int(np.sum(bf.f_rf != 0)) + int(np.sum(bf.w_rf != 0))
         frac = off / (off + on)
@@ -272,7 +268,7 @@ class TestSelection:
 
     def test_gamma_tracks_live_shifters(self):
         chan = rayleigh(32, 7, 1)
-        bf = one(selection_designs(chan, factors(chan, 4), 30.0, RHO))
+        bf = one(selection_designs(factors(chan, 4), 30.0))
         assert_invariants(bf)
         # normalization reflects the actual number of live shifters and is
         # derived again when a matrix is replaced
@@ -282,7 +278,7 @@ class TestSelection:
     def test_degenerate_column_error(self):
         # a 1 x 1 channel's one shifter per side falls below the 70% threshold
         chan = explicit([[[1.3 + 0.4j]]])
-        bf, ok = selection_designs(chan, factors(chan, 1), 70.0, RHO)
+        bf, ok = selection_designs(factors(chan, 1), 70.0)
         assert ok.tolist() == [False] and bf.f_rf.shape == (0, 1, 1)
 
 
@@ -296,7 +292,6 @@ class TestMultiuserZf:
         e = chan.h[0] @ bf.precoder() / math.sqrt(bf.gamma_t)
         off = e - np.diag(np.diag(e))
         assert np.max(np.abs(off)) <= 1e-10
-        np.testing.assert_allclose(bf.power, np.full(4, 0.25), atol=0)
         assert bf.w_rf is None and bf.w_b is None
 
     def test_gamma_follows_replaced_precoder(self):
@@ -368,7 +363,7 @@ class TestRefusalMasks:
         h[3] = 1.0
         chan = explicit(h)
         def build(c):
-            return selection_designs(c, factors(c, 1), 70.0, RHO)
+            return selection_designs(factors(c, 1), 70.0)
 
         made = build(chan)
         assert made[1].tolist() == [True, True, True, False, True, True]
@@ -393,50 +388,54 @@ class TestRefusalMasks:
 
 # every point-to-point builder, given the stacked factors of 16 x 16 draws at k = 4
 P2P_BUILDERS = {
-    "digital": lambda chan, svd, rho: digital_designs(chan, svd, rho),
-    "phase_only": lambda chan, svd, rho: mixed_designs(chan, svd, 4, rho),
-    "mixed": lambda chan, svd, rho: mixed_designs(chan, svd, 6, rho),
-    "double_rf": lambda chan, svd, rho: mixed_designs(chan, svd, 8, rho),
-    "selection": lambda chan, svd, rho: selection_designs(chan, svd, 25.0, rho),
-    "quantized": lambda chan, svd, rho: quantized_designs(chan, svd, 3, rho),
+    "digital": lambda svd: digital_designs(svd),
+    "phase_only": lambda svd: mixed_designs(svd, 4),
+    "mixed": lambda svd: mixed_designs(svd, 6),
+    "double_rf": lambda svd: mixed_designs(svd, 8),
+    "selection": lambda svd: selection_designs(svd, 25.0),
+    "quantized": lambda svd: quantized_designs(svd, 3),
 }
 
 
 @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("kind", list(P2P_BUILDERS))
 def test_p2p_builders_reject_non_positive_rho(kind, rho):
+    # a builder takes no rho: rating its designs at one refuses it
     chan = rayleigh(16, 14, 0)
+    made = P2P_BUILDERS[kind](factors(chan, 4))
     with pytest.raises(ValueError, match="rho must be positive"):
-        P2P_BUILDERS[kind](chan, factors(chan, 4), rho)
+        p2p_streams(chan, made[0], rho)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        p2p_rates(chan, made, rho)
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
 @pytest.mark.parametrize("kind", list(P2P_BUILDERS))
 def test_p2p_builders_raise_where_waterfilling_refuses_the_gains(kind, bad, monkeypatch):
-    # waterfill raises for draw 2's spoiled gains; a builder drops that draw
-    # instead, and keeps the others bitwise as they are alone
+    # waterfill raises for draw 2's spoiled gains; the rater rates that draw
+    # NaN instead, and the others bitwise as they are alone
     chan = draw_channels(ChannelModel(RAYLEIGH, 16, 16), 14, range(5))
     svd = factors(chan, 4)
 
-    def build(rows):
-        return P2P_BUILDERS[kind](chan[rows], svd[rows], RHO)
+    def rated(rows):
+        return p2p_rates(chan[rows], P2P_BUILDERS[kind](svd[rows]), RHO)
 
-    alone = [kept(build([t])) for t in range(5)]
-    real = beamformers._stream_gains
+    alone = [rated([t]) for t in range(5)]
+    real = rates._stream_gains
 
-    def spoiled(e, f, w):
-        gains = real(e, f, w)
+    def spoiled(*operands):
+        gains = real(*operands)
         if len(gains) == 5:
             gains[2] = [bad, 0.0, 0.0, 0.0]
             with pytest.raises(ValueError):
                 waterfill(gains[2], RHO)
         return gains
 
-    monkeypatch.setattr(beamformers, "_stream_gains", spoiled)
-    bf, ok = build(slice(None))
-    assert ok.tolist() == [True, True, False, True, True]
-    for row, t in enumerate(np.flatnonzero(ok)):
-        assert design_bytes(bf[row]) == design_bytes(alone[t][0])
+    monkeypatch.setattr(rates, "_stream_gains", spoiled)
+    got = rated(slice(None))
+    assert math.isnan(got[2])
+    for t in (0, 1, 3, 4):
+        assert got[t].tobytes() == alone[t].tobytes()
 
 
 class TestCrossSchemeConsistency:
@@ -445,10 +444,10 @@ class TestCrossSchemeConsistency:
 
         chan = draw_channels(ChannelModel(RAYLEIGH, 64, 64), 12, range(60))
         svd = factors(chan, 4)
-        analog = kept(mixed_designs(chan, svd, 4, RHO))
+        analog = kept(mixed_designs(svd, 4))
         r_analog = p2p_streams(chan, analog, RHO)[0].sum(axis=-1)
         for bits in (2, 3, 4):
-            digital = kept(quantized_designs(chan, svd, bits, RHO))
+            digital = kept(quantized_designs(svd, bits))
             per, ok = p2p_streams(chan, digital, RHO)
             assert ok.all()
             assert np.mean(r_analog - per.sum(axis=-1)) <= quant_gap_bound(4, bits) + 0.5
@@ -458,4 +457,4 @@ class TestCrossSchemeConsistency:
         svd = factors(chan, 4)
         cap = capacity_p2p(svd.sigma[0], RHO).rate_bits
         for build in P2P_BUILDERS.values():
-            assert rate(chan, one(build(chan, svd, RHO))) <= cap + 1e-9
+            assert rate(chan, one(build(svd))) <= cap + 1e-9

@@ -32,7 +32,7 @@ from beamsim import (
     run_trial,
     run_trials,
 )
-from beamsim import beamformers, channel, experiments, linalg
+from beamsim import channel, experiments, linalg, rates
 from beamsim.configio import parse_config_text, serialize_config
 from beamsim.experiments import (
     DEFAULT_SEED,
@@ -882,14 +882,14 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("size", [1, 3, 12], ids=["split1", "split3", "whole"])
     def test_a_zero_stream_gain_is_rated(self, kind, size, monkeypatch):
         # waterfilling takes a zero gain beside positive ones
-        real = beamformers._stream_gains
+        real = rates._stream_gains
 
-        def one_zero(e, f, w):
-            gains = real(e, f, w).copy()
+        def one_zero(*operands):
+            gains = real(*operands).copy()
             gains[..., -1] = 0.0
             return gains
 
-        monkeypatch.setattr(beamformers, "_stream_gains", one_zero)
+        monkeypatch.setattr(rates, "_stream_gains", one_zero)
         cfg = batched_config(kind, 8, trials=12)
         records = split_records(cfg, size)
         assert records == single_records(cfg)
@@ -899,17 +899,17 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
     def test_gains_waterfilling_refuses_exclude_the_trial(self, kind, bad, monkeypatch):
         # every gain zero, or one not finite: no trial aborts, each is excluded
-        real = beamformers._stream_gains
+        real = rates._stream_gains
 
-        def spoiled(e, f, w):
-            gains = real(e, f, w).copy()
+        def spoiled(*operands):
+            gains = real(*operands).copy()
             if bad == 0.0:
                 gains[...] = 0.0
             else:
                 gains[..., 0] = bad
             return gains
 
-        monkeypatch.setattr(beamformers, "_stream_gains", spoiled)
+        monkeypatch.setattr(rates, "_stream_gains", spoiled)
         cfg = batched_config(kind, 8, trials=6)
         records = run_trials(cfg, range(6))
         assert all(r.degenerate and math.isnan(r.rate_bits) for r in records)
@@ -1098,8 +1098,8 @@ class TestBuildersByName:
         # the snapped phases are designed straight from the factors, with
         # no phase-only design waterfilled first
         calls = []
-        real = beamformers._stream_gains
-        monkeypatch.setattr(beamformers, "_stream_gains", lambda *a: calls.append(a) or real(*a))
+        real = rates._stream_gains
+        monkeypatch.setattr(rates, "_stream_gains", lambda *a: calls.append(a) or real(*a))
         rec = run_trial(config(scheme=Scheme("quantized", bits=2), trials=1), 0)
         assert not rec.degenerate
         assert len(calls) == 1
@@ -1117,7 +1117,19 @@ class TestBuildersByName:
         assert len(made) == len(capacity) == len(built) == 1
         ((svd, _),) = made
         assert capacity[0][0] is svd.sigma
-        assert built[0][1] is svd
+        assert built[0][0] is svd
+
+    @pytest.mark.parametrize("scheme", P2P_SCHEMES, ids=lambda s: s.label())
+    @pytest.mark.parametrize("kind", [RAYLEIGH, GEOMETRIC])
+    def test_a_p2p_batch_projects_once(self, scheme, kind, monkeypatch):
+        # the rater forms W^H H F once, for the stream gains and the rate
+        calls = []
+        real = ChannelRealization.project
+        monkeypatch.setattr(ChannelRealization, "project", lambda *a: calls.append(a) or real(*a))
+        model = ChannelModel(kind, 16, 16, l_paths=5 if kind == GEOMETRIC else None)
+        records = run_trials(replace(config(scheme=scheme, trials=4), channel=model), range(4))
+        assert not any(r.degenerate for r in records)
+        assert len(calls) == 1
 
 
 class TestSweeps:

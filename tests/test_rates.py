@@ -153,19 +153,19 @@ class TestAchievableRate:
     def test_digital_meets_capacity(self):
         chan = rayleigh(16, 16, 2, [0])
         svd = factors(chan, 4)
-        rate = p2p_rates(chan, kept(digital_designs(chan, svd, RHO_34DB)))
+        rate = p2p_rates(chan, kept(digital_designs(svd)))
         assert rate[0] == pytest.approx(capacity(svd)[0], abs=1e-9)
 
     def test_double_rf_meets_capacity(self):
         chan = rayleigh(16, 16, 2, [1])
         svd = factors(chan, 2)
-        rate = p2p_rates(chan, kept(mixed_designs(chan, svd, 4, RHO_34DB)))
+        rate = p2p_rates(chan, kept(mixed_designs(svd, 4)))
         assert rate[0] == pytest.approx(capacity(svd)[0], abs=1e-9)
 
     def test_capacity_dominates_hybrids(self):
         chan = rayleigh(12, 12, 2, range(10, 15))
         svd = factors(chan, 3)
-        rate = p2p_rates(chan, kept(mixed_designs(chan, svd, 3, RHO_34DB)))
+        rate = p2p_rates(chan, kept(mixed_designs(svd, 3)))
         assert np.all(rate <= capacity(svd) + 1e-9)
 
     def test_monotone_in_rho(self):
@@ -174,14 +174,14 @@ class TestAchievableRate:
         prev = -math.inf
         for rho_db in range(0, 45, 5):
             rho = 10 ** (rho_db / 10)
-            rate = p2p_rates(chan, kept(mixed_designs(chan, svd, 4, rho)), rho)[0]
+            rate = p2p_rates(chan, kept(mixed_designs(svd, 4)), rho)[0]
             assert rate >= prev - 1e-12
             prev = rate
 
     def test_scale_consistency(self):
         # doubling gamma_t by scaling F leaves the normalized rate unchanged
         chan = rayleigh(16, 16, 2, [3])
-        bf = kept(mixed_designs(chan, factors(chan, 4), 4, RHO_34DB))
+        bf = kept(mixed_designs(factors(chan, 4), 4))
         base = p2p_rates(chan, bf)[0]
         scaled = replace(bf, f_rf=bf.f_rf * math.sqrt(2.0))
         assert p2p_rates(chan, scaled)[0] == pytest.approx(base, abs=1e-9)
@@ -199,7 +199,7 @@ class TestAchievableRate:
         # draw 1's combiner repeats a column: its W^H W is singular, so the
         # evaluator drops it and rates the others bitwise as they are alone
         chan = rayleigh(8, 8, 2, range(6, 10))
-        bf = kept(digital_designs(chan, factors(chan, 2), RHO_34DB))
+        bf = kept(digital_designs(factors(chan, 2)))
         w = bf.w_rf.copy()
         w[1, :, 1] = w[1, :, 0]
         broken = replace(bf, w_rf=w)
@@ -215,7 +215,7 @@ class TestAchievableRate:
         # number (d_max / d_min)^2 either side of COND_LIMIT = 1e12; its
         # smallest eigenvalue is resolved only to about 2e-4 relative there
         chan = rayleigh(8, 8, 2, range(6, 9))
-        bf = kept(digital_designs(chan, factors(chan, 2), RHO_34DB))
+        bf = kept(digital_designs(factors(chan, 2)))
         ratios = np.array([1e11, 1e13, 1.0])
         w = bf.w_rf * np.stack([np.ones(3), 1 / np.sqrt(ratios)], axis=-1)[:, None, :]
         scaled = replace(bf, w_rf=w)
@@ -228,7 +228,7 @@ class TestAchievableRate:
         # the builder refuses draw 0 and the evaluator draw 2 (its combiner
         # repeats a column); the others keep their evaluator sums bitwise
         chan = rayleigh(8, 8, 2, range(6, 10))
-        bf = kept(digital_designs(chan, factors(chan, 2), RHO_34DB))
+        bf = kept(digital_designs(factors(chan, 2)))
         w = bf.w_rf.copy()
         w[2, :, 1] = w[2, :, 0]
         built = np.array([False, True, True, True])
@@ -238,22 +238,21 @@ class TestAchievableRate:
         assert rate[[1, 3]].tobytes() == want.tobytes()
 
     def test_gap_matches_direct_formula(self):
-        # rate of the unconstrained design equals sum log2(1 + rho p sigma^2)
+        # rate of the unconstrained design equals sum log2(1 + rho p sigma^2),
+        # with p waterfilled over sigma^2
         chan = rayleigh(16, 16, 2, [5])
-        bf = kept(digital_designs(chan, factors(chan, 4), RHO_34DB))
+        bf = kept(digital_designs(factors(chan, 4)))
         from beamsim import thin_svd
 
         sigma = thin_svd(chan.h[0], 4).sigma
-        direct = np.sum(np.log2(1 + RHO_34DB * bf.power[0] * sigma**2))
+        power = waterfill(sigma**2, RHO_34DB)
+        direct = np.sum(np.log2(1 + RHO_34DB * power * sigma**2))
         assert p2p_rates(chan, bf)[0] == pytest.approx(float(direct), abs=1e-9)
 
 
 def mu_design(f):
-    """A stack of one multiuser design with precoder ``f`` and equal power."""
-    k = f.shape[1]
-    return HybridBeamformer(
-        f_rf=f[None], f_b=np.eye(k, dtype=complex)[None], power=np.full((1, k), 1.0 / k)
-    )
+    """A stack of one multiuser design with precoder ``f``."""
+    return HybridBeamformer(f_rf=f[None], f_b=np.eye(f.shape[1], dtype=complex)[None])
 
 
 class TestSumRateMu:
